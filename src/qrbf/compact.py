@@ -20,6 +20,13 @@ estimate sin(pi y / 2^bits) is exact for on-grid amplitudes and within
 pi 2^{-bits} + pi^2 2^{-2 bits} with probability at least 8/pi^2
 otherwise.  Per-pair generators seeded by (seed, i, j) keep every oracle
 call reproducible regardless of evaluation order.
+
+oracle_PA is the per-entry reference.  build_matrix computes the same
+entries in one batched pass over the upper-triangle pairs: a_ij == a_ji
+bit for bit, so it builds one outcome distribution per unordered pair and
+takes one draw per ordered pair from that pair's (seed, i, j) stream, by
+the inverse-CDF rule Generator.choice uses.  Distributions are built in
+blocks of at most _BLOCK_CELLS grid cells, so memory stays flat in m.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from .qcore import PureState
 from .qinvert import InversionConfig, SolveReport
 
 _AE_BITS_CAP = 20
+# grid cells per block of distributions in build_matrix, so the block
+# temporaries stay small at any m; with ae_bits above 14 a block holds one pair
+_BLOCK_CELLS = 2**14
 
 
 @dataclass
@@ -104,7 +114,8 @@ def distance_amplitude(
 ) -> float:
     """Scaled distance ||x_i - x_j|| / sqrt(2 (||x_i||^2 + ||x_j||^2)), in [0, 1]."""
     x_i, x_j, ni, nj = _norms(x_i, x_j, norm_i, norm_j)
-    return float(np.linalg.norm(x_i - x_j) / math.sqrt(2.0 * (ni * ni + nj * nj)))
+    dist = interpolation.pair_distance(x_i, x_j)
+    return float(dist / math.sqrt(2.0 * (ni * ni + nj * nj)))
 
 
 def pair_scale(x_i, x_j, norm_i: float | None = None, norm_j: float | None = None) -> float:
@@ -118,17 +129,23 @@ def reconstruct_distance(x_i, x_j) -> float:
     return distance_amplitude(x_i, x_j) * pair_scale(x_i, x_j)
 
 
-def estimation_pmf(a_true: float, ae_bits: int) -> np.ndarray:
+def estimation_pmf(a_true, ae_bits: int) -> np.ndarray:
     """Outcome distribution of canonical amplitude estimation on a 2^bits grid.
 
     Cell y of the grid carries the interference weight
     (F(y/M - omega) + F(y/M + omega)) / 2 with F the squared Dirichlet
     kernel sin^2(pi M t) / (M sin(pi t))^2 and omega = arcsin(a)/pi.
+    An array of n amplitudes gives one distribution per row, shape
+    (n, 2^bits); a scalar gives the 1-D distribution through the same path.
     """
-    if not 0.0 <= a_true <= 1.0:
+    a = np.asarray(a_true, dtype=float)
+    scalar = a.ndim == 0
+    a = a.reshape(-1)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("amplitude must lie in [0, 1]")
     M = 2**ae_bits
-    omega = math.asin(min(1.0, a_true)) / math.pi
+    # math.asin, not np.arcsin: the two differ in the last ulp for some inputs
+    omega = np.array([math.asin(v) for v in a.tolist()])[:, None] / math.pi
     y = np.arange(M) / M
 
     def fejer(delta):
@@ -139,7 +156,8 @@ def estimation_pmf(a_true: float, ae_bits: int) -> np.ndarray:
         return out
 
     pmf = 0.5 * (fejer(y - omega) + fejer(y + omega))
-    return pmf / pmf.sum()
+    pmf /= pmf.sum(axis=-1, keepdims=True)
+    return pmf[0] if scalar else pmf
 
 
 def ae_error_bound(ae_bits: int) -> float:
@@ -147,12 +165,35 @@ def ae_error_bound(ae_bits: int) -> float:
     return math.pi * 2.0**-ae_bits + math.pi**2 * 2.0 ** (-2 * ae_bits)
 
 
+def _draw(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcomes for uniforms u in [0, 1) by inverse CDF, shape (..., k).
+
+    pmf has shape (..., M) and u shape (..., k): k draws from each
+    distribution.  The arithmetic is that of Generator.choice(M, p=pmf):
+    cumulative sum scaled to end at 1, then searchsorted(cdf, u, 'right'),
+    which is count(cdf <= u) for a nondecreasing cdf.
+    """
+    cdf = np.cumsum(pmf, axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.count_nonzero(cdf[..., None, :] <= u[..., :, None], axis=-1)
+
+
+def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
+    """Amplitude |sin(pi y / 2^bits)| read from each outcome y.
+
+    math.sin per outcome, as for omega in estimation_pmf, so estimates do
+    not depend on which vectorized loop numpy picks.
+    """
+    M = 2**ae_bits
+    vals = [abs(math.sin(math.pi * v / M)) for v in np.ravel(y).tolist()]
+    return np.array(vals).reshape(np.shape(y))
+
+
 def amplitude_estimate(a_true: float, ae_bits: int, seed) -> float:
     """Draw one amplitude-estimation outcome and map it back to [0, 1]."""
-    pmf = estimation_pmf(a_true, ae_bits)
-    rng = np.random.default_rng(seed)
-    y = int(rng.choice(pmf.shape[0], p=pmf))
-    return abs(math.sin(math.pi * y / 2**ae_bits))
+    u = np.random.default_rng(seed).random()
+    y = _draw(estimation_pmf(a_true, ae_bits), np.array([u]))
+    return float(_outcome_amplitude(y[0], ae_bits))
 
 
 def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> float:
@@ -201,33 +242,66 @@ def oracle_Pv(j: int, ell: int, matrix: InterpMatrix) -> int:
     return int(rows[ell - 1])
 
 
+def _estimated_radii(
+    dataset: DataSet, config: CompactOracleConfig, i, j, dist
+) -> np.ndarray:
+    """Estimated radii of the pairs (i, j), shape (n, 2): orders (i, j), (j, i).
+
+    Both orders share one distribution, since the amplitude is symmetric;
+    each order draws one uniform from its own (seed, i, j) generator.
+    """
+    ni, nj = dataset.site_norms[i], dataset.site_norms[j]
+    scale = np.sqrt(2.0 * (ni * ni + nj * nj))
+    amps = dist / scale
+    seed, bits = config.seed, config.ae_bits
+    u = np.array(
+        [
+            (
+                np.random.default_rng((seed, p, q)).random(),
+                np.random.default_rng((seed, q, p)).random(),
+            )
+            for p, q in zip(i.tolist(), j.tolist())
+        ]
+    ).reshape(-1, 2)
+    y = np.empty(u.shape, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS >> bits)
+    for start in range(0, amps.shape[0], step):
+        block = slice(start, start + step)
+        y[block] = _draw(estimation_pmf(amps[block], bits), u[block])
+    return _outcome_amplitude(y, bits) * scale[:, None]
+
+
 def build_matrix(
     dataset: DataSet, config: CompactOracleConfig, normalized: bool = False
 ) -> InterpMatrix:
-    """Assemble the interpolation matrix entirely through oracle_PA calls.
+    """Assemble the interpolation matrix from the entry oracle, all pairs at once.
 
-    Estimated entries are symmetrized, (PA(i,j) + PA(j,i))/2, since the
-    entrywise oracle does not guarantee symmetry on its own.  Exact mode
-    reproduces interpolation.assemble entry for entry.
+    Entries equal the symmetrized oracle, (PA(i,j) + PA(j,i))/2, bit for
+    bit: the entrywise oracle does not guarantee symmetry on its own.  In
+    estimated mode there is one outcome distribution per unordered pair
+    and one draw per ordered pair from its (seed, i, j) generator;
+    distributions are built in blocks of at most _BLOCK_CELLS cells so
+    memory does not grow with m.  Exact mode reproduces
+    interpolation.assemble entry for entry.
     """
     from scipy.sparse import coo_array
 
     m = dataset.m
     scale = 1.0 / m if normalized else 1.0
-    rows, cols, vals = [], [], []
-    for i in range(m):
-        rows.append(i)
-        cols.append(i)
-        vals.append(config.kernel.phi0 * scale)
-    for i in range(m):
-        for j in range(i + 1, m):
-            entry = 0.5 * (
-                oracle_PA(i, j, dataset, config) + oracle_PA(j, i, dataset, config)
-            )
-            if entry != 0.0:
-                rows.extend((i, j))
-                cols.extend((j, i))
-                vals.extend((entry * scale, entry * scale))
+    i, j = np.triu_indices(m, k=1)
+    dist = interpolation.pair_distance(dataset.sites[i], dataset.sites[j])
+    if config.ae_bits is None:
+        # both orders see the same distance, and (v + v)/2 == v exactly
+        entry = config.kernel.eval(dist)
+    else:
+        phi = config.kernel.eval(_estimated_radii(dataset, config, i, j, dist))
+        entry = 0.5 * (phi[:, 0] + phi[:, 1])
+    keep = entry != 0.0
+    i, j, entry = i[keep], j[keep], entry[keep] * scale
+    diag = np.arange(m)
+    rows = np.concatenate([diag, i, j])
+    cols = np.concatenate([diag, j, i])
+    vals = np.concatenate([np.full(m, config.kernel.phi0 * scale), entry, entry])
     mat = coo_array((vals, (rows, cols)), shape=(m, m)).tocsr()
     mat.sort_indices()
     sparsity = int(np.max(np.diff(mat.indptr)))

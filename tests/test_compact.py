@@ -83,11 +83,32 @@ def test_amplitude_estimate_error_bound():
 
 
 def test_amplitude_estimate_deterministic_per_seed():
-    a = compact.amplitude_estimate(0.4, 6, seed=(1, 2))
-    b = compact.amplitude_estimate(0.4, 6, seed=(1, 2))
-    c = compact.amplitude_estimate(0.4, 6, seed=(1, 3))
-    assert a == b
-    assert a != c or True  # different seed may coincide, equality is not required
+    first = compact.amplitude_estimate(0.4, 6, seed=(1, 2))
+    assert all(compact.amplitude_estimate(0.4, 6, seed=(1, 2)) == first for _ in range(5))
+    # 0.4 is off the grid, so the draws spread over several outcomes
+    draws = {compact.amplitude_estimate(0.4, 6, seed=(1, s)) for s in range(50)}
+    assert len(draws) > 1
+
+
+def test_estimation_pmf_batch_rows_and_draw_rule():
+    """Batched rows equal scalar calls; the inverse-CDF draw equals Generator.choice."""
+    rng = np.random.default_rng(29)
+    cases = 0
+    for bits in (1, 3, 6, 9, 12):
+        M = 2**bits
+        amps = np.concatenate([[0.0, 1.0, math.sin(math.pi * 3 / 16)], rng.uniform(0, 1, 37)])
+        batch = compact.estimation_pmf(amps, bits)
+        assert batch.shape == (amps.shape[0], M)
+        for k, a in enumerate(amps):
+            pmf = compact.estimation_pmf(float(a), bits)
+            assert pmf.shape == (M,)
+            assert np.array_equal(batch[k], pmf)
+            seed = (bits, k)
+            want = int(np.random.default_rng(seed).choice(M, p=pmf))
+            u = np.random.default_rng(seed).random()
+            assert int(compact._draw(pmf, np.array([u]))[0]) == want
+            cases += 1
+    assert cases == 200
 
 
 def test_oracle_pa_exact_mode_matches_kernel():
@@ -142,6 +163,42 @@ def test_build_matrix_exact_equals_assembler():
         exact = interp.assemble(ds, kern)
         gap = np.abs((built.data - exact.data).toarray())
         assert np.max(gap) == 0.0 if gap.size else True
+
+
+def _oracle_loop_matrix(ds, cfg, normalized):
+    """Reference build: the symmetrized per-pair oracle_PA loop."""
+    from scipy.sparse import coo_array
+
+    scale = 1.0 / ds.m if normalized else 1.0
+    rows, cols, vals = list(range(ds.m)), list(range(ds.m)), [cfg.kernel.phi0 * scale] * ds.m
+    for i in range(ds.m):
+        for j in range(i + 1, ds.m):
+            entry = 0.5 * (compact.oracle_PA(i, j, ds, cfg) + compact.oracle_PA(j, i, ds, cfg))
+            if entry != 0.0:
+                rows.extend((i, j))
+                cols.extend((j, i))
+                vals.extend((entry * scale, entry * scale))
+    mat = coo_array((vals, (rows, cols)), shape=(ds.m, ds.m)).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+@pytest.mark.parametrize("bits", [None, 4, 8, 12, 16])
+def test_build_matrix_equals_symmetrized_oracle_loop(bits):
+    # at 16 bits one pair's distribution is larger than a whole block
+    assert 2**16 > compact._BLOCK_CELLS
+    m = 7 if bits == 16 else 16
+    for seed in (0, 3, 11):
+        r = np.random.default_rng(500 + seed)
+        ds = _dataset(r, m, 2 + seed % 2)
+        cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=1.1), ae_bits=bits, seed=seed)
+        normalized = seed % 2 == 1
+        built = compact.build_matrix(ds, cfg, normalized=normalized).data
+        want = _oracle_loop_matrix(ds, cfg, normalized)
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(built, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref), name
 
 
 def test_build_matrix_estimated_is_symmetric_and_close():
