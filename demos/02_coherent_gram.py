@@ -26,8 +26,7 @@ for order in (3, 5, 8, 12, 16, 20):
     print(f"{order:5d} {rep.delta:12.3e} {rep.frobenius_bound:12.3e} {rep.frobenius_error:12.3e}")
 
 delta_target = 1e-8
-ratio_max = float(np.max(np.abs(ds.sites))) / sigma
-order = coherent.min_order(ratio_max, delta_target)
+order = coherent.min_order(coherent.max_ratio(ds.sites, sigma), delta_target)
 print(f"\nsmallest order with per-coordinate bound <= {delta_target:g}: {order}")
 
 rep = coherent.gram_report(ds, sigma, order)

@@ -18,6 +18,13 @@ All amplitude arithmetic runs in log space (gammaln) so deep tails stay
 accurate: two truncations of the same state share bit-identical leading
 amplitudes, which keeps measured truncation errors meaningful far below
 float epsilon.
+
+One batch routine computes every amplitude vector: an array of n
+coordinate ratios gives an (n, N) table of unit rows, each bit for bit
+the vector of its coordinate alone, and a single coordinate takes the
+same path.  A product-state overlap is the product of its per-coordinate
+overlaps, so the m x m Gram matrix is built as d BLAS syrk products
+F_c F_c^T, one per coordinate table F_c, multiplied entrywise.
 """
 
 from __future__ import annotations
@@ -35,20 +42,48 @@ from .interpolation import DataSet, InterpMatrix
 _MAX_RATIO_SQ = 700.0
 
 
-def _amplitudes(ratio: float, order: int) -> np.ndarray:
-    """Unit-normalized truncated amplitude vector for one coordinate."""
+def max_ratio(sites, sigma: float) -> float:
+    """Largest |coordinate| / sigma over the sites: the ratio the bounds use."""
+    return float(np.max(np.abs(sites))) / sigma
+
+
+def _ratios(x, sigma: float) -> np.ndarray:
+    """Coordinates divided by sigma, with the float64 range guard on all of them."""
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    ratio = max_ratio(x, sigma)
+    if ratio * ratio > _MAX_RATIO_SQ:
+        raise OverflowError(f"(r/sigma)^2 = {ratio * ratio:.1f} exceeds {_MAX_RATIO_SQ}")
+    return np.asarray(x, dtype=float) / sigma
+
+
+def _amplitudes(ratios, order: int) -> np.ndarray:
+    """Unit-normalized truncated amplitude rows, one per coordinate ratio.
+
+    An array of n ratios gives an (n, order) table; a scalar gives the 1-D
+    vector through the same path.  The table is built in place so the only
+    (n, order) array is the result.
+    """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
-    if ratio == 0.0:
-        out = np.zeros(order)
-        out[0] = 1.0
-        return out
+    r = np.asarray(ratios, dtype=float)
+    scalar = r.ndim == 0
+    r = r.reshape(-1)
     k = np.arange(order)
-    logu = k * math.log(abs(ratio)) - 0.5 * gammaln(k + 1.0)
-    u = np.exp(logu - logu.max())
-    if ratio < 0.0:
-        u *= (-1.0) ** k
-    return u / np.linalg.norm(u)
+    # math.log, not np.log: the two differ in the last ulp for some inputs
+    log_r = np.array([math.log(abs(v)) if v != 0.0 else 0.0 for v in r.tolist()])
+    table = np.multiply.outer(log_r, k)
+    table -= 0.5 * gammaln(k + 1.0)
+    table -= table.max(axis=1, keepdims=True)
+    np.exp(table, out=table)
+    table[r < 0.0, 1::2] *= -1.0
+    zero = r == 0.0
+    table[zero] = 0.0
+    table[zero, 0] = 1.0
+    for row in table:
+        # a 1-D norm per row: norm(axis=-1) differs from it in the last ulp
+        row /= np.linalg.norm(row)
+    return table[0] if scalar else table
 
 
 @dataclass
@@ -68,11 +103,7 @@ class TruncatedCoherent:
 
 def coherent_state(r: float, sigma: float, order: int) -> TruncatedCoherent:
     """Truncated coherent encoding of coordinate r at width sigma."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    ratio = r / sigma
-    if ratio * ratio > _MAX_RATIO_SQ:
-        raise OverflowError(f"(r/sigma)^2 = {ratio * ratio:.1f} exceeds {_MAX_RATIO_SQ}")
+    ratio = float(_ratios(r, sigma))
     amps = _amplitudes(ratio, order)
     if ratio == 0.0:
         partial = 1.0
@@ -148,13 +179,8 @@ class ProductCoherent:
 
 
 def product_state(x, sigma: float, order: int) -> ProductCoherent:
-    x = np.asarray(x, dtype=float).ravel()
-    states = [coherent_state(xi, sigma, order) for xi in x]
-    return ProductCoherent(
-        ratios=np.array([s.ratio for s in states]),
-        order=int(order),
-        factors=np.vstack([s.amplitudes for s in states]),
-    )
+    ratios = _ratios(np.asarray(x, dtype=float).ravel(), sigma)
+    return ProductCoherent(ratios=ratios, order=int(order), factors=_amplitudes(ratios, order))
 
 
 def coherent_inner(x, z, sigma: float, order: int) -> float:
@@ -169,17 +195,21 @@ def gram_coherent(dataset: DataSet, sigma: float, order: int) -> InterpMatrix:
 
     This is the matrix the quantum pipeline actually inverts; it converges
     to the normalized Gaussian interpolation matrix as the order grows.
+    A product-state overlap is the product of per-coordinate overlaps, so
+    the build is one (m, order) amplitude table F_c per coordinate and the
+    entrywise product of the d products F_c F_c^T, which BLAS runs as syrk
+    and which are therefore exactly symmetric.
     """
     m = dataset.m
-    factors = np.stack(
-        [product_state(x, sigma, order).factors for x in dataset.sites]
-    )  # (m, d, order)
-    # overlaps[i, j] = prod_coords <factor_i | factor_j>
-    per_coord = np.einsum("ick,jck->ijc", factors, factors)
-    gram = per_coord.prod(axis=2)
-    gram = 0.5 * (gram + gram.T)
+    ratios = _ratios(dataset.sites, sigma)  # (m, d)
+    gram = np.ones((m, m))
+    for c in range(dataset.d):
+        table = _amplitudes(ratios[:, c], order)
+        gram *= table @ table.T
+        del table  # freed before the next coordinate's table is built
     np.fill_diagonal(gram, 1.0)  # encodings are unit vectors by construction
-    return InterpMatrix(data=gram / m, normalized=True, family="gaussian", sparsity=m)
+    gram /= m
+    return InterpMatrix(data=gram, normalized=True, family="gaussian", sparsity=m)
 
 
 @dataclass
@@ -209,8 +239,7 @@ def gram_report(dataset: DataSet, sigma: float, order: int) -> GramDeviation:
     approx = gram_coherent(dataset, sigma, order)
     exact = assemble(dataset, gaussian(sigma=sigma), normalized=True)
     diff = approx.data - exact.data
-    ratio_max = float(np.max(np.abs(dataset.sites))) / sigma
-    delta = truncation_bound(ratio_max, 1.0, order)
+    delta = truncation_bound(max_ratio(dataset.sites, sigma), 1.0, order)
     d = dataset.d
     eigs = np.linalg.eigvalsh(approx.data)
     return GramDeviation(

@@ -452,11 +452,12 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         coeffs = interpolation.solve(exact, y_sys)
     with _stage("budgets"):
         budgets = derive_budgets(cfg["epsilon"], spec.kappa, dataset.d)
-        ratio_max = float(np.max(np.abs(dataset.sites))) / kernel.sigma
-        order = coherent.min_order(ratio_max, budgets.delta)
+        order = coherent.min_order(coherent.max_ratio(dataset.sites, kernel.sigma), budgets.delta)
     with _stage("gram construction"):
         gram = coherent.gram_coherent(dataset, kernel.sigma, order)
         eps_A_measured = float(np.linalg.norm(gram.data - exact.data, "fro"))
+        # no truncation order meets a budget below the float64 resolution of ||A||_F
+        eps_A_floor = float(np.finfo(float).eps) * float(np.linalg.norm(exact.data, "fro"))
 
     dme_summary = None
     dme_cfg = cfg.get("dme_check", {}) or {}
@@ -542,6 +543,8 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "truncation_order": order,
         "gram_frobenius_error": eps_A_measured,
         "gram_frobenius_budget": budgets.eps_A,
+        "gram_within_budget": eps_A_measured <= budgets.eps_A,
+        "budget_unreachable": budgets.eps_A < eps_A_floor,
         "site_residual_max": coeffs.residual,
         "inversion_mode": report.mode,
         "post_select_prob": report.post_select_prob,

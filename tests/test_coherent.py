@@ -4,10 +4,37 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from qrbf import coherent
 from qrbf.interpolation import DataSet, assemble
 from qrbf.kernels import gaussian
+
+# one ratio of each kind: zero, negative, positive, and (r/sigma)^2 just under 700
+EDGE_RATIOS = (0.0, -0.3, -2.2, -26.45, 0.4, 1.0, 7.9, 26.45)
+
+
+def _reference_amplitudes(ratio: float, order: int) -> np.ndarray:
+    """One coordinate's amplitude vector, computed on its own."""
+    if ratio == 0.0:
+        out = np.zeros(order)
+        out[0] = 1.0
+        return out
+    k = np.arange(order)
+    logu = k * math.log(abs(ratio)) - 0.5 * gammaln(k + 1.0)
+    u = np.exp(logu - logu.max())
+    if ratio < 0.0:
+        u *= (-1.0) ** k
+    return u / np.linalg.norm(u)
+
+
+def _reference_gram(ds: DataSet, sigma: float, order: int) -> np.ndarray:
+    """Gram matrix from all per-coordinate overlaps at once, via einsum."""
+    factors = np.stack([coherent.product_state(x, sigma, order).factors for x in ds.sites])
+    gram = np.einsum("ick,jck->ijc", factors, factors).prod(axis=2)
+    gram = 0.5 * (gram + gram.T)
+    np.fill_diagonal(gram, 1.0)
+    return gram / ds.m
 
 
 def test_amplitude_profile_small_case():
@@ -18,6 +45,26 @@ def test_amplitude_profile_small_case():
     assert np.isclose(st.partial_norm, 1.0 + 1.0 + 0.5 + 1.0 / 6.0, rtol=1e-14)
     assert np.isclose(st.exact_norm, math.e, rtol=1e-14)
     assert np.isclose(np.linalg.norm(st.amplitudes), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 300])
+def test_amplitude_table_rows_equal_single_coordinate_states(order):
+    """Each table row is bit for bit the state of its coordinate alone."""
+    rng = np.random.default_rng(order)
+    for d in (1, 2, 3):
+        sites = rng.permuted(np.tile(EDGE_RATIOS, (d, 1)), axis=1).T  # every ratio per column
+        for c in range(d):
+            table = coherent._amplitudes(sites[:, c], order)
+            assert table.shape == (len(sites), order)
+            want = np.stack([_reference_amplitudes(float(r), order) for r in sites[:, c]])
+            states = np.stack(
+                [coherent.coherent_state(float(r), 1.0, order).amplitudes for r in sites[:, c]]
+            )
+            assert np.array_equal(table, want)
+            assert np.array_equal(states, want)
+        for x in sites:
+            factors = coherent.product_state(x, 1.0, order).factors
+            assert np.array_equal(factors, np.stack([_reference_amplitudes(r, order) for r in x]))
 
 
 def test_truncations_share_prefixes():
@@ -109,6 +156,25 @@ def test_gram_coherent_matches_exact_matrix():
     assert np.allclose(np.diag(G), 1.0 / ds.m, rtol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "m, d, lo, sigma, order",
+    [
+        (9, 1, -1.0, 0.8, 30),
+        (12, 2, -1.0, 0.9, 25),
+        (7, 3, -0.8, 1.1, 18),
+        (48, 2, 0.0, 0.05, 1164),  # unit box at the global-gram width and order
+    ],
+)
+def test_gram_coherent_matches_einsum_reference(m, d, lo, sigma, order):
+    """Per-coordinate BLAS products agree with the all-coordinates einsum."""
+    rng = np.random.default_rng(m * d)
+    ds = DataSet(rng.uniform(lo, 1.0, size=(m, d)), rng.standard_normal(m))
+    G = coherent.gram_coherent(ds, sigma, order).data
+    np.testing.assert_allclose(G, _reference_gram(ds, sigma, order), rtol=1e-13, atol=0.0)
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(np.diag(G), np.full(m, 1.0 / m))
+
+
 def test_gram_report_bounds_hold():
     rng = np.random.default_rng(4)
     for trial in range(5):
@@ -151,3 +217,7 @@ def test_displacement_operator_cross_check():
 def test_ratio_overflow_guard():
     with pytest.raises(OverflowError):
         coherent.coherent_state(30.0, 1.0, 10)
+    ds = DataSet(np.array([[0.1, 0.2], [0.3, 1.0]]), np.ones(2))
+    coherent.gram_coherent(ds, 1.0 / 26.45, 5)  # (r/sigma)^2 just under the limit
+    with pytest.raises(OverflowError, match=r"\(r/sigma\)\^2 = 1111\.1 exceeds 700"):
+        coherent.gram_coherent(ds, 0.03, 5)

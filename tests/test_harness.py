@@ -142,10 +142,21 @@ def test_global_pipeline_analytic_readout_matches_classical():
     s = result.summary
     assert s["fidelity_vs_classical"] > 1.0 - 1e-9
     assert s["gram_frobenius_error"] <= s["gram_frobenius_budget"]
+    assert s["gram_within_budget"] and not s["budget_unreachable"]
     for row in result.query_rows:
         assert abs(row["f_quantum_analytic"] - row["f_classical"]) < 1e-6
         assert row["within_budget"]
     assert s["all_within_budget"]
+
+
+def test_global_pipeline_flags_gram_budget_below_float_resolution():
+    """m=64 at the default sigma: eps_A ~ 1e-29, far below what float64 can resolve."""
+    cfg = {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 64}}
+    s = harness.run_pipeline(cfg).summary
+    assert s["gram_frobenius_budget"] < 1e-28
+    assert 1e-17 < s["gram_frobenius_error"] < 1e-15
+    assert s["budget_unreachable"] is True
+    assert s["gram_within_budget"] is False
 
 
 def test_global_pipeline_rejects_non_gaussian_kernel():
