@@ -18,20 +18,25 @@ a 2^bits-cell phase grid, the outcome y follows the standard two-cell
 interference pattern around +-omega with a = sin(pi omega), and the
 estimate sin(pi y / 2^bits) is exact for on-grid amplitudes and within
 pi 2^{-bits} + pi^2 2^{-2 bits} with probability at least 8/pi^2
-otherwise.  Per-pair generators seeded by (seed, i, j) keep every oracle
+otherwise.  Per-pair streams seeded by (seed, i, j) keep every oracle
 call reproducible regardless of evaluation order.
 
-oracle_PA is the per-entry reference.  build_matrix computes the same
+oracle_PA is the per-entry reference: it draws from
+np.random.default_rng((seed, i, j)).  build_matrix computes the same
 entries in one batched pass over the upper-triangle pairs: a_ij == a_ji
 bit for bit, so it builds one outcome distribution per unordered pair and
 takes one draw per ordered pair from that pair's (seed, i, j) stream, by
-the inverse-CDF rule Generator.choice uses.  Distributions are built in
+the inverse-CDF rule Generator.choice uses.  It builds no generator:
+_pair_uniforms reproduces the first uniform of every stream in numpy
+(SeedSequence hashing, PCG64 seeding and one XSL-RR output), and the
+tests hold it to default_rng bit for bit.  Distributions are built in
 blocks of at most _BLOCK_CELLS grid cells, so memory stays flat in m.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +194,128 @@ def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
     return np.array(vals).reshape(np.shape(y))
 
 
+# numpy's SeedSequence hash and mix constants, and the PCG64 (XSL-RR 128/64)
+# multiplier; _pair_uniforms reproduces default_rng's seeding with them
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_M32 = 0xFFFFFFFF
+
+
+def _xorshift16(v):
+    return v ^ (v >> np.uint32(16))
+
+
+def _mulhi64(a, b):
+    """High 64 bits of the 128-bit products a * b of uint64 values, by 32-bit limbs.
+
+    Each partial sum stays below 2**64 (the mulhu of Hacker's Delight).
+    """
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    a0, a1, b0, b1 = a & m32, a >> s32, b & m32, b >> s32
+    t = a1 * b0 + ((a0 * b0) >> s32)
+    mid = a0 * b1 + (t & m32)
+    return a1 * b1 + (t >> s32) + (mid >> s32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 state step, state * multiplier + inc modulo 2**128."""
+    mul_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    return _add128(mul_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def _seed_hash(init: int, mult: int):
+    """SeedSequence's word hash on uint32 arrays, one call after another.
+
+    The hash constant steps by mult on every call, whatever the data, so
+    it is kept as a Python int and the same for every pair of the batch.
+    """
+    const = init
+
+    def hash_word(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = (const * mult) & _M32
+        return _xorshift16(v * np.uint32(const))
+
+    return hash_word
+
+
+def _seed_sequence_state(seed: int, i: np.ndarray, j: np.ndarray) -> list:
+    """SeedSequence((seed, p, q)).generate_state(4, np.uint64) for each pair of i, j.
+
+    The entropy words are seed's little-endian 32-bit words, then p, then
+    q; the result is the four uint64 state words, one array each.
+    """
+    seed_words = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        seed_words.append(seed & _M32)
+    words = [np.full(i.shape, w, dtype=np.uint32) for w in seed_words]
+    words += [i.astype(np.uint32), j.astype(np.uint32)]
+    hashmix = _seed_hash(_HASH_INIT_A, _HASH_MULT_A)
+
+    def mix(x, y):
+        return _xorshift16(_MIX_MULT_L * x - _MIX_MULT_R * y)
+
+    # the pool of four: entropy words hashed in (zeros past the end), every
+    # pool word mixed into every other, then any entropy words past four
+    zero = np.zeros_like(words[0])
+    pool = [hashmix(words[k] if k < len(words) else zero) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # eight output words cycling the pool, joined in pairs, low word first
+    out = _seed_hash(_HASH_INIT_B, _HASH_MULT_B)
+    state = []
+    for k in range(0, 8, 2):
+        low = out(pool[k % 4]).astype(np.uint64)
+        state.append(low | (out(pool[k % 4 + 1]).astype(np.uint64) << np.uint64(32)))
+    return state
+
+
+def _pair_uniforms(seed, i, j) -> np.ndarray:
+    """default_rng((seed, p, q)).random() for each pair (p, q) of index arrays i, j.
+
+    The same draws bit for bit, computed for the whole batch at once:
+    SeedSequence((seed, p, q)) gives four uint64 words, which seed
+    PCG64 (state 0, inc = 2 seq + 1, step, add the initial state, step);
+    one more step and the XSL-RR output give a 53-bit double.  Arithmetic
+    is uint32 or uint64 with wraparound, 128-bit values as (hi, lo)
+    pairs.  Indices must lie in [0, 2**32); a negative seed raises
+    ValueError, as in default_rng.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    i, j = np.broadcast_arrays(i, j)
+    if i.size and not (min(i.min(), j.min()) >= 0 and max(i.max(), j.max()) <= _M32):
+        raise ValueError("pair indices must lie in [0, 2**32)")
+    s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(seed, i, j)
+    # PCG64 srandom from state 0, whose first step leaves state == inc
+    inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
+    inc_lo = (q_lo << np.uint64(1)) | np.uint64(1)
+    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)
+    del s_hi, s_lo, q_hi, q_lo  # 32 bytes per draw, freed before the steps' temporaries
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    # the draw: step, XSL-RR output, top 53 bits as a double in [0, 1)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    rot = hi >> np.uint64(58)
+    x = hi ^ lo
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def amplitude_estimate(a_true: float, ae_bits: int, seed) -> float:
     """Draw one amplitude-estimation outcome and map it back to [0, 1]."""
     u = np.random.default_rng(seed).random()
@@ -248,21 +375,17 @@ def _estimated_radii(
     """Estimated radii of the pairs (i, j), shape (n, 2): orders (i, j), (j, i).
 
     Both orders share one distribution, since the amplitude is symmetric;
-    each order draws one uniform from its own (seed, i, j) generator.
+    each order takes the first uniform of its (seed, i, j) stream.  The
+    uniforms come from one _pair_uniforms call per order, which reproduces
+    default_rng((seed, i, j)).random() in numpy without building a
+    generator per pair.
     """
     ni, nj = dataset.site_norms[i], dataset.site_norms[j]
     scale = np.sqrt(2.0 * (ni * ni + nj * nj))
     amps = dist / scale
-    seed, bits = config.seed, config.ae_bits
-    u = np.array(
-        [
-            (
-                np.random.default_rng((seed, p, q)).random(),
-                np.random.default_rng((seed, q, p)).random(),
-            )
-            for p, q in zip(i.tolist(), j.tolist())
-        ]
-    ).reshape(-1, 2)
+    bits = config.ae_bits
+    # one call per order, so the uint64 temporaries cover half the draws at a time
+    u = np.stack([_pair_uniforms(config.seed, i, j), _pair_uniforms(config.seed, j, i)], axis=1)
     y = np.empty(u.shape, dtype=np.int64)
     step = max(1, _BLOCK_CELLS >> bits)
     for start in range(0, amps.shape[0], step):
@@ -279,7 +402,7 @@ def build_matrix(
     Entries equal the symmetrized oracle, (PA(i,j) + PA(j,i))/2, bit for
     bit: the entrywise oracle does not guarantee symmetry on its own.  In
     estimated mode there is one outcome distribution per unordered pair
-    and one draw per ordered pair from its (seed, i, j) generator;
+    and one draw per ordered pair from its (seed, i, j) stream;
     distributions are built in blocks of at most _BLOCK_CELLS cells so
     memory does not grow with m.  Exact mode reproduces
     interpolation.assemble entry for entry.

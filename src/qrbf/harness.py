@@ -529,6 +529,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
             )
             rows.append(row)
 
+    gram_within = eps_A_measured <= budgets.eps_A
     summary = {
         "pipeline": "quantum-global",
         "seed": seed,
@@ -543,7 +544,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "truncation_order": order,
         "gram_frobenius_error": eps_A_measured,
         "gram_frobenius_budget": budgets.eps_A,
-        "gram_within_budget": eps_A_measured <= budgets.eps_A,
+        "gram_within_budget": gram_within,
         "budget_unreachable": budgets.eps_A < eps_A_floor,
         "site_residual_max": coeffs.residual,
         "inversion_mode": report.mode,
@@ -554,7 +555,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "deviation_from_ideal": report.deviation_from_ideal,
         "repetitions_ledger": report.repetitions_ledger,
         "max_abs_err": max_err,
-        "all_within_budget": all_within,
+        "all_within_budget": all_within and gram_within,
         "n_queries": len(rows),
         "dme_check": dme_summary,
         "cost_model": COST_MODEL,

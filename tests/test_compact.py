@@ -188,7 +188,8 @@ def test_build_matrix_equals_symmetrized_oracle_loop(bits):
     # at 16 bits one pair's distribution is larger than a whole block
     assert 2**16 > compact._BLOCK_CELLS
     m = 7 if bits == 16 else 16
-    for seed in (0, 3, 11):
+    # 2**40 + 3 is two seed words, so each (seed, i, j) has four entropy words
+    for seed in (0, 3, 11, 2**40 + 3):
         r = np.random.default_rng(500 + seed)
         ds = _dataset(r, m, 2 + seed % 2)
         cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=1.1), ae_bits=bits, seed=seed)
@@ -199,6 +200,37 @@ def test_build_matrix_equals_symmetrized_oracle_loop(bits):
             got, ref = getattr(built, name), getattr(want, name)
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref), name
+
+
+def _default_rng_uniforms(seed, i, j):
+    return np.array([np.random.default_rng((seed, p, q)).random() for p, q in zip(i, j)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 + 5, 2**64 + 7, 2**100 + 3])
+def test_pair_uniforms_equal_default_rng(seed):
+    # all ordered pairs of m=64, index 0 and the diagonal included; the two
+    # largest seeds give more than four entropy words, so SeedSequence runs
+    # its extra mixing rounds
+    i, j = np.divmod(np.arange(64 * 64), 64)
+    got = compact._pair_uniforms(seed, i, j)
+    assert got.dtype == np.float64 and got.shape == i.shape
+    assert np.array_equal(got, _default_rng_uniforms(seed, i.tolist(), j.tolist()))
+    # both orders of a pair are different streams; batch shape is kept
+    upper, lower = np.triu_indices(64, k=1)
+    both = compact._pair_uniforms(seed, np.stack([upper, lower], 1), np.stack([lower, upper], 1))
+    assert both.shape == (upper.size, 2)
+    assert np.array_equal(both[:, 0], _default_rng_uniforms(seed, upper, lower))
+    assert np.array_equal(both[:, 1], _default_rng_uniforms(seed, lower, upper))
+    assert not np.array_equal(both[:, 0], both[:, 1])
+
+
+def test_pair_uniforms_reject_negative_seed_as_default_rng_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng((-1, 0, 1))
+    with pytest.raises(ValueError):
+        compact._pair_uniforms(-1, np.array([0]), np.array([1]))
+    with pytest.raises(ValueError):
+        compact._pair_uniforms(0, np.array([-1]), np.array([1]))
 
 
 def test_build_matrix_estimated_is_symmetric_and_close():

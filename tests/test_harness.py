@@ -157,6 +157,8 @@ def test_global_pipeline_flags_gram_budget_below_float_resolution():
     assert 1e-17 < s["gram_frobenius_error"] < 1e-15
     assert s["budget_unreachable"] is True
     assert s["gram_within_budget"] is False
+    # a Gram error above its budget is not a pass, whatever the readout says
+    assert s["all_within_budget"] is False
 
 
 def test_global_pipeline_rejects_non_gaussian_kernel():
