@@ -186,12 +186,13 @@ def _draw(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
     """Amplitude |sin(pi y / 2^bits)| read from each outcome y.
 
-    math.sin per outcome, as for omega in estimation_pmf, so estimates do
-    not depend on which vectorized loop numpy picks.
+    math.sin once per distinct outcome, as for omega in estimation_pmf, so
+    estimates do not depend on which vectorized loop numpy picks.
     """
     M = 2**ae_bits
-    vals = [abs(math.sin(math.pi * v / M)) for v in np.ravel(y).tolist()]
-    return np.array(vals).reshape(np.shape(y))
+    outcomes, inverse = np.unique(y, return_inverse=True)
+    table = np.array([abs(math.sin(math.pi * v / M)) for v in outcomes.tolist()])
+    return table[inverse].reshape(np.shape(y))
 
 
 # numpy's SeedSequence hash and mix constants, and the PCG64 (XSL-RR 128/64)

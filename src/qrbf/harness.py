@@ -18,7 +18,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -154,22 +154,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, fieldnames, rows) -> None:
-    """CSV writer with deterministic float formatting (repr round-trip)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(name)) for name in fieldnames])
-
-
 def csv_body(fieldnames, rows) -> str:
+    """CSV text with deterministic float formatting (repr round-trip)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(fieldnames)
     for row in rows:
         writer.writerow([_fmt(row.get(name)) for name in fieldnames])
     return buf.getvalue()
+
+
+def write_csv(path, fieldnames, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(csv_body(fieldnames, rows))
 
 
 def write_json(path, payload: dict) -> None:
@@ -200,19 +197,6 @@ class Budgets:
     delta: float
     norm_samples: int
     overlap_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eps_c": self.eps_c,
-            "eps_A": self.eps_A,
-            "eps_E": self.eps_E,
-            "eps_F": self.eps_F,
-            "eps_p": self.eps_p,
-            "delta": self.delta,
-            "norm_samples": self.norm_samples,
-            "overlap_samples": self.overlap_samples,
-        }
 
 
 def derive_budgets(epsilon: float, kappa: float, d: int) -> Budgets:
@@ -319,6 +303,53 @@ def _query_fields(d: int) -> list:
     return ["seed", "config_hash"] + [f"x{i + 1}" for i in range(d)] + _QUERY_BASE_FIELDS
 
 
+def _query_rows(queries, f_classical, seed: int, chash: str) -> list:
+    """One {seed, config_hash, f_classical, x1..xd} row per query point."""
+    return [
+        {"seed": seed, "config_hash": chash, "f_classical": fc,
+         **{f"x{i + 1}": float(v) for i, v in enumerate(x)}}
+        for x, fc in zip(queries, f_classical)
+    ]
+
+
+def _readout(rows, units, report, inv_cfg, y_norm: float, rng) -> float:
+    """Swap-test readout f(x) = ||c|| ||Phi(x)|| <c^|Phi^(x)> into the query rows.
+
+    The norm ||c|| is sampled from the post-selection probability first,
+    then one swap test is sampled per reached query, in query order.
+    units[k] is (unit basis state, ||Phi(x_k)||), or None when no site
+    reaches query k: the interpolant is exactly 0 there and nothing is
+    drawn.  Fills f_quantum, f_quantum_analytic and abs_err; returns the
+    largest abs_err.
+    """
+    p_hat = qinvert.sample_probability(
+        report.post_select_prob, inv_cfg.norm_samples, rng.integers(2**63)
+    )
+    coeff_norm_sampled = math.sqrt(p_hat.estimate) * y_norm / report.rotation_scale
+    state = report.state_out.amplitudes
+    max_err = 0.0
+    for row, unit in zip(rows, units):
+        fc = row["f_classical"]
+        if unit is None:
+            row.update(f_quantum=0.0, f_quantum_analytic=0.0, abs_err=abs(fc))
+            max_err = max(max_err, abs(fc))
+            continue
+        phat, phi_norm = unit
+        o_signed = float(np.real(np.vdot(state, phat)))
+        f_analytic = qinvert.readout_value(report.coeff_norm_est, phi_norm, o_signed)
+        p_est = qinvert.sample_probability(
+            qinvert.swap_test(state, phat), inv_cfg.overlap_samples, rng.integers(2**63)
+        )
+        o_mag = math.sqrt(max(0.0, 2.0 * p_est.estimate - 1.0))
+        f_sampled = qinvert.readout_value(
+            coeff_norm_sampled, phi_norm, math.copysign(o_mag, o_signed)
+        )
+        err = abs(f_sampled - fc)
+        max_err = max(max_err, err)
+        row.update(f_quantum=f_sampled, f_quantum_analytic=f_analytic, abs_err=err)
+    return max_err
+
+
 def _stage(label: str):
     """Context that relabels exceptions with the pipeline stage that raised."""
 
@@ -345,7 +376,8 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
     seed = resolve_seed(cfg.get("seed"))
-    chash = config_hash(cfg)
+    # where the files go is not part of the run: the same run hashes alike in every directory
+    chash = config_hash(dict(cfg, output=None))
 
     with _stage("dataset"):
         dataset = _load_or_generate_dataset(cfg, seed)
@@ -390,12 +422,8 @@ def _run_classical(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult
     with _stage("classical solve"):
         matrix, coeffs = _classical_baseline(dataset, kernel)
         spec = interpolation.spectrum(matrix)
-    rows = []
-    for x in queries:
-        fc = interpolation.evaluate(coeffs, dataset, kernel, x)
-        row = {"seed": seed, "config_hash": chash, "f_classical": fc}
-        row.update({f"x{i + 1}": float(v) for i, v in enumerate(x)})
-        rows.append(row)
+    f_classical = [interpolation.evaluate(coeffs, dataset, kernel, x) for x in queries]
+    rows = _query_rows(queries, f_classical, seed, chash)
     summary = {
         "pipeline": "classical",
         "seed": seed,
@@ -478,56 +506,22 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         report = qinvert.invert(gram.toarray(), y_sys, inv_cfg)
 
     with _stage("readout"):
-        rng = np.random.default_rng((seed, 1))
-        y_norm = float(np.linalg.norm(y_sys))
-        p_hat = qinvert.sample_probability(
-            report.post_select_prob, inv_cfg.norm_samples, rng.integers(2**63)
-        )
-        coeff_norm_sampled = math.sqrt(p_hat.estimate) * y_norm / report.rotation_scale
-        c_cl_norm = coeffs.norm
-        chat_cl = coeffs.c / c_cl_norm
-        state = report.state_out.amplitudes
-        rows = []
-        max_err = 0.0
-        all_within = True
+        units, f_classical = [], []
         for x in queries:
             phi = interpolation.basis_vector(dataset, kernel, x)
             phi_norm = float(np.linalg.norm(phi))
-            fc = float(np.dot(coeffs.c, phi))
-            row = {"seed": seed, "config_hash": chash, "f_classical": fc}
-            row.update({f"x{i + 1}": float(v) for i, v in enumerate(x)})
-            if phi_norm == 0.0:
-                row.update(f_quantum=0.0, f_quantum_analytic=0.0, abs_err=abs(fc),
-                           budget=0.0, within_budget=abs(fc) == 0.0)
-                rows.append(row)
-                continue
-            phat_dir = phi / phi_norm
-            o_signed = float(np.real(np.vdot(state, phat_dir)))
-            f_analytic = qinvert.readout_value(report.coeff_norm_est, phi_norm, o_signed)
-            p_swap = qinvert.swap_test(state, phat_dir)
-            p_est = qinvert.sample_probability(
-                p_swap, inv_cfg.overlap_samples, rng.integers(2**63)
+            f_classical.append(float(np.dot(coeffs.c, phi)))
+            units.append(None if phi_norm == 0.0 else (phi / phi_norm, phi_norm))
+        rows = _query_rows(queries, f_classical, seed, chash)
+        y_norm = float(np.linalg.norm(y_sys))
+        max_err = _readout(rows, units, report, inv_cfg, y_norm, np.random.default_rng((seed, 1)))
+        chat_cl = coeffs.c / coeffs.norm
+        for row, unit in zip(rows, units):
+            budget = 0.0 if unit is None else readout_budget(
+                unit[1], y_norm, report.rotation_scale, coeffs.norm,
+                float(np.dot(chat_cl, unit[0])), budgets,
             )
-            o_mag = math.sqrt(max(0.0, 2.0 * p_est.estimate - 1.0))
-            f_sampled = qinvert.readout_value(
-                coeff_norm_sampled, phi_norm, math.copysign(o_mag, o_signed)
-            )
-            o_cl = float(np.dot(chat_cl, phat_dir))
-            budget = readout_budget(
-                phi_norm, y_norm, report.rotation_scale, c_cl_norm, o_cl, budgets
-            )
-            err = abs(f_sampled - fc)
-            within = err <= 3.0 * budget
-            max_err = max(max_err, err)
-            all_within = all_within and within
-            row.update(
-                f_quantum=f_sampled,
-                f_quantum_analytic=f_analytic,
-                abs_err=err,
-                budget=budget,
-                within_budget=within,
-            )
-            rows.append(row)
+            row.update(budget=budget, within_budget=row["abs_err"] <= 3.0 * budget)
 
     gram_within = eps_A_measured <= budgets.eps_A
     summary = {
@@ -540,7 +534,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "kappa": spec.kappa,
         "lambda_min": spec.lambda_min,
         "lambda_max": spec.lambda_max,
-        "budgets": budgets.to_dict(),
+        "budgets": asdict(budgets),
         "truncation_order": order,
         "gram_frobenius_error": eps_A_measured,
         "gram_frobenius_budget": budgets.eps_A,
@@ -550,12 +544,12 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "inversion_mode": report.mode,
         "post_select_prob": report.post_select_prob,
         "coeff_norm_est": report.coeff_norm_est,
-        "coeff_norm_classical": c_cl_norm,
+        "coeff_norm_classical": coeffs.norm,
         "fidelity_vs_classical": report.fidelity_vs_classical,
         "deviation_from_ideal": report.deviation_from_ideal,
         "repetitions_ledger": report.repetitions_ledger,
         "max_abs_err": max_err,
-        "all_within_budget": all_within and gram_within,
+        "all_within_budget": all(row["within_budget"] for row in rows) and gram_within,
         "n_queries": len(rows),
         "dme_check": dme_summary,
         "cost_model": COST_MODEL,
@@ -587,43 +581,21 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         report = creport.solve
 
     with _stage("readout"):
-        rng = np.random.default_rng((seed, 2))
-        y_norm = float(np.linalg.norm(y_sys))
-        p_hat = qinvert.sample_probability(
-            report.post_select_prob, inv_cfg.norm_samples, rng.integers(2**63)
-        )
-        coeff_norm_sampled = math.sqrt(p_hat.estimate) * y_norm / report.rotation_scale
-        state = report.state_out.amplitudes
-        rows = []
-        max_err = 0.0
+        f_classical = [interpolation.evaluate(coeffs, dataset, kernel, x) for x in queries]
+        rows = _query_rows(queries, f_classical, seed, chash)
+        units = []
         for x in queries:
-            fc = interpolation.evaluate(coeffs, dataset, kernel, x)
-            row = {"seed": seed, "config_hash": chash, "f_classical": fc}
-            row.update({f"x{i + 1}": float(v) for i, v in enumerate(x)})
             try:
-                phi_state, success, phi_norm_est = compact.prepare_phi_state(
-                    x, dataset, oracle_cfg
-                )
+                phi_state, _, phi_norm_est = compact.prepare_phi_state(x, dataset, oracle_cfg)
             except ValueError:
                 # no site within the support radius: the interpolant is exactly 0
-                row.update(f_quantum=0.0, f_quantum_analytic=0.0, abs_err=abs(fc))
-                rows.append(row)
-                max_err = max(max_err, abs(fc))
-                continue
-            o_signed = float(np.real(np.vdot(state, phi_state.amplitudes)))
-            f_analytic = qinvert.readout_value(report.coeff_norm_est, phi_norm_est, o_signed)
-            p_swap = qinvert.swap_test(state, phi_state.amplitudes)
-            p_est = qinvert.sample_probability(
-                p_swap, inv_cfg.overlap_samples, rng.integers(2**63)
-            )
-            o_mag = math.sqrt(max(0.0, 2.0 * p_est.estimate - 1.0))
-            f_sampled = qinvert.readout_value(
-                coeff_norm_sampled, phi_norm_est, math.copysign(o_mag, o_signed)
-            )
-            err = abs(f_sampled - fc)
-            max_err = max(max_err, err)
-            row.update(f_quantum=f_sampled, f_quantum_analytic=f_analytic, abs_err=err)
-            rows.append(row)
+                units.append(None)
+            else:
+                units.append((phi_state.amplitudes, phi_norm_est))
+        max_err = _readout(
+            rows, units, report, inv_cfg, float(np.linalg.norm(y_sys)),
+            np.random.default_rng((seed, 2)),
+        )
 
     summary = {
         "pipeline": "quantum-compact",
@@ -682,7 +654,7 @@ def _slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
 
 
-def _suite_truncation(seed: int, chash: str) -> list:
+def _suite_truncation(seed: int) -> list:
     rows = []
     for ratio in np.arange(0.0, 2.25, 0.25):
         for order in range(2, 31):
@@ -692,22 +664,11 @@ def _suite_truncation(seed: int, chash: str) -> list:
             padded[:order] = trunc
             measured = float(np.linalg.norm(ref - padded))
             bound = coherent.truncation_bound(ratio, 1.0, order)
-            rows.append(
-                {
-                    "seed": seed,
-                    "config_hash": chash,
-                    "suite": "truncation",
-                    "case": f"ratio={ratio}",
-                    "detail": f"order={order}",
-                    "measured": measured,
-                    "bound": bound,
-                    "passed": measured <= bound,
-                }
-            )
+            rows.append((f"ratio={ratio}", f"order={order}", measured, bound, measured <= bound))
     return rows
 
 
-def _suite_gram(seed: int, chash: str) -> list:
+def _suite_gram(seed: int) -> list:
     rows = []
     rng = np.random.default_rng(seed)
     for case in range(20):
@@ -717,45 +678,16 @@ def _suite_gram(seed: int, chash: str) -> list:
         order = int(rng.integers(4, 12))
         ds = gen_data(m, d, [0.0, 1.0], int(rng.integers(2**31)), "cosines")
         rep = coherent.gram_report(ds, sigma, order)
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "gram",
-                "case": f"case={case} frobenius",
-                "detail": f"m={m} d={d} order={order}",
-                "measured": rep.frobenius_error,
-                "bound": rep.frobenius_bound,
-                "passed": rep.frobenius_error <= rep.frobenius_bound,
-            }
-        )
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "gram",
-                "case": f"case={case} entrywise",
-                "detail": f"m={m} d={d} order={order}",
-                "measured": rep.entry_max_error,
-                "bound": rep.entry_bound,
-                "passed": rep.entry_max_error <= rep.entry_bound,
-            }
-        )
+        detail = f"m={m} d={d} order={order}"
+        rows.append((f"case={case} frobenius", detail, rep.frobenius_error,
+                     rep.frobenius_bound, rep.frobenius_error <= rep.frobenius_bound))
+        rows.append((f"case={case} entrywise", detail, rep.entry_max_error,
+                     rep.entry_bound, rep.entry_max_error <= rep.entry_bound))
         spec = interpolation.spectrum(
             interpolation.assemble(ds, kernels.gaussian(sigma=sigma), normalized=True)
         )
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "gram",
-                "case": f"case={case} lambda_max",
-                "detail": f"m={m} d={d}",
-                "measured": spec.lambda_max,
-                "bound": 1.0 + 1e-12,
-                "passed": spec.lambda_max <= 1.0 + 1e-12,
-            }
-        )
+        rows.append((f"case={case} lambda_max", f"m={m} d={d}", spec.lambda_max,
+                     1.0 + 1e-12, spec.lambda_max <= 1.0 + 1e-12))
     return rows
 
 
@@ -765,7 +697,7 @@ def _random_density(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _suite_dme(seed: int, chash: str) -> list:
+def _suite_dme(seed: int) -> list:
     rows = []
     rng = np.random.default_rng(seed)
     steps = [8, 16, 32, 64, 128, 256, 512]
@@ -773,32 +705,10 @@ def _suite_dme(seed: int, chash: str) -> list:
         a = _random_density(rng, 4)
         rho = _random_density(rng, 4)
         errors = [qcore.dme_error(a, rho, t, l) for l in steps]
-        for l, err in zip(steps, errors):
-            rows.append(
-                {
-                    "seed": seed,
-                    "config_hash": chash,
-                    "suite": "dme",
-                    "case": f"t={t} evolve",
-                    "detail": f"steps={l}",
-                    "measured": err,
-                    "bound": None,
-                    "passed": True,
-                }
-            )
+        rows += [(f"t={t} evolve", f"steps={l}", err, None, True) for l, err in zip(steps, errors)]
         slope = _slope(steps, errors)
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "dme",
-                "case": f"t={t} evolve-slope",
-                "detail": "target -1 +/- 0.2",
-                "measured": slope,
-                "bound": -1.0,
-                "passed": abs(slope + 1.0) <= 0.2,
-            }
-        )
+        rows.append((f"t={t} evolve-slope", "target -1 +/- 0.2", slope, -1.0,
+                     abs(slope + 1.0) <= 0.2))
     # single-step error against the exact conjugation scales as dt^2
     a = _random_density(rng, 4)
     rho = _random_density(rng, 4)
@@ -809,32 +719,9 @@ def _suite_dme(seed: int, chash: str) -> list:
         )
         for dt in dts
     ]
-    for dt, err in zip(dts, errs):
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "dme",
-                "case": "step",
-                "detail": f"dt={dt}",
-                "measured": err,
-                "bound": None,
-                "passed": True,
-            }
-        )
+    rows += [("step", f"dt={dt}", err, None, True) for dt, err in zip(dts, errs)]
     slope = _slope(dts, errs)
-    rows.append(
-        {
-            "seed": seed,
-            "config_hash": chash,
-            "suite": "dme",
-            "case": "step-slope",
-            "detail": "target 2 +/- 0.2",
-            "measured": slope,
-            "bound": 2.0,
-            "passed": abs(slope - 2.0) <= 0.2,
-        }
-    )
+    rows.append(("step-slope", "target 2 +/- 0.2", slope, 2.0, abs(slope - 2.0) <= 0.2))
     return rows
 
 
@@ -846,51 +733,22 @@ def _random_spd_system(rng, max_m: int = 16):
     return a, y
 
 
-def _suite_inversion(seed: int, chash: str) -> list:
+def _suite_inversion(seed: int) -> list:
     rows = []
     rng = np.random.default_rng(seed)
     for case in range(30):
         a, y = _random_spd_system(rng)
         rep = qinvert.invert_ideal(a, y)
         c = np.linalg.solve(a, y)
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "inversion",
-                "case": f"case={case} fidelity",
-                "detail": f"m={a.shape[0]}",
-                "measured": rep.fidelity_vs_classical,
-                "bound": 1.0 - 1e-10,
-                "passed": rep.fidelity_vs_classical >= 1.0 - 1e-10,
-            }
-        )
+        rows.append((f"case={case} fidelity", f"m={a.shape[0]}", rep.fidelity_vs_classical,
+                     1.0 - 1e-10, rep.fidelity_vs_classical >= 1.0 - 1e-10))
         rel = abs(rep.coeff_norm_est - np.linalg.norm(c)) / np.linalg.norm(c)
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "inversion",
-                "case": f"case={case} norm",
-                "detail": "relative error of ||c|| estimate",
-                "measured": rel,
-                "bound": 1e-9,
-                "passed": rel <= 1e-9,
-            }
-        )
+        rows.append((f"case={case} norm", "relative error of ||c|| estimate", rel, 1e-9,
+                     rel <= 1e-9))
         floor = rep.kappa_eff**-2
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "inversion",
-                "case": f"case={case} post-selection",
-                "detail": "lower bound kappa^-2 at C = lambda_min",
-                "measured": rep.post_select_prob,
-                "bound": floor,
-                "passed": rep.post_select_prob >= floor * (1.0 - 1e-12),
-            }
-        )
+        rows.append((f"case={case} post-selection", "lower bound kappa^-2 at C = lambda_min",
+                     rep.post_select_prob, floor,
+                     rep.post_select_prob >= floor * (1.0 - 1e-12)))
     # quantized mode: on-grid spectrum agrees with ideal; generic spectrum
     # converges with slope -1 in the evolution time
     lam = np.array([0.25, 0.5])
@@ -899,18 +757,8 @@ def _suite_inversion(seed: int, chash: str) -> list:
     qrep = qinvert.invert_quantized(
         a, y, qinvert.InversionConfig(mode="quantized", evolution_time=8 * math.pi, clock_bits=3)
     )
-    rows.append(
-        {
-            "seed": seed,
-            "config_hash": chash,
-            "suite": "inversion",
-            "case": "on-grid deviation",
-            "detail": "eigenphases {1, 2} on a 3-bit clock",
-            "measured": qrep.deviation_from_ideal,
-            "bound": 1e-10,
-            "passed": qrep.deviation_from_ideal <= 1e-10,
-        }
-    )
+    rows.append(("on-grid deviation", "eigenphases {1, 2} on a 3-bit clock",
+                 qrep.deviation_from_ideal, 1e-10, qrep.deviation_from_ideal <= 1e-10))
     g = rng.normal(size=(4, 4))
     a = g @ g.T + 4 * np.eye(4)
     a = a / np.linalg.eigvalsh(a)[-1]  # spectrum inside (0, 1]
@@ -923,18 +771,7 @@ def _suite_inversion(seed: int, chash: str) -> list:
         )
         devs.append(rep.deviation_from_ideal)
     slope = _slope(t0s, devs)
-    rows.append(
-        {
-            "seed": seed,
-            "config_hash": chash,
-            "suite": "inversion",
-            "case": "t0-slope",
-            "detail": "target -1 +/- 0.3",
-            "measured": slope,
-            "bound": -1.0,
-            "passed": abs(slope + 1.0) <= 0.3,
-        }
-    )
+    rows.append(("t0-slope", "target -1 +/- 0.3", slope, -1.0, abs(slope + 1.0) <= 0.3))
     return rows
 
 
@@ -961,7 +798,7 @@ def _perturbation_instance(rng):
     raise RuntimeError("could not draw a perturbation instance with gamma < 0.5")
 
 
-def _suite_perturbation(seed: int, chash: str) -> list:
+def _suite_perturbation(seed: int) -> list:
     rows = []
     rng = np.random.default_rng(seed)
     for case in range(50):
@@ -975,47 +812,18 @@ def _suite_perturbation(seed: int, chash: str) -> list:
         v = c_pert / np.linalg.norm(c_pert)
         measured = float(np.linalg.norm(u - v))
         bound = 2.0 * eps_a * spec.kappa**2 / ((1.0 - gamma) * spec.lambda_max)
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "perturbation",
-                "case": f"case={case} chain",
-                "detail": f"m={ds.m} d={ds.d} gamma={gamma:.3e}",
-                "measured": measured,
-                "bound": bound,
-                "passed": measured <= bound,
-            }
-        )
+        rows.append((f"case={case} chain", f"m={ds.m} d={ds.d} gamma={gamma:.3e}",
+                     measured, bound, measured <= bound))
         pert = interpolation.perturbation_check(exact.data, delta_a)
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "perturbation",
-                "case": f"case={case} inverse",
-                "detail": "skipped" if pert.inverse_skipped else "contraction ok",
-                "measured": pert.inverse_measured,
-                "bound": pert.inverse_bound,
-                "passed": pert.inverse_ok,
-            }
-        )
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "perturbation",
-                "case": f"case={case} eigenvalue-shift",
-                "detail": "spectral-norm bound",
-                "measured": pert.eig_shift_measured,
-                "bound": pert.eig_shift_bound,
-                "passed": pert.eig_shift_ok,
-            }
-        )
+        rows.append((f"case={case} inverse",
+                     "skipped" if pert.inverse_skipped else "contraction ok",
+                     pert.inverse_measured, pert.inverse_bound, pert.inverse_ok))
+        rows.append((f"case={case} eigenvalue-shift", "spectral-norm bound",
+                     pert.eig_shift_measured, pert.eig_shift_bound, pert.eig_shift_ok))
     return rows
 
 
-def _suite_compact_oracle(seed: int, chash: str) -> list:
+def _suite_compact_oracle(seed: int) -> list:
     rows = []
     rng = np.random.default_rng(seed)
     # distance reconstruction through the amplitude encoding
@@ -1026,18 +834,8 @@ def _suite_compact_oracle(seed: int, chash: str) -> list:
         x_j = rng.normal(size=d)
         r = float(np.linalg.norm(x_i - x_j))
         worst = max(worst, abs(compact.reconstruct_distance(x_i, x_j) - r))
-    rows.append(
-        {
-            "seed": seed,
-            "config_hash": chash,
-            "suite": "compact-oracle",
-            "case": "distance-roundtrip",
-            "detail": "1000 random pairs, absolute error",
-            "measured": worst,
-            "bound": 1e-12,
-            "passed": worst <= 1e-12,
-        }
-    )
+    rows.append(("distance-roundtrip", "1000 random pairs, absolute error", worst, 1e-12,
+                 worst <= 1e-12))
     # exact oracle mode reproduces the assembler
     ds = gen_data(10, 2, [0.0, 1.0], seed + 17, "franke")
     kern = kernels.wendland(3, 2, alpha=0.6)
@@ -1045,18 +843,7 @@ def _suite_compact_oracle(seed: int, chash: str) -> list:
     built = compact.build_matrix(ds, cfg)
     exact = interpolation.assemble(ds, kern)
     gap = float(np.max(np.abs((built.data - exact.data).toarray())))
-    rows.append(
-        {
-            "seed": seed,
-            "config_hash": chash,
-            "suite": "compact-oracle",
-            "case": "exact-mode-equality",
-            "detail": "max entrywise gap vs assembler",
-            "measured": gap,
-            "bound": 0.0,
-            "passed": gap <= 0.0,
-        }
-    )
+    rows.append(("exact-mode-equality", "max entrywise gap vs assembler", gap, 0.0, gap <= 0.0))
     # column oracle reconstructs the sparsity pattern
     pattern = set()
     for j in range(ds.m):
@@ -1066,18 +853,8 @@ def _suite_compact_oracle(seed: int, chash: str) -> list:
                 pattern.add((i, j))
     coo = exact.data.tocoo()
     truth = set(zip(coo.row.tolist(), coo.col.tolist()))
-    rows.append(
-        {
-            "seed": seed,
-            "config_hash": chash,
-            "suite": "compact-oracle",
-            "case": "column-oracle-scan",
-            "detail": f"pattern of {len(truth)} nonzeros",
-            "measured": float(len(pattern ^ truth)),
-            "bound": 0.0,
-            "passed": pattern == truth,
-        }
-    )
+    rows.append(("column-oracle-scan", f"pattern of {len(truth)} nonzeros",
+                 float(len(pattern ^ truth)), 0.0, pattern == truth))
     # estimated-mode matrix error scales linearly with the estimation step
     bits_sweep = [4, 5, 6, 7, 8, 9, 10, 11, 12]
     errs = []
@@ -1086,18 +863,8 @@ def _suite_compact_oracle(seed: int, chash: str) -> list:
         built_b = compact.build_matrix(ds, cfg_b)
         errs.append(float(np.linalg.norm((built_b.data - exact.data).toarray(), "fro")))
     slope = _slope([2.0**-b for b in bits_sweep], errs)
-    rows.append(
-        {
-            "seed": seed,
-            "config_hash": chash,
-            "suite": "compact-oracle",
-            "case": "ae-error-slope",
-            "detail": "frobenius error vs 2^-bits, target 1 +/- 0.3",
-            "measured": slope,
-            "bound": 1.0,
-            "passed": abs(slope - 1.0) <= 0.3,
-        }
-    )
+    rows.append(("ae-error-slope", "frobenius error vs 2^-bits, target 1 +/- 0.3", slope, 1.0,
+                 abs(slope - 1.0) <= 0.3))
     # positive definiteness at alpha = twice the median neighbor distance
     for dw, k in kernels.WENDLAND_PAIRS:
         d_data = min(dw, 3)
@@ -1107,21 +874,13 @@ def _suite_compact_oracle(seed: int, chash: str) -> list:
         alpha = 2.0 * float(np.median(nn[:, 1]))
         kern_w = kernels.wendland(dw, k, alpha=alpha)
         spec = interpolation.spectrum(interpolation.assemble(ds_w, kern_w))
-        rows.append(
-            {
-                "seed": seed,
-                "config_hash": chash,
-                "suite": "compact-oracle",
-                "case": f"spd d={dw} k={k}",
-                "detail": f"alpha={alpha:.4f} lambda_min",
-                "measured": spec.lambda_min,
-                "bound": 0.0,
-                "passed": spec.lambda_min > 0.0,
-            }
-        )
+        rows.append((f"spd d={dw} k={k}", f"alpha={alpha:.4f} lambda_min", spec.lambda_min, 0.0,
+                     spec.lambda_min > 0.0))
     return rows
 
 
+# each runner takes the seed and returns (case, detail, measured, bound, passed)
+# tuples; verify_bounds stamps them with the seed, config hash and suite
 _SUITE_RUNNERS = {
     "truncation": _suite_truncation,
     "gram": _suite_gram,
@@ -1138,7 +897,9 @@ def verify_bounds(suite: str, seed=None, out_dir=None) -> BoundSuiteResult:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITE_RUNNERS)}")
     seed = resolve_seed(seed)
     chash = config_hash({"suite": suite, "seed": seed})
-    rows = _SUITE_RUNNERS[suite](seed, chash)
+    rows = [
+        dict(zip(_SUITE_FIELDS, (seed, chash, suite) + row)) for row in _SUITE_RUNNERS[suite](seed)
+    ]
     n_failed = sum(1 for row in rows if not row["passed"])
     result = BoundSuiteResult(suite, rows, list(_SUITE_FIELDS), n_failed)
     if out_dir:

@@ -50,6 +50,19 @@ def test_fit_with_config_and_set_overrides(tmp_path, capsys):
     assert summary["n_queries"] == 3
 
 
+def test_fit_outputs_do_not_depend_on_the_output_directory(tmp_path, capsys):
+    args = ["fit", "--pipeline", "quantum-compact", "--seed", "0",
+            "--set", "kernel.family=wendland", "--set", "kernel.d=3", "--set", "kernel.k=2",
+            "--set", "kernel.alpha=0.7", "--set", "compact.ae_bits=10"]
+    assert cli.main(args) == 0
+    chash = json.loads(capsys.readouterr().out)["config_hash"]
+    for name in ("a", "b"):
+        assert cli.main(args + ["--out", str(tmp_path / name)]) == 0
+        assert json.loads(capsys.readouterr().out)["config_hash"] == chash
+    for name in ("queries.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_evaluate_prints_query_rows(tmp_path, capsys):
     qfile = tmp_path / "q.csv"
     qfile.write_text("x1,x2\n0.5,0.5\n0.25,0.75\n")

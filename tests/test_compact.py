@@ -183,11 +183,18 @@ def _oracle_loop_matrix(ds, cfg, normalized):
     return mat
 
 
-@pytest.mark.parametrize("bits", [None, 4, 8, 12, 16])
+@pytest.mark.parametrize("bits", [None, 4, 8, 12, 16, 20])
 def test_build_matrix_equals_symmetrized_oracle_loop(bits):
-    # at 16 bits one pair's distribution is larger than a whole block
+    # from 16 bits on one pair's distribution is larger than a whole block
     assert 2**16 > compact._BLOCK_CELLS
-    m = 7 if bits == 16 else 16
+    m = {16: 7, 20: 2}.get(bits, 16)
+    if bits is not None:
+        # outcome amplitudes: math.sin once per outcome, for arrays and 0-d input
+        y = np.random.default_rng(bits).integers(0, 2**bits, size=(50, 2))
+        want = [[abs(math.sin(math.pi * v / 2**bits)) for v in row] for row in y.tolist()]
+        assert np.array_equal(compact._outcome_amplitude(y, bits), np.array(want))
+        assert compact._outcome_amplitude(y[0, 0], bits).shape == ()
+        assert float(compact._outcome_amplitude(y[0, 0], bits)) == want[0][0]
     # 2**40 + 3 is two seed words, so each (seed, i, j) has four entropy words
     for seed in (0, 3, 11, 2**40 + 3):
         r = np.random.default_rng(500 + seed)

@@ -229,6 +229,39 @@ def test_compact_pipeline_estimated_oracles():
     assert s["fidelity_vs_exact_solution"] > 0.99
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"pipeline": "quantum-global", "seed": 1},
+        {
+            "pipeline": "quantum-compact",
+            "seed": 4,
+            "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7},
+            "compact": {"ae_bits": 10},
+        },
+    ],
+)
+def test_query_beyond_every_site_reads_zero_and_takes_no_draw(tmp_path, cfg):
+    both = tmp_path / "both.csv"
+    both.write_text("x1,x2\n0.5,0.5\n50.0,50.0\n0.25,0.75\n")
+    near = tmp_path / "near.csv"
+    near.write_text("x1,x2\n0.5,0.5\n0.25,0.75\n")
+    rows = harness.run_pipeline(dict(cfg, queries={"file": str(both)})).query_rows
+    near_rows = harness.run_pipeline(dict(cfg, queries={"file": str(near)})).query_rows
+    far = rows[1]
+    assert far["f_classical"] == 0.0
+    assert far["f_quantum"] == 0.0 and far["f_quantum_analytic"] == 0.0 and far["abs_err"] == 0.0
+    if cfg["pipeline"] == "quantum-global":
+        assert far["budget"] == 0.0 and far["within_budget"] is True
+    else:
+        assert far.get("budget") is None and far.get("within_budget") is None
+    # the far query takes no swap-test draw, so the near rows keep their draws
+    def strip(row):
+        return {k: v for k, v in row.items() if k != "config_hash"}
+
+    assert [strip(rows[0]), strip(rows[2])] == [strip(r) for r in near_rows]
+
+
 def test_pipeline_rejects_unknown_name():
     with pytest.raises(ValueError):
         harness.run_pipeline({"pipeline": "noqueue"})
@@ -248,6 +281,11 @@ def test_verify_bounds_truncation_suite_and_files(tmp_path):
     assert os.path.exists(res.files["json"])
     payload = json.loads(open(res.files["json"]).read())
     assert payload["failed"] == 0 and payload["ok"]
+    for row in res.rows:
+        assert list(row) == harness._SUITE_FIELDS
+        assert (row["seed"], row["config_hash"], row["suite"]) == (
+            0, payload["config_hash"], "truncation"
+        )
     with pytest.raises(ValueError):
         harness.verify_bounds("not-a-suite")
 
