@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interpolation, qinvert
-from .interpolation import DataSet, InterpMatrix
+from .interpolation import DataSet, InterpMatrix, LinearSystem
 from .kernels import Kernel
 from .qcore import PureState
 from .qinvert import InversionConfig, SolveReport
@@ -462,7 +462,6 @@ class CompactReport:
 
     solve: SolveReport
     sparsity: int
-    kappa: float
     matrix_error: float
     fidelity_vs_exact_solution: float
     matrix: InterpMatrix
@@ -472,30 +471,26 @@ def solve_compact(
     dataset: DataSet,
     config: CompactOracleConfig,
     inversion: InversionConfig | None = None,
-    normalized: bool = True,
+    exact: LinearSystem | None = None,
 ) -> CompactReport:
-    """Build the matrix through the oracles and invert it.
+    """Build the normalized matrix through the oracles and invert it.
 
+    exact, the normalized `interpolation.exact_system` (built here when
+    None), is the reference of matrix_error and fidelity_vs_exact_solution;
     solve.fidelity_vs_classical checks the inversion against the oracle
-    matrix itself; fidelity_vs_exact_solution checks the whole pipeline
-    against the classically assembled exact system.
+    matrix itself.
     """
     inversion = inversion or InversionConfig()
-    built = build_matrix(dataset, config, normalized=normalized)
-    exact = interpolation.assemble(dataset, config.kernel, normalized=normalized)
-    y = dataset.values / dataset.m if normalized else dataset.values
-    report = qinvert.invert(built.toarray(), y, inversion)
-    exact_coeffs = interpolation.solve(exact, y)
-    chat = exact_coeffs.c / np.linalg.norm(exact_coeffs.c)
+    if exact is None:
+        exact = interpolation.exact_system(dataset, config.kernel, normalized=True)
+    built = build_matrix(dataset, config, normalized=True)
+    report = qinvert.invert(built.toarray(), exact.y, inversion)
+    chat = exact.coeffs.c / np.linalg.norm(exact.coeffs.c)
     fidelity = float(abs(np.vdot(chat, report.state_out.amplitudes)))
-    spec = interpolation.spectrum(exact)
     return CompactReport(
         solve=report,
         sparsity=built.sparsity,
-        kappa=spec.kappa,
-        matrix_error=float(
-            np.linalg.norm((built.data - exact.data).toarray(), "fro")
-        ),
+        matrix_error=float(np.linalg.norm((built.data - exact.matrix.data).toarray(), "fro")),
         fidelity_vs_exact_solution=fidelity,
         matrix=built,
     )

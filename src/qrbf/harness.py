@@ -412,16 +412,10 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     return result
 
 
-def _classical_baseline(dataset, kernel):
-    matrix = interpolation.assemble(dataset, kernel, normalized=False)
-    coeffs = interpolation.solve(matrix, dataset.values)
-    return matrix, coeffs
-
-
 def _run_classical(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
     with _stage("classical solve"):
-        matrix, coeffs = _classical_baseline(dataset, kernel)
-        spec = interpolation.spectrum(matrix)
+        system = interpolation.exact_system(dataset, kernel)
+    spec, coeffs = system.spectrum, system.coeffs
     f_classical = [interpolation.evaluate(coeffs, dataset, kernel, x) for x in queries]
     rows = _query_rows(queries, f_classical, seed, chash)
     summary = {
@@ -434,7 +428,7 @@ def _run_classical(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult
         "kappa": spec.kappa,
         "lambda_min": spec.lambda_min,
         "lambda_max": spec.lambda_max,
-        "sparsity": matrix.sparsity,
+        "sparsity": system.matrix.sparsity,
         "site_residual_max": coeffs.residual,
         "coeff_norm": coeffs.norm,
         "n_queries": len(rows),
@@ -474,10 +468,8 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
     if kernel.family != "gaussian":
         raise ValueError("the coherent-encoding pipeline needs a gaussian kernel")
     with _stage("classical solve"):
-        exact = interpolation.assemble(dataset, kernel, normalized=True)
-        spec = interpolation.spectrum(exact)
-        y_sys = dataset.values / dataset.m
-        coeffs = interpolation.solve(exact, y_sys)
+        system = interpolation.exact_system(dataset, kernel, normalized=True)
+    exact, spec, coeffs = system.matrix, system.spectrum, system.coeffs
     with _stage("budgets"):
         budgets = derive_budgets(cfg["epsilon"], spec.kappa, dataset.d)
         order = coherent.min_order(coherent.max_ratio(dataset.sites, kernel.sigma), budgets.delta)
@@ -503,7 +495,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
     cap_note = {}
     with _stage("inversion"):
         inv_cfg = _inversion_config(cfg, budgets, spec, cap_note)
-        report = qinvert.invert(gram.toarray(), y_sys, inv_cfg)
+        report = qinvert.invert(gram.toarray(), system.y, inv_cfg)
 
     with _stage("readout"):
         units, f_classical = [], []
@@ -513,7 +505,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
             f_classical.append(float(np.dot(coeffs.c, phi)))
             units.append(None if phi_norm == 0.0 else (phi / phi_norm, phi_norm))
         rows = _query_rows(queries, f_classical, seed, chash)
-        y_norm = float(np.linalg.norm(y_sys))
+        y_norm = float(np.linalg.norm(system.y))
         max_err = _readout(rows, units, report, inv_cfg, y_norm, np.random.default_rng((seed, 1)))
         chat_cl = coeffs.c / coeffs.norm
         for row, unit in zip(rows, units):
@@ -569,15 +561,13 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         seed=seed,
     )
     with _stage("classical solve"):
-        exact = interpolation.assemble(dataset, kernel, normalized=True)
-        spec = interpolation.spectrum(exact)
-        y_sys = dataset.values / dataset.m
-        coeffs = interpolation.solve(exact, y_sys)
+        system = interpolation.exact_system(dataset, kernel, normalized=True)
+        spec, coeffs = system.spectrum, system.coeffs
         budgets = derive_budgets(cfg["epsilon"], spec.kappa, dataset.d)
     cap_note = {}
     with _stage("oracle solve"):
         inv_cfg = _inversion_config(cfg, budgets, spec, cap_note)
-        creport = compact.solve_compact(dataset, oracle_cfg, inv_cfg, normalized=True)
+        creport = compact.solve_compact(dataset, oracle_cfg, inv_cfg, exact=system)
         report = creport.solve
 
     with _stage("readout"):
@@ -593,7 +583,7 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
             else:
                 units.append((phi_state.amplitudes, phi_norm_est))
         max_err = _readout(
-            rows, units, report, inv_cfg, float(np.linalg.norm(y_sys)),
+            rows, units, report, inv_cfg, float(np.linalg.norm(system.y)),
             np.random.default_rng((seed, 2)),
         )
 
@@ -605,7 +595,7 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "d": dataset.d,
         "kernel": cfg["kernel"],
         "ae_bits": oracle_cfg.ae_bits,
-        "kappa": creport.kappa,
+        "kappa": spec.kappa,
         "sparsity": creport.sparsity,
         "matrix_frobenius_error": creport.matrix_error,
         "site_residual_max": coeffs.residual,
@@ -952,8 +942,9 @@ def sweep(cfg: dict, param: str, values, out_dir=None):
     rows = []
     for value in values:
         case = merge_config(default_config(), cfg)
+        case["output"] = None  # only sweep.csv is written; cases leave no run files behind
         _set_by_path(case, param, value)
-        result = run_pipeline(case, out_dir=None)
+        result = run_pipeline(case)
         s = result.summary
         rows.append(
             {

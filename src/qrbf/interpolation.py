@@ -313,6 +313,24 @@ def spectrum(matrix) -> Spectrum:
 
 
 @dataclass
+class LinearSystem:
+    """One exact interpolation system A c = y with its spectrum and solution."""
+
+    matrix: InterpMatrix
+    y: np.ndarray
+    spectrum: Spectrum
+    coeffs: Coefficients
+
+
+def exact_system(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> LinearSystem:
+    """Assemble, decompose and solve A c = y once; y = values / m when normalized."""
+    matrix = assemble(dataset, kernel, normalized=normalized)
+    y = dataset.values / dataset.m if normalized else dataset.values
+    spec = spectrum(matrix)
+    return LinearSystem(matrix, y, spec, solve(matrix, y))
+
+
+@dataclass
 class PerturbationReport:
     """Measured perturbation effects against their a-priori bounds.
 

@@ -188,30 +188,17 @@ def _classical_fidelity(A, y, state: np.ndarray) -> float:
     return float(abs(np.vdot(c, state)))
 
 
-def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
-    """Inversion with exact eigenvalues: rotation amplitudes C/lambda_j.
+def _ideal_state(w, u, beta, kept) -> np.ndarray:
+    """Unit vector along A^{-1} y on the kept eigencomponents."""
+    raw = u[:, kept] @ (beta[kept] / w[kept])
+    return raw / np.linalg.norm(raw)
 
-    post_select_prob is computed by amplitude arithmetic, never sampled
-    here.  With the default C = lambda_min it is bounded below by
-    1/kappa^2.
-    """
-    config = config or InversionConfig()
-    w, u, beta, kept, kappa_eff, ynorm = _prepare(A, y, config)
-    lam = w[kept]
-    bk = beta[kept]
-    lam_min = float(lam.min())
-    C = lam_min if config.rotation_scale is None else float(config.rotation_scale)
-    if C > lam_min + 1e-12:
-        raise ValueError(
-            f"rotation_scale {C} exceeds the smallest kept eigenvalue {lam_min}"
-        )
-    amp = C * bk / lam
-    p = float(np.dot(amp, amp))
+
+def _report(mode, A, y, config, prepared, C, p, state, **extra) -> SolveReport:
+    w, u, beta, kept, kappa_eff, ynorm = prepared
     F = math.sqrt(p)
-    raw = u[:, kept] @ (bk / lam)
-    state = raw / np.linalg.norm(raw)
-    report = SolveReport(
-        mode="ideal",
+    return SolveReport(
+        mode=mode,
         eigenvalues=w,
         kept=kept,
         overlaps=beta,
@@ -221,11 +208,32 @@ def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
         coeff_norm_est=F * ynorm / C,
         state_out=PureState(state, (state.shape[0],)),
         fidelity_vs_classical=_classical_fidelity(A, y, state),
-        repetitions_ledger=math.ceil(1.0 / lam_min),
+        repetitions_ledger=math.ceil(1.0 / float(w[kept].min())),
         kappa_eff=kappa_eff,
         spectral_floor=config.spectral_floor,
+        **extra,
     )
-    return report
+
+
+def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
+    """Inversion with exact eigenvalues: rotation amplitudes C/lambda_j.
+
+    post_select_prob is computed by amplitude arithmetic, never sampled
+    here.  With the default C = lambda_min it is bounded below by
+    1/kappa^2.
+    """
+    config = config or InversionConfig()
+    w, u, beta, kept, _, _ = prepared = _prepare(A, y, config)
+    lam = w[kept]
+    lam_min = float(lam.min())
+    C = lam_min if config.rotation_scale is None else float(config.rotation_scale)
+    if C > lam_min + 1e-12:
+        raise ValueError(
+            f"rotation_scale {C} exceeds the smallest kept eigenvalue {lam_min}"
+        )
+    amp = C * beta[kept] / lam
+    p = float(np.dot(amp, amp))
+    return _report("ideal", A, y, config, prepared, C, p, _ideal_state(w, u, beta, kept))
 
 
 def _walsh_hadamard(arr: np.ndarray) -> np.ndarray:
@@ -264,7 +272,7 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     if not t0 > 0:
         raise ValueError("evolution_time must be positive")
 
-    w, u, beta, kept, kappa_eff, ynorm = _prepare(A, y, config)
+    w, u, beta, kept, _, _ = prepared = _prepare(A, y, config)
     T = 2**b
     phi = w * t0 / (2.0 * math.pi)
     if phi.min() < 0.0 or phi.max() >= T:
@@ -307,28 +315,13 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     state_eig = survivor / np.linalg.norm(survivor)
     state = u @ state_eig
 
-    F = math.sqrt(p)
-    ideal = invert_ideal(A, y, InversionConfig(spectral_floor=config.spectral_floor))
-    phase_align = np.vdot(ideal.state_out.amplitudes, state)
+    # the ideal reference reuses this eigendecomposition: same kept set, C = lambda_min
+    ideal = _ideal_state(w, u, beta, kept)
+    phase_align = np.vdot(ideal, state)
     theta = np.angle(phase_align) if abs(phase_align) > 0 else 0.0
-    deviation = float(
-        np.linalg.norm(state * np.exp(-1j * theta) - ideal.state_out.amplitudes)
-    )
-    lam_min_kept = float(w[kept].min())
-    return SolveReport(
-        mode="quantized",
-        eigenvalues=w,
-        kept=kept,
-        overlaps=beta,
-        rotation_scale=C,
-        post_select_prob=p,
-        norm_factor=F,
-        coeff_norm_est=F * ynorm / C,
-        state_out=PureState(state, (state.shape[0],)),
-        fidelity_vs_classical=_classical_fidelity(A, y, state),
-        repetitions_ledger=math.ceil(1.0 / lam_min_kept),
-        kappa_eff=kappa_eff,
-        spectral_floor=config.spectral_floor,
+    deviation = float(np.linalg.norm(state * np.exp(-1j * theta) - ideal))
+    return _report(
+        "quantized", A, y, config, prepared, C, p, state,
         evolution_time=t0,
         clock_bits=b,
         deviation_from_ideal=deviation,

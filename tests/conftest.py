@@ -1,4 +1,10 @@
+import collections
 import sys
+
+import numpy as np
+import pytest
+
+from qrbf import interpolation
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -13,3 +19,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Counter of matrix assemblies, CG solves, Cholesky factorizations and
+    eigendecompositions made while the test runs, keyed by function name."""
+    counts = collections.Counter()
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("assemble", "cg", "cho_factor"):
+        spy(interpolation, name)
+    for name in ("eigh", "eigvalsh"):
+        spy(np.linalg, name)
+    return counts

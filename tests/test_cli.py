@@ -88,7 +88,8 @@ def test_sweep_runs_over_values(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "kernel.sigma=0.3" in out and "kernel.sigma=0.5" in out
-    assert (tmp_path / "sweep.csv").exists()
+    # the cases write no run files of their own beside the sweep table
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
 
 def test_installed_entry_point():

@@ -293,6 +293,12 @@ def test_solve_compact_estimated_stays_close():
     rep = compact.solve_compact(ds, cfg)
     assert rep.matrix_error > 0.0
     assert rep.fidelity_vs_exact_solution > 0.999
+    # a caller's exact system gives the same report as the one built inside
+    exact = interp.exact_system(ds, cfg.kernel, normalized=True)
+    shared = compact.solve_compact(ds, cfg, exact=exact)
+    assert shared.solve.to_json() == rep.solve.to_json()
+    for name in ("sparsity", "matrix_error", "fidelity_vs_exact_solution"):
+        assert getattr(shared, name) == getattr(rep, name)
 
 
 def test_config_validation():

@@ -332,3 +332,15 @@ def test_pipeline_outputs_are_byte_identical_across_reruns(tmp_path):
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()
         assert b1 == b2, f"{name} differs between reruns"
+
+
+def test_quantized_compact_run_factorizes_each_system_once(factor_calls):
+    harness.run_pipeline({
+        "pipeline": "quantum-compact",
+        "seed": 3,
+        "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7},
+        "inversion": {"mode": "quantized"},
+    })
+    # the exact system: one assembly, one CG solve, one spectrum; the oracle
+    # matrix: one eigh for the inversion, one Cholesky for its classical check
+    assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "eigh": 1, "cho_factor": 1}

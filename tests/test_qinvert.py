@@ -102,15 +102,42 @@ def test_quantized_on_grid_matches_ideal():
     assert np.isclose(rep.coeff_norm_est, ideal.coeff_norm_est, rtol=1e-10)
 
 
+def _deviation_from_separate_ideal(A, y, rep, floor):
+    ideal = qinvert.invert_ideal(A, y, InversionConfig(spectral_floor=floor)).state_out.amplitudes
+    state = rep.state_out.amplitudes
+    theta = np.angle(np.vdot(ideal, state))
+    return float(np.linalg.norm(state * np.exp(-1j * theta) - ideal))
+
+
 def test_quantized_deviation_shrinks_with_evolution_time():
     rng = np.random.default_rng(7)
     A = _random_spd(rng, 3)
     y = rng.standard_normal(3)
+    w = np.linalg.eigvalsh(A)
+    # no floor, and a floor that drops the smallest eigenvalue
     devs = []
-    for k in (3, 5, 7):
-        cfg = InversionConfig(mode="quantized", evolution_time=(2.0**k) * math.pi, clock_bits=10)
-        devs.append(qinvert.invert_quantized(A, y, cfg).deviation_from_ideal)
+    for floor in (None, 0.5 * (w[0] + w[1])):
+        for k in (3, 5, 7):
+            cfg = InversionConfig(mode="quantized", evolution_time=(2.0**k) * math.pi,
+                                  clock_bits=10, spectral_floor=floor)
+            rep = qinvert.invert_quantized(A, y, cfg)
+            assert rep.kept.sum() == (3 if floor is None else 2)
+            # the reference built from the inversion's own eigendecomposition
+            # is bit for bit the one a separate ideal inversion gives
+            assert rep.deviation_from_ideal == _deviation_from_separate_ideal(A, y, rep, floor)
+            if floor is None:
+                devs.append(rep.deviation_from_ideal)
     assert devs[2] < devs[1] < devs[0]
+
+
+def test_quantized_inversion_decomposes_once(factor_calls):
+    rng = np.random.default_rng(7)
+    A = _random_spd(rng, 3)
+    y = rng.standard_normal(3)
+    cfg = InversionConfig(mode="quantized", evolution_time=32.0 * math.pi, clock_bits=10)
+    qinvert.invert_quantized(A, y, cfg)
+    # one eigh for the inversion and its ideal reference, one Cholesky for the classical check
+    assert factor_calls == {"eigh": 1, "cho_factor": 1}
 
 
 def test_quantized_wraparound_rejected():
