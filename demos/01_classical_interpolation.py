@@ -54,8 +54,8 @@ print(f"mean |f - target| on 200 fresh points: {np.mean(np.abs(fhat - truth)):.4
 print(f"max  |f - target| on 200 fresh points: {np.max(np.abs(fhat - truth)):.4f}")
 
 section("normalized convention")
-raw = interp.assemble(ds, kern)
-nrm = interp.assemble(ds, kern, normalized=True)
-print(f"raw    lambda range [{interp.spectrum(raw).lambda_min:.4g}, {interp.spectrum(raw).lambda_max:.4g}]")
-print(f"scaled lambda range [{interp.spectrum(nrm).lambda_min:.4g}, {interp.spectrum(nrm).lambda_max:.4g}]")
+raw = interp.spectrum(interp.assemble(ds, kern))
+nrm = interp.spectrum(interp.assemble(ds, kern, normalized=True))
+print(f"raw    lambda range [{raw.lambda_min:.4g}, {raw.lambda_max:.4g}]")
+print(f"scaled lambda range [{nrm.lambda_min:.4g}, {nrm.lambda_max:.4g}]")
 print("dividing A and y by m leaves the coefficients unchanged and caps lambda_max at 1")

@@ -33,13 +33,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln
 
 from .interpolation import DataSet, InterpMatrix
 
 # exp((r/sigma)^2) must stay inside float64 range
 _MAX_RATIO_SQ = 700.0
+# largest m * order^d register superposition_gram_check builds as a statevector
+_SUPERPOSITION_CAP = 4096
 
 
 def max_ratio(sites, sigma: float) -> float:
@@ -254,7 +255,7 @@ def gram_report(dataset: DataSet, sigma: float, order: int) -> GramDeviation:
     )
 
 
-def superposition_gram_check(dataset: DataSet, sigma: float, order: int, cap: int = 4096):
+def superposition_gram_check(dataset: DataSet, sigma: float, order: int):
     """Rebuild the Gram matrix as a reduced state of one global pure state.
 
     Forms |Psi> = m^{-1/2} sum_j |j>|psi_j>, traces out the encoding
@@ -262,8 +263,8 @@ def superposition_gram_check(dataset: DataSet, sigma: float, order: int, cap: in
     deviation from gram_coherent, trace of the reduced matrix).
     """
     m, dim = dataset.m, order**dataset.d
-    if m * dim > cap:
-        raise ValueError(f"superposition dimension {m * dim} exceeds cap {cap}")
+    if m * dim > _SUPERPOSITION_CAP:
+        raise ValueError(f"superposition dimension {m * dim} exceeds cap {_SUPERPOSITION_CAP}")
     psi = np.zeros(m * dim)
     for j, x in enumerate(dataset.sites):
         psi[j * dim : (j + 1) * dim] = product_state(x, sigma, order).amplitudes()
@@ -273,22 +274,3 @@ def superposition_gram_check(dataset: DataSet, sigma: float, order: int, cap: in
     reduced = block @ block.T
     direct = gram_coherent(dataset, sigma, order).data
     return reduced, float(np.max(np.abs(reduced - direct))), float(np.trace(reduced))
-
-
-def displacement_state(r: float, sigma: float, order: int) -> np.ndarray:
-    """Coordinate encoding built by exponentiating the displacement generator.
-
-    Applies exp(ratio * (a_dag - a)) to the ground state in an
-    order-dimensional truncation.  Agrees with coherent_state to roughly
-    the truncation bound; used as an independent cross-check.
-    """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    ratio = r / sigma
-    k = np.arange(1, order)
-    a = np.zeros((order, order))
-    a[k - 1, k] = np.sqrt(k)
-    gen = ratio * (a.T - a)
-    e0 = np.zeros(order)
-    e0[0] = 1.0
-    return expm(gen) @ e0

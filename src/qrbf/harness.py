@@ -448,7 +448,7 @@ def _inversion_config(cfg: dict, budgets, spec, cap_note: dict) -> qinvert.Inver
         "overlap_samples": inv.get("overlap_samples", budgets.overlap_samples),
     }
     if mode == "quantized":
-        cap = int(inv.get("clock_bits_cap", 10))
+        cap = qinvert._CLOCK_BITS_CAP
         t0 = inv.get("evolution_time")
         if t0 is None:
             t0 = 1.0 / (spec.lambda_min * budgets.eps_c)
@@ -460,7 +460,7 @@ def _inversion_config(cfg: dict, budgets, spec, cap_note: dict) -> qinvert.Inver
         b = inv.get("clock_bits")
         if b is None:
             b = max(1, min(cap, math.ceil(math.log2(spec.lambda_max * t0 / (2 * math.pi))) + 1))
-        kwargs.update(evolution_time=float(t0), clock_bits=int(b), clock_bits_cap=cap)
+        kwargs.update(evolution_time=float(t0), clock_bits=int(b))
     return qinvert.InversionConfig(**kwargs)
 
 
@@ -777,14 +777,15 @@ def _perturbation_instance(rng):
         sigma = float(rng.uniform(0.3, 0.8))
         ds = gen_data(m, d, [0.0, 1.0], int(rng.integers(2**31)), "franke")
         exact = interpolation.assemble(ds, kernels.gaussian(sigma=sigma), normalized=True)
-        if interpolation.spectrum(exact).kappa > 1e5:
+        spec = interpolation.spectrum(exact)
+        if spec.kappa > 1e5:
             continue
         for order in range(3, 40):
             gram = coherent.gram_coherent(ds, sigma, order)
             delta_a = gram.data - exact.data
             gamma = float(np.linalg.norm(np.linalg.solve(exact.data, delta_a), 2))
             if gamma < 0.5:
-                return ds, exact, gram, delta_a, gamma
+                return ds, exact, spec, gram, delta_a, gamma
     raise RuntimeError("could not draw a perturbation instance with gamma < 0.5")
 
 
@@ -792,8 +793,7 @@ def _suite_perturbation(seed: int) -> list:
     rows = []
     rng = np.random.default_rng(seed)
     for case in range(50):
-        ds, exact, gram, delta_a, gamma = _perturbation_instance(rng)
-        spec = interpolation.spectrum(exact)
+        ds, exact, spec, gram, delta_a, gamma = _perturbation_instance(rng)
         eps_a = float(np.linalg.norm(delta_a, "fro"))
         y = ds.values / ds.m
         c_exact = np.linalg.solve(exact.data, y)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, issparse
 from scipy.sparse.linalg import cg
 from scipy.spatial import cKDTree
 
@@ -43,7 +43,7 @@ class DataSet:
 
     sites: np.ndarray
     values: np.ndarray
-    site_norms: np.ndarray | None = None
+    site_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
@@ -55,15 +55,7 @@ class DataSet:
         uniq = np.unique(self.sites, axis=0)
         if uniq.shape[0] != self.sites.shape[0]:
             raise ValueError("sites must be pairwise distinct")
-        norms = np.linalg.norm(self.sites, axis=1)
-        if self.site_norms is None:
-            self.site_norms = norms
-        else:
-            self.site_norms = np.asarray(self.site_norms, dtype=float).ravel()
-            if self.site_norms.shape != norms.shape or not np.allclose(
-                self.site_norms, norms, rtol=1e-12, atol=1e-14
-            ):
-                raise ValueError("provided site_norms disagree with the sites")
+        self.site_norms = np.linalg.norm(self.sites, axis=1)
 
     @property
     def m(self) -> int:
@@ -111,7 +103,6 @@ class InterpMatrix:
     normalized: bool
     family: str
     sparsity: int | None = None
-    spectrum_cache: object = field(default=None, repr=False, compare=False)
 
     @property
     def is_sparse(self) -> bool:
@@ -129,26 +120,10 @@ def _as_matrix_data(matrix):
     return matrix.data if isinstance(matrix, InterpMatrix) else np.asarray(matrix, dtype=float)
 
 
-def save_matrix(matrix, path) -> None:
-    """Write a matrix as CSV.
-
-    Dense input becomes a plain m x m grid of repr floats, one matrix
-    row per line.  Sparse input becomes coordinate triples under a
-    row,col,value header, stored entries only, row-major order.  repr
-    keeps the export bit-exact on reload, matching `save_dataset`.
-    """
-    data = _as_matrix_data(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if isinstance(data, np.ndarray):
-            for row in data:
-                writer.writerow([repr(float(v)) for v in row])
-        else:
-            coo = data.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            writer.writerow(["row", "col", "value"])
-            for i in order:
-                writer.writerow([int(coo.row[i]), int(coo.col[i]), repr(float(coo.data[i]))])
+def _as_dense(matrix) -> np.ndarray:
+    """Dense array of an InterpMatrix, a sparse array or an array-like."""
+    data = matrix.data if isinstance(matrix, InterpMatrix) else matrix
+    return data.toarray() if issparse(data) else np.asarray(data, dtype=float)
 
 
 def assemble(
@@ -169,10 +144,8 @@ def assemble(
         raise ValueError(
             f"{kernel.family} is not positive definite; pass override_pd=True to assemble anyway"
         )
-    if storage not in ("auto", "dense", "sparse"):
+    if storage not in ("auto", "dense"):
         raise ValueError(f"unknown storage mode {storage!r}")
-    if storage == "sparse" and not kernel.is_compact:
-        raise ValueError("sparse storage only applies to compact kernels")
     m = dataset.m
     scale = 1.0 / m if normalized else 1.0
 
@@ -216,7 +189,6 @@ class Coefficients:
     c: np.ndarray
     norm: float
     residual: float
-    rel_residual: float
 
 
 def solve(matrix: InterpMatrix, y) -> Coefficients:
@@ -240,12 +212,10 @@ def solve(matrix: InterpMatrix, y) -> Coefficients:
                 f"matrix is not positive definite (smallest eigenvalue {w[0]:.6e})"
             ) from exc
     res = A @ c - y
-    ynorm = np.linalg.norm(y)
-    rel = float(np.linalg.norm(res) / ynorm) if ynorm > 0 else float(np.linalg.norm(res))
     site_res = float(np.max(np.abs(res)))
     if isinstance(matrix, InterpMatrix) and matrix.normalized:
         site_res *= m  # raw-convention residual: the 1/m scaling cancels in c but not in A c - y
-    return Coefficients(c=c, norm=float(np.linalg.norm(c)), residual=site_res, rel_residual=rel)
+    return Coefficients(c=c, norm=float(np.linalg.norm(c)), residual=site_res)
 
 
 def _coeff_vector(coeffs) -> np.ndarray:
@@ -293,13 +263,9 @@ def spectrum(matrix) -> Spectrum:
     """Eigenvalue range and condition number of a (symmetric) matrix.
 
     kappa is lambda_max / lambda_min, reported as inf when the smallest
-    eigenvalue is not positive.  Results are cached on InterpMatrix.
+    eigenvalue is not positive.
     """
-    if isinstance(matrix, InterpMatrix) and matrix.spectrum_cache is not None:
-        return matrix.spectrum_cache
-    A = _as_matrix_data(matrix)
-    dense = A.toarray() if not isinstance(A, np.ndarray) else A
-    w = np.linalg.eigvalsh(dense)
+    w = np.linalg.eigvalsh(_as_dense(matrix))
     lam_min, lam_max = float(w[0]), float(w[-1])
     kappa = lam_max / lam_min if lam_min > 0 else math.inf
     spec = Spectrum(lambda_max=lam_max, lambda_min=lam_min, kappa=kappa, eigenvalues=w)
@@ -308,7 +274,6 @@ def spectrum(matrix) -> Spectrum:
             raise ValueError(
                 f"normalized gaussian matrix has lambda_max = {lam_max}; expected <= 1"
             )
-        matrix.spectrum_cache = spec
     return spec
 
 
@@ -350,8 +315,7 @@ class PerturbationReport:
 
 
 def perturbation_check(A, E) -> PerturbationReport:
-    A = np.asarray(_as_matrix_data(A), dtype=float)
-    A = A.toarray() if not isinstance(A, np.ndarray) else A
+    A = _as_dense(A)
     E = np.asarray(E, dtype=float)
     if A.shape != E.shape or A.shape[0] != A.shape[1]:
         raise ValueError("A and E must be square matrices of the same shape")

@@ -169,28 +169,3 @@ def dme_error(a_op, rho, t: float, l: int) -> float:
     approx = dme_evolve(a_op, rho, t, l)
     exact = exact_conjugation(a_op, rho, t)
     return trace_norm(approx.entries - exact.entries)
-
-
-def dme_scaling(a_op, rho, t_values, l_values) -> list:
-    """Step-error table over a (t, l) grid.
-
-    Returns one dict per cell with keys t, l, trace_error and
-    frobenius_error, ready for a CSV writer.  Trace norm is the primary
-    metric; the Frobenius norm is reported alongside (it never exceeds
-    the trace norm, both shrink like 1/l at fixed t).
-    """
-    rows = []
-    for t in t_values:
-        exact = exact_conjugation(a_op, rho, float(t))
-        for l in l_values:
-            approx = dme_evolve(a_op, rho, float(t), int(l))
-            diff = approx.entries - exact.entries
-            rows.append(
-                {
-                    "t": float(t),
-                    "l": int(l),
-                    "trace_error": trace_norm(diff),
-                    "frobenius_error": float(np.linalg.norm(diff, "fro")),
-                }
-            )
-    return rows

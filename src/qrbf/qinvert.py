@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import interpolation
-from .interpolation import InterpMatrix
 from .qcore import PureState
 
 _CLOCK_BITS_CAP = 10
@@ -59,7 +58,6 @@ class InversionConfig:
     spectral_floor: float | None = None
     norm_samples: int | None = None
     overlap_samples: int | None = None
-    clock_bits_cap: int = _CLOCK_BITS_CAP
 
     def __post_init__(self):
         if self.mode not in ("ideal", "quantized"):
@@ -120,16 +118,9 @@ class SolveReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _as_dense(A) -> np.ndarray:
-    if isinstance(A, InterpMatrix):
-        return A.toarray()
-    A = np.asarray(A, dtype=float)
-    return A
-
-
 def eigensolve(A):
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix."""
-    dense = _as_dense(A)
+    dense = interpolation._as_dense(A)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("need a square matrix")
     if np.max(np.abs(dense - dense.T)) > 1e-10 * max(1.0, np.max(np.abs(dense))):
@@ -180,11 +171,13 @@ def _prepare(A, y, config):
 
 
 def _classical_fidelity(A, y, state: np.ndarray) -> float:
+    """|<c|state>| for the Cholesky solution c of A c = y; NaN when A is not PD."""
+    y = np.asarray(y, dtype=float).ravel()
     try:
-        coeffs = interpolation.solve(A, np.asarray(y, dtype=float).ravel())
-    except (ValueError, RuntimeError):
+        c = interpolation.cho_solve(interpolation.cho_factor(interpolation._as_dense(A)), y)
+    except np.linalg.LinAlgError:
         return math.nan
-    c = coeffs.c / np.linalg.norm(coeffs.c)
+    c = c / np.linalg.norm(c)
     return float(abs(np.vdot(c, state)))
 
 
@@ -236,20 +229,23 @@ def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
     return _report("ideal", A, y, config, prepared, C, p, _ideal_state(w, u, beta, kept))
 
 
-def _walsh_hadamard(arr: np.ndarray) -> np.ndarray:
-    """Orthonormal Hadamard transform along axis 0 (length a power of two)."""
-    out = np.array(arr, dtype=complex)
-    n = out.shape[0]
-    trailing = out.shape[1:]
-    h = 1
-    while h < n:
-        out = out.reshape(n // (2 * h), 2, h, *trailing)
-        top = out[:, 0].copy()
-        out[:, 0] = top + out[:, 1]
-        out[:, 1] = top - out[:, 1]
-        out = out.reshape(n, *trailing)
-        h *= 2
-    return out / math.sqrt(n)
+def _clock_zero(back: np.ndarray):
+    """Project the clock (axis 0) of `back` onto 0 after a Hadamard transform.
+
+    Returns the clock-0 row and clock_leak, the share of the mass outside
+    it.  Only row 0 of the transform is formed, summed pairwise in the
+    order of the full butterfly; the leak is the mass orthogonal to the
+    uniform clock, measured directly rather than as 1 - kept / total.
+    """
+    rows = back
+    while rows.shape[0] > 1:
+        rows = rows[0::2] + rows[1::2]
+    scale = math.sqrt(back.shape[0])
+    survivor = rows[0] / scale
+    if np.linalg.norm(survivor) == 0.0:
+        raise ValueError("post-selected state vanished; check rotation parameters")
+    leak = float(np.sum(np.abs(back - survivor / scale) ** 2))
+    return survivor, leak / (leak + float(np.sum(np.abs(survivor) ** 2)))
 
 
 def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
@@ -266,8 +262,8 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     b = int(config.clock_bits)
     if b < 1:
         raise ValueError("clock_bits must be positive")
-    if b > config.clock_bits_cap:
-        raise ValueError(f"clock_bits {b} exceeds cap {config.clock_bits_cap}")
+    if b > _CLOCK_BITS_CAP:
+        raise ValueError(f"clock_bits {b} exceeds cap {_CLOCK_BITS_CAP}")
     t0 = float(config.evolution_time)
     if not t0 > 0:
         raise ValueError("evolution_time must be positive")
@@ -306,12 +302,7 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     # uncompute the clock on the accepted branch, then project onto clock 0
     back = np.fft.ifft(branch1, axis=0, norm="ortho")
     back = back * np.exp(-2j * math.pi * np.outer(k_grid, phi) / T)
-    joint = _walsh_hadamard(back)
-    survivor = joint[0, :]
-    total = float(np.sum(np.abs(joint) ** 2))
-    clock_leak = 1.0 - float(np.sum(np.abs(survivor) ** 2)) / total if total > 0 else math.nan
-    if np.linalg.norm(survivor) == 0.0:
-        raise ValueError("post-selected state vanished; check rotation parameters")
+    survivor, clock_leak = _clock_zero(back)
     state_eig = survivor / np.linalg.norm(survivor)
     state = u @ state_eig
 

@@ -193,8 +193,7 @@ def test_criterion_07_perturbation_chain():
     ok = True
     worst_ratio = 0.0
     for _ in range(50):
-        ds, exact, gram, delta_a, gamma = harness._perturbation_instance(rng)
-        spec = interp.spectrum(exact)
+        ds, exact, spec, gram, delta_a, gamma = harness._perturbation_instance(rng)
         eps_a = float(np.linalg.norm(delta_a, "fro"))
         y = ds.values / ds.m
         c_exact = np.linalg.solve(exact.data, y)

@@ -344,3 +344,19 @@ def test_quantized_compact_run_factorizes_each_system_once(factor_calls):
     # the exact system: one assembly, one CG solve, one spectrum; the oracle
     # matrix: one eigh for the inversion, one Cholesky for its classical check
     assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "eigh": 1, "cho_factor": 1}
+
+
+def test_non_pd_oracle_matrix_takes_no_eigenvalues_for_its_fidelity(factor_calls):
+    # m=128 at ae_bits 8: the oracle matrix is not positive definite, so its
+    # Cholesky check fails and reads NaN without a spectrum to word an error
+    result = harness.run_pipeline({
+        "pipeline": "quantum-compact",
+        "seed": 0,
+        "dataset": {"m": 128, "d": 2},
+        "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.15},
+        "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
+        "compact": {"ae_bits": 8},
+    })
+    assert math.isnan(result.summary["fidelity_vs_oracle_matrix"])
+    # eigvalsh only for the exact system's spectrum
+    assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "eigh": 1, "cho_factor": 1}

