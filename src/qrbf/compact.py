@@ -450,10 +450,19 @@ def prepare_phi_state(x, dataset: DataSet, config: CompactOracleConfig):
     norm = float(np.linalg.norm(phi))
     if norm == 0.0:
         raise ValueError("query point is outside the support of every site")
-    success = float(c_hat**2 * np.dot(phi, phi) / dataset.m)
+    success, phi_norm_est = phi_norm_estimate(float(np.dot(phi, phi)), dataset.m, c_hat)
     state = PureState(phi / norm, (dataset.m,))
-    phi_norm_est = math.sqrt(success * dataset.m) / c_hat
-    return state, success, phi_norm_est
+    return state, float(success), float(phi_norm_est)
+
+
+def phi_norm_estimate(sq_norm, m: int, c_hat: float):
+    """Success probability and ||Phi(x)|| estimate of the query-state preparation.
+
+    sq_norm is ||Phi(x)||^2 (a scalar or one entry per query); returns
+    (c_hat^2 ||Phi||^2 / m, sqrt(success * m) / c_hat).
+    """
+    success = c_hat**2 * sq_norm / m
+    return success, np.sqrt(success * m) / c_hat
 
 
 @dataclass

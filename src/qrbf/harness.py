@@ -225,16 +225,18 @@ def readout_budget(
     overlap_classical: float,
     budgets: Budgets,
 ) -> float:
-    """Propagated bound on |f_quantum - f_classical| at one query point.
+    """Propagated bound on |f_quantum - f_classical| at a query point.
 
     Three contributions: the sampled norm factor (eps_F * ||y|| / C), the
     coefficient-state budget (2 eps_c, covering both the norm shift and
     the overlap shift of the state), and the swap-test sampling term
     eps_o, the worst-case movement of sqrt(2p - 1) when p moves by
-    2*eps_p around its classical value.
+    2*eps_p around its classical value.  basis_norm and overlap_classical
+    may be arrays with one entry per query; each entry gets the bits of
+    a scalar call.
     """
-    base = max(0.0, 2.0 * (0.5 + 0.5 * overlap_classical**2) - 1.0)
-    eps_o = math.sqrt(base + 2.0 * budgets.eps_p) - math.sqrt(base)
+    base = np.maximum(0.0, 2.0 * (0.5 + 0.5 * (overlap_classical * overlap_classical)) - 1.0)
+    eps_o = np.sqrt(base + 2.0 * budgets.eps_p) - np.sqrt(base)
     return basis_norm * (
         budgets.eps_F * y_norm / rotation_scale
         + coeff_norm * (2.0 * budgets.eps_c + eps_o)
@@ -303,51 +305,94 @@ def _query_fields(d: int) -> list:
     return ["seed", "config_hash"] + [f"x{i + 1}" for i in range(d)] + _QUERY_BASE_FIELDS
 
 
-def _query_rows(queries, f_classical, seed: int, chash: str) -> list:
-    """One {seed, config_hash, f_classical, x1..xd} row per query point."""
+def _query_rows(queries, seed: int, chash: str, **columns) -> list:
+    """One {seed, config_hash, x1..xd, **columns} row per query point.
+
+    Each column is a sequence with one value per query.
+    """
+    coords = [f"x{i + 1}" for i in range(queries.shape[1])]
+    names = list(columns)
     return [
-        {"seed": seed, "config_hash": chash, "f_classical": fc,
-         **{f"x{i + 1}": float(v) for i, v in enumerate(x)}}
-        for x, fc in zip(queries, f_classical)
+        {"seed": seed, "config_hash": chash, **dict(zip(coords, x)), **dict(zip(names, values))}
+        for x, *values in zip(queries.tolist(), *columns.values())
     ]
 
 
-def _readout(rows, units, report, inv_cfg, y_norm: float, rng) -> float:
-    """Swap-test readout f(x) = ||c|| ||Phi(x)|| <c^|Phi^(x)> into the query rows.
+# query x site cells per block of the batched readout, so the block
+# temporaries stay small at any number of queries
+_READOUT_BLOCK_CELLS = 2**14
 
-    The norm ||c|| is sampled from the post-selection probability first,
-    then one swap test is sampled per reached query, in query order.
-    units[k] is (unit basis state, ||Phi(x_k)||), or None when no site
-    reaches query k: the interpolant is exactly 0 there and nothing is
-    drawn.  Fills f_quantum, f_quantum_analytic and abs_err; returns the
-    largest abs_err.
+
+@dataclass
+class _BasisReadings:
+    """Readout inputs of every query point x, one array entry per query.
+
+    f_classical = <c, Phi(x)>, sq_norm = ||Phi(x)||^2, overlap =
+    Re<state|Phi^(x)> with the inverted state, swap_p the swap-test
+    acceptance probability against that state, and overlap_classical =
+    <c^|Phi^(x)> with the unit classical coefficients.  Where no site
+    reaches x (Phi(x) = 0) the overlaps read 0 and swap_p is NaN.
     """
-    p_hat = qinvert.sample_probability(
-        report.post_select_prob, inv_cfg.norm_samples, rng.integers(2**63)
+
+    f_classical: np.ndarray
+    sq_norm: np.ndarray
+    overlap: np.ndarray
+    swap_p: np.ndarray
+    overlap_classical: np.ndarray
+
+
+def _basis_readings(dataset, kernel, queries, coeffs, state) -> _BasisReadings:
+    """Basis rows, norms and overlaps of all queries, _READOUT_BLOCK_CELLS cells at a time.
+
+    Every row is reduced on its own (np.add.reduce along the sites, not a
+    BLAS product), so no value depends on the block size or on the other
+    queries of the run.
+    """
+    n = len(queries)
+    out = _BasisReadings(*np.zeros((5, n)))
+    out.swap_p[:] = np.nan
+    c_hat = coeffs.c / coeffs.norm
+    step = max(1, _READOUT_BLOCK_CELLS // dataset.m)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        phi = interpolation.basis_matrix(dataset, kernel, queries[block])
+        sq = np.add.reduce(phi * phi, axis=-1)
+        out.f_classical[block] = np.add.reduce(phi * coeffs.c, axis=-1)
+        out.sq_norm[block] = sq
+        hit = sq > 0.0
+        unit = phi[hit] / np.sqrt(sq[hit])[:, None]
+        # Re<state|u> = sum_j Re(state_j) u_j for a real row u
+        out.overlap[block][hit] = np.add.reduce(unit * state.real, axis=-1)
+        out.swap_p[block][hit] = qinvert.swap_test(state, unit)
+        out.overlap_classical[block][hit] = np.add.reduce(unit * c_hat, axis=-1)
+    return out
+
+
+def _readout(readings, basis_norm, report, inv_cfg, y_norm: float, rng):
+    """Swap-test readout f(x) = ||c|| ||Phi(x)|| <c^|Phi^(x)> of every query.
+
+    All draws come from rng: first the norm ||c|| from the post-selection
+    probability, then one binomial per reached query (basis_norm > 0), in
+    query order, in one call.  Where no site reaches a query the
+    interpolant is exactly 0 and nothing is drawn.  The swap test gives
+    |<c^|Phi^(x)>|; its sign is taken from the exact state.  Returns the
+    arrays f_quantum, f_quantum_analytic and abs_err.
+    """
+    hits = qinvert.sample_successes(report.post_select_prob, inv_cfg.norm_samples, rng)
+    coeff_norm_sampled = math.sqrt(hits / inv_cfg.norm_samples) * y_norm / report.rotation_scale
+    reached = basis_norm > 0.0
+    p_hat = qinvert.sample_successes(
+        readings.swap_p[reached], inv_cfg.overlap_samples, rng
+    ) / inv_cfg.overlap_samples
+    o_mag = np.sqrt(np.maximum(0.0, 2.0 * p_hat - 1.0))
+    overlap, norm = readings.overlap[reached], basis_norm[reached]
+    f_quantum = np.zeros(len(basis_norm))
+    f_analytic = np.zeros(len(basis_norm))
+    f_quantum[reached] = qinvert.readout_value(
+        coeff_norm_sampled, norm, np.copysign(o_mag, overlap)
     )
-    coeff_norm_sampled = math.sqrt(p_hat.estimate) * y_norm / report.rotation_scale
-    state = report.state_out.amplitudes
-    max_err = 0.0
-    for row, unit in zip(rows, units):
-        fc = row["f_classical"]
-        if unit is None:
-            row.update(f_quantum=0.0, f_quantum_analytic=0.0, abs_err=abs(fc))
-            max_err = max(max_err, abs(fc))
-            continue
-        phat, phi_norm = unit
-        o_signed = float(np.real(np.vdot(state, phat)))
-        f_analytic = qinvert.readout_value(report.coeff_norm_est, phi_norm, o_signed)
-        p_est = qinvert.sample_probability(
-            qinvert.swap_test(state, phat), inv_cfg.overlap_samples, rng.integers(2**63)
-        )
-        o_mag = math.sqrt(max(0.0, 2.0 * p_est.estimate - 1.0))
-        f_sampled = qinvert.readout_value(
-            coeff_norm_sampled, phi_norm, math.copysign(o_mag, o_signed)
-        )
-        err = abs(f_sampled - fc)
-        max_err = max(max_err, err)
-        row.update(f_quantum=f_sampled, f_quantum_analytic=f_analytic, abs_err=err)
-    return max_err
+    f_analytic[reached] = qinvert.readout_value(report.coeff_norm_est, norm, overlap)
+    return f_quantum, f_analytic, np.abs(f_quantum - readings.f_classical)
 
 
 def _stage(label: str):
@@ -417,7 +462,7 @@ def _run_classical(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult
         system = interpolation.exact_system(dataset, kernel)
     spec, coeffs = system.spectrum, system.coeffs
     f_classical = [interpolation.evaluate(coeffs, dataset, kernel, x) for x in queries]
-    rows = _query_rows(queries, f_classical, seed, chash)
+    rows = _query_rows(queries, seed, chash, f_classical=f_classical)
     summary = {
         "pipeline": "classical",
         "seed": seed,
@@ -498,22 +543,23 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         report = qinvert.invert(gram.toarray(), system.y, inv_cfg)
 
     with _stage("readout"):
-        units, f_classical = [], []
-        for x in queries:
-            phi = interpolation.basis_vector(dataset, kernel, x)
-            phi_norm = float(np.linalg.norm(phi))
-            f_classical.append(float(np.dot(coeffs.c, phi)))
-            units.append(None if phi_norm == 0.0 else (phi / phi_norm, phi_norm))
-        rows = _query_rows(queries, f_classical, seed, chash)
+        readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out.amplitudes)
+        phi_norm = np.sqrt(readings.sq_norm)
         y_norm = float(np.linalg.norm(system.y))
-        max_err = _readout(rows, units, report, inv_cfg, y_norm, np.random.default_rng((seed, 1)))
-        chat_cl = coeffs.c / coeffs.norm
-        for row, unit in zip(rows, units):
-            budget = 0.0 if unit is None else readout_budget(
-                unit[1], y_norm, report.rotation_scale, coeffs.norm,
-                float(np.dot(chat_cl, unit[0])), budgets,
-            )
-            row.update(budget=budget, within_budget=row["abs_err"] <= 3.0 * budget)
+        f_quantum, f_analytic, abs_err = _readout(
+            readings, phi_norm, report, inv_cfg, y_norm, np.random.default_rng((seed, 1))
+        )
+        budget = readout_budget(
+            phi_norm, y_norm, report.rotation_scale, coeffs.norm,
+            readings.overlap_classical, budgets,
+        )
+        within = abs_err <= 3.0 * budget
+        rows = _query_rows(
+            queries, seed, chash, f_classical=readings.f_classical.tolist(),
+            f_quantum=f_quantum.tolist(), f_quantum_analytic=f_analytic.tolist(),
+            abs_err=abs_err.tolist(), budget=budget.tolist(),
+            within_budget=within.tolist(),
+        )
 
     gram_within = eps_A_measured <= budgets.eps_A
     summary = {
@@ -540,8 +586,8 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "fidelity_vs_classical": report.fidelity_vs_classical,
         "deviation_from_ideal": report.deviation_from_ideal,
         "repetitions_ledger": report.repetitions_ledger,
-        "max_abs_err": max_err,
-        "all_within_budget": all(row["within_budget"] for row in rows) and gram_within,
+        "max_abs_err": float(np.max(abs_err, initial=0.0)),
+        "all_within_budget": bool(np.all(within)) and gram_within,
         "n_queries": len(rows),
         "dme_check": dme_summary,
         "cost_model": COST_MODEL,
@@ -571,20 +617,18 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         report = creport.solve
 
     with _stage("readout"):
-        f_classical = [interpolation.evaluate(coeffs, dataset, kernel, x) for x in queries]
-        rows = _query_rows(queries, f_classical, seed, chash)
-        units = []
-        for x in queries:
-            try:
-                phi_state, _, phi_norm_est = compact.prepare_phi_state(x, dataset, oracle_cfg)
-            except ValueError:
-                # no site within the support radius: the interpolant is exactly 0
-                units.append(None)
-            else:
-                units.append((phi_state.amplitudes, phi_norm_est))
-        max_err = _readout(
-            rows, units, report, inv_cfg, float(np.linalg.norm(system.y)),
+        readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out.amplitudes)
+        _, phi_norm_est = compact.phi_norm_estimate(
+            readings.sq_norm, dataset.m, oracle_cfg.effective_scale
+        )
+        f_quantum, f_analytic, abs_err = _readout(
+            readings, phi_norm_est, report, inv_cfg, float(np.linalg.norm(system.y)),
             np.random.default_rng((seed, 2)),
+        )
+        rows = _query_rows(
+            queries, seed, chash, f_classical=readings.f_classical.tolist(),
+            f_quantum=f_quantum.tolist(), f_quantum_analytic=f_analytic.tolist(),
+            abs_err=abs_err.tolist(),
         )
 
     summary = {
@@ -604,7 +648,7 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "coeff_norm_classical": coeffs.norm,
         "fidelity_vs_oracle_matrix": report.fidelity_vs_classical,
         "fidelity_vs_exact_solution": creport.fidelity_vs_exact_solution,
-        "max_abs_err": max_err,
+        "max_abs_err": float(np.max(abs_err, initial=0.0)),
         "n_queries": len(rows),
         "cost_model": COST_MODEL,
     }

@@ -191,6 +191,10 @@ class Coefficients:
     residual: float
 
 
+class NotPositiveDefiniteError(ValueError):
+    """Cholesky of an interpolation matrix failed: it is not numerically positive definite."""
+
+
 def solve(matrix: InterpMatrix, y) -> Coefficients:
     """Solve A c = y by Cholesky (dense) or conjugate gradients (sparse)."""
     y = np.asarray(y, dtype=float).ravel()
@@ -207,9 +211,8 @@ def solve(matrix: InterpMatrix, y) -> Coefficients:
         try:
             c = cho_solve(cho_factor(A), y)
         except np.linalg.LinAlgError as exc:
-            w = np.linalg.eigvalsh(A)
-            raise ValueError(
-                f"matrix is not positive definite (smallest eigenvalue {w[0]:.6e})"
+            raise NotPositiveDefiniteError(
+                "matrix is not numerically positive definite (Cholesky failed)"
             ) from exc
     res = A @ c - y
     site_res = float(np.max(np.abs(res)))
@@ -242,13 +245,21 @@ def evaluate_many(coeffs, dataset: DataSet, kernel: Kernel, points) -> np.ndarra
     return np.array([evaluate(coeffs, dataset, kernel, x) for x in points])
 
 
+def basis_matrix(dataset: DataSet, kernel: Kernel, points) -> np.ndarray:
+    """Kernel values phi(||x_k - x_j||), one row per query point x_k: shape (n, m)."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dataset.d:
+        raise ValueError(f"query points have shape {points.shape}, expected (n, {dataset.d})")
+    r = pair_distance(dataset.sites[None, :, :], points[:, None, :])
+    return np.asarray(kernel.eval(r), dtype=float)
+
+
 def basis_vector(dataset: DataSet, kernel: Kernel, x) -> np.ndarray:
     """Vector of kernel values (phi(||x - x_j||))_j at a query point."""
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != dataset.d:
         raise ValueError(f"query point has dimension {x.shape[0]}, expected {dataset.d}")
-    r = pair_distance(dataset.sites, x)
-    return np.asarray(kernel.eval(r), dtype=float)
+    return basis_matrix(dataset, kernel, x[None, :])[0]
 
 
 @dataclass
@@ -288,11 +299,31 @@ class LinearSystem:
 
 
 def exact_system(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> LinearSystem:
-    """Assemble, decompose and solve A c = y once; y = values / m when normalized."""
+    """Assemble, decompose and solve A c = y once; y = values / m when normalized.
+
+    A failed Cholesky raises NotPositiveDefiniteError worded from the
+    spectrum already at hand, naming the settings that condition A.
+    """
     matrix = assemble(dataset, kernel, normalized=normalized)
     y = dataset.values / dataset.m if normalized else dataset.values
     spec = spectrum(matrix)
-    return LinearSystem(matrix, y, spec, solve(matrix, y))
+    try:
+        coeffs = solve(matrix, y)
+    except NotPositiveDefiniteError as exc:
+        # A flattens, and so loses its smallest eigenvalues, as the kernel
+        # widens or the sites crowd together
+        if kernel.is_compact:
+            width = "lower kernel.alpha"
+        elif kernel.family == "gaussian":
+            width = "lower kernel.sigma"
+        else:
+            width = "raise kernel.eta"
+        raise NotPositiveDefiniteError(
+            f"the interpolation matrix is not numerically positive definite "
+            f"(lambda_min {spec.lambda_min:.3e}, lambda_max {spec.lambda_max:.3e}, "
+            f"kappa {spec.kappa:.3e}); {width} or dataset.m"
+        ) from exc
+    return LinearSystem(matrix, y, spec, coeffs)
 
 
 @dataclass

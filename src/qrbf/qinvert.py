@@ -341,12 +341,7 @@ def sample_probability(p_true: float, n: int, seed) -> SampledProbability:
     The reported half-width 3*sqrt(p_hat(1-p_hat)/n) is a three-sigma
     normal-approximation confidence radius.
     """
-    if not 0.0 <= p_true <= 1.0:
-        raise ValueError("p_true must be in [0, 1]")
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    successes = int(rng.binomial(n, p_true))
+    successes = int(sample_successes(p_true, n, np.random.default_rng(seed)))
     est = successes / n
     return SampledProbability(
         estimate=est,
@@ -356,16 +351,37 @@ def sample_probability(p_true: float, n: int, seed) -> SampledProbability:
     )
 
 
-def swap_test(u, v) -> float:
-    """Acceptance probability 1/2 + |<u|v>|^2 / 2 of the swap test."""
+def sample_successes(p_true, n: int, rng):
+    """Successes in n Bernoulli(p) trials for each entry p of p_true.
+
+    One binomial draw per entry from rng, in entry order, so an array of
+    probabilities draws exactly what a loop of scalar calls on the same
+    generator would.
+    """
+    p = np.asarray(p_true, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("p_true must be in [0, 1]")
+    if n < 1:
+        raise ValueError("need at least one sample")
+    return rng.binomial(n, p)
+
+
+def swap_test(u, v):
+    """Acceptance probability 1/2 + |<u|v>|^2 / 2 of the swap test, per row of v.
+
+    v is one state or a stack of states along its last axis; u and every
+    row of v must be unit norm.  Each row is reduced on its own, so a row's
+    probability does not depend on the rows stacked with it.
+    """
     ua = u.amplitudes if isinstance(u, PureState) else np.asarray(u, dtype=complex).ravel()
-    va = v.amplitudes if isinstance(v, PureState) else np.asarray(v, dtype=complex).ravel()
-    if ua.shape != va.shape:
+    va = v.amplitudes if isinstance(v, PureState) else np.asarray(v, dtype=complex)
+    if va.shape[-1:] != ua.shape:
         raise ValueError("states must have equal dimension")
-    for name, vec in (("u", ua), ("v", va)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-            raise ValueError(f"{name} is not unit norm")
-    return 0.5 + 0.5 * abs(np.vdot(ua, va)) ** 2
+    if abs(np.linalg.norm(ua) - 1.0) > 1e-10:
+        raise ValueError("u is not unit norm")
+    if np.any(np.abs(np.linalg.norm(va, axis=-1) - 1.0) > 1e-10):
+        raise ValueError("v is not unit norm")
+    return 0.5 + 0.5 * np.abs(np.add.reduce(ua.conj() * va, axis=-1)) ** 2
 
 
 def readout_value(c_norm: float, basis_norm: float, overlap: float) -> float:
@@ -373,8 +389,9 @@ def readout_value(c_norm: float, basis_norm: float, overlap: float) -> float:
 
     f(x) = ||c|| * ||Phi(x)|| * <c_hat | Phi_hat(x)> where both unit
     vectors carry hats; the overlap argument may be signed (simulator
-    route) or a magnitude (swap-test route).
+    route) or a magnitude (swap-test route).  basis_norm and overlap may
+    be arrays with one entry per query.
     """
-    if c_norm < 0 or basis_norm < 0:
+    if np.any(c_norm < 0) or np.any(basis_norm < 0):
         raise ValueError("norms must be nonnegative")
     return c_norm * basis_norm * overlap

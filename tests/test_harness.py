@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ def test_readout_budget_formula():
     want = phi_norm * (b.eps_F * y_norm / C + c_norm * (2.0 * b.eps_c + eps_o))
     got = harness.readout_budget(phi_norm, y_norm, C, c_norm, o_cl, b)
     assert np.isclose(got, want, rtol=1e-14)
+
+
+def test_readout_budget_on_arrays_equals_scalar_calls():
+    b = harness.derive_budgets(1e-2, kappa=7.0, d=2)
+    rng = np.random.default_rng(12)
+    phi_norm = np.append(rng.uniform(0.1, 2.0, 40), 0.0)
+    o_cl = np.append(rng.uniform(-1.0, 1.0, 40), 0.0)
+    got = harness.readout_budget(phi_norm, 0.6, 0.2, 3.0, o_cl, b)
+    want = [harness.readout_budget(float(p), 0.6, 0.2, 3.0, float(o), b)
+            for p, o in zip(phi_norm, o_cl)]
+    assert got.tolist() == want
+    assert got[-1] == 0.0
 
 
 def test_classical_pipeline_runs_and_writes(tmp_path):
@@ -260,6 +273,112 @@ def test_query_beyond_every_site_reads_zero_and_takes_no_draw(tmp_path, cfg):
         return {k: v for k, v in row.items() if k != "config_hash"}
 
     assert [strip(rows[0]), strip(rows[2])] == [strip(r) for r in near_rows]
+
+
+_READOUT_CONFIGS = [
+    {"pipeline": "quantum-global", "seed": 2, "dataset": {"m": 40},
+     "kernel": {"family": "gaussian", "sigma": 0.1}, "queries": {"n": 50}},
+    {"pipeline": "quantum-compact", "seed": 2, "dataset": {"m": 40},
+     "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.3},
+     "inversion": {"spectral_floor": 1e-3}, "compact": {"ae_bits": 8},
+     "queries": {"n": 50}},
+]
+
+
+@pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=["global", "compact"])
+def test_query_rows_do_not_depend_on_the_readout_block(monkeypatch, cfg):
+    whole = harness.run_pipeline(cfg)
+    for cells in (1, 3 * 40 + 1):  # one query per block; blocks of 3 with a ragged tail
+        monkeypatch.setattr(harness, "_READOUT_BLOCK_CELLS", cells)
+        blocked = harness.run_pipeline(cfg)
+        assert blocked.query_rows == whole.query_rows
+        assert blocked.summary == whole.summary
+
+
+@pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=["global", "compact"])
+def test_batched_readout_matches_the_per_query_reference(cfg):
+    """Within m ulps of the scale of each sum: the batch reduces rows in another order."""
+    from qrbf import compact, kernels
+
+    result = harness.run_pipeline(cfg)
+    full = harness.merge_config(harness.default_config(), cfg)
+    ds = harness._load_or_generate_dataset(full, cfg["seed"])
+    queries = harness._query_points(full, ds, cfg["seed"])
+    kern = kernels.from_config(full["kernel"])
+    system = interp.exact_system(ds, kern, normalized=True)
+    c, report = system.coeffs.c, result.solve_report
+    state = report.state_out.amplitudes
+    tol = ds.m * np.finfo(float).eps
+    reached = 0
+    for x, row in zip(queries, result.query_rows):
+        phi = interp.basis_vector(ds, kern, x)
+        assert abs(row["f_classical"] - float(np.dot(c, phi))) <= tol * np.abs(c) @ phi
+        if not np.any(phi):
+            assert row["f_quantum_analytic"] == 0.0
+            continue
+        reached += 1
+        if cfg["pipeline"] == "quantum-global":
+            norm = float(np.linalg.norm(phi))
+            unit = phi / norm
+            budgets = harness.derive_budgets(full["epsilon"], system.spectrum.kappa, ds.d)
+            budget = harness.readout_budget(
+                norm, float(np.linalg.norm(system.y)), report.rotation_scale,
+                system.coeffs.norm, float(np.dot(c / system.coeffs.norm, unit)), budgets,
+            )
+            assert row["budget"] == pytest.approx(budget, rel=tol)
+        else:
+            oracle = compact.CompactOracleConfig(kernel=kern, ae_bits=full["compact"]["ae_bits"])
+            phi_state, _, norm = compact.prepare_phi_state(x, ds, oracle)
+            unit = phi_state.amplitudes.real
+        want = report.coeff_norm_est * norm * float(np.real(np.vdot(state, unit)))
+        scale = report.coeff_norm_est * norm * (np.abs(state) @ unit)
+        assert abs(row["f_quantum_analytic"] - want) <= tol * scale
+    assert reached > 0
+
+
+def test_readout_draws_norm_first_then_one_binomial_per_reached_query():
+    basis_norm = np.array([0.7, 0.0, 1.3, 0.4, 0.0, 0.9])
+    readings = harness._BasisReadings(
+        f_classical=np.array([0.2, 0.0, -0.5, 0.1, 1e-300, 0.3]),
+        sq_norm=basis_norm**2,
+        overlap=np.array([0.3, 0.0, -0.6, 0.05, 0.0, 0.8]),
+        swap_p=np.array([0.545, np.nan, 0.68, 0.50125, np.nan, 0.82]),
+        overlap_classical=np.zeros(6),
+    )
+    report = SimpleNamespace(post_select_prob=0.3, rotation_scale=0.2, coeff_norm_est=2.5)
+    inv_cfg = SimpleNamespace(norm_samples=1000, overlap_samples=500)
+    rng = np.random.default_rng(7)
+    f_q, f_a, err = harness._readout(readings, basis_norm, report, inv_cfg, 0.6, rng)
+
+    ref = np.random.default_rng(7)
+    coeff_norm = math.sqrt(ref.binomial(1000, 0.3) / 1000) * 0.6 / 0.2
+    want_q, want_a = [], []
+    for norm, o, p in zip(basis_norm, readings.overlap, readings.swap_p):
+        if norm == 0.0:
+            want_q.append(0.0)
+            want_a.append(0.0)
+            continue
+        o_mag = math.sqrt(max(0.0, 2.0 * (ref.binomial(500, float(p)) / 500) - 1.0))
+        want_q.append(coeff_norm * norm * math.copysign(o_mag, o))
+        want_a.append(2.5 * norm * o)
+    assert f_q.tolist() == want_q
+    assert f_a.tolist() == want_a
+    assert err.tolist() == [abs(q - f) for q, f in zip(want_q, readings.f_classical)]
+    # both generators made the same draws, no more
+    assert rng.random() == ref.random()
+
+
+def test_non_pd_exact_system_names_its_fix_without_a_second_spectrum(factor_calls):
+    from qrbf import cli
+
+    args = ["fit", "--pipeline", "quantum-global", "--seed", "0", "--set", "dataset.m=128"]
+    with pytest.raises(RuntimeError, match=r"\[stage: classical solve\]") as info:
+        cli.main(args)
+    assert isinstance(info.value.__cause__, interp.NotPositiveDefiniteError)
+    message = str(info.value)
+    assert "lambda_min -5." in message and "kappa inf" in message
+    assert "kernel.sigma" in message and "dataset.m" in message
+    assert factor_calls["eigvalsh"] == 1
 
 
 def test_pipeline_rejects_unknown_name():

@@ -139,6 +139,24 @@ def test_evaluate_compact_far_query_is_zero():
     assert interp.evaluate(coeffs, ds, kern, [10.0, 10.0]) == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kern", [kernels.gaussian(sigma=0.3), kernels.wendland(3, 2, alpha=0.6)], ids=["gaussian", "wendland"]
+)
+def test_basis_matrix_rows_equal_basis_vector(d, kern):
+    rng = np.random.default_rng(41 + d)
+    ds = _random_dataset(rng, 9, d)
+    # the last query lies beyond every site: its row is all zeros for both kernels
+    pts = np.vstack([rng.uniform(-1.2, 1.2, size=(7, d)), np.full((1, d), 50.0)])
+    rows = interp.basis_matrix(ds, kern, pts)
+    assert rows.shape == (8, 9)
+    for x, row in zip(pts, rows):
+        assert np.array_equal(row, interp.basis_vector(ds, kern, x))
+    assert not np.any(rows[-1])
+    with pytest.raises(ValueError):
+        interp.basis_matrix(ds, kern, np.zeros((2, d + 1)))
+
+
 def test_evaluate_matches_basis_dot():
     rng = np.random.default_rng(31)
     ds = _random_dataset(rng, 7, 3)
@@ -219,5 +237,5 @@ def test_perturbation_check_accepts_sparse_matrix():
 
 def test_solve_rejects_indefinite_matrix():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    with pytest.raises(ValueError):
+    with pytest.raises(interp.NotPositiveDefiniteError, match="Cholesky"):
         interp.solve(interp.InterpMatrix(bad, False, "gaussian", 2), np.ones(2))

@@ -269,6 +269,34 @@ def test_swap_test_known_cases():
         qinvert.swap_test(e1, 2.0 * e2)
 
 
+def test_swap_test_rows_equal_single_calls_and_each_row_is_checked():
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    u /= np.linalg.norm(u)
+    v = rng.standard_normal((5, 6))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    batched = qinvert.swap_test(u, v)
+    assert batched.shape == (5,)
+    for k in range(5):
+        assert batched[k] == qinvert.swap_test(u, v[k])
+        assert np.isclose(batched[k], 0.5 + 0.5 * abs(np.vdot(u, v[k])) ** 2, rtol=1e-14)
+    v[3] *= 1.1
+    with pytest.raises(ValueError, match="v is not unit norm"):
+        qinvert.swap_test(u, v)
+
+
+def test_sample_successes_draws_like_a_scalar_loop_and_checks_every_entry():
+    p = np.array([0.5, 0.9, 0.0, 1.0, 0.62])
+    got = qinvert.sample_successes(p, 1000, np.random.default_rng(4))
+    ref = np.random.default_rng(4)
+    assert got.tolist() == [ref.binomial(1000, float(q)) for q in p]
+    for bad in (np.array([0.5, 1.5]), np.array([-0.1, 0.5]), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError):
+            qinvert.sample_successes(bad, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        qinvert.sample_successes(p, 0, np.random.default_rng(0))
+
+
 def test_readout_value_product():
     assert qinvert.readout_value(2.0, 3.0, -0.5) == -3.0
     with pytest.raises(ValueError):
