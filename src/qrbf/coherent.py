@@ -25,6 +25,15 @@ the vector of its coordinate alone, and a single coordinate takes the
 same path.  A product-state overlap is the product of its per-coordinate
 overlaps, so the m x m Gram matrix is built as d BLAS syrk products
 F_c F_c^T, one per coordinate table F_c, multiplied entrywise.
+
+The kernel depends only on x - z, so the quantum-global pipeline encodes
+centred(dataset): each coordinate translated by the midpoint of its
+range.  The largest ratio r/sigma is then half the range's width over
+sigma rather than the largest |coordinate| over sigma.  On a 512-site
+unit box at sigma = 0.05 the truncation order falls from 1161 to 339, and
+the (r/sigma)^2 <= 700 float64 guard admits sigma down to about 0.019
+times the box width, wherever the box lies (0.038 on the uncentred unit
+box).  The functions here encode coordinates as given.
 """
 
 from __future__ import annotations
@@ -48,13 +57,29 @@ def max_ratio(sites, sigma: float) -> float:
     return float(np.max(np.abs(sites))) / sigma
 
 
+def centred(dataset: DataSet) -> DataSet:
+    """The dataset with each coordinate translated by the midpoint of its range.
+
+    The sites become sites - (min + max) / 2 per coordinate and the values
+    stay the same.  Gaussian overlaps depend only on x - z, so the exact
+    Gram matrix is unchanged, while the largest |coordinate| it encodes
+    is half the range's width.
+    """
+    sites = dataset.sites
+    mid = (sites.min(axis=0) + sites.max(axis=0)) / 2
+    return DataSet(sites=sites - mid, values=dataset.values)
+
+
 def _ratios(x, sigma: float) -> np.ndarray:
     """Coordinates divided by sigma, with the float64 range guard on all of them."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     ratio = max_ratio(x, sigma)
     if ratio * ratio > _MAX_RATIO_SQ:
-        raise OverflowError(f"(r/sigma)^2 = {ratio * ratio:.1f} exceeds {_MAX_RATIO_SQ}")
+        raise OverflowError(
+            f"(r/sigma)^2 = {ratio * ratio:.1f} exceeds {_MAX_RATIO_SQ}; "
+            "raise kernel.sigma or narrow the sites' coordinate range"
+        )
     return np.asarray(x, dtype=float) / sigma
 
 

@@ -376,9 +376,10 @@ def _readout(readings, basis_norm, report, inv_cfg, y_norm: float, rng):
     query order, in one call.  Where no site reaches a query the
     interpolant is exactly 0 and nothing is drawn.  The swap test gives
     |<c^|Phi^(x)>|; its sign is taken from the exact state.  Returns the
-    arrays f_quantum, f_quantum_analytic and abs_err.
+    arrays f_quantum, f_quantum_analytic and abs_err, and the norm draw's
+    success count.
     """
-    hits = qinvert.sample_successes(report.post_select_prob, inv_cfg.norm_samples, rng)
+    hits = int(qinvert.sample_successes(report.post_select_prob, inv_cfg.norm_samples, rng))
     coeff_norm_sampled = math.sqrt(hits / inv_cfg.norm_samples) * y_norm / report.rotation_scale
     reached = basis_norm > 0.0
     p_hat = qinvert.sample_successes(
@@ -392,7 +393,7 @@ def _readout(readings, basis_norm, report, inv_cfg, y_norm: float, rng):
         coeff_norm_sampled, norm, np.copysign(o_mag, overlap)
     )
     f_analytic[reached] = qinvert.readout_value(report.coeff_norm_est, norm, overlap)
-    return f_quantum, f_analytic, np.abs(f_quantum - readings.f_classical)
+    return f_quantum, f_analytic, np.abs(f_quantum - readings.f_classical), hits
 
 
 def _stage(label: str):
@@ -517,9 +518,11 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
     exact, spec, coeffs = system.matrix, system.spectrum, system.coeffs
     with _stage("budgets"):
         budgets = derive_budgets(cfg["epsilon"], spec.kappa, dataset.d)
-        order = coherent.min_order(coherent.max_ratio(dataset.sites, kernel.sigma), budgets.delta)
+        # the Gaussian Gram depends only on x - z: encode the centred sites, at a lower order
+        encoded = coherent.centred(dataset)
+        order = coherent.min_order(coherent.max_ratio(encoded.sites, kernel.sigma), budgets.delta)
     with _stage("gram construction"):
-        gram = coherent.gram_coherent(dataset, kernel.sigma, order)
+        gram = coherent.gram_coherent(encoded, kernel.sigma, order)
         eps_A_measured = float(np.linalg.norm(gram.data - exact.data, "fro"))
         # no truncation order meets a budget below the float64 resolution of ||A||_F
         eps_A_floor = float(np.finfo(float).eps) * float(np.linalg.norm(exact.data, "fro"))
@@ -546,7 +549,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out.amplitudes)
         phi_norm = np.sqrt(readings.sq_norm)
         y_norm = float(np.linalg.norm(system.y))
-        f_quantum, f_analytic, abs_err = _readout(
+        f_quantum, f_analytic, abs_err, norm_successes = _readout(
             readings, phi_norm, report, inv_cfg, y_norm, np.random.default_rng((seed, 1))
         )
         budget = readout_budget(
@@ -586,8 +589,10 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "fidelity_vs_classical": report.fidelity_vs_classical,
         "deviation_from_ideal": report.deviation_from_ideal,
         "repetitions_ledger": report.repetitions_ledger,
+        "norm_successes": norm_successes,
         "max_abs_err": float(np.max(abs_err, initial=0.0)),
-        "all_within_budget": bool(np.all(within)) and gram_within,
+        # with no norm success the sampled ||c|| is 0 and every f_quantum reads 0
+        "all_within_budget": bool(np.all(within)) and gram_within and norm_successes > 0,
         "n_queries": len(rows),
         "dme_check": dme_summary,
         "cost_model": COST_MODEL,
@@ -621,7 +626,7 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         _, phi_norm_est = compact.phi_norm_estimate(
             readings.sq_norm, dataset.m, oracle_cfg.effective_scale
         )
-        f_quantum, f_analytic, abs_err = _readout(
+        f_quantum, f_analytic, abs_err, _ = _readout(
             readings, phi_norm_est, report, inv_cfg, float(np.linalg.norm(system.y)),
             np.random.default_rng((seed, 2)),
         )

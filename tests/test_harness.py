@@ -174,6 +174,73 @@ def test_global_pipeline_flags_gram_budget_below_float_resolution():
     assert s["all_within_budget"] is False
 
 
+def _global_cfg(m, sigma, box=(0.0, 1.0), seed=0, n=4):
+    return {
+        "pipeline": "quantum-global",
+        "seed": seed,
+        "dataset": {"m": m, "box": list(box)},
+        "kernel": {"family": "gaussian", "sigma": sigma},
+        "queries": {"n": n},
+    }
+
+
+def test_global_pipeline_encodes_centred_sites_at_a_lower_order():
+    """The global-gram benchmark config: order 1161 with raw sites, 339 centred."""
+    s = harness.run_pipeline(_global_cfg(512, 0.05, n=20)).summary
+    assert s["truncation_order"] == 339
+    assert s["fidelity_vs_classical"] > 1.0 - 1e-9
+
+
+def test_global_pipeline_runs_on_a_translated_box():
+    """Box [10, 11] overflowed the (r/sigma)^2 guard at 755.9; centred, it is box [0, 1]."""
+    far = harness.run_pipeline(_global_cfg(16, 0.4, box=(10.0, 11.0))).summary
+    unit = harness.run_pipeline(_global_cfg(16, 0.4)).summary
+    assert far["truncation_order"] == unit["truncation_order"]
+    assert far["fidelity_vs_classical"] > 1.0 - 1e-9
+
+
+def test_global_pipeline_overflow_guard_applies_to_the_centred_ratio():
+    # raw sites gave (r/sigma)^2 = 1104.9 here; centred, about 277
+    s = harness.run_pipeline(_global_cfg(32, 0.03)).summary
+    assert s["fidelity_vs_classical"] > 1.0 - 1e-9
+    with pytest.raises(RuntimeError, match=r"\[stage: gram construction\]") as info:
+        harness.run_pipeline(_global_cfg(32, 0.018))
+    assert isinstance(info.value.__cause__, OverflowError)
+    assert "raise kernel.sigma or narrow the sites' coordinate range" in str(info.value)
+
+
+def test_global_pipeline_inverts_the_gram_of_the_centred_dataset(monkeypatch):
+    from qrbf import coherent, qinvert
+
+    inverted = []
+    invert = qinvert.invert
+
+    def spy(matrix, y, cfg):
+        inverted.append(np.array(matrix))
+        return invert(matrix, y, cfg)
+
+    monkeypatch.setattr(qinvert, "invert", spy)
+    cfg = _global_cfg(24, 0.2, box=(-3.0, -1.5), seed=2)
+    s = harness.run_pipeline(cfg).summary
+    ds = harness.gen_data(24, 2, [-3.0, -1.5], seed=2)
+    sites = ds.sites - (ds.sites.min(axis=0) + ds.sites.max(axis=0)) / 2
+    centred = coherent.centred(ds)
+    assert np.array_equal(centred.sites, sites)
+    assert np.array_equal(centred.values, ds.values)
+    want = coherent.gram_coherent(centred, 0.2, s["truncation_order"]).data
+    assert len(inverted) == 1 and np.array_equal(inverted[0], want)
+
+
+def test_global_pipeline_needs_a_norm_success_to_pass():
+    """No success in the norm draw reads every f_quantum as 0: not a pass."""
+    for seed, successes in ((0, 4), (3, 0)):
+        s = harness.run_pipeline({"pipeline": "quantum-global", "seed": seed}).summary
+        rng = np.random.default_rng((seed, 1))
+        assert s["norm_successes"] == successes
+        assert successes == rng.binomial(s["budgets"]["norm_samples"], s["post_select_prob"])
+        assert s["all_within_budget"] is (successes > 0)
+
+
 def test_global_pipeline_rejects_non_gaussian_kernel():
     cfg = {
         "pipeline": "quantum-global",
@@ -348,7 +415,7 @@ def test_readout_draws_norm_first_then_one_binomial_per_reached_query():
     report = SimpleNamespace(post_select_prob=0.3, rotation_scale=0.2, coeff_norm_est=2.5)
     inv_cfg = SimpleNamespace(norm_samples=1000, overlap_samples=500)
     rng = np.random.default_rng(7)
-    f_q, f_a, err = harness._readout(readings, basis_norm, report, inv_cfg, 0.6, rng)
+    f_q, f_a, err, _ = harness._readout(readings, basis_norm, report, inv_cfg, 0.6, rng)
 
     ref = np.random.default_rng(7)
     coeff_norm = math.sqrt(ref.binomial(1000, 0.3) / 1000) * 0.6 / 0.2
