@@ -151,7 +151,8 @@ def truncation_bound(r: float, sigma: float, order: int) -> float:
     """Bound sqrt(2 (r/sigma)^{2N} / N!) on the truncated-state error.
 
     Valid whenever N >= (r/sigma)^2 (the dropped tail is then dominated
-    by its first term times a geometric factor of 2).
+    by its first term times a geometric factor of 2).  A bound past the
+    float range is inf.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
@@ -161,7 +162,10 @@ def truncation_bound(r: float, sigma: float, order: int) -> float:
     if ratio == 0.0:
         return 0.0
     lg = 0.5 * (math.log(2.0) + 2.0 * order * math.log(ratio) - gammaln(order + 1.0))
-    return float(math.exp(lg))
+    try:
+        return math.exp(lg)
+    except OverflowError:
+        return math.inf
 
 
 def min_order(ratio_max: float, delta: float) -> int:

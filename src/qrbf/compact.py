@@ -18,7 +18,12 @@ a 2^bits-cell phase grid, the outcome y follows the standard two-cell
 interference pattern around +-omega with a = sin(pi omega), and the
 estimate sin(pi y / 2^bits) is exact for on-grid amplitudes and within
 pi 2^{-bits} + pi^2 2^{-2 bits} with probability at least 8/pi^2
-otherwise.  Per-pair streams seeded by (seed, i, j) keep every oracle
+otherwise.  The pattern is evaluated in closed form: with s = sin(pi y /
+2^bits), cell y has weight proportional to
+(s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2, since the Fejer numerator
+sin^2(pi 2^bits omega) is the same in every cell and cancels.  An exact
+hit (s = a, a zero denominator) makes the row the normalised indicator
+of its hit cells.  Per-pair streams seeded by (seed, i, j) keep every oracle
 call reproducible regardless of evaluation order.
 
 oracle_PA is the per-entry reference: it draws from
@@ -35,6 +40,7 @@ blocks of at most _BLOCK_CELLS grid cells, so memory stays flat in m.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -134,34 +140,57 @@ def reconstruct_distance(x_i, x_j) -> float:
     return distance_amplitude(x_i, x_j) * pair_scale(x_i, x_j)
 
 
+@functools.lru_cache(maxsize=_AE_BITS_CAP)
+def _grid_sines(ae_bits: int) -> np.ndarray:
+    """sin(pi y / 2^bits) for each outcome y of the grid, read-only.
+
+    Computed as math.sin(pi min(y, M - y) / M), so cells y and M - y hold
+    the same bits.
+    """
+    M = 2**ae_bits
+    half = [math.sin(math.pi * k / M) for k in range(M // 2 + 1)]
+    table = np.array(half + half[M // 2 - 1 : 0 : -1])
+    table.flags.writeable = False
+    return table
+
+
 def estimation_pmf(a_true, ae_bits: int) -> np.ndarray:
     """Outcome distribution of canonical amplitude estimation on a 2^bits grid.
 
     Cell y of the grid carries the interference weight
     (F(y/M - omega) + F(y/M + omega)) / 2 with F the squared Dirichlet
-    kernel sin^2(pi M t) / (M sin(pi t))^2 and omega = arcsin(a)/pi.
-    An array of n amplitudes gives one distribution per row, shape
-    (n, 2^bits); a scalar gives the 1-D distribution through the same path.
+    kernel sin^2(pi M t) / (M sin(pi t))^2 and omega = arcsin(a)/pi.  The
+    numerator sin^2(pi M omega) is the same in every cell of a row and
+    cancels in the normalisation; with s = sin(pi y / M) what is left is
+
+        pmf_y  proportional to  (s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2,
+
+    a few multiplies and one divide per cell, s read from _grid_sines.
+    A row with an exact hit, a cell whose squared denominator is 0, is the
+    normalised indicator of its hit cells (the 0/0 limit of F): an
+    on-grid amplitude splits 0.5/0.5 between y0 and M - y0, and a = 0 or
+    a = 1 puts 1.0 on one cell.  An array of n amplitudes gives one
+    distribution per row, shape (n, 2^bits); a scalar gives the 1-D
+    distribution through the same path.
     """
     a = np.asarray(a_true, dtype=float)
     scalar = a.ndim == 0
-    a = a.reshape(-1)
+    a = a.reshape(-1, 1)
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("amplitude must lie in [0, 1]")
-    M = 2**ae_bits
-    # math.asin, not np.arcsin: the two differ in the last ulp for some inputs
-    omega = np.array([math.asin(v) for v in a.tolist()])[:, None] / math.pi
-    y = np.arange(M) / M
-
-    def fejer(delta):
-        # squared Dirichlet weight; the 0/0 cells are exact hits with weight 1
-        num = np.sin(np.pi * M * delta) ** 2
-        den = (M * np.sin(np.pi * delta)) ** 2
-        out = np.divide(num, den, out=np.ones_like(den), where=den != 0.0)
-        return out
-
-    pmf = 0.5 * (fejer(y - omega) + fejer(y + omega))
-    pmf /= pmf.sum(axis=-1, keepdims=True)
+    s = _grid_sines(ae_bits)
+    s2 = s * s
+    den = ((s - a) * (s + a)) ** 2
+    pmf = s2 + a * a * (1.0 - 2.0 * s2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pmf /= den
+    total = pmf.sum(axis=-1, keepdims=True)
+    hit_rows = ~np.isfinite(total[:, 0])
+    if hit_rows.any():
+        # a zero denominator gives inf or 0/0 = nan, so only hit rows sum to a non-finite
+        pmf[hit_rows] = den[hit_rows] == 0.0
+        total[hit_rows] = pmf[hit_rows].sum(axis=-1, keepdims=True)
+    pmf /= total
     return pmf[0] if scalar else pmf
 
 
@@ -186,8 +215,10 @@ def _draw(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
     """Amplitude |sin(pi y / 2^bits)| read from each outcome y.
 
-    math.sin once per distinct outcome, as for omega in estimation_pmf, so
-    estimates do not depend on which vectorized loop numpy picks.
+    math.sin once per distinct outcome, so estimates do not depend on which
+    vectorized loop numpy picks.  It is sin(pi y / M) itself, not the
+    _grid_sines entry: for some y, sin(pi (M - y) / M) differs from it in
+    the last bit.
     """
     M = 2**ae_bits
     outcomes, inverse = np.unique(y, return_inverse=True)
@@ -487,13 +518,23 @@ def solve_compact(
     exact, the normalized `interpolation.exact_system` (built here when
     None), is the reference of matrix_error and fidelity_vs_exact_solution;
     solve.fidelity_vs_classical checks the inversion against the oracle
-    matrix itself.
+    matrix itself.  An estimated oracle matrix that is not positive
+    definite raises NotPositiveDefiniteError naming compact.ae_bits as well
+    as inversion.spectral_floor.
     """
     inversion = inversion or InversionConfig()
     if exact is None:
         exact = interpolation.exact_system(dataset, config.kernel, normalized=True)
     built = build_matrix(dataset, config, normalized=True)
-    report = qinvert.invert(built.toarray(), exact.y, inversion)
+    try:
+        report = qinvert.invert(built.toarray(), exact.y, inversion)
+    except interpolation.NotPositiveDefiniteError as exc:
+        if config.ae_bits is None:
+            raise
+        # estimation noise in the entries is what breaks definiteness here
+        raise interpolation.NotPositiveDefiniteError(
+            f"{exc}, or raise compact.ae_bits to estimate the oracle entries more finely"
+        ) from exc
     chat = exact.coeffs.c / np.linalg.norm(exact.coeffs.c)
     fidelity = float(abs(np.vdot(chat, report.state_out.amplitudes)))
     return CompactReport(

@@ -156,9 +156,10 @@ def _prepare(A, y, config):
     floor = config.spectral_floor
     if floor is None:
         if w[0] <= 0.0:
-            raise ValueError(
-                f"matrix is not positive definite (lambda_min = {w[0]:.6e}); "
-                "set spectral_floor to invert on a subspace"
+            raise interpolation.NotPositiveDefiniteError(
+                f"the matrix to invert is not positive definite (lambda_min {w[0]:.3e}, "
+                f"lambda_max {w[-1]:.3e}, kappa inf); set "
+                "inversion.spectral_floor to invert on the eigenvalues above it"
             )
         kept_idx = np.arange(w.shape[0])
         kappa_eff = float(w[-1] / w[0])

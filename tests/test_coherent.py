@@ -107,6 +107,20 @@ def test_min_order_reference_point():
     assert coherent.truncation_bound(2.0, 1.0, n - 1) > 1e-6
 
 
+def test_min_order_searches_past_bounds_beyond_the_float_range():
+    # at ratio 38 or more the bound at order ceil(ratio^2) exceeds the
+    # float range; it reads inf and the search goes on
+    assert coherent.truncation_bound(57.0, 1.0, 57 * 57) == math.inf
+    n = coherent.min_order(57.0, 1e-16)
+    assert coherent.truncation_bound(57.0, 1.0, n) <= 1e-16
+    assert coherent.truncation_bound(57.0, 1.0, n - 1) > 1e-16
+    n = coherent.min_order(38.0, 1e-12)
+    assert coherent.truncation_bound(38.0, 1.0, n) <= 1e-12
+    # orders whose bounds stay in range are unchanged
+    assert coherent.min_order(20.0, 1e-12) == 1138
+    assert coherent.min_order(26.0, 1e-12) == 1889
+
+
 def test_truncation_bound_dominates_measured_tail():
     """The bound must sit above the actual L2 distance to the full state."""
     ref_order = 220

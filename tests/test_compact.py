@@ -55,15 +55,102 @@ def test_estimation_pmf_is_a_distribution():
 
 
 def test_estimation_pmf_exact_cases():
-    # a = 0 concentrates on outcome 0 (up to fp noise in the normalization)
-    pmf = compact.estimation_pmf(0.0, ae_bits=5)
-    assert pmf[0] == 1.0
-    assert np.all(pmf[1:] <= 1e-15)
-    # on-grid amplitude a = sin(pi y0 / M) splits between y0 and M - y0
+    # exact hits give the indicator of the hit cells: a = 0 on outcome 0,
+    # a = 1 on outcome M/2, an on-grid a = sin(pi y0 / M) half on y0, half on M - y0
     M = 32
     y0 = 5
+    pmf = compact.estimation_pmf(0.0, ae_bits=5)
+    assert pmf[0] == 1.0 and np.count_nonzero(pmf) == 1
+    pmf = compact.estimation_pmf(1.0, ae_bits=5)
+    assert pmf[M // 2] == 1.0 and np.count_nonzero(pmf) == 1
     pmf = compact.estimation_pmf(math.sin(math.pi * y0 / M), ae_bits=5)
-    assert np.isclose(pmf[y0] + pmf[M - y0], 1.0, atol=1e-10)
+    assert pmf[y0] == pmf[M - y0] == 0.5
+    assert np.count_nonzero(pmf) == 2
+
+
+def _fejer_pmf(a, bits):
+    """Reference: the AE outcome distribution evaluated cell by cell in Fejer form.
+
+    Cell y weighs (F(y/M - omega) + F(y/M + omega)) / 2, with
+    F(t) = sin^2(pi M t) / (M sin(pi t))^2 and omega = arcsin(a) / pi;
+    a 0/0 cell is an exact hit of weight 1.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    M = 2**bits
+    omega = np.array([math.asin(v) for v in a.tolist()])[:, None] / math.pi
+    y = np.arange(M) / M
+
+    def fejer(delta):
+        num = np.sin(np.pi * M * delta) ** 2
+        den = (M * np.sin(np.pi * delta)) ** 2
+        return np.divide(num, den, out=np.ones_like(den), where=den != 0.0)
+
+    pmf = 0.5 * (fejer(y - omega) + fejer(y + omega))
+    return pmf / pmf.sum(axis=-1, keepdims=True)
+
+
+def _row_blocks(n, bits, cells=2**16):
+    step = max(1, cells >> bits)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def test_estimation_pmf_closed_form_matches_fejer_reference():
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for bits in range(1, 15):
+        M = 2**bits
+        k = np.arange(M) if M <= 64 else np.concatenate(
+            [[0, 1, M // 2 - 1, M // 2, M // 2 + 1, M - 1], rng.integers(0, M, 40)]
+        )
+        grid = np.array([math.sin(math.pi * v / M) for v in k.tolist()])
+        amps = np.concatenate([
+            rng.uniform(0.0, 1.0, 40), [0.0, 1.0],
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        ])
+        amps = amps[(amps >= 0.0) & (amps <= 1.0)]
+        for block in _row_blocks(amps.shape[0], bits):
+            pmf = compact.estimation_pmf(amps[block], bits)
+            assert np.all(np.isfinite(pmf))
+            worst = max(worst, float(np.max(np.abs(pmf - _fejer_pmf(amps[block], bits)))))
+    assert worst <= 1e-11
+
+
+def test_estimation_pmf_draws_equal_fejer_reference_draws():
+    rng = np.random.default_rng(43)
+    pairs = 0
+    for bits in range(4, 13):
+        n = min(40_000, 2**20 >> bits)
+        amps = rng.uniform(0.0, 1.0, n)
+        u = rng.random((n, 1))
+        for block in _row_blocks(n, bits):
+            got = compact._draw(compact.estimation_pmf(amps[block], bits), u[block])
+            want = compact._draw(_fejer_pmf(amps[block], bits), u[block])
+            assert np.array_equal(got, want)
+        pairs += n
+    assert pairs >= 100_000
+
+
+def test_grid_sines_table_is_cached_read_only_and_mirror_symmetric():
+    for bits in (1, 2, 5, 12):
+        M = 2**bits
+        table = compact._grid_sines(bits)
+        assert compact._grid_sines(bits) is table
+        assert not table.flags.writeable
+        assert table.shape == (M,)
+        # y and M - y hold the same bits
+        assert np.array_equal(table[1:], table[:0:-1])
+        assert table.tolist()[: M // 2 + 1] == [math.sin(math.pi * y / M) for y in range(M // 2 + 1)]
+
+
+def test_estimated_oracle_matrix_not_pd_names_ae_bits_and_spectral_floor():
+    rng = np.random.default_rng(11)
+    ds = _dataset(rng, 24, 2)
+    cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=0.7), ae_bits=3, seed=0)
+    with pytest.raises(
+        interp.NotPositiveDefiniteError,
+        match=r"kappa inf\); set inversion\.spectral_floor .*, or raise compact\.ae_bits",
+    ):
+        compact.solve_compact(ds, cfg)
 
 
 def test_amplitude_estimate_error_bound():

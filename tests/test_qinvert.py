@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qrbf import qinvert
+from qrbf import interpolation, qinvert
 from qrbf.qinvert import InversionConfig
 
 
@@ -77,6 +77,21 @@ def test_rotation_scale_above_lambda_min_rejected():
     y = np.array([1.0, 1.0]) / math.sqrt(2.0)
     with pytest.raises(ValueError):
         qinvert.invert_ideal(A, y, InversionConfig(rotation_scale=0.3))
+
+
+def test_non_pd_matrix_names_its_spectrum_and_the_spectral_floor():
+    a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
+    match = (
+        r"lambda_min -1\.000e\+00, lambda_max 3\.000e\+00, kappa inf\); "
+        r"set inversion\.spectral_floor"
+    )
+    quantized = InversionConfig(mode="quantized", evolution_time=math.pi, clock_bits=4)
+    for config in (InversionConfig(), quantized):
+        with pytest.raises(interpolation.NotPositiveDefiniteError, match=match):
+            qinvert.invert(a, np.array([1.0, 0.0]), config)
+    # the floor the message names is the fix
+    rep = qinvert.invert(a, np.array([1.0, 0.0]), InversionConfig(spectral_floor=0.0))
+    assert rep.kept.tolist() == [False, True]
 
 
 def test_spectral_floor_projects_small_eigenvalues():
