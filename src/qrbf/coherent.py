@@ -30,10 +30,8 @@ The kernel depends only on x - z, so the quantum-global pipeline encodes
 centred(dataset): each coordinate translated by the midpoint of its
 range.  The largest ratio r/sigma is then half the range's width over
 sigma rather than the largest |coordinate| over sigma.  On a 512-site
-unit box at sigma = 0.05 the truncation order falls from 1161 to 339, and
-the (r/sigma)^2 <= 700 float64 guard admits sigma down to about 0.019
-times the box width, wherever the box lies (0.038 on the uncentred unit
-box).  The functions here encode coordinates as given.
+unit box at sigma = 0.05 the truncation order falls from 1161 to 339,
+wherever the box lies.  The functions here encode coordinates as given.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ from scipy.special import gammaln
 
 from .interpolation import DataSet, InterpMatrix
 
-# exp((r/sigma)^2) must stay inside float64 range
-_MAX_RATIO_SQ = 700.0
 # largest m * order^d register superposition_gram_check builds as a statevector
 _SUPERPOSITION_CAP = 4096
 
@@ -71,15 +67,9 @@ def centred(dataset: DataSet) -> DataSet:
 
 
 def _ratios(x, sigma: float) -> np.ndarray:
-    """Coordinates divided by sigma, with the float64 range guard on all of them."""
+    """Coordinates divided by sigma."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    ratio = max_ratio(x, sigma)
-    if ratio * ratio > _MAX_RATIO_SQ:
-        raise OverflowError(
-            f"(r/sigma)^2 = {ratio * ratio:.1f} exceeds {_MAX_RATIO_SQ}; "
-            "raise kernel.sigma or narrow the sites' coordinate range"
-        )
     return np.asarray(x, dtype=float) / sigma
 
 
@@ -114,37 +104,17 @@ def _amplitudes(ratios, order: int) -> np.ndarray:
 
 @dataclass
 class TruncatedCoherent:
-    """Single-coordinate truncated encoding.
-
-    partial_norm is sum_{k<N} ratio^{2k}/k! (the kept probability mass,
-    unnormalized) and exact_norm is its N -> inf limit exp(ratio^2).
-    """
+    """Single-coordinate truncated encoding."""
 
     ratio: float
     order: int
     amplitudes: np.ndarray
-    partial_norm: float
-    exact_norm: float
 
 
 def coherent_state(r: float, sigma: float, order: int) -> TruncatedCoherent:
     """Truncated coherent encoding of coordinate r at width sigma."""
     ratio = float(_ratios(r, sigma))
-    amps = _amplitudes(ratio, order)
-    if ratio == 0.0:
-        partial = 1.0
-    else:
-        k = np.arange(order)
-        logterms = 2.0 * k * math.log(abs(ratio)) - gammaln(k + 1.0)
-        peak = logterms.max()
-        partial = float(math.exp(peak) * np.exp(logterms - peak).sum())
-    return TruncatedCoherent(
-        ratio=float(ratio),
-        order=int(order),
-        amplitudes=amps,
-        partial_norm=partial,
-        exact_norm=math.exp(ratio * ratio),
-    )
+    return TruncatedCoherent(ratio, int(order), _amplitudes(ratio, order))
 
 
 def truncation_bound(r: float, sigma: float, order: int) -> float:

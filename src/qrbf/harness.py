@@ -12,6 +12,7 @@ so the slack is visible.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -396,19 +397,15 @@ def _readout(readings, basis_norm, report, inv_cfg, y_norm: float, rng):
     return f_quantum, f_analytic, np.abs(f_quantum - readings.f_classical), hits
 
 
+@contextlib.contextmanager
 def _stage(label: str):
-    """Context that relabels exceptions with the pipeline stage that raised."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, _StageError):
-                raise _StageError(f"[stage: {label}] {exc}") from exc
-            return False
-
-    return _Ctx()
+    """Relabel errors with the pipeline stage that raised; interrupts pass as they are."""
+    try:
+        yield
+    except _StageError:
+        raise
+    except Exception as exc:
+        raise _StageError(f"[stage: {label}] {exc}") from exc
 
 
 class _StageError(RuntimeError):

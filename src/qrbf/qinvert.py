@@ -221,7 +221,7 @@ def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
     lam = w[kept]
     lam_min = float(lam.min())
     C = lam_min if config.rotation_scale is None else float(config.rotation_scale)
-    if C > lam_min + 1e-12:
+    if C > lam_min * (1 + 1e-12):
         raise ValueError(
             f"rotation_scale {C} exceeds the smallest kept eigenvalue {lam_min}"
         )

@@ -8,11 +8,13 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from qrbf import coherent
+from qrbf.harness import gen_data
 from qrbf.interpolation import DataSet, assemble
 from qrbf.kernels import gaussian
 
-# one ratio of each kind: zero, negative, positive, and (r/sigma)^2 just under 700
-EDGE_RATIOS = (0.0, -0.3, -2.2, -26.45, 0.4, 1.0, 7.9, 26.45)
+# one ratio of each kind: zero, negative, positive, and (r/sigma)^2 of about
+# 700 and of 3249, where exp((r/sigma)^2) is past the float64 range
+EDGE_RATIOS = (0.0, -0.3, -2.2, -26.45, -57.0, 0.4, 1.0, 7.9, 26.45, 57.0)
 
 
 def _reference_amplitudes(ratio: float, order: int) -> np.ndarray:
@@ -43,8 +45,6 @@ def test_amplitude_profile_small_case():
     st = coherent.coherent_state(1.0, 1.0, 4)
     raw = np.array([1.0, 1.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)])
     assert np.allclose(st.amplitudes, raw / np.linalg.norm(raw), rtol=1e-14)
-    assert np.isclose(st.partial_norm, 1.0 + 1.0 + 0.5 + 1.0 / 6.0, rtol=1e-14)
-    assert np.isclose(st.exact_norm, math.e, rtol=1e-14)
     assert np.isclose(np.linalg.norm(st.amplitudes), 1.0, rtol=1e-14)
 
 
@@ -69,13 +69,16 @@ def test_amplitude_table_rows_equal_single_coordinate_states(order):
 
 
 def test_truncations_share_prefixes():
-    """Log-space evaluation keeps short and long truncations consistent."""
-    for ratio in (0.0, 0.3, 1.0, 2.7):
-        short = coherent.coherent_state(ratio, 1.0, 6)
-        long = coherent.coherent_state(ratio, 1.0, 12)
-        raw_s = short.amplitudes * math.sqrt(short.partial_norm)
-        raw_l = long.amplitudes * math.sqrt(long.partial_norm)
-        assert np.allclose(raw_s, raw_l[:6], rtol=5e-15, atol=0.0)
+    """Log-space evaluation keeps short and long truncations consistent.
+
+    The two normalisations differ, so each prefix is scaled by its value
+    at the short state's largest amplitude.
+    """
+    for ratio in (0.0, 0.3, 1.0, 2.7, 30.0, 57.0):
+        short = coherent.coherent_state(ratio, 1.0, 6).amplitudes
+        long = coherent.coherent_state(ratio, 1.0, 12).amplitudes
+        kmax = np.argmax(np.abs(short))
+        assert np.allclose(short / short[kmax], long[:6] / long[kmax], rtol=5e-15, atol=0.0)
 
 
 def test_negative_displacement_alternates_sign():
@@ -244,10 +247,29 @@ def test_displacement_operator_cross_check():
         assert np.max(np.abs(direct - matrix)) <= 1e-8
 
 
-def test_ratio_overflow_guard():
-    with pytest.raises(OverflowError):
-        coherent.coherent_state(30.0, 1.0, 10)
-    ds = DataSet(np.array([[0.1, 0.2], [0.3, 1.0]]), np.ones(2))
-    coherent.gram_coherent(ds, 1.0 / 26.45, 5)  # (r/sigma)^2 just under the limit
-    with pytest.raises(OverflowError, match=r"\(r/sigma\)\^2 = 1111\.1 exceeds 700"):
-        coherent.gram_coherent(ds, 0.03, 5)
+def test_coherent_state_is_a_unit_vector_past_the_float_range_of_its_norm():
+    """exp(57^2) overflows float64; the amplitudes never form it."""
+    for order in (10, 3249, 4000):
+        st = coherent.coherent_state(57.0, 1.0, order)
+        assert np.isclose(np.linalg.norm(st.amplitudes), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("m, d", [(256, 2), (64, 3)])
+@pytest.mark.parametrize("sigma", [0.05, 0.03, 0.015, 0.0088])  # (r/sigma)^2 ~ 100 to 3200
+def test_gram_coherent_accuracy_at_large_ratios(m, d, sigma):
+    """Every entry lies within (2 d delta + d gamma_N + u) / m of the exact matrix.
+
+    2 d delta is the truncation bound; gamma_N = N u / (1 - N u) bounds the
+    rounding of each N-term dot product of unit vectors (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 3.1), one per
+    coordinate; u covers the rounding of the exact entry.
+    """
+    ds = coherent.centred(gen_data(m, d, [0.0, 1.0], seed=0))
+    delta = 1e-16
+    order = coherent.min_order(coherent.max_ratio(ds.sites, sigma), delta)
+    u = 2.0**-53
+    gamma = order * u / (1.0 - order * u)
+    bound = (2 * d * delta + d * gamma + u) / m
+    approx = coherent.gram_coherent(ds, sigma, order).data
+    exact = assemble(ds, gaussian(sigma=sigma), normalized=True).data
+    assert np.max(np.abs(approx - exact)) <= bound

@@ -73,10 +73,14 @@ def test_ideal_inversion_random_spd_systems():
 
 
 def test_rotation_scale_above_lambda_min_rejected():
-    A = np.diag([0.5, 0.25])
-    y = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    with pytest.raises(ValueError):
-        qinvert.invert_ideal(A, y, InversionConfig(rotation_scale=0.3))
+    # the second C is ten times lambda_min: only a relative check refuses it
+    cases = [
+        (np.diag([0.5, 0.25]), np.array([1.0, 1.0]) / math.sqrt(2.0), 0.3),
+        (np.diag([1e-13, 1.0]), np.array([1.0, 0.0]), 1e-12),
+    ]
+    for A, y, C in cases:
+        with pytest.raises(ValueError, match="exceeds the smallest kept eigenvalue"):
+            qinvert.invert_ideal(A, y, InversionConfig(rotation_scale=C))
 
 
 def test_non_pd_matrix_names_its_spectrum_and_the_spectral_floor():
