@@ -1,8 +1,10 @@
 """Simulated eigenvalue inversion: ideal rotation vs a finite clock register.
 
 Solves A c = y by rotating an ancilla through C/lambda on each
-eigenbranch.  Ideal mode uses the true eigenvalues; quantized mode runs
-a full statevector simulation of the phase-estimation clock, so grid
+eigenbranch.  Ideal mode applies that map exactly: with no spectral
+floor it is C A^{-1}, so it is simulated from the eigenvalues and one
+Cholesky factor of A.  Quantized mode runs a full statevector
+simulation of the phase-estimation clock in the eigenbasis, so grid
 resolution and leakage become visible.
 """
 

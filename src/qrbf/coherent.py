@@ -96,9 +96,9 @@ def _amplitudes(ratios, order: int) -> np.ndarray:
     zero = r == 0.0
     table[zero] = 0.0
     table[zero, 0] = 1.0
-    for row in table:
-        # a 1-D norm per row: norm(axis=-1) differs from it in the last ulp
-        row /= np.linalg.norm(row)
+    # one 1 x order @ order x 1 product per row: numpy computes it with the
+    # dot routine of the 1-D norm, where norm(axis=-1) differs in the last ulp
+    table /= np.sqrt(np.matmul(table[:, None, :], table[:, :, None]))[:, 0]
     return table[0] if scalar else table
 
 

@@ -7,8 +7,13 @@ post-selects the ancilla on 1.  The surviving state is proportional to
 A^{-1} y, the post-selection probability p determines the normalization
 factor F = sqrt(p), and the solution norm follows as ||c|| = F ||y|| / C.
 
-Two fidelity levels are provided.  `invert_ideal` applies the rotation
-with the exact eigenvalues, isolating the algorithmic map lambda -> C/lambda.
+Two fidelity levels are provided.  `invert_ideal` applies the exact
+map lambda -> C/lambda.  With no spectral floor that map is C A^{-1}
+on all of |y>, so the state, p = C^2 ||A^{-1} y_hat||^2 and the
+classical check all come from one Cholesky factor, and only the
+eigenvalues (for C, kappa and the repetition ledger) are computed, not
+the eigenbasis; a floor projects onto the eigenvalues above it, which
+needs the eigenbasis.
 `invert_quantized` runs a full statevector simulation of phase
 estimation with a b-bit clock register: controlled powers of
 e^{iA t0 / 2^b}, inverse Fourier transform, rotation keyed on the clock
@@ -75,7 +80,7 @@ class SolveReport:
     mode: str
     eigenvalues: np.ndarray
     kept: np.ndarray
-    overlaps: np.ndarray
+    overlaps: np.ndarray | None
     rotation_scale: float
     post_select_prob: float
     norm_factor: float
@@ -96,7 +101,7 @@ class SolveReport:
             "mode": self.mode,
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "kept": [bool(v) for v in self.kept],
-            "overlaps": [float(v) for v in self.overlaps],
+            "overlaps": None if self.overlaps is None else [float(v) for v in self.overlaps],
             "rotation_scale": float(self.rotation_scale),
             "post_select_prob": float(self.post_select_prob),
             "norm_factor": float(self.norm_factor),
@@ -118,14 +123,19 @@ class SolveReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def eigensolve(A):
-    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix."""
+def _symmetric(A) -> np.ndarray:
+    """Dense copy of A, refused unless it is square and symmetric."""
     dense = interpolation._as_dense(A)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("need a square matrix")
     if np.max(np.abs(dense - dense.T)) > 1e-10 * max(1.0, np.max(np.abs(dense))):
         raise ValueError("matrix is not symmetric")
-    w, u = np.linalg.eigh(dense)
+    return dense
+
+
+def eigensolve(A):
+    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix."""
+    w, u = np.linalg.eigh(_symmetric(A))
     return w, u
 
 
@@ -145,22 +155,34 @@ def filter_spectrum(eigenvalues, spectral_floor: float):
     return kept, kappa_eff
 
 
-def _prepare(A, y, config):
-    w, u = eigensolve(A)
+def _rhs(y, m: int):
+    """y as a flat float vector of length m, and its norm, which must be nonzero."""
     y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != w.shape[0]:
+    if y.shape[0] != m:
         raise ValueError("matrix and right-hand side sizes disagree")
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         raise ValueError("right-hand side must be nonzero")
+    return y, ynorm
+
+
+def _not_pd(w) -> interpolation.NotPositiveDefiniteError:
+    """The error for a matrix of ascending spectrum w that cannot be inverted whole."""
+    kappa = f"{w[-1] / w[0]:.3e}" if w[0] > 0.0 else "inf"
+    return interpolation.NotPositiveDefiniteError(
+        f"the matrix to invert is not positive definite (lambda_min {w[0]:.3e}, "
+        f"lambda_max {w[-1]:.3e}, kappa {kappa}); set "
+        "inversion.spectral_floor to invert on the eigenvalues above it"
+    )
+
+
+def _prepare(A, y, config):
+    w, u = eigensolve(A)
+    y, ynorm = _rhs(y, w.shape[0])
     floor = config.spectral_floor
     if floor is None:
         if w[0] <= 0.0:
-            raise interpolation.NotPositiveDefiniteError(
-                f"the matrix to invert is not positive definite (lambda_min {w[0]:.3e}, "
-                f"lambda_max {w[-1]:.3e}, kappa inf); set "
-                "inversion.spectral_floor to invert on the eigenvalues above it"
-            )
+            raise _not_pd(w)
         kept_idx = np.arange(w.shape[0])
         kappa_eff = float(w[-1] / w[0])
     else:
@@ -171,15 +193,20 @@ def _prepare(A, y, config):
     return w, u, beta, kept, kappa_eff, ynorm
 
 
-def _classical_fidelity(A, y, state: np.ndarray) -> float:
-    """|<c|state>| for the Cholesky solution c of A c = y; NaN when A is not PD."""
-    y = np.asarray(y, dtype=float).ravel()
-    try:
-        c = interpolation.cho_solve(interpolation.cho_factor(interpolation._as_dense(A)), y)
-    except np.linalg.LinAlgError:
-        return math.nan
+def _fidelity(factor, y, state: np.ndarray) -> float:
+    """|<c|state>| for the solution c of A c = y from A's Cholesky factor."""
+    c = interpolation.cho_solve(factor, y)
     c = c / np.linalg.norm(c)
     return float(abs(np.vdot(c, state)))
+
+
+def _classical_fidelity(A, y, state: np.ndarray) -> float:
+    """|<c|state>| for the Cholesky solution c of A c = y; NaN when A is not PD."""
+    try:
+        factor = interpolation.cho_factor(interpolation._as_dense(A))
+    except np.linalg.LinAlgError:
+        return math.nan
+    return _fidelity(factor, np.asarray(y, dtype=float).ravel(), state)
 
 
 def _ideal_state(w, u, beta, kept) -> np.ndarray:
@@ -188,8 +215,8 @@ def _ideal_state(w, u, beta, kept) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-def _report(mode, A, y, config, prepared, C, p, state, **extra) -> SolveReport:
-    w, u, beta, kept, kappa_eff, ynorm = prepared
+def _report(mode, config, prepared, C, p, state, fidelity, **extra) -> SolveReport:
+    w, _, beta, kept, kappa_eff, ynorm = prepared
     F = math.sqrt(p)
     return SolveReport(
         mode=mode,
@@ -201,7 +228,7 @@ def _report(mode, A, y, config, prepared, C, p, state, **extra) -> SolveReport:
         norm_factor=F,
         coeff_norm_est=F * ynorm / C,
         state_out=PureState(state, (state.shape[0],)),
-        fidelity_vs_classical=_classical_fidelity(A, y, state),
+        fidelity_vs_classical=fidelity,
         repetitions_ledger=math.ceil(1.0 / float(w[kept].min())),
         kappa_eff=kappa_eff,
         spectral_floor=config.spectral_floor,
@@ -209,25 +236,57 @@ def _report(mode, A, y, config, prepared, C, p, state, **extra) -> SolveReport:
     )
 
 
+def _rotation_scale(config, lam_min: float) -> float:
+    """The configured C, lambda_min by default; refused above lambda_min."""
+    C = lam_min if config.rotation_scale is None else float(config.rotation_scale)
+    if C > lam_min * (1 + 1e-12):
+        raise ValueError(
+            f"rotation_scale {C} exceeds the smallest kept eigenvalue {lam_min}"
+        )
+    return C
+
+
 def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
-    """Inversion with exact eigenvalues: rotation amplitudes C/lambda_j.
+    """Inversion with rotation amplitudes C/lambda_j on the exact spectrum.
+
+    With no spectral floor the rotation reaches every eigencomponent, so
+    the post-selected state is C A^{-1} y_hat: it comes from one Cholesky
+    factor, beside the eigenvalues alone (eigvalsh, not eigh), and
+    overlaps is None.  fidelity_vs_classical is then read from the same
+    factor and is 1 to rounding by construction; the agreement with the
+    eigenbasis map is what tests check.  A floor keeps the eigenbasis
+    path, which projects onto the eigenvalues above it.
 
     post_select_prob is computed by amplitude arithmetic, never sampled
     here.  With the default C = lambda_min it is bounded below by
     1/kappa^2.
     """
     config = config or InversionConfig()
-    w, u, beta, kept, _, _ = prepared = _prepare(A, y, config)
-    lam = w[kept]
-    lam_min = float(lam.min())
-    C = lam_min if config.rotation_scale is None else float(config.rotation_scale)
-    if C > lam_min * (1 + 1e-12):
-        raise ValueError(
-            f"rotation_scale {C} exceeds the smallest kept eigenvalue {lam_min}"
-        )
-    amp = C * beta[kept] / lam
-    p = float(np.dot(amp, amp))
-    return _report("ideal", A, y, config, prepared, C, p, _ideal_state(w, u, beta, kept))
+    if config.spectral_floor is not None:
+        w, u, beta, kept, _, _ = prepared = _prepare(A, y, config)
+        lam = w[kept]
+        C = _rotation_scale(config, float(lam.min()))
+        amp = C * beta[kept] / lam
+        p = float(np.dot(amp, amp))
+        state = _ideal_state(w, u, beta, kept)
+        return _report("ideal", config, prepared, C, p, state, _classical_fidelity(A, y, state))
+    dense = _symmetric(A)
+    w = np.linalg.eigvalsh(dense)
+    y, ynorm = _rhs(y, w.shape[0])
+    if w[0] <= 0.0:
+        raise _not_pd(w)
+    C = _rotation_scale(config, float(w[0]))
+    try:
+        factor = interpolation.cho_factor(dense)
+    except np.linalg.LinAlgError as exc:
+        raise _not_pd(w) from exc
+    x = interpolation.cho_solve(factor, y / ynorm)
+    xnorm = float(np.linalg.norm(x))
+    state = x / xnorm
+    # no eigenbasis on this path: every eigenvalue is kept and there are no overlaps
+    prepared = (w, None, None, np.ones(w.shape[0], dtype=bool), float(w[-1] / w[0]), ynorm)
+    return _report("ideal", config, prepared, C, (C * xnorm) ** 2, state,
+                   _fidelity(factor, y, state))
 
 
 def _clock_zero(back: np.ndarray):
@@ -313,7 +372,7 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     theta = np.angle(phase_align) if abs(phase_align) > 0 else 0.0
     deviation = float(np.linalg.norm(state * np.exp(-1j * theta) - ideal))
     return _report(
-        "quantized", A, y, config, prepared, C, p, state,
+        "quantized", config, prepared, C, p, state, _classical_fidelity(A, y, state),
         evolution_time=t0,
         clock_bits=b,
         deviation_from_ideal=deviation,

@@ -68,6 +68,22 @@ def test_amplitude_table_rows_equal_single_coordinate_states(order):
             assert np.array_equal(factors, np.stack([_reference_amplitudes(r, order) for r in x]))
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 17, 64, 339, 1161, 3300])
+def test_batched_row_norms_equal_one_dimensional_norms(order):
+    """Rows are normalised in one batched product, bit for bit as by a 1-D norm each.
+
+    The grid runs over negative, zero and positive ratios up to
+    (r/sigma)^2 of about 3200.
+    """
+    rng = np.random.default_rng(order)
+    grid = np.linspace(-56.6, 56.6, 67)  # passes through 0.0
+    ratios = np.concatenate([grid, rng.uniform(-56.6, 56.6, 33), [0.0, -1e-300, 1e-300]])
+    assert 0.0 in grid
+    table = coherent._amplitudes(ratios, order)
+    want = np.stack([_reference_amplitudes(float(r), order) for r in ratios])
+    assert np.array_equal(table, want)
+
+
 def test_truncations_share_prefixes():
     """Log-space evaluation keeps short and long truncations consistent.
 

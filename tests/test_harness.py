@@ -486,6 +486,26 @@ def test_verify_bounds_truncation_suite_and_files(tmp_path):
         harness.verify_bounds("not-a-suite")
 
 
+def test_inversion_suite_fidelity_rows_check_the_state_against_an_independent_solve(monkeypatch):
+    from qrbf import qcore, qinvert
+
+    good = harness.verify_bounds("inversion", seed=0)
+    fidelity = [r for r in good.rows if r["case"].endswith(" fidelity")]
+    assert len(fidelity) == 30 and all(r["passed"] for r in fidelity)
+    invert_ideal = qinvert.invert_ideal
+
+    def reversed_state(a, y, config=None):
+        # a wrong state under a report that still claims fidelity 1
+        rep = invert_ideal(a, y, config)
+        amps = rep.state_out.amplitudes[::-1]
+        rep.state_out = qcore.PureState(amps, (amps.shape[0],))
+        return rep
+
+    monkeypatch.setattr(qinvert, "invert_ideal", reversed_state)
+    bad = harness.verify_bounds("inversion", seed=0)
+    assert all(not r["passed"] for r in bad.rows if r["case"].endswith(" fidelity"))
+
+
 def test_verify_bounds_rows_are_deterministic():
     a = harness.verify_bounds("gram", seed=5)
     b = harness.verify_bounds("gram", seed=5)
@@ -540,6 +560,15 @@ def test_quantized_compact_run_factorizes_each_system_once(factor_calls):
     # the exact system: one assembly, one CG solve, one spectrum; the oracle
     # matrix: one eigh for the inversion, one Cholesky for its classical check
     assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "eigh": 1, "cho_factor": 1}
+
+
+def test_ideal_global_run_factorizes_each_matrix_once(factor_calls):
+    cfg = _global_cfg(64, 0.1)
+    cfg["inversion"] = {"mode": "ideal"}
+    harness.run_pipeline(cfg)
+    # the exact system: one assembly, one spectrum, one Cholesky solve; the
+    # Gram: its eigenvalues and one Cholesky factor, no eigenbasis
+    assert factor_calls == {"assemble": 1, "eigvalsh": 2, "cho_factor": 2}
 
 
 def test_non_pd_oracle_matrix_takes_no_eigenvalues_for_its_fidelity(factor_calls):

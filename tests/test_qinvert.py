@@ -1,11 +1,12 @@
 """Tests for the simulated linear-system inversion and readout primitives."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qrbf import interpolation, qinvert
+from qrbf import compact, harness, interpolation, kernels, qinvert
 from qrbf.qinvert import InversionConfig
 
 
@@ -98,6 +99,97 @@ def test_non_pd_matrix_names_its_spectrum_and_the_spectral_floor():
     assert rep.kept.tolist() == [False, True]
 
 
+def _log_spread_spd(rng, m):
+    """Random SPD matrix with eigenvalues log-uniform in [1e-8, 1]."""
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    A = q @ np.diag(10.0 ** rng.uniform(-8.0, 0.0, m)) @ q.T
+    return 0.5 * (A + A.T)
+
+
+def _global_gram_system(monkeypatch):
+    """The Gram matrix and right-hand side the seed-0 global-gram benchmark inverts."""
+    caught = []
+    invert = qinvert.invert
+
+    def spy(matrix, y, cfg):
+        caught.append((np.array(matrix), np.array(y)))
+        return invert(matrix, y, cfg)
+
+    monkeypatch.setattr(qinvert, "invert", spy)
+    harness.run_pipeline({
+        "pipeline": "quantum-global",
+        "seed": 0,
+        "dataset": {"m": 512, "d": 2},
+        "kernel": {"family": "gaussian", "sigma": 0.05},
+        "inversion": {"mode": "ideal"},
+        "queries": {"n": 20},
+    })
+    return caught[0]
+
+
+def test_cholesky_path_matches_the_eigenbasis_path(monkeypatch):
+    """With no floor, one Cholesky factor gives the eigenbasis map C/lambda_j.
+
+    spectral_floor=0.0 keeps every eigenvalue of an SPD matrix but takes
+    the eigenbasis path, so it is the reference.  fidelity_vs_classical on
+    the Cholesky path reads its classical solution from the same factor and
+    is 1 to rounding by construction: this agreement is the check it used
+    to witness.  Measured worst cases over 3000 such systems: state 1.4,
+    post_select_prob 7.6 and coeff_norm_est 4.1 times kappa u.
+    """
+    u = 2.0**-53
+    systems = []
+    for trial in range(40):
+        rng = np.random.default_rng(900 + trial)
+        m = int(rng.integers(2, 17))
+        systems.append((_log_spread_spd(rng, m), rng.standard_normal(m)))
+    systems.append(_global_gram_system(monkeypatch))
+    assert systems[-1][0].shape == (512, 512)
+    for A, y in systems:
+        rep = qinvert.invert_ideal(A, y)
+        ref = qinvert.invert_ideal(A, y, InversionConfig(spectral_floor=0.0))
+        assert ref.kept.all() and ref.overlaps is not None
+        tol = rep.kappa_eff * u
+        assert np.max(np.abs(rep.state_out.amplitudes - ref.state_out.amplitudes)) <= 4 * tol
+        assert math.isclose(rep.post_select_prob, ref.post_select_prob, rel_tol=16 * tol)
+        assert math.isclose(rep.coeff_norm_est, ref.coeff_norm_est, rel_tol=16 * tol)
+        assert np.array_equal(rep.eigenvalues, np.linalg.eigvalsh(A))
+        assert rep.kept.dtype == bool and rep.kept.all() and rep.kept.shape == y.shape
+        assert rep.overlaps is None
+    # the seed-0 benchmark Gram is ill-conditioned, so the tolerance has teeth
+    assert rep.kappa_eff > 1e7
+
+
+def test_ideal_inversion_without_floor_takes_eigenvalues_and_one_factor(factor_calls):
+    rng = np.random.default_rng(5)
+    A = _random_spd(rng, 6)
+    rep = qinvert.invert_ideal(A, rng.standard_normal(6))
+    assert factor_calls == {"eigvalsh": 1, "cho_factor": 1}
+    assert json.loads(rep.to_json())["overlaps"] is None
+
+
+def test_failed_cholesky_names_the_spectrum_and_the_spectral_floor(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(interpolation, "cho_factor", fail)
+    match = (
+        r"lambda_min 2\.500e-01, lambda_max 5\.000e-01, kappa 2\.000e\+00\); "
+        r"set inversion\.spectral_floor"
+    )
+    with pytest.raises(interpolation.NotPositiveDefiniteError, match=match) as info:
+        qinvert.invert_ideal(np.diag([0.5, 0.25]), np.array([1.0, 1.0]))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    # an estimated oracle matrix (positive definite here, kappa about 5)
+    # adds the AE knob to the same message
+    rng = np.random.default_rng(11)
+    ds = interpolation.DataSet(rng.uniform(0.0, 1.0, (24, 2)), rng.standard_normal(24))
+    cfg = compact.CompactOracleConfig(kernel=kernels.wendland(3, 2, alpha=0.2), ae_bits=8, seed=0)
+    match = r"kappa \d\.\d{3}e\+00\); set inversion\.spectral_floor .*, or raise compact\.ae_bits"
+    with pytest.raises(interpolation.NotPositiveDefiniteError, match=match):
+        compact.solve_compact(ds, cfg)
+
+
 def test_spectral_floor_projects_small_eigenvalues():
     A = np.diag([1e-6, 0.5, 1.0])
     y = np.ones(3) / math.sqrt(3.0)
@@ -122,6 +214,8 @@ def test_quantized_on_grid_matches_ideal():
 
 
 def _deviation_from_separate_ideal(A, y, rep, floor):
+    # a floor of 0 keeps the eigenbasis path, the one invert_quantized's reference takes
+    floor = 0.0 if floor is None else floor
     ideal = qinvert.invert_ideal(A, y, InversionConfig(spectral_floor=floor)).state_out.amplitudes
     state = rep.state_out.amplitudes
     theta = np.angle(np.vdot(ideal, state))
@@ -237,8 +331,6 @@ def test_invert_dispatches_on_mode():
 
 
 def test_report_serializes_to_json():
-    import json
-
     A = np.diag([0.25, 0.5])
     rep = qinvert.invert_ideal(A, np.array([1.0, 1.0]))
     out = json.loads(rep.to_json())
