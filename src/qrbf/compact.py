@@ -23,18 +23,18 @@ otherwise.  The pattern is evaluated in closed form: with s = sin(pi y /
 (s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2, since the Fejer numerator
 sin^2(pi 2^bits omega) is the same in every cell and cancels.  An exact
 hit (s = a, a zero denominator) makes the row the normalised indicator
-of its hit cells.  Per-pair streams seeded by (seed, i, j) keep every oracle
-call reproducible regardless of evaluation order.
+of its hit cells.
 
-oracle_PA is the per-entry reference: it draws from
-np.random.default_rng((seed, i, j)).  build_matrix computes the same
-entries in one batched pass over the upper-triangle pairs: a_ij == a_ji
-bit for bit, so it builds one outcome distribution per unordered pair and
-takes one draw per ordered pair from that pair's (seed, i, j) stream, by
-the inverse-CDF rule Generator.choice uses.  It builds no generator:
-_pair_uniforms reproduces the first uniform of every stream in numpy
-(SeedSequence hashing, PCG64 seeding and one XSL-RR output), and the
-tests hold it to default_rng bit for bit.  Distributions are built in
+oracle_PA is the per-entry reference.  The pair {i, j} owns the
+counter-based stream Generator(Philox(key=seed, counter=[min(i, j),
+max(i, j), 0, 0])), a pure function of (seed, i, j), so every call is
+reproducible in any order: (i, j) takes its first uniform for i < j and
+its second for i > j.  build_matrix computes the same entries in one
+batched pass over the upper-triangle pairs: a_ij == a_ji bit for bit, so
+it builds one outcome distribution per unordered pair and takes one draw
+per ordered pair, by the inverse-CDF rule Generator.choice uses.
+_pair_uniforms evaluates Philox4x64-10 (Salmon et al., SC'11) for all
+pairs at once, bit for bit as numpy does.  Distributions are built in
 blocks of at most _BLOCK_CELLS grid cells, so memory stays flat in m.
 """
 
@@ -226,17 +226,11 @@ def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
     return table[inverse].reshape(np.shape(y))
 
 
-# numpy's SeedSequence hash and mix constants, and the PCG64 (XSL-RR 128/64)
-# multiplier; _pair_uniforms reproduces default_rng's seeding with them
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_M32 = 0xFFFFFFFF
-
-
-def _xorshift16(v):
-    return v ^ (v >> np.uint32(16))
+# Philox4x64-10 round multipliers and key increments (Salmon, Moraes, Dror and
+# Shaw, SC'11), as in numpy's Philox
+_PHILOX_MULT = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_M32, _M64 = 2**32 - 1, 2**64 - 1
 
 
 def _mulhi64(a, b):
@@ -251,105 +245,38 @@ def _mulhi64(a, b):
     return a1 * b1 + (t >> s32) + (mid >> s32)
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 state step, state * multiplier + inc modulo 2**128."""
-    mul_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-    return _add128(mul_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
-
-
-def _seed_hash(init: int, mult: int):
-    """SeedSequence's word hash on uint32 arrays, one call after another.
-
-    The hash constant steps by mult on every call, whatever the data, so
-    it is kept as a Python int and the same for every pair of the batch.
-    """
-    const = init
-
-    def hash_word(v):
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = (const * mult) & _M32
-        return _xorshift16(v * np.uint32(const))
-
-    return hash_word
-
-
-def _seed_sequence_state(seed: int, i: np.ndarray, j: np.ndarray) -> list:
-    """SeedSequence((seed, p, q)).generate_state(4, np.uint64) for each pair of i, j.
-
-    The entropy words are seed's little-endian 32-bit words, then p, then
-    q; the result is the four uint64 state words, one array each.
-    """
-    seed_words = [seed & _M32]
-    while seed > _M32:
-        seed >>= 32
-        seed_words.append(seed & _M32)
-    words = [np.full(i.shape, w, dtype=np.uint32) for w in seed_words]
-    words += [i.astype(np.uint32), j.astype(np.uint32)]
-    hashmix = _seed_hash(_HASH_INIT_A, _HASH_MULT_A)
-
-    def mix(x, y):
-        return _xorshift16(_MIX_MULT_L * x - _MIX_MULT_R * y)
-
-    # the pool of four: entropy words hashed in (zeros past the end), every
-    # pool word mixed into every other, then any entropy words past four
-    zero = np.zeros_like(words[0])
-    pool = [hashmix(words[k] if k < len(words) else zero) for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # eight output words cycling the pool, joined in pairs, low word first
-    out = _seed_hash(_HASH_INIT_B, _HASH_MULT_B)
-    state = []
-    for k in range(0, 8, 2):
-        low = out(pool[k % 4]).astype(np.uint64)
-        state.append(low | (out(pool[k % 4 + 1]).astype(np.uint64) << np.uint64(32)))
-    return state
-
-
 def _pair_uniforms(seed, i, j) -> np.ndarray:
-    """default_rng((seed, p, q)).random() for each pair (p, q) of index arrays i, j.
+    """First two random() draws of Generator(Philox(key=seed, counter=[i, j, 0, 0])).
 
-    The same draws bit for bit, computed for the whole batch at once:
-    SeedSequence((seed, p, q)) gives four uint64 words, which seed
-    PCG64 (state 0, inc = 2 seq + 1, step, add the initial state, step);
-    one more step and the XSL-RR output give a 53-bit double.  Arithmetic
-    is uint32 or uint64 with wraparound, 128-bit values as (hi, lo)
-    pairs.  Indices must lie in [0, 2**32); a negative seed raises
-    ValueError, as in default_rng.
+    One row per pair of the index arrays i, j, shape i.shape + (2,), the
+    same draws bit for bit, computed for the whole batch at once.  numpy
+    steps the counter before its first block, so the row holds words 0
+    and 1 of the Philox4x64-10 block at counter (i + 1, j, 0, 0) under
+    the 128-bit key seed, each as (word >> 11) 2^-53.  A seed outside
+    [0, 2**128), Philox's key range, or a negative index raises
+    ValueError.
     """
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    if not 0 <= seed < 2**128:
+        raise ValueError("seed must lie in [0, 2**128), the Philox key range")
     i, j = np.broadcast_arrays(i, j)
-    if i.size and not (min(i.min(), j.min()) >= 0 and max(i.max(), j.max()) <= _M32):
-        raise ValueError("pair indices must lie in [0, 2**32)")
-    s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(seed, i, j)
-    # PCG64 srandom from state 0, whose first step leaves state == inc
-    inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
-    inc_lo = (q_lo << np.uint64(1)) | np.uint64(1)
-    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)
-    del s_hi, s_lo, q_hi, q_lo  # 32 bytes per draw, freed before the steps' temporaries
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    # the draw: step, XSL-RR output, top 53 bits as a double in [0, 1)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    rot = hi >> np.uint64(58)
-    x = hi ^ lo
-    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    if i.size and min(i.min(), j.min()) < 0:
+        raise ValueError("pair indices must be non-negative")
+    zero = np.zeros(i.shape, dtype=np.uint64)
+    ctr = [i.astype(np.uint64) + np.uint64(1), j.astype(np.uint64), zero, zero]
+    key = [seed & _M64, seed >> 64]
+    mult0, mult1 = _PHILOX_MULT
+    for r in range(10):
+        if r:
+            key = [(k + bump) & _M64 for k, bump in zip(key, _PHILOX_BUMP)]
+        hi0, hi1 = _mulhi64(ctr[0], mult0), _mulhi64(ctr[2], mult1)
+        ctr = [hi1 ^ ctr[1] ^ np.uint64(key[0]), ctr[2] * mult1,
+               hi0 ^ ctr[3] ^ np.uint64(key[1]), ctr[0] * mult0]
+    return (np.stack(ctr[:2], axis=-1) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def amplitude_estimate(a_true: float, ae_bits: int, seed) -> float:
-    """Draw one amplitude-estimation outcome and map it back to [0, 1]."""
+    """Draw one amplitude-estimation outcome from default_rng(seed), mapped to [0, 1]."""
     u = np.random.default_rng(seed).random()
     y = _draw(estimation_pmf(a_true, ae_bits), np.array([u]))
     return float(_outcome_amplitude(y[0], ae_bits))
@@ -359,8 +286,8 @@ def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> 
     """Matrix-entry oracle: estimated (or exact) distance pushed through the kernel.
 
     Estimated mode reconstructs r_hat = a_hat * sqrt(2(||x_i||^2+||x_j||^2))
-    from one amplitude-estimation draw seeded by (seed, i, j), then
-    evaluates the kernel profile at r_hat.
+    from one amplitude-estimation draw on the pair's Philox stream (see the
+    module docstring), then evaluates the kernel profile at r_hat.
     """
     m = dataset.m
     if not (0 <= i < m and 0 <= j < m):
@@ -372,7 +299,10 @@ def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> 
     if config.ae_bits is None:
         return float(config.kernel.eval(float(interpolation.pair_distance(x_i, x_j))))
     a = distance_amplitude(x_i, x_j, ni, nj)
-    a_hat = amplitude_estimate(a, config.ae_bits, (config.seed, i, j))
+    gen = np.random.Generator(np.random.Philox(key=config.seed, counter=sorted((i, j)) + [0, 0]))
+    if i > j:
+        gen.random()
+    a_hat = amplitude_estimate(a, config.ae_bits, gen)
     r_hat = a_hat * pair_scale(x_i, x_j, ni, nj)
     return float(config.kernel.eval(r_hat))
 
@@ -406,18 +336,16 @@ def _estimated_radii(
 ) -> np.ndarray:
     """Estimated radii of the pairs (i, j), shape (n, 2): orders (i, j), (j, i).
 
-    Both orders share one distribution, since the amplitude is symmetric;
-    each order takes the first uniform of its (seed, i, j) stream.  The
-    uniforms come from one _pair_uniforms call per order, which reproduces
-    default_rng((seed, i, j)).random() in numpy without building a
-    generator per pair.
+    Both orders share one distribution, since the amplitude is symmetric.
+    With i < j, one _pair_uniforms call gives each pair's two uniforms, the
+    first to order (i, j) and the second to order (j, i), as oracle_PA
+    draws them, without building a generator per pair.
     """
     ni, nj = dataset.site_norms[i], dataset.site_norms[j]
     scale = np.sqrt(2.0 * (ni * ni + nj * nj))
     amps = dist / scale
     bits = config.ae_bits
-    # one call per order, so the uint64 temporaries cover half the draws at a time
-    u = np.stack([_pair_uniforms(config.seed, i, j), _pair_uniforms(config.seed, j, i)], axis=1)
+    u = _pair_uniforms(config.seed, i, j)
     y = np.empty(u.shape, dtype=np.int64)
     step = max(1, _BLOCK_CELLS >> bits)
     for start in range(0, amps.shape[0], step):
@@ -434,7 +362,7 @@ def build_matrix(
     Entries equal the symmetrized oracle, (PA(i,j) + PA(j,i))/2, bit for
     bit: the entrywise oracle does not guarantee symmetry on its own.  In
     estimated mode there is one outcome distribution per unordered pair
-    and one draw per ordered pair from its (seed, i, j) stream;
+    and one draw per ordered pair from the pair's Philox stream;
     distributions are built in blocks of at most _BLOCK_CELLS cells so
     memory does not grow with m.  Exact mode reproduces
     interpolation.assemble entry for entry.
@@ -535,12 +463,12 @@ def solve_compact(
         raise interpolation.NotPositiveDefiniteError(
             f"{exc}, or raise compact.ae_bits to estimate the oracle entries more finely"
         ) from exc
-    chat = exact.coeffs.c / np.linalg.norm(exact.coeffs.c)
-    fidelity = float(abs(np.vdot(chat, report.state_out.amplitudes)))
     return CompactReport(
         solve=report,
         sparsity=built.sparsity,
         matrix_error=float(np.linalg.norm((built.data - exact.matrix.data).toarray(), "fro")),
-        fidelity_vs_exact_solution=fidelity,
+        fidelity_vs_exact_solution=qinvert.solution_fidelity(
+            exact.coeffs.c, report.state_out.amplitudes
+        ),
         matrix=built,
     )

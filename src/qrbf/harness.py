@@ -584,6 +584,10 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "coeff_norm_est": report.coeff_norm_est,
         "coeff_norm_classical": coeffs.norm,
         "fidelity_vs_classical": report.fidelity_vs_classical,
+        # on the Cholesky path the field above is 1 by construction; this one is not
+        "fidelity_vs_exact_solution": qinvert.solution_fidelity(
+            coeffs.c, report.state_out.amplitudes
+        ),
         "deviation_from_ideal": report.deviation_from_ideal,
         "repetitions_ledger": report.repetitions_ledger,
         "norm_successes": norm_successes,
@@ -894,16 +898,20 @@ def _suite_compact_oracle(seed: int) -> list:
     truth = set(zip(coo.row.tolist(), coo.col.tolist()))
     rows.append(("column-oracle-scan", f"pattern of {len(truth)} nonzeros",
                  float(len(pattern ^ truth)), 0.0, pattern == truth))
-    # estimated-mode matrix error scales linearly with the estimation step
+    # estimated-mode entry error scales linearly with the estimation step; the
+    # median over the pairs of one build does not hinge on a few unlucky draws
     bits_sweep = [4, 5, 6, 7, 8, 9, 10, 11, 12]
+    upper = np.triu_indices(ds.m, k=1)
+    exact_upper = exact.toarray()[upper]
+    support = exact_upper != 0.0
     errs = []
     for bits in bits_sweep:
         cfg_b = compact.CompactOracleConfig(kernel=kern, ae_bits=bits, seed=seed)
-        built_b = compact.build_matrix(ds, cfg_b)
-        errs.append(float(np.linalg.norm((built_b.data - exact.data).toarray(), "fro")))
+        built_b = compact.build_matrix(ds, cfg_b).toarray()[upper]
+        errs.append(float(np.median(np.abs(built_b - exact_upper)[support])))
     slope = _slope([2.0**-b for b in bits_sweep], errs)
-    rows.append(("ae-error-slope", "frobenius error vs 2^-bits, target 1 +/- 0.3", slope, 1.0,
-                 abs(slope - 1.0) <= 0.3))
+    rows.append(("ae-error-slope", "median entrywise error vs 2^-bits, target 1 +/- 0.3", slope,
+                 1.0, abs(slope - 1.0) <= 0.3))
     # positive definiteness at alpha = twice the median neighbor distance
     for dw, k in kernels.WENDLAND_PAIRS:
         d_data = min(dw, 3)

@@ -193,11 +193,14 @@ def _prepare(A, y, config):
     return w, u, beta, kept, kappa_eff, ynorm
 
 
+def solution_fidelity(c, state: np.ndarray) -> float:
+    """|<c_hat|state>| with c_hat = c / ||c||: how well a unit state points along c."""
+    return float(abs(np.vdot(c / np.linalg.norm(c), state)))
+
+
 def _fidelity(factor, y, state: np.ndarray) -> float:
     """|<c|state>| for the solution c of A c = y from A's Cholesky factor."""
-    c = interpolation.cho_solve(factor, y)
-    c = c / np.linalg.norm(c)
-    return float(abs(np.vdot(c, state)))
+    return solution_fidelity(interpolation.cho_solve(factor, y), state)
 
 
 def _classical_fidelity(A, y, state: np.ndarray) -> float:

@@ -282,7 +282,7 @@ def test_build_matrix_equals_symmetrized_oracle_loop(bits):
         assert np.array_equal(compact._outcome_amplitude(y, bits), np.array(want))
         assert compact._outcome_amplitude(y[0, 0], bits).shape == ()
         assert float(compact._outcome_amplitude(y[0, 0], bits)) == want[0][0]
-    # 2**40 + 3 is two seed words, so each (seed, i, j) has four entropy words
+    # 2**40 + 3 fills more than 32 bits of the 128-bit Philox key
     for seed in (0, 3, 11, 2**40 + 3):
         r = np.random.default_rng(500 + seed)
         ds = _dataset(r, m, 2 + seed % 2)
@@ -296,33 +296,48 @@ def test_build_matrix_equals_symmetrized_oracle_loop(bits):
             assert np.array_equal(got, ref), name
 
 
-def _default_rng_uniforms(seed, i, j):
-    return np.array([np.random.default_rng((seed, p, q)).random() for p, q in zip(i, j)])
+def _philox_uniforms(seed, p, q):
+    """First two random() draws of numpy's Philox stream at counter [p, q, 0, 0].
+
+    The key is passed as an int: numpy reads a list key through float, so
+    key=[2**63 + 5, 0] would become 2**63.
+    """
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[p, q, 0, 0]))
+    return gen.random(), gen.random()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 + 5, 2**64 + 7, 2**100 + 3])
-def test_pair_uniforms_equal_default_rng(seed):
-    # all ordered pairs of m=64, index 0 and the diagonal included; the two
-    # largest seeds give more than four entropy words, so SeedSequence runs
-    # its extra mixing rounds
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**31, 2**32 + 5, 2**63 + 5, 2**64 + 7, 2**100 + 3, 2**128 - 1]
+)
+def test_pair_uniforms_equal_numpy_philox(seed):
+    # every counter (p, q) of m=64, index 0 and the diagonal included
     i, j = np.divmod(np.arange(64 * 64), 64)
     got = compact._pair_uniforms(seed, i, j)
-    assert got.dtype == np.float64 and got.shape == i.shape
-    assert np.array_equal(got, _default_rng_uniforms(seed, i.tolist(), j.tolist()))
-    # both orders of a pair are different streams; batch shape is kept
+    assert got.dtype == np.float64 and got.shape == i.shape + (2,)
+    want = np.array([_philox_uniforms(seed, p, q) for p, q in zip(i.tolist(), j.tolist())])
+    assert np.array_equal(got, want)
+    # all 4096 ordered pairs as the oracle draws them: the pair's first
+    # uniform for p <= q, its second for p > q
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    ordered = compact._pair_uniforms(seed, lo, hi)[np.arange(i.size), (i > j).astype(int)]
+    want = [
+        _philox_uniforms(seed, min(p, q), max(p, q))[p > q] for p, q in zip(i.tolist(), j.tolist())
+    ]
+    assert np.array_equal(ordered, np.array(want))
+    assert not np.array_equal(got[:, 0], got[:, 1])
+    # batch shape is kept
     upper, lower = np.triu_indices(64, k=1)
-    both = compact._pair_uniforms(seed, np.stack([upper, lower], 1), np.stack([lower, upper], 1))
-    assert both.shape == (upper.size, 2)
-    assert np.array_equal(both[:, 0], _default_rng_uniforms(seed, upper, lower))
-    assert np.array_equal(both[:, 1], _default_rng_uniforms(seed, lower, upper))
-    assert not np.array_equal(both[:, 0], both[:, 1])
+    block = compact._pair_uniforms(seed, np.stack([upper, lower]), np.stack([lower, upper]))
+    assert block.shape == (2, upper.size, 2)
+    assert np.array_equal(block[0], compact._pair_uniforms(seed, upper, lower))
 
 
-def test_pair_uniforms_reject_negative_seed_as_default_rng_does():
-    with pytest.raises(ValueError):
-        np.random.default_rng((-1, 0, 1))
-    with pytest.raises(ValueError):
-        compact._pair_uniforms(-1, np.array([0]), np.array([1]))
+def test_pair_uniforms_reject_seeds_outside_the_philox_key_range():
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            np.random.Philox(key=seed)
+        with pytest.raises(ValueError):
+            compact._pair_uniforms(seed, np.array([0]), np.array([1]))
     with pytest.raises(ValueError):
         compact._pair_uniforms(0, np.array([-1]), np.array([1]))
 

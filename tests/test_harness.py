@@ -229,6 +229,27 @@ def test_global_pipeline_inverts_the_gram_of_the_centred_dataset(monkeypatch):
     assert len(inverted) == 1 and np.array_equal(inverted[0], want)
 
 
+def test_global_fidelity_vs_exact_solution_sees_a_wrong_state(monkeypatch):
+    from qrbf import qcore, qinvert
+
+    cfg = _global_cfg(24, 0.2, seed=2)
+    good = harness.run_pipeline(cfg).summary
+    assert good["fidelity_vs_exact_solution"] > 1.0 - 1e-9
+    invert = qinvert.invert
+
+    def reversed_state(matrix, y, config):
+        # a wrong state under a report that still claims fidelity 1
+        rep = invert(matrix, y, config)
+        amps = rep.state_out.amplitudes[::-1]
+        rep.state_out = qcore.PureState(amps, (amps.shape[0],))
+        return rep
+
+    monkeypatch.setattr(qinvert, "invert", reversed_state)
+    bad = harness.run_pipeline(cfg).summary
+    assert bad["fidelity_vs_classical"] == good["fidelity_vs_classical"]
+    assert bad["fidelity_vs_exact_solution"] < 0.5
+
+
 def test_global_pipeline_needs_a_norm_success_to_pass():
     """No success in the norm draw reads every f_quantum as 0: not a pass."""
     for seed, successes in ((0, 4), (3, 0)):
