@@ -23,19 +23,29 @@ otherwise.  The pattern is evaluated in closed form: with s = sin(pi y /
 (s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2, since the Fejer numerator
 sin^2(pi 2^bits omega) is the same in every cell and cancels.  An exact
 hit (s = a, a zero denominator) makes the row the normalised indicator
-of its hit cells.
+of its hit cells.  estimation_pmf and _draw evaluate the whole grid and
+are the reference distribution.
+
+The oracles never form the whole grid.  The weight depends on y only
+through s, and so does the estimate, so _sample_outcomes draws from the
+folded half y in [0, M/2] (cells 0 < y < M/2 weigh twice).  It
+evaluates the 2 _WINDOW cells around M omega exactly and draws the rest
+of the half by rejection against the envelope M^2 / (2 k^2), k = |y - M
+omega|, which bounds every folded weight and whose integral inverts in
+closed form: expected O(_WINDOW) work per draw at any bit count, and the
+accepted outcomes follow estimation_pmf's distribution exactly.
 
 oracle_PA is the per-entry reference.  The pair {i, j} owns the
-counter-based stream Generator(Philox(key=seed, counter=[min(i, j),
-max(i, j), 0, 0])), a pure function of (seed, i, j), so every call is
-reproducible in any order: (i, j) takes its first uniform for i < j and
-its second for i > j.  build_matrix computes the same entries in one
-batched pass over the upper-triangle pairs: a_ij == a_ji bit for bit, so
-it builds one outcome distribution per unordered pair and takes one draw
-per ordered pair, by the inverse-CDF rule Generator.choice uses.
-_pair_uniforms evaluates Philox4x64-10 (Salmon et al., SC'11) for all
-pairs at once, bit for bit as numpy does.  Distributions are built in
-blocks of at most _BLOCK_CELLS grid cells, so memory stays flat in m.
+counter-based Philox4x64-10 blocks under key seed at counters (min(i, j)
++ 1, max(i, j), c2, 0), numpy's Philox(key=seed, counter=[min(i, j),
+max(i, j), c2, 0]), a pure function of (seed, i, j), so every call is
+reproducible in any order.  Attempt c2 = 0, 1, ... of a draw reads block
+c2: word 0 draws the outcome of order (i, j) (i < j) and word 1 that of
+(j, i), words 2 and 3 accept or reject their tail proposals.
+build_matrix computes the same entries in one batched pass over the
+upper-triangle pairs: a_ij == a_ji bit for bit, so both orders share
+one amplitude.  _pair_uniforms evaluates Philox4x64-10 (Salmon et al.,
+SC'11) for all pairs at once, bit for bit as numpy does.
 """
 
 from __future__ import annotations
@@ -54,9 +64,9 @@ from .qcore import PureState
 from .qinvert import InversionConfig, SolveReport
 
 _AE_BITS_CAP = 20
-# grid cells per block of distributions in build_matrix, so the block
-# temporaries stay small at any m; with ae_bits above 14 a block holds one pair
-_BLOCK_CELLS = 2**14
+# half-width of the window of outcome cells weighed exactly around M omega;
+# about 2/(pi^2 _WINDOW) of the mass lies beyond it and is drawn by rejection
+_WINDOW = 8
 
 
 @dataclass
@@ -154,6 +164,18 @@ def _grid_sines(ae_bits: int) -> np.ndarray:
     return table
 
 
+def _closed_form(s, a):
+    """Unnormalised outcome weight of the cells with grid sines s, and its squared denominator.
+
+    (s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2, s and a broadcast; a 0
+    denominator gives inf or nan.
+    """
+    s2 = s * s
+    den = ((s - a) * (s + a)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (s2 + a * a * (1.0 - 2.0 * s2)) / den, den
+
+
 def estimation_pmf(a_true, ae_bits: int) -> np.ndarray:
     """Outcome distribution of canonical amplitude estimation on a 2^bits grid.
 
@@ -165,7 +187,8 @@ def estimation_pmf(a_true, ae_bits: int) -> np.ndarray:
 
         pmf_y  proportional to  (s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2,
 
-    a few multiplies and one divide per cell, s read from _grid_sines.
+    a few multiplies and one divide per cell (_closed_form), s read from
+    _grid_sines.
     A row with an exact hit, a cell whose squared denominator is 0, is the
     normalised indicator of its hit cells (the 0/0 limit of F): an
     on-grid amplitude splits 0.5/0.5 between y0 and M - y0, and a = 0 or
@@ -178,12 +201,7 @@ def estimation_pmf(a_true, ae_bits: int) -> np.ndarray:
     a = a.reshape(-1, 1)
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("amplitude must lie in [0, 1]")
-    s = _grid_sines(ae_bits)
-    s2 = s * s
-    den = ((s - a) * (s + a)) ** 2
-    pmf = s2 + a * a * (1.0 - 2.0 * s2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pmf /= den
+    pmf, den = _closed_form(_grid_sines(ae_bits), a)
     total = pmf.sum(axis=-1, keepdims=True)
     hit_rows = ~np.isfinite(total[:, 0])
     if hit_rows.any():
@@ -213,17 +231,96 @@ def _draw(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
-    """Amplitude |sin(pi y / 2^bits)| read from each outcome y.
+    """Amplitude sin(pi y / 2^bits) read from each folded outcome y in [0, 2^bits / 2].
 
-    math.sin once per distinct outcome, so estimates do not depend on which
-    vectorized loop numpy picks.  It is sin(pi y / M) itself, not the
-    _grid_sines entry: for some y, sin(pi (M - y) / M) differs from it in
-    the last bit.
+    A lookup into _grid_sines, whose entry for y <= M/2 is
+    math.sin(math.pi * y / M) itself, so no estimate depends on which
+    vectorized loop numpy picks.
     """
+    return _grid_sines(ae_bits)[y]
+
+
+def _folded_weights(a, y, ae_bits: int):
+    """Folded outcome weights c'_y of amplitudes a at cells y in [0, M/2], and hit flags.
+
+    c'_y is estimation_pmf's unnormalised _closed_form, taken twice for
+    0 < y < M/2, where cells y and M - y fold together; a and y broadcast.
+    A cell whose squared denominator is 0 is flagged as a hit and its
+    weight is inf or nan.
+    """
+    weight, den = _closed_form(_grid_sines(ae_bits)[y], a)
+    fold = np.where((y == 0) | (y == 2 ** (ae_bits - 1)), 1.0, 2.0)
+    return fold * weight, den == 0.0
+
+
+def _sample_outcomes(a, ae_bits: int, uniforms) -> np.ndarray:
+    """Two independent folded AE outcomes for each amplitude of a, shape (n, 2).
+
+    Outcomes follow estimation_pmf(a) folded onto y in [0, M/2], M =
+    2^bits.  A draw picks one of the window cells, the min(2 _WINDOW,
+    M/2 + 1) cells from floor(mu) - _WINDOW + 1 on, mu = M arcsin(a) / pi
+    (shifted to fit in [0, M/2]), with its exact weight c'_y, or a tail
+    cell beyond them with the weight of the envelope M^2 / (2 (x - mu)^2)
+    over the cell [y - 1/2, y + 1/2], which is M^2 / (2 (k^2 - 1/4)),
+    k = y - mu, and is at least c'_y.  A tail cell is found by inverting
+    the envelope's integral and kept with probability c'_y over its
+    envelope weight; a rejected draw starts again, so the kept outcomes
+    are exact.  A window cell with a zero denominator is a hit: both
+    draws return it, as estimation_pmf's indicator does.
+
+    uniforms(c2, rows) gives the (len(rows), 4) uniforms of attempt c2
+    for the rows of a still drawing: column k picks draw k's cell by
+    inverse CDF over the window and tails, column 2 + k accepts or
+    rejects its tail proposal.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError("amplitude must lie in [0, 1]")
     M = 2**ae_bits
-    outcomes, inverse = np.unique(y, return_inverse=True)
-    table = np.array([abs(math.sin(math.pi * v / M)) for v in outcomes.tolist()])
-    return table[inverse].reshape(np.shape(y))
+    half, h = M // 2, M * M / 2.0
+    mu = np.array([math.asin(v) for v in a.tolist()]) * (M / math.pi)
+    width = min(2 * _WINDOW, half + 1)
+    lo = np.clip(np.floor(mu).astype(np.int64) + (1 - _WINDOW), 0, half + 1 - width)
+    last = lo + width - 1
+    # the tails are the cells [0, lo) and (last, half], with envelope
+    # masses h (1/d_near - 1/d_far) written without the cancellation
+    left = h * lo / ((mu - lo + 0.5) * (mu + 0.5))
+    right = h * (half - last) / ((last + 0.5 - mu) * (half + 0.5 - mu))
+    has_tail = left + right > 0.0
+    y = np.full((a.shape[0], 2), -1, dtype=np.int64)
+    # the window's running masses, weighed one offset at a time so that the
+    # temporaries stay O(len(a))
+    cdf = np.empty((width, a.shape[0]))
+    for offset in range(width):
+        cdf[offset], hit = _folded_weights(a, lo + offset, ae_bits)
+        y[hit] = lo[hit, None] + offset
+    np.cumsum(cdf, axis=0, out=cdf)
+    window = cdf[-1]
+    total = window + left + right
+    c2 = 0
+    while (y < 0).any():
+        rows = np.flatnonzero((y < 0).any(axis=1))
+        r = uniforms(c2, rows)
+        u = r[:, :2] * total[rows, None]
+        # inverse CDF over the window: count the cells whose running mass is <= u
+        out = lo[rows, None] + sum(column[rows, None] <= u for column in cdf[:-1])
+        # u == window mass can round up from a uniform below 1 when no tail is left
+        sub, k = np.nonzero((u >= window[rows, None]) & has_tail[rows, None])
+        tr = rows[sub]
+        t = u[sub, k] - window[tr]
+        go_right = (t >= left[tr]) & (right[tr] > 0.0)
+        near = np.where(go_right, last[tr] + 0.5 - mu[tr], mu[tr] - lo[tr] + 0.5)
+        dist = 1.0 / (1.0 / near - np.where(go_right, t - left[tr], t) / h)
+        x = np.floor(np.where(go_right, mu[tr] + dist, mu[tr] - dist) + 0.5)
+        cell = np.where(
+            go_right, np.clip(x, last[tr] + 1, half), np.clip(x, 0, lo[tr] - 1)
+        ).astype(np.int64)
+        envelope = h / ((cell - mu[tr]) ** 2 - 0.25)
+        accept = r[sub, 2 + k] * envelope < _folded_weights(a[tr], cell, ae_bits)[0]
+        out[sub, k] = np.where(accept, cell, -1)
+        y[rows] = np.where(y[rows] < 0, out, y[rows])
+        c2 += 1
+    return y
 
 
 # Philox4x64-10 round multipliers and key increments (Salmon, Moraes, Dror and
@@ -245,13 +342,13 @@ def _mulhi64(a, b):
     return a1 * b1 + (t >> s32) + (mid >> s32)
 
 
-def _pair_uniforms(seed, i, j) -> np.ndarray:
-    """First two random() draws of Generator(Philox(key=seed, counter=[i, j, 0, 0])).
+def _pair_uniforms(seed, i, j, c2: int = 0) -> np.ndarray:
+    """First four random() draws of Generator(Philox(key=seed, counter=[i, j, c2, 0])).
 
-    One row per pair of the index arrays i, j, shape i.shape + (2,), the
+    One row per pair of the index arrays i, j, shape i.shape + (4,), the
     same draws bit for bit, computed for the whole batch at once.  numpy
     steps the counter before its first block, so the row holds words 0
-    and 1 of the Philox4x64-10 block at counter (i + 1, j, 0, 0) under
+    to 3 of the Philox4x64-10 block at counter (i + 1, j, c2, 0) under
     the 128-bit key seed, each as (word >> 11) 2^-53.  A seed outside
     [0, 2**128), Philox's key range, or a negative index raises
     ValueError.
@@ -263,7 +360,7 @@ def _pair_uniforms(seed, i, j) -> np.ndarray:
     if i.size and min(i.min(), j.min()) < 0:
         raise ValueError("pair indices must be non-negative")
     zero = np.zeros(i.shape, dtype=np.uint64)
-    ctr = [i.astype(np.uint64) + np.uint64(1), j.astype(np.uint64), zero, zero]
+    ctr = [i.astype(np.uint64) + np.uint64(1), j.astype(np.uint64), zero + np.uint64(c2), zero]
     key = [seed & _M64, seed >> 64]
     mult0, mult1 = _PHILOX_MULT
     for r in range(10):
@@ -272,22 +369,29 @@ def _pair_uniforms(seed, i, j) -> np.ndarray:
         hi0, hi1 = _mulhi64(ctr[0], mult0), _mulhi64(ctr[2], mult1)
         ctr = [hi1 ^ ctr[1] ^ np.uint64(key[0]), ctr[2] * mult1,
                hi0 ^ ctr[3] ^ np.uint64(key[1]), ctr[0] * mult0]
-    return (np.stack(ctr[:2], axis=-1) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (np.stack(ctr, axis=-1) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def amplitude_estimate(a_true: float, ae_bits: int, seed) -> float:
-    """Draw one amplitude-estimation outcome from default_rng(seed), mapped to [0, 1]."""
-    u = np.random.default_rng(seed).random()
-    y = _draw(estimation_pmf(a_true, ae_bits), np.array([u]))
-    return float(_outcome_amplitude(y[0], ae_bits))
+    """One amplitude-estimation outcome, mapped to [0, 1], drawn from default_rng(seed).
+
+    _sample_outcomes draws it; each attempt reads the generator's next
+    four uniforms.
+    """
+    gen = np.random.default_rng(seed)
+    y = _sample_outcomes(a_true, ae_bits, lambda c2, rows: gen.random((1, 4)))
+    return float(_outcome_amplitude(y[0, 0], ae_bits))
 
 
 def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> float:
     """Matrix-entry oracle: estimated (or exact) distance pushed through the kernel.
 
     Estimated mode reconstructs r_hat = a_hat * sqrt(2(||x_i||^2+||x_j||^2))
-    from one amplitude-estimation draw on the pair's Philox stream (see the
-    module docstring), then evaluates the kernel profile at r_hat.
+    from one amplitude-estimation draw by _sample_outcomes, then evaluates
+    the kernel profile at r_hat.  Attempt c2 of the draw reads the first
+    block of numpy's Philox(key=seed, counter=[min(i, j), max(i, j), c2,
+    0]), word 0 for i < j and word 1 for i > j (see the module docstring):
+    the words build_matrix reads, so its entries equal this oracle's.
     """
     m = dataset.m
     if not (0 <= i < m and 0 <= j < m):
@@ -299,11 +403,14 @@ def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> 
     if config.ae_bits is None:
         return float(config.kernel.eval(float(interpolation.pair_distance(x_i, x_j))))
     a = distance_amplitude(x_i, x_j, ni, nj)
-    gen = np.random.Generator(np.random.Philox(key=config.seed, counter=sorted((i, j)) + [0, 0]))
-    if i > j:
-        gen.random()
-    a_hat = amplitude_estimate(a, config.ae_bits, gen)
-    r_hat = a_hat * pair_scale(x_i, x_j, ni, nj)
+    lo, hi = sorted((i, j))
+
+    def block(c2, rows):
+        gen = np.random.Generator(np.random.Philox(key=config.seed, counter=[lo, hi, c2, 0]))
+        return gen.random((1, 4))
+
+    y = _sample_outcomes(a, config.ae_bits, block)[0, int(i > j)]
+    r_hat = float(_outcome_amplitude(y, config.ae_bits)) * pair_scale(x_i, x_j, ni, nj)
     return float(config.kernel.eval(r_hat))
 
 
@@ -336,22 +443,19 @@ def _estimated_radii(
 ) -> np.ndarray:
     """Estimated radii of the pairs (i, j), shape (n, 2): orders (i, j), (j, i).
 
-    Both orders share one distribution, since the amplitude is symmetric.
-    With i < j, one _pair_uniforms call gives each pair's two uniforms, the
-    first to order (i, j) and the second to order (j, i), as oracle_PA
-    draws them, without building a generator per pair.
+    Both orders share one amplitude, since it is symmetric.  With i < j,
+    _sample_outcomes draws both orders of every pair at once, attempt c2
+    reading the pair's Philox block _pair_uniforms(seed, i, j, c2), the
+    words oracle_PA reads, without building a generator per pair.
+    Expected O(_WINDOW) work per pair at any bit count.
     """
     ni, nj = dataset.site_norms[i], dataset.site_norms[j]
     scale = np.sqrt(2.0 * (ni * ni + nj * nj))
-    amps = dist / scale
-    bits = config.ae_bits
-    u = _pair_uniforms(config.seed, i, j)
-    y = np.empty(u.shape, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS >> bits)
-    for start in range(0, amps.shape[0], step):
-        block = slice(start, start + step)
-        y[block] = _draw(estimation_pmf(amps[block], bits), u[block])
-    return _outcome_amplitude(y, bits) * scale[:, None]
+    y = _sample_outcomes(
+        dist / scale, config.ae_bits,
+        lambda c2, rows: _pair_uniforms(config.seed, i[rows], j[rows], c2),
+    )
+    return _outcome_amplitude(y, config.ae_bits) * scale[:, None]
 
 
 def build_matrix(
@@ -361,11 +465,9 @@ def build_matrix(
 
     Entries equal the symmetrized oracle, (PA(i,j) + PA(j,i))/2, bit for
     bit: the entrywise oracle does not guarantee symmetry on its own.  In
-    estimated mode there is one outcome distribution per unordered pair
-    and one draw per ordered pair from the pair's Philox stream;
-    distributions are built in blocks of at most _BLOCK_CELLS cells so
-    memory does not grow with m.  Exact mode reproduces
-    interpolation.assemble entry for entry.
+    estimated mode each ordered pair takes one draw from the unordered
+    pair's Philox blocks, O(_WINDOW) cells per pair (_estimated_radii).
+    Exact mode reproduces interpolation.assemble entry for entry.
     """
     from scipy.sparse import coo_array
 

@@ -637,6 +637,8 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
             abs_err=abs_err.tolist(),
         )
 
+    # the oracle matrix's own Cholesky check reads NaN when it fails, and JSON has no NaN
+    oracle_pd = not math.isnan(report.fidelity_vs_classical)
     summary = {
         "pipeline": "quantum-compact",
         "seed": seed,
@@ -652,7 +654,8 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "post_select_prob": report.post_select_prob,
         "coeff_norm_est": report.coeff_norm_est,
         "coeff_norm_classical": coeffs.norm,
-        "fidelity_vs_oracle_matrix": report.fidelity_vs_classical,
+        "fidelity_vs_oracle_matrix": report.fidelity_vs_classical if oracle_pd else None,
+        "oracle_matrix_positive_definite": oracle_pd,
         "fidelity_vs_exact_solution": creport.fidelity_vs_exact_solution,
         "max_abs_err": float(np.max(abs_err, initial=0.0)),
         "n_queries": len(rows),

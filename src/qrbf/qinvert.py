@@ -108,7 +108,10 @@ class SolveReport:
             "coeff_norm_est": float(self.coeff_norm_est),
             "state_out_real": [float(v) for v in amps.real],
             "state_out_imag": [float(v) for v in amps.imag],
-            "fidelity_vs_classical": float(self.fidelity_vs_classical),
+            # NaN when the matrix is not positive definite, written as null
+            "fidelity_vs_classical": (
+                None if math.isnan(self.fidelity_vs_classical) else float(self.fidelity_vs_classical)
+            ),
             "repetitions_ledger": int(self.repetitions_ledger),
             "kappa_eff": float(self.kappa_eff),
             "spectral_floor": self.spectral_floor,

@@ -271,21 +271,28 @@ def _oracle_loop_matrix(ds, cfg, normalized):
 
 
 @pytest.mark.parametrize("bits", [None, 4, 8, 12, 16, 20])
-def test_build_matrix_equals_symmetrized_oracle_loop(bits):
-    # from 16 bits on one pair's distribution is larger than a whole block
-    assert 2**16 > compact._BLOCK_CELLS
-    m = {16: 7, 20: 2}.get(bits, 16)
+def test_build_matrix_equals_symmetrized_oracle_loop(bits, monkeypatch):
     if bits is not None:
-        # outcome amplitudes: math.sin once per outcome, for arrays and 0-d input
-        y = np.random.default_rng(bits).integers(0, 2**bits, size=(50, 2))
-        want = [[abs(math.sin(math.pi * v / 2**bits)) for v in row] for row in y.tolist()]
+        # folded outcome amplitudes are the sine table itself, for arrays and 0-d input
+        M = 2**bits
+        y = np.random.default_rng(bits).integers(0, M // 2 + 1, size=(50, 2))
+        want = [[math.sin(math.pi * v / M) for v in row] for row in y.tolist()]
         assert np.array_equal(compact._outcome_amplitude(y, bits), np.array(want))
         assert compact._outcome_amplitude(y[0, 0], bits).shape == ()
         assert float(compact._outcome_amplitude(y[0, 0], bits)) == want[0][0]
+    # record which Philox counter words c2 the batched build reads
+    attempts = []
+    pair_uniforms = compact._pair_uniforms
+
+    def recording(seed, i, j, c2=0):
+        attempts.append(c2)
+        return pair_uniforms(seed, i, j, c2)
+
+    monkeypatch.setattr(compact, "_pair_uniforms", recording)
     # 2**40 + 3 fills more than 32 bits of the 128-bit Philox key
     for seed in (0, 3, 11, 2**40 + 3):
         r = np.random.default_rng(500 + seed)
-        ds = _dataset(r, m, 2 + seed % 2)
+        ds = _dataset(r, 16, 2 + seed % 2)
         cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=1.1), ae_bits=bits, seed=seed)
         normalized = seed % 2 == 1
         built = compact.build_matrix(ds, cfg, normalized=normalized).data
@@ -294,16 +301,177 @@ def test_build_matrix_equals_symmetrized_oracle_loop(bits):
             got, ref = getattr(built, name), getattr(want, name)
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref), name
+    # from 8 bits on some draws land in the tail and are rejected, so the
+    # oracle's retries at counter words c2 >= 1 are compared too
+    assert (max(attempts, default=-1) >= 1) == (bits is not None and bits >= 8)
 
 
-def _philox_uniforms(seed, p, q):
-    """First two random() draws of numpy's Philox stream at counter [p, q, 0, 0].
+def _folded_pmf(a, bits):
+    """estimation_pmf(a) folded onto y in [0, M/2]: cells y and M - y summed."""
+    pmf = compact.estimation_pmf(a, bits)
+    half = 2 ** (bits - 1)
+    folded = pmf[: half + 1].copy()
+    folded[1:half] += pmf[:half:-1]
+    return folded
+
+
+def _chi2_pvalue(draws, pmf):
+    """Pearson chi-squared p-value of draws against pmf.
+
+    Cells expected below 5 times are pooled; a pool still below 5 joins
+    the largest cell.  None when a single bin is left.
+    """
+    from scipy import stats
+
+    expected = pmf * draws.size
+    observed = np.bincount(draws.ravel(), minlength=pmf.size).astype(float)
+    big = expected >= 5.0
+    obs, exp = list(observed[big]), list(expected[big])
+    pooled_obs, pooled_exp = observed[~big].sum(), expected[~big].sum()
+    if pooled_exp >= 5.0:
+        obs.append(pooled_obs)
+        exp.append(pooled_exp)
+    else:
+        top = int(np.argmax(exp))
+        obs[top] += pooled_obs
+        exp[top] += pooled_exp
+    if len(exp) < 2:
+        return None
+    obs, exp = np.array(obs), np.array(exp)
+    return float(stats.chi2.sf(np.sum((obs - exp) ** 2 / exp), len(exp) - 1))
+
+
+def _window_only_draws(a, bits, n, rng):
+    """Planted defect: the sampler's window with its exact weights and no tail."""
+    M = 2**bits
+    half = M // 2
+    pmf = _folded_pmf(a, bits)
+    width = min(2 * compact._WINDOW, half + 1)
+    lo = min(max(math.floor(M * math.asin(a) / math.pi) + 1 - compact._WINDOW, 0), half + 1 - width)
+    cdf = np.cumsum(pmf[lo : lo + width])
+    return lo + np.searchsorted(cdf / cdf[-1], rng.random(n), side="right")
+
+
+@pytest.mark.parametrize("bits", [4, 8, 12])
+def test_sample_outcomes_fit_the_folded_estimation_pmf(bits):
+    M = 2**bits
+    rng = np.random.default_rng(1000 + bits)
+    on_grid = math.sin(math.pi * (M // 3) / M)
+    near = math.sin(math.pi * (M // 5) / M)
+    hits = {0.0: 0, 1.0: M // 2, on_grid: M // 3}
+    amps = [*hits, near + 1e-9, near - 1e-9, *rng.uniform(0.0, 1.0, 3)]
+    n = 100_000
+    for a in amps:
+        gen = np.random.default_rng((bits, 7))
+        # two draws per row: 2 * 10^5 outcomes
+        y = compact._sample_outcomes(np.full(n, a), bits, lambda c2, rows: gen.random((rows.size, 4)))
+        assert y.shape == (n, 2) and y.min() >= 0 and y.max() <= M // 2
+        pmf = _folded_pmf(a, bits)
+        if a in hits:
+            assert np.all(y == hits[a])
+            continue
+        p = _chi2_pvalue(y, pmf)
+        if a in (near + 1e-9, near - 1e-9):
+            # an amplitude 1e-9 off the grid keeps all but ~1e-16 of its mass on one cell
+            assert p is None and np.all(y == M // 5)
+            continue
+        assert p > 1e-3, (a, p)
+        if bits > 4:
+            # beyond the window lies about 2/(pi^2 _WINDOW) of the mass; at 4 bits
+            # the window is the whole half-grid
+            planted = _window_only_draws(a, bits, 2 * n, np.random.default_rng(bits))
+            assert _chi2_pvalue(planted, pmf) < 1e-9, a
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8, 12])
+def test_folded_weights_stay_under_the_envelope(bits):
+    # c'_y <= M^2 / (2 k^2), k = y - M arcsin(a) / pi, on every cell of a
+    # dense amplitude grid, on-grid and just-off-grid amplitudes included
+    M = 2**bits
+    half = M // 2
+    grid = np.array([math.sin(math.pi * v / M) for v in range(half + 1)])
+    amps = np.concatenate([
+        np.linspace(0.0, 1.0, 1001), grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0),
+        grid - 1e-9, grid + 1e-9,
+    ])
+    amps = amps[(amps >= 0.0) & (amps <= 1.0)]
+    y = np.arange(half + 1)
+    worst = 0.0
+    for chunk in np.array_split(amps, max(1, amps.size * y.size // 2**18)):
+        mu = np.array([math.asin(v) for v in chunk.tolist()])[:, None] * (M / math.pi)
+        weight, hit = compact._folded_weights(chunk[:, None], y, bits)
+        k = y - mu
+        tail = (np.abs(k) >= 0.5) & ~hit
+        assert np.all(np.isfinite(weight[tail]))
+        worst = max(worst, float(np.max(weight[tail] * 2.0 * k[tail] ** 2 / M**2)))
+    assert worst <= 1.0
+    # the bound sin(pi t) >= 2 |t| is tight at t = 1/2, so the envelope is too
+    assert worst > (0.9 if bits >= 8 else 0.4)
+
+
+def _pair_dataset(sites):
+    sites = np.array(sites, dtype=float)
+    return interp.DataSet(sites, np.arange(1.0, sites.shape[0] + 1.0))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 8])
+def test_estimated_build_edge_cases_equal_the_oracle(bits):
+    kern = wendland(3, 2, alpha=3.0)
+    cfg = CompactOracleConfig(kernel=kern, ae_bits=bits, seed=5)
+    # m = 1 has no pairs
+    single = _pair_dataset([[0.3, 0.4]])
+    assert compact.build_matrix(single, cfg).toarray().tolist() == [[kern.phi0]]
+    assert compact.oracle_PA(0, 0, single, cfg) == kern.phi0
+    # m = 2, and sites 0, 1 coincident (a = 0) and 0, 2 antipodal (a = 1);
+    # DataSet refuses coincident sites, so site 1 is moved onto site 0 afterwards
+    for sites in ([[0.3, 0.4], [-0.2, 0.1]], [[0.3, 0.4], [0.4, 0.3], [-0.3, -0.4], [0.5, -0.1]]):
+        ds = _pair_dataset(sites)
+        if ds.m == 4:
+            ds.sites[1] = ds.sites[0]
+            ds.site_norms[1] = ds.site_norms[0]
+        built = compact.build_matrix(ds, cfg)
+        want = _oracle_loop_matrix(ds, cfg, normalized=False)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(built.data, name), getattr(want, name)), name
+    dense = built.toarray()
+    # both draws of an exact hit return it: estimate 0, and 1 times the pair scale
+    assert dense[0, 1] == dense[1, 0] == kern.phi0
+    scale = compact.pair_scale(ds.sites[0], ds.sites[2], ds.site_norms[0], ds.site_norms[2])
+    assert dense[0, 2] == float(kern.eval(scale))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_window_covers_the_half_grid_at_three_bits_or_fewer(bits):
+    # no tail, so no draw is ever rejected: every row reads attempt 0 only
+    attempts = []
+
+    def uniforms(c2, rows):
+        attempts.append(c2)
+        return np.random.default_rng((bits, c2)).random((rows.size, 4))
+
+    amps = np.random.default_rng(bits).uniform(0.0, 1.0, 20_000)
+    y = compact._sample_outcomes(amps, bits, uniforms)
+    assert attempts == [0]
+    # every cell of the half-grid is reached
+    assert set(np.unique(y).tolist()) == set(range(2 ** (bits - 1) + 1))
+
+
+def test_sample_outcomes_rejects_amplitudes_outside_the_unit_interval():
+    never = lambda c2, rows: pytest.fail("no uniforms for a rejected amplitude")  # noqa: E731
+    for bad in (-1e-12, 1.0 + 1e-12, math.nan):
+        with pytest.raises(ValueError, match=r"amplitude must lie in \[0, 1\]"):
+            compact._sample_outcomes(np.array([0.5, bad]), 8, never)
+    assert compact._sample_outcomes(np.array([]), 8, never).shape == (0, 2)
+
+
+def _philox_uniforms(seed, p, q, c2=0):
+    """First four random() draws of numpy's Philox stream at counter [p, q, c2, 0].
 
     The key is passed as an int: numpy reads a list key through float, so
     key=[2**63 + 5, 0] would become 2**63.
     """
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[p, q, 0, 0]))
-    return gen.random(), gen.random()
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[p, q, c2, 0]))
+    return [gen.random() for _ in range(4)]
 
 
 @pytest.mark.parametrize(
@@ -313,9 +481,15 @@ def test_pair_uniforms_equal_numpy_philox(seed):
     # every counter (p, q) of m=64, index 0 and the diagonal included
     i, j = np.divmod(np.arange(64 * 64), 64)
     got = compact._pair_uniforms(seed, i, j)
-    assert got.dtype == np.float64 and got.shape == i.shape + (2,)
+    assert got.dtype == np.float64 and got.shape == i.shape + (4,)
     want = np.array([_philox_uniforms(seed, p, q) for p, q in zip(i.tolist(), j.tolist())])
     assert np.array_equal(got, want)
+    # later attempts read counter word c2 = 1, 2, ... of the same key
+    for c2 in (1, 2, 7):
+        got_c2 = compact._pair_uniforms(seed, i[::61], j[::61], c2)
+        want = [_philox_uniforms(seed, p, q, c2) for p, q in zip(i[::61].tolist(), j[::61].tolist())]
+        assert np.array_equal(got_c2, np.array(want))
+        assert not np.any(got_c2 == got[::61])
     # all 4096 ordered pairs as the oracle draws them: the pair's first
     # uniform for p <= q, its second for p > q
     lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -328,7 +502,7 @@ def test_pair_uniforms_equal_numpy_philox(seed):
     # batch shape is kept
     upper, lower = np.triu_indices(64, k=1)
     block = compact._pair_uniforms(seed, np.stack([upper, lower]), np.stack([lower, upper]))
-    assert block.shape == (2, upper.size, 2)
+    assert block.shape == (2, upper.size, 4)
     assert np.array_equal(block[0], compact._pair_uniforms(seed, upper, lower))
 
 

@@ -592,17 +592,46 @@ def test_ideal_global_run_factorizes_each_matrix_once(factor_calls):
     assert factor_calls == {"assemble": 1, "eigvalsh": 2, "cho_factor": 2}
 
 
+_NON_PD_ORACLE_CFG = {
+    "pipeline": "quantum-compact",
+    "seed": 0,
+    "dataset": {"m": 128, "d": 2},
+    "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.15},
+    "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
+    "compact": {"ae_bits": 8},
+}
+
+
 def test_non_pd_oracle_matrix_takes_no_eigenvalues_for_its_fidelity(factor_calls):
     # m=128 at ae_bits 8: the oracle matrix is not positive definite, so its
-    # Cholesky check fails and reads NaN without a spectrum to word an error
-    result = harness.run_pipeline({
-        "pipeline": "quantum-compact",
-        "seed": 0,
-        "dataset": {"m": 128, "d": 2},
-        "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.15},
-        "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
-        "compact": {"ae_bits": 8},
-    })
-    assert math.isnan(result.summary["fidelity_vs_oracle_matrix"])
+    # Cholesky check fails without a spectrum to word an error
+    result = harness.run_pipeline(_NON_PD_ORACLE_CFG)
+    assert result.summary["fidelity_vs_oracle_matrix"] is None
+    assert math.isnan(result.solve_report.fidelity_vs_classical)
     # eigvalsh only for the exact system's spectrum
     assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "eigh": 1, "cho_factor": 1}
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("ae_bits, positive_definite", [(8, False), (None, True)])
+def test_compact_summary_is_strict_json_and_flags_a_non_pd_oracle_matrix(
+    tmp_path, ae_bits, positive_definite
+):
+    cfg = {**_NON_PD_ORACLE_CFG, "compact": {"ae_bits": ae_bits}, "queries": {"n": 3}}
+    harness.run_pipeline(cfg, out_dir=str(tmp_path))
+    summary = _strict_json(tmp_path / "summary.json")
+    report = _strict_json(tmp_path / "solve_report.json")
+    assert summary["oracle_matrix_positive_definite"] is positive_definite
+    if positive_definite:
+        # the spectral floor projects the state off the smallest eigenvalues
+        assert 0.5 < summary["fidelity_vs_oracle_matrix"] <= 1.0
+        assert report["fidelity_vs_classical"] == summary["fidelity_vs_oracle_matrix"]
+    else:
+        assert summary["fidelity_vs_oracle_matrix"] is None
+        assert report["fidelity_vs_classical"] is None
