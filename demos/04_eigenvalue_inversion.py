@@ -3,9 +3,10 @@
 Solves A c = y by rotating an ancilla through C/lambda on each
 eigenbranch.  Ideal mode applies that map exactly: with no spectral
 floor it is C A^{-1}, so it is simulated from the eigenvalues and one
-Cholesky factor of A.  Quantized mode runs a full statevector
-simulation of the phase-estimation clock in the eigenbasis, so grid
-resolution and leakage become visible.
+Cholesky factor of A.  Quantized mode applies the phase-estimation
+clock as the filter it is in the eigenbasis: each eigenvalue reads the
+clock cells with Fejer weights, so grid resolution and leakage become
+visible.
 """
 
 import math

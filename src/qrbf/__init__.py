@@ -1,7 +1,7 @@
 """Desk-scale simulation lab for quantum radial-basis-function interpolation.
 
 The package pairs an exact classical RBF interpolation path with
-statevector simulations of two quantum pipelines (a global Gaussian one
+classical simulations of two quantum pipelines (a global Gaussian one
 built on truncated coherent states and a compact one built on amplitude
 estimation oracles), so every quantum output can be checked against the
 classical answer and against its proven error bound.

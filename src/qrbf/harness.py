@@ -562,6 +562,8 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         )
 
     gram_within = eps_A_measured <= budgets.eps_A
+    fidelity = qinvert.solution_fidelity(coeffs.c, report.state_out.amplitudes)
+    fidelity_within = fidelity >= 1.0 - budgets.eps_c
     summary = {
         "pipeline": "quantum-global",
         "seed": seed,
@@ -585,15 +587,16 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "coeff_norm_classical": coeffs.norm,
         "fidelity_vs_classical": report.fidelity_vs_classical,
         # on the Cholesky path the field above is 1 by construction; this one is not
-        "fidelity_vs_exact_solution": qinvert.solution_fidelity(
-            coeffs.c, report.state_out.amplitudes
-        ),
+        "fidelity_vs_exact_solution": fidelity,
+        "fidelity_within_budget": fidelity_within,
         "deviation_from_ideal": report.deviation_from_ideal,
         "repetitions_ledger": report.repetitions_ledger,
         "norm_successes": norm_successes,
         "max_abs_err": float(np.max(abs_err, initial=0.0)),
         # with no norm success the sampled ||c|| is 0 and every f_quantum reads 0
-        "all_within_budget": bool(np.all(within)) and gram_within and norm_successes > 0,
+        "all_within_budget": (
+            bool(np.all(within)) and gram_within and fidelity_within and norm_successes > 0
+        ),
         "n_queries": len(rows),
         "dme_check": dme_summary,
         "cost_model": COST_MODEL,

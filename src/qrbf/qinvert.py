@@ -14,11 +14,12 @@ classical check all come from one Cholesky factor, and only the
 eigenvalues (for C, kappa and the repetition ledger) are computed, not
 the eigenbasis; a floor projects onto the eigenvalues above it, which
 needs the eigenbasis.
-`invert_quantized` runs a full statevector simulation of phase
-estimation with a b-bit clock register: controlled powers of
-e^{iA t0 / 2^b}, inverse Fourier transform, rotation keyed on the clock
-value, uncompute, post-select.  The clock integer for eigenvalue lambda
-is lambda * t0 / (2 pi); spectra landing exactly on that integer grid
+`invert_quantized` models phase estimation with a b-bit clock register
+(controlled powers of e^{iA t0 / 2^b}, inverse Fourier transform, rotation
+keyed on the clock value, uncompute, post-select) by the filter it applies
+in the eigenbasis: eigenvalue lambda reads clock cell k with the Fejer
+weight F_T(phi - k), phi = lambda * t0 / (2 pi), one real weight per
+eigenvalue and cell.  Spectra landing exactly on that integer grid
 reproduce the ideal mode to rounding, generic spectra converge to it as
 t0 grows.
 
@@ -295,33 +296,30 @@ def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
                    _fidelity(factor, y, state))
 
 
-def _clock_zero(back: np.ndarray):
-    """Project the clock (axis 0) of `back` onto 0 after a Hadamard transform.
+def _fejer_weights(phi, T: int) -> np.ndarray:
+    """Clock-cell distribution of phase estimation: one row of T cells per eigenphase.
 
-    Returns the clock-0 row and clock_leak, the share of the mass outside
-    it.  Only row 0 of the transform is formed, summed pairwise in the
-    order of the full butterfly; the leak is the mass orthogonal to the
-    uniform clock, measured directly rather than as 1 - kept / total.
+    Cell k carries the Fejer weight sin^2(pi phi) / (T sin(pi (phi - k) / T))^2,
+    whose numerator is common to the row and cancels in the normalisation.  A
+    row with a non-finite weight sits on the grid: it is the indicator of its hit cell.
     """
-    rows = back
-    while rows.shape[0] > 1:
-        rows = rows[0::2] + rows[1::2]
-    scale = math.sqrt(back.shape[0])
-    survivor = rows[0] / scale
-    if np.linalg.norm(survivor) == 0.0:
-        raise ValueError("post-selected state vanished; check rotation parameters")
-    leak = float(np.sum(np.abs(back - survivor / scale) ** 2))
-    return survivor, leak / (leak + float(np.sum(np.abs(survivor) ** 2)))
+    s = np.sin(math.pi * (phi[:, None] - np.arange(T)) / T)
+    with np.errstate(divide="ignore"):
+        weights = 1.0 / (s * s)
+    hit = ~np.isfinite(weights.sum(axis=1))
+    weights[hit] = np.isinf(weights[hit])
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
-    """Statevector simulation of phase-estimation-based inversion.
+    """Phase-estimation inversion with a 2^b-cell clock, computed as the filter it applies.
 
-    The clock register holds 2^b cells; eigenvalue lambda lands on clock
-    integer phi = lambda * t0 / (2 pi), so the grid estimate behind cell k
-    is lambda_hat(k) = 2 pi k / t0.  The rotation fires on every cell with
-    lambda_hat >= max(C, spectral floor); after uncomputing, mass that
-    fails to return to clock 0 is reported as clock_leak.
+    Eigenvalue lambda has clock phase phi = lambda t0 / (2 pi); cell k reads
+    lambda_hat(k) = 2 pi k / t0 and rotates by r_k = C / lambda_hat(k) when
+    lambda_hat >= max(C, spectral floor).  Uncomputing the clock and
+    projecting it onto 0 scales eigencomponent j by h_j = sum_k F_jk r_k, F
+    from _fejer_weights; the variance v_j = sum_k F_jk (r_k - h_j)^2 is the
+    accepted mass left off clock 0, reported as clock_leak.
     """
     if config.evolution_time is None or config.clock_bits is None:
         raise ValueError("quantized mode needs evolution_time and clock_bits")
@@ -344,8 +342,7 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
         )
 
     floor = 0.0 if config.spectral_floor is None else config.spectral_floor
-    k_grid = np.arange(T)
-    lam_hat = 2.0 * math.pi * k_grid / t0
+    lam_hat = 2.0 * math.pi * np.arange(T) / t0
     above = lam_hat > floor
     above[0] = False  # cell 0 reads lambda_hat = 0, never rotated
     if config.rotation_scale is None:
@@ -358,19 +355,17 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     rot_amp = np.zeros(T)
     rot_amp[rotated] = C / lam_hat[rotated]
 
-    # forward pass: H on the clock, controlled powers of e^{iA t0/T}, inverse QFT
-    phase = np.exp(2j * math.pi * np.outer(k_grid, phi) / T) / math.sqrt(T)
-    psi = phase * beta[None, :]
-    g = np.fft.fft(psi, axis=0, norm="ortho")
-    branch1 = g * rot_amp[:, None]
-    p = float(np.sum(np.abs(branch1) ** 2))
-
-    # uncompute the clock on the accepted branch, then project onto clock 0
-    back = np.fft.ifft(branch1, axis=0, norm="ortho")
-    back = back * np.exp(-2j * math.pi * np.outer(k_grid, phi) / T)
-    survivor, clock_leak = _clock_zero(back)
-    state_eig = survivor / np.linalg.norm(survivor)
-    state = u @ state_eig
+    F = _fejer_weights(phi, T)
+    h = F @ rot_amp
+    v = np.sum(F * (rot_amp - h[:, None]) ** 2, axis=1)
+    survivor = h * beta
+    norm = float(np.linalg.norm(survivor))
+    if norm == 0.0:
+        raise ValueError("post-selected state vanished; check rotation parameters")
+    leaked = float(np.dot(beta * beta, v))
+    p = norm * norm + leaked
+    clock_leak = leaked / p
+    state = u @ (survivor / norm)
 
     # the ideal reference reuses this eigendecomposition: same kept set, C = lambda_min
     ideal = _ideal_state(w, u, beta, kept)

@@ -159,6 +159,7 @@ def test_global_pipeline_analytic_readout_matches_classical():
     for row in result.query_rows:
         assert abs(row["f_quantum_analytic"] - row["f_classical"]) < 1e-6
         assert row["within_budget"]
+    assert s["fidelity_within_budget"] is True
     assert s["all_within_budget"]
 
 
@@ -284,6 +285,22 @@ def test_global_pipeline_quantized_mode_smoke():
     assert s["inversion_mode"] == "quantized"
     assert s["deviation_from_ideal"] is not None
     assert s["deviation_from_ideal"] < 0.05
+
+
+def test_global_pipeline_fails_where_the_clamped_clock_loses_fidelity():
+    """Quantized default config: t0 = 1/(lambda_min eps_c) is clamped to the 10-bit cap.
+
+    The state then reads fidelity 1.000, 0.106, 0.709 and 0.983 at seeds
+    0-3, and a fidelity below 1 - eps_c is not a pass.
+    """
+    for seed, ok in ((0, True), (1, False), (2, False), (3, False)):
+        cfg = {"pipeline": "quantum-global", "seed": seed, "inversion": {"mode": "quantized"}}
+        s = harness.run_pipeline(cfg).summary
+        assert s["evolution_time_clamped"] is True
+        assert s["fidelity_within_budget"] is ok
+        assert ok is (s["fidelity_vs_exact_solution"] >= 1.0 - s["budgets"]["eps_c"])
+        if not ok:
+            assert s["all_within_budget"] is False
 
 
 def test_global_pipeline_dme_check_block():

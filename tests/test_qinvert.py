@@ -260,17 +260,61 @@ def _walsh_hadamard(arr: np.ndarray) -> np.ndarray:
 
 
 def _reference_clock_zero(back):
-    """Clock-0 row and leak from the full transform of the clock register."""
+    """Clock-0 row and leak from the full transform of the clock register.
+
+    The leak is the mass on the other clock rows, measured directly, so a
+    small leak keeps its relative precision.
+    """
     joint = _walsh_hadamard(back)
     survivor = joint[0, :]
-    total = float(np.sum(np.abs(joint) ** 2))
-    return survivor, 1.0 - float(np.sum(np.abs(survivor) ** 2)) / total
+    leaked = float(np.sum(np.abs(joint[1:]) ** 2))
+    return survivor, leaked / (leaked + float(np.sum(np.abs(survivor) ** 2)))
+
+
+def _simulated_clock(A, cfg, rep):
+    """Statevector simulation of the clock register: state, p and clock_leak.
+
+    The reference for the closed form: H on the clock, controlled powers of
+    e^{iA t0/T}, inverse QFT, rotation keyed on the clock cell, uncompute,
+    and the clock projected onto 0 by a full Hadamard transform.  C and the
+    overlaps are read from rep, the rotated cells rebuilt from the config.
+    """
+    T = 2**cfg.clock_bits
+    t0 = cfg.evolution_time
+    _, u = qinvert.eigensolve(A)
+    k_grid = np.arange(T)
+    phi = rep.eigenvalues * t0 / (2.0 * math.pi)
+    lam_hat = 2.0 * math.pi * k_grid / t0
+    C = rep.rotation_scale
+    rotated = (k_grid > 0) & (lam_hat > (cfg.spectral_floor or 0.0)) & (lam_hat >= C)
+    rot_amp = np.zeros(T)
+    rot_amp[rotated] = C / lam_hat[rotated]
+    phase = np.exp(2j * math.pi * np.outer(k_grid, phi) / T) / math.sqrt(T)
+    g = np.fft.fft(phase * rep.overlaps[None, :], axis=0, norm="ortho")
+    branch1 = g * rot_amp[:, None]
+    p = float(np.sum(np.abs(branch1) ** 2))
+    back = np.fft.ifft(branch1, axis=0, norm="ortho")
+    back = back * np.exp(-2j * math.pi * np.outer(k_grid, phi) / T)
+    survivor, leak = _reference_clock_zero(back)
+    return u @ (survivor / np.linalg.norm(survivor)), p, leak
+
+
+def _assert_matches_simulation(A, y, cfg):
+    rep = qinvert.invert_quantized(A, y, cfg)
+    state, p, leak = _simulated_clock(A, cfg, rep)
+    assert 1.0 - abs(np.vdot(state, rep.state_out.amplitudes)) <= 1e-14
+    assert math.isclose(rep.post_select_prob, p, rel_tol=1e-10)
+    # the simulated phases carry rounding of about eps * T, which floors the leak it resolves
+    assert math.isclose(rep.clock_leak, leak, rel_tol=1e-10, abs_tol=1e-15)
+    # the closed form is real: no phase is left to align
+    assert not rep.state_out.amplitudes.imag.any()
+    return rep
 
 
 @pytest.mark.parametrize("bits", [3, 6, 10])
 @pytest.mark.parametrize("on_grid", [True, False])
 @pytest.mark.parametrize("floor", [False, True])
-def test_clock_readout_matches_full_hadamard_transform(monkeypatch, bits, on_grid, floor):
+def test_clock_readout_matches_full_hadamard_transform(bits, on_grid, floor):
     T = 2**bits
     rng = np.random.default_rng(100 * bits + 10 * on_grid + floor)
     if on_grid:
@@ -284,15 +328,70 @@ def test_clock_readout_matches_full_hadamard_transform(monkeypatch, bits, on_gri
     w = np.linalg.eigvalsh(A)
     cfg = InversionConfig(mode="quantized", evolution_time=t0, clock_bits=bits,
                           spectral_floor=0.5 * (w[0] + w[1]) if floor else None)
-    rep = qinvert.invert_quantized(A, y, cfg)
-    monkeypatch.setattr(qinvert, "_clock_zero", _reference_clock_zero)
-    ref = qinvert.invert_quantized(A, y, cfg)
-    assert np.array_equal(rep.state_out.amplitudes, ref.state_out.amplitudes)
-    assert rep.deviation_from_ideal == ref.deviation_from_ideal
-    # 1 - kept / total resolves the leak only to a few float64 eps
-    assert math.isclose(rep.clock_leak, ref.clock_leak, rel_tol=1e-12, abs_tol=1e-15)
+    rep = _assert_matches_simulation(A, y, cfg)
     if on_grid:
         assert rep.clock_leak <= 1e-20
+        assert rep.deviation_from_ideal <= 1e-10
+
+
+def test_closed_form_matches_the_clock_simulation_on_random_systems():
+    for trial in range(300):
+        rng = np.random.default_rng(2000 + trial)
+        m = int(rng.integers(2, 12))
+        bits = int(rng.integers(3, 11))
+        A = _random_spd(rng, m)
+        y = rng.standard_normal(m)
+        w = np.linalg.eigvalsh(A)
+        t0 = 2.0 * math.pi * (2**bits - 1) / w[-1] * rng.uniform(0.3, 1.0)
+        cfg = InversionConfig(mode="quantized", evolution_time=t0, clock_bits=bits,
+                              spectral_floor=0.5 * (w[0] + w[1]) if trial % 2 else None)
+        _assert_matches_simulation(A, y, cfg)
+
+
+@pytest.mark.parametrize("bits", [3, 6, 10])
+def test_near_grid_leak_keeps_its_relative_precision(bits):
+    """Eigenphases delta off the grid leak in proportion to delta^2.
+
+    1 - ||h beta||^2 / p would resolve such a leak only to float64 eps.
+    """
+    T = 2**bits
+    y = np.array([0.3, -0.5, 0.7, 0.4])
+    cfg = InversionConfig(mode="quantized", evolution_time=2.0 * math.pi * T, clock_bits=bits)
+    leaks = []
+    for delta in (1e-5, 1e-7):
+        A = np.diag((np.array([1, 2, 3, T - 1]) + delta * np.array([1, -1, 0.5, -0.5])) / T)
+        rep = qinvert.invert_quantized(A, y, cfg)
+        if delta == 1e-5:
+            _, _, leak = _simulated_clock(A, cfg, rep)
+            assert math.isclose(rep.clock_leak, leak, rel_tol=1e-8)
+        leaks.append(rep.clock_leak)
+    # where the simulated phases no longer resolve it, the closed form keeps the delta^2 law
+    assert math.isclose(leaks[0], 1e4 * leaks[1], rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, 4e-16])
+def test_fejer_weights_on_and_next_to_a_cell(offset):
+    T = 8
+    weights = qinvert._fejer_weights(np.array([3.0 + offset, 0.0, 5.5]), T)
+    assert np.all(np.isfinite(weights))
+    assert np.allclose(weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    # phi = 0 is on cell 0, and an exact hit is the indicator of its cell
+    assert weights[1].tolist() == [1.0] + [0.0] * (T - 1)
+    if offset == 0.0:
+        assert weights[0].tolist() == [0.0] * 3 + [1.0] + [0.0] * (T - 4)
+    else:
+        assert weights[0].argmax() == 3 and 1.0 - weights[0, 3] < 1e-20
+    # off the grid, the Fejer kernel sin^2(pi phi) / (T sin(pi (phi - k) / T))^2 itself
+    fejer = 1.0 / (T * np.sin(math.pi * (5.5 - np.arange(T)) / T)) ** 2
+    assert np.allclose(weights[2], fejer, rtol=1e-14, atol=0.0)
+
+
+def test_rotation_scale_above_every_clock_cell_vanishes():
+    # clock cells read lambda_hat = k / 4 <= 1.75: a C of 5 rotates none of them
+    cfg = InversionConfig(mode="quantized", evolution_time=8.0 * math.pi, clock_bits=3,
+                          rotation_scale=5.0)
+    with pytest.raises(ValueError, match="post-selected state vanished"):
+        qinvert.invert_quantized(np.diag([0.25, 0.5]), np.array([0.6, 0.8]), cfg)
 
 
 def test_quantized_inversion_decomposes_once(factor_calls):
