@@ -94,10 +94,6 @@ class CompactOracleConfig:
             raise ValueError("scale_hat * phi(0) must not exceed 1")
 
     @property
-    def alpha(self) -> float:
-        return self.kernel.alpha
-
-    @property
     def effective_scale(self) -> float:
         return 1.0 / self.kernel.phi0 if self.scale_hat is None else self.scale_hat
 
@@ -534,7 +530,6 @@ class CompactReport:
     sparsity: int
     matrix_error: float
     fidelity_vs_exact_solution: float
-    matrix: InterpMatrix
 
 
 def solve_compact(
@@ -548,16 +543,20 @@ def solve_compact(
     exact, the normalized `interpolation.exact_system` (built here when
     None), is the reference of matrix_error and fidelity_vs_exact_solution;
     solve.fidelity_vs_classical checks the inversion against the oracle
-    matrix itself.  An estimated oracle matrix that is not positive
-    definite raises NotPositiveDefiniteError naming compact.ae_bits as well
-    as inversion.spectral_floor.
+    matrix, exact itself when the oracles are exact (ae_bits None).  An
+    estimated oracle matrix that is not positive definite raises
+    NotPositiveDefiniteError naming compact.ae_bits and inversion.spectral_floor.
     """
     inversion = inversion or InversionConfig()
     if exact is None:
         exact = interpolation.exact_system(dataset, config.kernel, normalized=True)
-    built = build_matrix(dataset, config, normalized=True)
+    system, matrix_error = exact, 0.0
+    if config.ae_bits is not None:
+        built = build_matrix(dataset, config, normalized=True)
+        system = LinearSystem(built, exact.y)
+        matrix_error = float(np.linalg.norm((built.data - exact.matrix.data).toarray(), "fro"))
     try:
-        report = qinvert.invert(built.toarray(), exact.y, inversion)
+        report = qinvert.invert(system, inversion)
     except interpolation.NotPositiveDefiniteError as exc:
         if config.ae_bits is None:
             raise
@@ -567,10 +566,9 @@ def solve_compact(
         ) from exc
     return CompactReport(
         solve=report,
-        sparsity=built.sparsity,
-        matrix_error=float(np.linalg.norm((built.data - exact.matrix.data).toarray(), "fro")),
+        sparsity=system.matrix.sparsity,
+        matrix_error=matrix_error,
         fidelity_vs_exact_solution=qinvert.solution_fidelity(
             exact.coeffs.c, report.state_out.amplitudes
         ),
-        matrix=built,
     )

@@ -540,7 +540,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
     cap_note = {}
     with _stage("inversion"):
         inv_cfg = _inversion_config(cfg, budgets, spec, cap_note)
-        report = qinvert.invert(gram.toarray(), system.y, inv_cfg)
+        report = qinvert.invert(interpolation.LinearSystem(gram, system.y), inv_cfg)
 
     with _stage("readout"):
         readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out.amplitudes)
@@ -784,7 +784,7 @@ def _suite_inversion(seed: int) -> list:
     rng = np.random.default_rng(seed)
     for case in range(30):
         a, y = _random_spd_system(rng)
-        rep = qinvert.invert_ideal(a, y)
+        rep = qinvert.invert_ideal(interpolation.LinearSystem(a, y))
         c = np.linalg.solve(a, y)
         # against this LU solution: the report's own fidelity_vs_classical
         # reads its classical solution from the inversion's Cholesky factor
@@ -802,21 +802,21 @@ def _suite_inversion(seed: int) -> list:
     # converges with slope -1 in the evolution time
     lam = np.array([0.25, 0.5])
     a = np.diag(lam)
-    y = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    system = interpolation.LinearSystem(a, np.array([1.0, 1.0]) / math.sqrt(2.0))
     qrep = qinvert.invert_quantized(
-        a, y, qinvert.InversionConfig(mode="quantized", evolution_time=8 * math.pi, clock_bits=3)
+        system, qinvert.InversionConfig(mode="quantized", evolution_time=8 * math.pi, clock_bits=3)
     )
     rows.append(("on-grid deviation", "eigenphases {1, 2} on a 3-bit clock",
                  qrep.deviation_from_ideal, 1e-10, qrep.deviation_from_ideal <= 1e-10))
     g = rng.normal(size=(4, 4))
     a = g @ g.T + 4 * np.eye(4)
     a = a / np.linalg.eigvalsh(a)[-1]  # spectrum inside (0, 1]
-    y = rng.normal(size=4)
+    system = interpolation.LinearSystem(a, rng.normal(size=4))
     t0s = [2**k * math.pi for k in range(3, 8)]
     devs = []
     for t0 in t0s:
         rep = qinvert.invert_quantized(
-            a, y, qinvert.InversionConfig(mode="quantized", evolution_time=t0, clock_bits=10)
+            system, qinvert.InversionConfig(mode="quantized", evolution_time=t0, clock_bits=10)
         )
         devs.append(rep.deviation_from_ideal)
     slope = _slope(t0s, devs)

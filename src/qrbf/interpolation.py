@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -195,6 +196,16 @@ class NotPositiveDefiniteError(ValueError):
     """Cholesky of an interpolation matrix failed: it is not numerically positive definite."""
 
 
+def _cholesky(dense: np.ndarray):
+    """cho_factor of a dense matrix, NotPositiveDefiniteError when it fails."""
+    try:
+        return cho_factor(dense)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            "matrix is not numerically positive definite (Cholesky failed)"
+        ) from exc
+
+
 def solve(matrix: InterpMatrix, y) -> Coefficients:
     """Solve A c = y by Cholesky (dense) or conjugate gradients (sparse)."""
     y = np.asarray(y, dtype=float).ravel()
@@ -208,12 +219,7 @@ def solve(matrix: InterpMatrix, y) -> Coefficients:
         if info != 0:
             raise RuntimeError(f"conjugate gradient did not converge (info={info})")
     else:
-        try:
-            c = cho_solve(cho_factor(A), y)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "matrix is not numerically positive definite (Cholesky failed)"
-            ) from exc
+        c = cho_solve(_cholesky(A), y)
     res = A @ c - y
     site_res = float(np.max(np.abs(res)))
     if isinstance(matrix, InterpMatrix) and matrix.normalized:
@@ -279,37 +285,51 @@ def spectrum(matrix) -> Spectrum:
     w = np.linalg.eigvalsh(_as_dense(matrix))
     lam_min, lam_max = float(w[0]), float(w[-1])
     kappa = lam_max / lam_min if lam_min > 0 else math.inf
-    spec = Spectrum(lambda_max=lam_max, lambda_min=lam_min, kappa=kappa, eigenvalues=w)
-    if isinstance(matrix, InterpMatrix):
-        if matrix.normalized and matrix.family == "gaussian" and lam_max > 1.0 + 1e-12:
-            raise ValueError(
-                f"normalized gaussian matrix has lambda_max = {lam_max}; expected <= 1"
-            )
-    return spec
+    return Spectrum(lambda_max=lam_max, lambda_min=lam_min, kappa=kappa, eigenvalues=w)
 
 
 @dataclass
 class LinearSystem:
-    """One exact interpolation system A c = y with its spectrum and solution."""
+    """A c = y; each decomposition of A is computed when first read, and kept."""
 
     matrix: InterpMatrix
     y: np.ndarray
-    spectrum: Spectrum
-    coeffs: Coefficients
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        dense = _as_dense(self.matrix)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError("need a square matrix")
+        if np.max(np.abs(dense - dense.T)) > 1e-10 * max(1.0, np.max(np.abs(dense))):
+            raise ValueError("matrix is not symmetric")
+        return dense
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return spectrum(self.dense)
+
+    @cached_property
+    def factor(self):
+        return _cholesky(self.dense)
+
+    # solve takes its own Cholesky factor, which is freed when it returns
+    @cached_property
+    def coeffs(self) -> Coefficients:
+        return solve(self.matrix, self.y)
 
 
 def exact_system(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> LinearSystem:
-    """Assemble, decompose and solve A c = y once; y = values / m when normalized.
+    """Assemble and solve A c = y; y = values / m when normalized.
 
-    A failed Cholesky raises NotPositiveDefiniteError worded from the
-    spectrum already at hand, naming the settings that condition A.
+    A failed solve raises NotPositiveDefiniteError worded from the
+    system's spectrum, naming the settings that condition A.
     """
-    matrix = assemble(dataset, kernel, normalized=normalized)
     y = dataset.values / dataset.m if normalized else dataset.values
-    spec = spectrum(matrix)
+    system = LinearSystem(assemble(dataset, kernel, normalized=normalized), y)
     try:
-        coeffs = solve(matrix, y)
+        system.coeffs  # solved here, so that a failure is worded below
     except NotPositiveDefiniteError as exc:
+        spec = system.spectrum
         # A flattens, and so loses its smallest eigenvalues, as the kernel
         # widens or the sites crowd together
         if kernel.is_compact:
@@ -323,7 +343,7 @@ def exact_system(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> 
             f"(lambda_min {spec.lambda_min:.3e}, lambda_max {spec.lambda_max:.3e}, "
             f"kappa {spec.kappa:.3e}); {width} or dataset.m"
         ) from exc
-    return LinearSystem(matrix, y, spec, coeffs)
+    return system
 
 
 @dataclass

@@ -1,18 +1,19 @@
 """Simulated quantum linear-system inversion with post-selected readout.
 
-Given a symmetric positive definite A and right-hand side y, the
-simulated algorithm expands |y> in the eigenbasis of A, attaches an
+Given an `interpolation.LinearSystem` A c = y, A symmetric positive definite,
+the simulated algorithm expands |y> in the eigenbasis of A, attaches an
 ancilla rotated to amplitude C/lambda_j on each eigencomponent, and
 post-selects the ancilla on 1.  The surviving state is proportional to
 A^{-1} y, the post-selection probability p determines the normalization
 factor F = sqrt(p), and the solution norm follows as ||c|| = F ||y|| / C.
+Each decomposition of A is read from the system, which takes it at most once.
 
 Two fidelity levels are provided.  `invert_ideal` applies the exact
 map lambda -> C/lambda.  With no spectral floor that map is C A^{-1}
 on all of |y>, so the state, p = C^2 ||A^{-1} y_hat||^2 and the
-classical check all come from one Cholesky factor, and only the
-eigenvalues (for C, kappa and the repetition ledger) are computed, not
-the eigenbasis; a floor projects onto the eigenvalues above it, which
+classical check all come from the system's Cholesky factor, and only
+its spectrum (for C, kappa and the repetition ledger) is read, not the
+eigenbasis; a floor projects onto the eigenvalues above it, which
 needs the eigenbasis.
 `invert_quantized` models phase estimation with a b-bit clock register
 (controlled powers of e^{iA t0 / 2^b}, inverse Fourier transform, rotation
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interpolation
+from .interpolation import LinearSystem
 from .qcore import PureState
 
 _CLOCK_BITS_CAP = 10
@@ -127,20 +129,9 @@ class SolveReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _symmetric(A) -> np.ndarray:
-    """Dense copy of A, refused unless it is square and symmetric."""
-    dense = interpolation._as_dense(A)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValueError("need a square matrix")
-    if np.max(np.abs(dense - dense.T)) > 1e-10 * max(1.0, np.max(np.abs(dense))):
-        raise ValueError("matrix is not symmetric")
-    return dense
-
-
-def eigensolve(A):
-    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix."""
-    w, u = np.linalg.eigh(_symmetric(A))
-    return w, u
+def eigensolve(system: LinearSystem):
+    """Ascending eigenvalues and orthonormal eigenvectors of a system's symmetric matrix."""
+    return np.linalg.eigh(system.dense)
 
 
 def filter_spectrum(eigenvalues, spectral_floor: float):
@@ -159,15 +150,12 @@ def filter_spectrum(eigenvalues, spectral_floor: float):
     return kept, kappa_eff
 
 
-def _rhs(y, m: int):
-    """y as a flat float vector of length m, and its norm, which must be nonzero."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != m:
-        raise ValueError("matrix and right-hand side sizes disagree")
+def _rhs_norm(y) -> float:
+    """||y||, which must be nonzero."""
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         raise ValueError("right-hand side must be nonzero")
-    return y, ynorm
+    return ynorm
 
 
 def _not_pd(w) -> interpolation.NotPositiveDefiniteError:
@@ -180,9 +168,9 @@ def _not_pd(w) -> interpolation.NotPositiveDefiniteError:
     )
 
 
-def _prepare(A, y, config):
-    w, u = eigensolve(A)
-    y, ynorm = _rhs(y, w.shape[0])
+def _prepare(system: LinearSystem, config):
+    w, u = eigensolve(system)
+    ynorm = _rhs_norm(system.y)
     floor = config.spectral_floor
     if floor is None:
         if w[0] <= 0.0:
@@ -193,7 +181,7 @@ def _prepare(A, y, config):
         kept_idx, kappa_eff = filter_spectrum(w, floor)
     kept = np.zeros(w.shape[0], dtype=bool)
     kept[kept_idx] = True
-    beta = u.T @ (y / ynorm)
+    beta = u.T @ (system.y / ynorm)
     return w, u, beta, kept, kappa_eff, ynorm
 
 
@@ -202,18 +190,13 @@ def solution_fidelity(c, state: np.ndarray) -> float:
     return float(abs(np.vdot(c / np.linalg.norm(c), state)))
 
 
-def _fidelity(factor, y, state: np.ndarray) -> float:
-    """|<c|state>| for the solution c of A c = y from A's Cholesky factor."""
-    return solution_fidelity(interpolation.cho_solve(factor, y), state)
-
-
-def _classical_fidelity(A, y, state: np.ndarray) -> float:
+def _classical_fidelity(system: LinearSystem, state: np.ndarray) -> float:
     """|<c|state>| for the Cholesky solution c of A c = y; NaN when A is not PD."""
     try:
-        factor = interpolation.cho_factor(interpolation._as_dense(A))
-    except np.linalg.LinAlgError:
+        factor = system.factor
+    except interpolation.NotPositiveDefiniteError:
         return math.nan
-    return _fidelity(factor, np.asarray(y, dtype=float).ravel(), state)
+    return solution_fidelity(interpolation.cho_solve(factor, system.y), state)
 
 
 def _ideal_state(w, u, beta, kept) -> np.ndarray:
@@ -253,12 +236,12 @@ def _rotation_scale(config, lam_min: float) -> float:
     return C
 
 
-def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
+def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) -> SolveReport:
     """Inversion with rotation amplitudes C/lambda_j on the exact spectrum.
 
     With no spectral floor the rotation reaches every eigencomponent, so
-    the post-selected state is C A^{-1} y_hat: it comes from one Cholesky
-    factor, beside the eigenvalues alone (eigvalsh, not eigh), and
+    the post-selected state is C A^{-1} y_hat: it comes from the system's
+    Cholesky factor, beside its eigenvalues alone (no eigenbasis), and
     overlaps is None.  fidelity_vs_classical is then read from the same
     factor and is 1 to rounding by construction; the agreement with the
     eigenbasis map is what tests check.  A floor keeps the eigenbasis
@@ -270,30 +253,29 @@ def invert_ideal(A, y, config: InversionConfig | None = None) -> SolveReport:
     """
     config = config or InversionConfig()
     if config.spectral_floor is not None:
-        w, u, beta, kept, _, _ = prepared = _prepare(A, y, config)
+        w, u, beta, kept, _, _ = prepared = _prepare(system, config)
         lam = w[kept]
         C = _rotation_scale(config, float(lam.min()))
         amp = C * beta[kept] / lam
         p = float(np.dot(amp, amp))
         state = _ideal_state(w, u, beta, kept)
-        return _report("ideal", config, prepared, C, p, state, _classical_fidelity(A, y, state))
-    dense = _symmetric(A)
-    w = np.linalg.eigvalsh(dense)
-    y, ynorm = _rhs(y, w.shape[0])
+        return _report("ideal", config, prepared, C, p, state, _classical_fidelity(system, state))
+    w = system.spectrum.eigenvalues
+    ynorm = _rhs_norm(system.y)
     if w[0] <= 0.0:
         raise _not_pd(w)
     C = _rotation_scale(config, float(w[0]))
     try:
-        factor = interpolation.cho_factor(dense)
-    except np.linalg.LinAlgError as exc:
+        factor = system.factor
+    except interpolation.NotPositiveDefiniteError as exc:
         raise _not_pd(w) from exc
-    x = interpolation.cho_solve(factor, y / ynorm)
+    x = interpolation.cho_solve(factor, system.y / ynorm)
     xnorm = float(np.linalg.norm(x))
     state = x / xnorm
     # no eigenbasis on this path: every eigenvalue is kept and there are no overlaps
     prepared = (w, None, None, np.ones(w.shape[0], dtype=bool), float(w[-1] / w[0]), ynorm)
     return _report("ideal", config, prepared, C, (C * xnorm) ** 2, state,
-                   _fidelity(factor, y, state))
+                   _classical_fidelity(system, state))
 
 
 def _fejer_weights(phi, T: int) -> np.ndarray:
@@ -311,12 +293,12 @@ def _fejer_weights(phi, T: int) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
+def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveReport:
     """Phase-estimation inversion with a 2^b-cell clock, computed as the filter it applies.
 
-    Eigenvalue lambda has clock phase phi = lambda t0 / (2 pi); cell k reads
-    lambda_hat(k) = 2 pi k / t0 and rotates by r_k = C / lambda_hat(k) when
-    lambda_hat >= max(C, spectral floor).  Uncomputing the clock and
+    Eigenvalue lambda of system.dense has clock phase phi = lambda t0 / (2 pi);
+    cell k reads lambda_hat(k) = 2 pi k / t0 and rotates by r_k = C / lambda_hat(k)
+    when lambda_hat >= max(C, spectral floor).  Uncomputing the clock and
     projecting it onto 0 scales eigencomponent j by h_j = sum_k F_jk r_k, F
     from _fejer_weights; the variance v_j = sum_k F_jk (r_k - h_j)^2 is the
     accepted mass left off clock 0, reported as clock_leak.
@@ -332,7 +314,7 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     if not t0 > 0:
         raise ValueError("evolution_time must be positive")
 
-    w, u, beta, kept, _, _ = prepared = _prepare(A, y, config)
+    w, u, beta, kept, _, _ = prepared = _prepare(system, config)
     T = 2**b
     phi = w * t0 / (2.0 * math.pi)
     if phi.min() < 0.0 or phi.max() >= T:
@@ -373,7 +355,7 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     theta = np.angle(phase_align) if abs(phase_align) > 0 else 0.0
     deviation = float(np.linalg.norm(state * np.exp(-1j * theta) - ideal))
     return _report(
-        "quantized", config, prepared, C, p, state, _classical_fidelity(A, y, state),
+        "quantized", config, prepared, C, p, state, _classical_fidelity(system, state),
         evolution_time=t0,
         clock_bits=b,
         deviation_from_ideal=deviation,
@@ -381,11 +363,11 @@ def invert_quantized(A, y, config: InversionConfig) -> SolveReport:
     )
 
 
-def invert(A, y, config: InversionConfig) -> SolveReport:
+def invert(system: LinearSystem, config: InversionConfig) -> SolveReport:
     """Dispatch on config.mode."""
     if config.mode == "quantized":
-        return invert_quantized(A, y, config)
-    return invert_ideal(A, y, config)
+        return invert_quantized(system, config)
+    return invert_ideal(system, config)
 
 
 @dataclass

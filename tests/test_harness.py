@@ -214,9 +214,9 @@ def test_global_pipeline_inverts_the_gram_of_the_centred_dataset(monkeypatch):
     inverted = []
     invert = qinvert.invert
 
-    def spy(matrix, y, cfg):
-        inverted.append(np.array(matrix))
-        return invert(matrix, y, cfg)
+    def spy(system, cfg):
+        inverted.append(np.array(system.matrix.toarray()))
+        return invert(system, cfg)
 
     monkeypatch.setattr(qinvert, "invert", spy)
     cfg = _global_cfg(24, 0.2, box=(-3.0, -1.5), seed=2)
@@ -238,9 +238,9 @@ def test_global_fidelity_vs_exact_solution_sees_a_wrong_state(monkeypatch):
     assert good["fidelity_vs_exact_solution"] > 1.0 - 1e-9
     invert = qinvert.invert
 
-    def reversed_state(matrix, y, config):
+    def reversed_state(system, config):
         # a wrong state under a report that still claims fidelity 1
-        rep = invert(matrix, y, config)
+        rep = invert(system, config)
         amps = rep.state_out.amplitudes[::-1]
         rep.state_out = qcore.PureState(amps, (amps.shape[0],))
         return rep
@@ -532,9 +532,9 @@ def test_inversion_suite_fidelity_rows_check_the_state_against_an_independent_so
     assert len(fidelity) == 30 and all(r["passed"] for r in fidelity)
     invert_ideal = qinvert.invert_ideal
 
-    def reversed_state(a, y, config=None):
+    def reversed_state(system, config=None):
         # a wrong state under a report that still claims fidelity 1
-        rep = invert_ideal(a, y, config)
+        rep = invert_ideal(system, config)
         amps = rep.state_out.amplitudes[::-1]
         rep.state_out = qcore.PureState(amps, (amps.shape[0],))
         return rep
@@ -607,6 +607,26 @@ def test_ideal_global_run_factorizes_each_matrix_once(factor_calls):
     # the exact system: one assembly, one spectrum, one Cholesky solve; the
     # Gram: its eigenvalues and one Cholesky factor, no eigenbasis
     assert factor_calls == {"assemble": 1, "eigvalsh": 2, "cho_factor": 2}
+
+
+def test_exact_ideal_compact_run_inverts_its_exact_system(factor_calls, monkeypatch):
+    from qrbf import compact
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact oracles invert the exact system, not a rebuilt matrix")
+
+    monkeypatch.setattr(compact, "build_matrix", refuse)
+    s = harness.run_pipeline({
+        "pipeline": "quantum-compact",
+        "seed": 3,
+        "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7},
+        "inversion": {"mode": "ideal"},
+    }).summary
+    # one assembly, one CG solve, one spectrum for the budgets and the
+    # inversion both, and one Cholesky factor for the inverted state
+    assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "cho_factor": 1}
+    assert s["matrix_frobenius_error"] == 0.0
+    assert s["fidelity_vs_exact_solution"] > 1.0 - 1e-10
 
 
 _NON_PD_ORACLE_CFG = {

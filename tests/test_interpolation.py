@@ -239,3 +239,33 @@ def test_solve_rejects_indefinite_matrix():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(interp.NotPositiveDefiniteError, match="Cholesky"):
         interp.solve(interp.InterpMatrix(bad, False, "gaussian", 2), np.ones(2))
+
+
+def test_linear_system_takes_each_decomposition_once_when_first_read(factor_calls):
+    rng = np.random.default_rng(59)
+    ds = _random_dataset(rng, 10, 2)
+    mat = interp.assemble(ds, kernels.wendland(3, 2, alpha=0.7), normalized=True)
+    assert mat.is_sparse
+    system = interp.LinearSystem(mat, ds.values / ds.m)
+    assert factor_calls == {"assemble": 1}
+    spec, factor = system.spectrum, system.factor
+    assert system.spectrum is spec and system.factor is factor
+    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "cho_factor": 1}
+    # a sparse system solves by CG, not from its Cholesky factor
+    fresh = interp.LinearSystem(mat, ds.values / ds.m)
+    coeffs = fresh.coeffs
+    assert fresh.coeffs is coeffs
+    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "cho_factor": 1, "cg": 1}
+    assert np.array_equal(spec.eigenvalues, interp.spectrum(mat).eigenvalues)
+    assert np.array_equal(coeffs.c, interp.solve(mat, ds.values / ds.m).c)
+
+
+def test_linear_system_factor_fails_plainly_without_a_spectrum(factor_calls):
+    system = interp.LinearSystem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+    with pytest.raises(interp.NotPositiveDefiniteError, match="Cholesky failed"):
+        system.factor
+    assert factor_calls == {"cho_factor": 1}
+    with pytest.raises(ValueError, match="not symmetric"):
+        interp.LinearSystem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2)).dense
+    with pytest.raises(ValueError, match="square"):
+        interp.LinearSystem(np.ones((2, 3)), np.ones(2)).dense

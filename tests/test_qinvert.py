@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qrbf import compact, harness, interpolation, kernels, qinvert
+from qrbf.interpolation import LinearSystem
 from qrbf.qinvert import InversionConfig
 
 
@@ -20,11 +21,11 @@ def _random_spd(rng, m):
 def test_eigensolve_ascending_and_symmetric_only():
     rng = np.random.default_rng(1)
     A = _random_spd(rng, 5)
-    w, u = qinvert.eigensolve(A)
+    w, u = qinvert.eigensolve(LinearSystem(A, np.ones(5)))
     assert np.all(np.diff(w) >= 0)
     assert np.allclose(u @ np.diag(w) @ u.T, A, atol=1e-12)
     with pytest.raises(ValueError):
-        qinvert.eigensolve(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        qinvert.eigensolve(LinearSystem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2)))
 
 
 def test_filter_spectrum():
@@ -43,7 +44,7 @@ def test_ideal_inversion_diagonal_oracle():
     """A = diag(1/2, 1/4), y = e1: every report field is known in closed form."""
     A = np.diag([0.5, 0.25])
     y = np.array([1.0, 0.0])
-    rep = qinvert.invert_ideal(A, y)
+    rep = qinvert.invert_ideal(LinearSystem(A, y))
     # C defaults to lambda_min = 1/4; the only overlap is with the 1/2 branch
     assert np.isclose(rep.rotation_scale, 0.25)
     assert np.isclose(rep.post_select_prob, 0.25)
@@ -63,7 +64,7 @@ def test_ideal_inversion_random_spd_systems():
         m = int(rng.integers(2, 12))
         A = _random_spd(rng, m)
         y = rng.standard_normal(m)
-        rep = qinvert.invert_ideal(A, y)
+        rep = qinvert.invert_ideal(LinearSystem(A, y))
         c = np.linalg.solve(A, y)
         chat = c / np.linalg.norm(c)
         fid = abs(np.dot(chat, rep.state_out.amplitudes.real))
@@ -81,7 +82,7 @@ def test_rotation_scale_above_lambda_min_rejected():
     ]
     for A, y, C in cases:
         with pytest.raises(ValueError, match="exceeds the smallest kept eigenvalue"):
-            qinvert.invert_ideal(A, y, InversionConfig(rotation_scale=C))
+            qinvert.invert_ideal(LinearSystem(A, y), InversionConfig(rotation_scale=C))
 
 
 def test_non_pd_matrix_names_its_spectrum_and_the_spectral_floor():
@@ -93,9 +94,10 @@ def test_non_pd_matrix_names_its_spectrum_and_the_spectral_floor():
     quantized = InversionConfig(mode="quantized", evolution_time=math.pi, clock_bits=4)
     for config in (InversionConfig(), quantized):
         with pytest.raises(interpolation.NotPositiveDefiniteError, match=match):
-            qinvert.invert(a, np.array([1.0, 0.0]), config)
+            qinvert.invert(LinearSystem(a, np.array([1.0, 0.0])), config)
     # the floor the message names is the fix
-    rep = qinvert.invert(a, np.array([1.0, 0.0]), InversionConfig(spectral_floor=0.0))
+    rep = qinvert.invert(LinearSystem(a, np.array([1.0, 0.0])),
+                         InversionConfig(spectral_floor=0.0))
     assert rep.kept.tolist() == [False, True]
 
 
@@ -111,9 +113,9 @@ def _global_gram_system(monkeypatch):
     caught = []
     invert = qinvert.invert
 
-    def spy(matrix, y, cfg):
-        caught.append((np.array(matrix), np.array(y)))
-        return invert(matrix, y, cfg)
+    def spy(system, cfg):
+        caught.append((np.array(system.matrix.toarray()), np.array(system.y)))
+        return invert(system, cfg)
 
     monkeypatch.setattr(qinvert, "invert", spy)
     harness.run_pipeline({
@@ -146,8 +148,8 @@ def test_cholesky_path_matches_the_eigenbasis_path(monkeypatch):
     systems.append(_global_gram_system(monkeypatch))
     assert systems[-1][0].shape == (512, 512)
     for A, y in systems:
-        rep = qinvert.invert_ideal(A, y)
-        ref = qinvert.invert_ideal(A, y, InversionConfig(spectral_floor=0.0))
+        rep = qinvert.invert_ideal(LinearSystem(A, y))
+        ref = qinvert.invert_ideal(LinearSystem(A, y), InversionConfig(spectral_floor=0.0))
         assert ref.kept.all() and ref.overlaps is not None
         tol = rep.kappa_eff * u
         assert np.max(np.abs(rep.state_out.amplitudes - ref.state_out.amplitudes)) <= 4 * tol
@@ -163,7 +165,7 @@ def test_cholesky_path_matches_the_eigenbasis_path(monkeypatch):
 def test_ideal_inversion_without_floor_takes_eigenvalues_and_one_factor(factor_calls):
     rng = np.random.default_rng(5)
     A = _random_spd(rng, 6)
-    rep = qinvert.invert_ideal(A, rng.standard_normal(6))
+    rep = qinvert.invert_ideal(LinearSystem(A, rng.standard_normal(6)))
     assert factor_calls == {"eigvalsh": 1, "cho_factor": 1}
     assert json.loads(rep.to_json())["overlaps"] is None
 
@@ -178,8 +180,10 @@ def test_failed_cholesky_names_the_spectrum_and_the_spectral_floor(monkeypatch):
         r"set inversion\.spectral_floor"
     )
     with pytest.raises(interpolation.NotPositiveDefiniteError, match=match) as info:
-        qinvert.invert_ideal(np.diag([0.5, 0.25]), np.array([1.0, 1.0]))
-    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        qinvert.invert_ideal(LinearSystem(np.diag([0.5, 0.25]), np.array([1.0, 1.0])))
+    # the system's plain Cholesky error, itself caused by the failed factorization
+    assert isinstance(info.value.__cause__, interpolation.NotPositiveDefiniteError)
+    assert isinstance(info.value.__cause__.__cause__, np.linalg.LinAlgError)
     # an estimated oracle matrix (positive definite here, kappa about 5)
     # adds the AE knob to the same message
     rng = np.random.default_rng(11)
@@ -193,7 +197,7 @@ def test_failed_cholesky_names_the_spectrum_and_the_spectral_floor(monkeypatch):
 def test_spectral_floor_projects_small_eigenvalues():
     A = np.diag([1e-6, 0.5, 1.0])
     y = np.ones(3) / math.sqrt(3.0)
-    rep = qinvert.invert_ideal(A, y, InversionConfig(spectral_floor=1e-3))
+    rep = qinvert.invert_ideal(LinearSystem(A, y), InversionConfig(spectral_floor=1e-3))
     assert np.array_equal(rep.kept, [False, True, True])
     assert np.isclose(rep.kappa_eff, 2.0)
     # output lives in the kept eigenspace
@@ -205,10 +209,10 @@ def test_quantized_on_grid_matches_ideal():
     A = np.diag([0.25, 0.5])
     y = np.array([0.6, 0.8])
     cfg = InversionConfig(mode="quantized", evolution_time=8.0 * math.pi, clock_bits=3)
-    rep = qinvert.invert_quantized(A, y, cfg)
+    rep = qinvert.invert_quantized(LinearSystem(A, y), cfg)
     assert rep.deviation_from_ideal <= 1e-10
     assert rep.clock_leak <= 1e-20
-    ideal = qinvert.invert_ideal(A, y)
+    ideal = qinvert.invert_ideal(LinearSystem(A, y))
     assert np.isclose(rep.post_select_prob, ideal.post_select_prob, rtol=1e-10)
     assert np.isclose(rep.coeff_norm_est, ideal.coeff_norm_est, rtol=1e-10)
 
@@ -216,7 +220,8 @@ def test_quantized_on_grid_matches_ideal():
 def _deviation_from_separate_ideal(A, y, rep, floor):
     # a floor of 0 keeps the eigenbasis path, the one invert_quantized's reference takes
     floor = 0.0 if floor is None else floor
-    ideal = qinvert.invert_ideal(A, y, InversionConfig(spectral_floor=floor)).state_out.amplitudes
+    config = InversionConfig(spectral_floor=floor)
+    ideal = qinvert.invert_ideal(LinearSystem(A, y), config).state_out.amplitudes
     state = rep.state_out.amplitudes
     theta = np.angle(np.vdot(ideal, state))
     return float(np.linalg.norm(state * np.exp(-1j * theta) - ideal))
@@ -233,7 +238,7 @@ def test_quantized_deviation_shrinks_with_evolution_time():
         for k in (3, 5, 7):
             cfg = InversionConfig(mode="quantized", evolution_time=(2.0**k) * math.pi,
                                   clock_bits=10, spectral_floor=floor)
-            rep = qinvert.invert_quantized(A, y, cfg)
+            rep = qinvert.invert_quantized(LinearSystem(A, y), cfg)
             assert rep.kept.sum() == (3 if floor is None else 2)
             # the reference built from the inversion's own eigendecomposition
             # is bit for bit the one a separate ideal inversion gives
@@ -271,7 +276,7 @@ def _reference_clock_zero(back):
     return survivor, leaked / (leaked + float(np.sum(np.abs(survivor) ** 2)))
 
 
-def _simulated_clock(A, cfg, rep):
+def _simulated_clock(system, cfg, rep):
     """Statevector simulation of the clock register: state, p and clock_leak.
 
     The reference for the closed form: H on the clock, controlled powers of
@@ -281,7 +286,7 @@ def _simulated_clock(A, cfg, rep):
     """
     T = 2**cfg.clock_bits
     t0 = cfg.evolution_time
-    _, u = qinvert.eigensolve(A)
+    _, u = qinvert.eigensolve(system)
     k_grid = np.arange(T)
     phi = rep.eigenvalues * t0 / (2.0 * math.pi)
     lam_hat = 2.0 * math.pi * k_grid / t0
@@ -300,8 +305,9 @@ def _simulated_clock(A, cfg, rep):
 
 
 def _assert_matches_simulation(A, y, cfg):
-    rep = qinvert.invert_quantized(A, y, cfg)
-    state, p, leak = _simulated_clock(A, cfg, rep)
+    system = LinearSystem(A, y)
+    rep = qinvert.invert_quantized(system, cfg)
+    state, p, leak = _simulated_clock(system, cfg, rep)
     assert 1.0 - abs(np.vdot(state, rep.state_out.amplitudes)) <= 1e-14
     assert math.isclose(rep.post_select_prob, p, rel_tol=1e-10)
     # the simulated phases carry rounding of about eps * T, which floors the leak it resolves
@@ -360,9 +366,10 @@ def test_near_grid_leak_keeps_its_relative_precision(bits):
     leaks = []
     for delta in (1e-5, 1e-7):
         A = np.diag((np.array([1, 2, 3, T - 1]) + delta * np.array([1, -1, 0.5, -0.5])) / T)
-        rep = qinvert.invert_quantized(A, y, cfg)
+        system = LinearSystem(A, y)
+        rep = qinvert.invert_quantized(system, cfg)
         if delta == 1e-5:
-            _, _, leak = _simulated_clock(A, cfg, rep)
+            _, _, leak = _simulated_clock(system, cfg, rep)
             assert math.isclose(rep.clock_leak, leak, rel_tol=1e-8)
         leaks.append(rep.clock_leak)
     # where the simulated phases no longer resolve it, the closed form keeps the delta^2 law
@@ -391,7 +398,7 @@ def test_rotation_scale_above_every_clock_cell_vanishes():
     cfg = InversionConfig(mode="quantized", evolution_time=8.0 * math.pi, clock_bits=3,
                           rotation_scale=5.0)
     with pytest.raises(ValueError, match="post-selected state vanished"):
-        qinvert.invert_quantized(np.diag([0.25, 0.5]), np.array([0.6, 0.8]), cfg)
+        qinvert.invert_quantized(LinearSystem(np.diag([0.25, 0.5]), np.array([0.6, 0.8])), cfg)
 
 
 def test_quantized_inversion_decomposes_once(factor_calls):
@@ -399,7 +406,7 @@ def test_quantized_inversion_decomposes_once(factor_calls):
     A = _random_spd(rng, 3)
     y = rng.standard_normal(3)
     cfg = InversionConfig(mode="quantized", evolution_time=32.0 * math.pi, clock_bits=10)
-    qinvert.invert_quantized(A, y, cfg)
+    qinvert.invert_quantized(LinearSystem(A, y), cfg)
     # one eigh for the inversion and its ideal reference, one Cholesky for the classical check
     assert factor_calls == {"eigh": 1, "cho_factor": 1}
 
@@ -410,7 +417,7 @@ def test_quantized_wraparound_rejected():
     # lambda_max t0 / 2pi = 8 is off the 3-bit grid [0, 8)
     cfg = InversionConfig(mode="quantized", evolution_time=32.0 * math.pi, clock_bits=3)
     with pytest.raises(ValueError):
-        qinvert.invert_quantized(A, y, cfg)
+        qinvert.invert_quantized(LinearSystem(A, y), cfg)
 
 
 def test_quantized_clock_bits_cap_enforced():
@@ -418,20 +425,20 @@ def test_quantized_clock_bits_cap_enforced():
     y = np.array([1.0, 0.0])
     cfg = InversionConfig(mode="quantized", evolution_time=8.0 * math.pi, clock_bits=12)
     with pytest.raises(ValueError):
-        qinvert.invert_quantized(A, y, cfg)
+        qinvert.invert_quantized(LinearSystem(A, y), cfg)
 
 
 def test_invert_dispatches_on_mode():
     A = np.diag([0.25, 0.5])
     y = np.array([1.0, 0.0])
-    assert qinvert.invert(A, y, InversionConfig()).mode == "ideal"
+    assert qinvert.invert(LinearSystem(A, y), InversionConfig()).mode == "ideal"
     cfg = InversionConfig(mode="quantized", evolution_time=8.0 * math.pi, clock_bits=3)
-    assert qinvert.invert(A, y, cfg).mode == "quantized"
+    assert qinvert.invert(LinearSystem(A, y), cfg).mode == "quantized"
 
 
 def test_report_serializes_to_json():
     A = np.diag([0.25, 0.5])
-    rep = qinvert.invert_ideal(A, np.array([1.0, 1.0]))
+    rep = qinvert.invert_ideal(LinearSystem(A, np.array([1.0, 1.0])))
     out = json.loads(rep.to_json())
     assert out["mode"] == "ideal"
     assert len(out["eigenvalues"]) == 2
