@@ -59,7 +59,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _base_config(args)
-    cfg.setdefault("queries", {})
     cfg["queries"]["file"] = args.query_file
     result = harness.run_pipeline(cfg)
     fields = result.query_fields

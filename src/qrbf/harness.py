@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import difflib
 import hashlib
 import io
 import json
@@ -120,6 +121,45 @@ def default_config() -> dict:
         "queries": {"n": 20},
         "output": None,
     }
+
+
+# keys a user may set that default_config() leaves out, so that the hash of
+# every config that does not set them stays what it was
+_OPTIONAL_KEYS = {
+    "dataset": ("file", "seed"),
+    "kernel": ("eta", "d", "k", "alpha"),
+    "inversion": ("rotation_scale", "spectral_floor", "norm_samples", "overlap_samples",
+                  "evolution_time", "clock_bits"),
+    "queries": ("file", "seed"),
+}
+
+
+def _check_config(cfg: dict) -> None:
+    """Refuse a key that neither default_config() nor _OPTIONAL_KEYS names.
+
+    The error names every unknown key by its dotted path, each with the
+    nearest valid path.  A section given as anything but an object is
+    refused too.
+    """
+    defaults = default_config()
+    valid = list(defaults)
+    for section, keys in defaults.items():
+        if isinstance(keys, dict):
+            valid += [f"{section}.{key}" for key in (*keys, *_OPTIONAL_KEYS.get(section, ()))]
+    unknown = []
+    for key, val in cfg.items():
+        if key not in defaults:
+            unknown.append(key)
+        elif isinstance(defaults[key], dict):
+            if not isinstance(val, dict):
+                raise ValueError(f"config section {key!r} must be an object, got {val!r}")
+            unknown += [f"{key}.{sub}" for sub in val if f"{key}.{sub}" not in valid]
+    if unknown:
+        raise ValueError("\n".join(
+            f"unknown config key {path!r}; did you mean "
+            f"{difflib.get_close_matches(path, valid, n=1, cutoff=0.0)[0]!r}?"
+            for path in unknown
+        ))
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -259,20 +299,20 @@ class PipelineResult:
 
 def _load_or_generate_dataset(cfg: dict, seed: int) -> DataSet:
     ds_cfg = cfg["dataset"]
-    if "file" in ds_cfg and ds_cfg["file"]:
+    if ds_cfg.get("file"):
         return interpolation.load_dataset(ds_cfg["file"])
     return gen_data(
-        m=ds_cfg.get("m", 8),
-        d=ds_cfg.get("d", 2),
-        box=ds_cfg.get("box", [0.0, 1.0]),
+        m=ds_cfg["m"],
+        d=ds_cfg["d"],
+        box=ds_cfg["box"],
         seed=ds_cfg.get("seed", seed),
-        target_fn=ds_cfg.get("target", "franke"),
+        target_fn=ds_cfg["target"],
     )
 
 
 def _query_points(cfg: dict, dataset: DataSet, seed: int) -> np.ndarray:
-    q_cfg = cfg.get("queries", {}) or {}
-    if "file" in q_cfg and q_cfg["file"]:
+    q_cfg = cfg["queries"]
+    if q_cfg.get("file"):
         with open(q_cfg["file"], newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -282,10 +322,10 @@ def _query_points(cfg: dict, dataset: DataSet, seed: int) -> np.ndarray:
                 )
             pts = np.asarray([[float(v) for v in row] for row in reader if row])
         return pts
-    n = int(q_cfg.get("n", 20))
+    n = int(q_cfg["n"])
     rng = np.random.default_rng(q_cfg.get("seed", seed + 1))
-    ds_cfg = cfg.get("dataset", {})
-    if "box" in ds_cfg and "file" not in ds_cfg:
+    ds_cfg = cfg["dataset"]
+    if "file" not in ds_cfg:
         bounds = _box_array(ds_cfg["box"], dataset.d)
     else:
         bounds = np.stack([dataset.sites.min(axis=0), dataset.sites.max(axis=0)], axis=1)
@@ -414,11 +454,12 @@ class _StageError(RuntimeError):
 
 def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     """Execute one pipeline end to end, classical baseline always included."""
+    _check_config(cfg)
     cfg = merge_config(default_config(), cfg)
-    pipeline = cfg.get("pipeline", "classical")
+    pipeline = cfg["pipeline"]
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
-    seed = resolve_seed(cfg.get("seed"))
+    seed = resolve_seed(cfg["seed"])
     # where the files go is not part of the run: the same run hashes alike in every directory
     chash = config_hash(dict(cfg, output=None))
 
@@ -435,7 +476,7 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     else:
         result = _run_compact(cfg, dataset, kernel, queries, seed, chash)
 
-    out_dir = out_dir or cfg.get("output")
+    out_dir = out_dir or cfg["output"]
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         qpath = os.path.join(out_dir, "queries.csv")
@@ -481,8 +522,8 @@ def _run_classical(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult
 
 
 def _inversion_config(cfg: dict, budgets, spec, cap_note: dict) -> qinvert.InversionConfig:
-    inv = cfg.get("inversion", {}) or {}
-    mode = inv.get("mode", "ideal")
+    inv = cfg["inversion"]
+    mode = inv["mode"]
     kwargs = {
         "mode": mode,
         "rotation_scale": inv.get("rotation_scale"),
@@ -525,13 +566,13 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         eps_A_floor = float(np.finfo(float).eps) * float(np.linalg.norm(exact.data, "fro"))
 
     dme_summary = None
-    dme_cfg = cfg.get("dme_check", {}) or {}
-    if dme_cfg.get("enabled"):
+    dme_cfg = cfg["dme_check"]
+    if dme_cfg["enabled"]:
         with _stage("exponentiation check"):
             rho0 = np.zeros_like(gram.data)
             rho0[0, 0] = 1.0
-            t = float(dme_cfg.get("t", 1.0))
-            steps = int(dme_cfg.get("steps", 64))
+            t = float(dme_cfg["t"])
+            steps = int(dme_cfg["steps"])
             err = qcore.dme_error(gram.data, rho0, t, steps)
             dme_summary = {"t": t, "steps": steps, "trace_norm_error": err,
                            "budget_eps_E": budgets.eps_E,
@@ -608,11 +649,11 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
 def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
     if not kernel.is_compact:
         raise ValueError("the compact pipeline needs a compactly supported kernel")
-    comp_cfg = cfg.get("compact", {}) or {}
+    comp_cfg = cfg["compact"]
     oracle_cfg = compact.CompactOracleConfig(
         kernel=kernel,
-        ae_bits=comp_cfg.get("ae_bits"),
-        scale_hat=comp_cfg.get("scale_hat"),
+        ae_bits=comp_cfg["ae_bits"],
+        scale_hat=comp_cfg["scale_hat"],
         seed=seed,
     )
     with _stage("classical solve"):

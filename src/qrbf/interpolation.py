@@ -295,6 +295,11 @@ class LinearSystem:
     matrix: InterpMatrix
     y: np.ndarray
 
+    def __post_init__(self):
+        data = self.matrix.data if isinstance(self.matrix, InterpMatrix) else self.matrix
+        if np.shape(data)[0] != np.size(self.y):
+            raise ValueError("matrix and right-hand side sizes disagree")
+
     @cached_property
     def dense(self) -> np.ndarray:
         dense = _as_dense(self.matrix)
@@ -307,6 +312,11 @@ class LinearSystem:
     @cached_property
     def spectrum(self) -> Spectrum:
         return spectrum(self.dense)
+
+    @cached_property
+    def eigenbasis(self):
+        """Ascending eigenvalues and orthonormal eigenvectors of the dense matrix."""
+        return np.linalg.eigh(self.dense)
 
     @cached_property
     def factor(self):

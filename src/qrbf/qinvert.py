@@ -131,7 +131,7 @@ class SolveReport:
 
 def eigensolve(system: LinearSystem):
     """Ascending eigenvalues and orthonormal eigenvectors of a system's symmetric matrix."""
-    return np.linalg.eigh(system.dense)
+    return system.eigenbasis
 
 
 def filter_spectrum(eigenvalues, spectral_floor: float):
@@ -172,13 +172,9 @@ def _prepare(system: LinearSystem, config):
     w, u = eigensolve(system)
     ynorm = _rhs_norm(system.y)
     floor = config.spectral_floor
-    if floor is None:
-        if w[0] <= 0.0:
-            raise _not_pd(w)
-        kept_idx = np.arange(w.shape[0])
-        kappa_eff = float(w[-1] / w[0])
-    else:
-        kept_idx, kappa_eff = filter_spectrum(w, floor)
+    if floor is None and w[0] <= 0.0:
+        raise _not_pd(w)
+    kept_idx, kappa_eff = filter_spectrum(w, 0.0 if floor is None else floor)
     kept = np.zeros(w.shape[0], dtype=bool)
     kept[kept_idx] = True
     beta = u.T @ (system.y / ynorm)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qrbf import cli
 from qrbf import interpolation as interp
@@ -90,6 +91,12 @@ def test_sweep_runs_over_values(tmp_path, capsys):
     assert "kernel.sigma=0.3" in out and "kernel.sigma=0.5" in out
     # the cases write no run files of their own beside the sweep table
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+
+
+def test_set_of_an_unknown_key_is_refused():
+    with pytest.raises(ValueError, match="did you mean 'inversion.clock_bits'"):
+        cli.main(["fit", "--pipeline", "quantum-global", "--seed", "0",
+                  "--set", "inversion.clock_bit=3"])
 
 
 def test_installed_entry_point():

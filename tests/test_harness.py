@@ -53,6 +53,97 @@ def test_config_hash_stable_and_order_free():
     assert harness.config_hash(a) != harness.config_hash({"x": 1, "y": {"z": 2.6}})
 
 
+# literal config_hash values of configs that ran before unknown keys were
+# refused: they must hash alike, so their outputs stay byte-identical.  The
+# first three are the benchmark workloads at seed 0, the rest the configs this
+# file runs.
+_W = {"family": "wendland", "d": 3, "k": 2}
+_PINNED_HASHES = [
+    ("8f14f4ab12ae", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 512, "d": 2},
+                      "kernel": {"family": "gaussian", "sigma": 0.05},
+                      "inversion": {"mode": "ideal"}, "queries": {"n": 20}}),
+    ("16629ebc19bc", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 64, "d": 2},
+                      "kernel": {"family": "gaussian", "sigma": 0.1},
+                      "inversion": {"mode": "ideal"}, "queries": {"n": 4000}}),
+    ("f4fab2045417", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
+                      "kernel": dict(_W, alpha=0.15),
+                      "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
+                      "compact": {"ae_bits": 8}}),
+    ("cd99259549df", {"pipeline": "classical", "seed": 3, "queries": {"n": 5}}),
+    ("9d0eb48f4635", {"pipeline": "quantum-global", "seed": 1,
+                      "kernel": {"family": "gaussian", "sigma": 0.4}, "queries": {"n": 6}}),
+    ("3b94c715adbc", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 64}}),
+    ("7118fb2e3784", {"pipeline": "quantum-global", "seed": 0,
+                      "dataset": {"m": 16, "box": [10.0, 11.0]},
+                      "kernel": {"family": "gaussian", "sigma": 0.4}, "queries": {"n": 4}}),
+    ("5d26020fc86f", {"pipeline": "quantum-global", "seed": 0,
+                      "dataset": {"m": 16, "box": [0.0, 1.0]},
+                      "kernel": {"family": "gaussian", "sigma": 0.4}, "queries": {"n": 4}}),
+    ("05b67e301b3b", {"pipeline": "quantum-global", "seed": 0,
+                      "dataset": {"m": 32, "box": [0.0, 1.0]},
+                      "kernel": {"family": "gaussian", "sigma": 0.03}, "queries": {"n": 4}}),
+    ("15cc57e588c6", {"pipeline": "quantum-global", "seed": 0,
+                      "dataset": {"m": 32, "box": [0.0, 1.0]},
+                      "kernel": {"family": "gaussian", "sigma": 0.018}, "queries": {"n": 4}}),
+    ("ae8feffa9706", {"pipeline": "quantum-global", "seed": 2,
+                      "dataset": {"m": 24, "box": [-3.0, -1.5]},
+                      "kernel": {"family": "gaussian", "sigma": 0.2}, "queries": {"n": 4}}),
+    ("849f97d9f55a", {"pipeline": "quantum-global", "seed": 2,
+                      "dataset": {"m": 24, "box": [0.0, 1.0]},
+                      "kernel": {"family": "gaussian", "sigma": 0.2}, "queries": {"n": 4}}),
+    ("e9817880659a", {"pipeline": "quantum-global", "seed": 0}),
+    ("bed8925f931d", {"pipeline": "quantum-global", "seed": 3}),
+    ("ee2154da91ee", {"pipeline": "quantum-global", "seed": 3, "epsilon": 0.05,
+                      "kernel": {"family": "gaussian", "sigma": 0.15},
+                      "inversion": {"mode": "quantized"}, "queries": {"n": 3}}),
+    ("9ca69886f37d", {"pipeline": "quantum-global", "seed": 0, "inversion": {"mode": "quantized"}}),
+    ("49d5fab8630f", {"pipeline": "quantum-global", "seed": 1, "inversion": {"mode": "quantized"}}),
+    ("b21652d34e07", {"pipeline": "quantum-global", "seed": 2, "inversion": {"mode": "quantized"}}),
+    ("36711939e2e5", {"pipeline": "quantum-global", "seed": 3, "inversion": {"mode": "quantized"}}),
+    ("ba267988ce30", {"pipeline": "quantum-global", "seed": 1,
+                      "dme_check": {"enabled": True, "t": 1.0, "steps": 32},
+                      "queries": {"n": 2}}),
+    ("da004536c21d", {"pipeline": "quantum-compact", "seed": 4, "kernel": dict(_W, alpha=0.7),
+                      "queries": {"n": 5}}),
+    ("31e43d5698f0", {"pipeline": "quantum-compact", "seed": 4, "kernel": dict(_W, alpha=0.7),
+                      "compact": {"ae_bits": 10}, "queries": {"n": 4}}),
+    ("6d2ff0b949a2", {"pipeline": "quantum-global", "seed": 2, "dataset": {"m": 40},
+                      "kernel": {"family": "gaussian", "sigma": 0.1}, "queries": {"n": 50}}),
+    ("219b7550ec88", {"pipeline": "quantum-compact", "seed": 2, "dataset": {"m": 40},
+                      "kernel": dict(_W, alpha=0.3), "inversion": {"spectral_floor": 1e-3},
+                      "compact": {"ae_bits": 8}, "queries": {"n": 50}}),
+    ("1663081d83a1", {"pipeline": "quantum-global", "seed": 9, "queries": {"n": 4}}),
+    ("46c4e68c13ca", {"pipeline": "quantum-compact", "seed": 3, "kernel": dict(_W, alpha=0.7),
+                      "inversion": {"mode": "quantized"}}),
+    ("a5d7f4a7df3a", {"pipeline": "quantum-global", "seed": 0,
+                      "dataset": {"m": 64, "box": [0.0, 1.0]},
+                      "kernel": {"family": "gaussian", "sigma": 0.1}, "queries": {"n": 4},
+                      "inversion": {"mode": "ideal"}}),
+    ("151e6ed6bff7", {"pipeline": "quantum-compact", "seed": 3, "kernel": dict(_W, alpha=0.7),
+                      "inversion": {"mode": "ideal"}}),
+    ("a16f27a864e2", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
+                      "kernel": dict(_W, alpha=0.15),
+                      "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
+                      "compact": {"ae_bits": 8}, "queries": {"n": 3}}),
+    ("8bd9760e3637", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
+                      "kernel": dict(_W, alpha=0.15),
+                      "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
+                      "compact": {"ae_bits": None}, "queries": {"n": 3}}),
+]
+
+
+@pytest.mark.parametrize("want, cfg", _PINNED_HASHES, ids=[h for h, _ in _PINNED_HASHES])
+def test_config_hash_of_a_valid_config_is_pinned(want, cfg):
+    harness._check_config(cfg)
+    merged = harness.merge_config(harness.default_config(), cfg)
+    assert harness.config_hash(dict(merged, output=None)) == want
+
+
+def test_default_config_hash_is_pinned_and_reported_by_a_run():
+    assert harness.config_hash(harness.default_config()) == "4484c5432579"
+    assert harness.run_pipeline({}).summary["config_hash"] == "4484c5432579"
+
+
 def test_merge_config_is_recursive():
     base = {"a": {"b": 1, "c": 2}, "d": 3}
     out = harness.merge_config(base, {"a": {"c": 9}, "e": 4})
@@ -489,6 +580,32 @@ def test_pipeline_rejects_unknown_name():
         harness.run_pipeline({"pipeline": "noqueue"})
 
 
+def test_unknown_config_keys_are_refused_with_the_nearest_valid_key():
+    cfg = {"pipeline": "quantum-global", "seed": 0,
+           "inversion": {"mode": "quantized", "clock_bit": 3}, "epsilonn": 5}
+    with pytest.raises(ValueError) as info:
+        harness.run_pipeline(cfg)
+    message = str(info.value)
+    assert "unknown config key 'inversion.clock_bit'; did you mean 'inversion.clock_bits'?" \
+        in message
+    assert "unknown config key 'epsilonn'; did you mean 'epsilon'?" in message
+    # a dotted path is how errors and --set name a key, not a key of the config itself
+    with pytest.raises(ValueError, match="unknown config key 'dataset.m'"):
+        harness.run_pipeline({"dataset.m": 5})
+
+
+def test_sweep_over_an_unknown_key_is_refused_and_writes_nothing(tmp_path):
+    cfg = {"pipeline": "quantum-global", "seed": 0, "inversion": {"mode": "quantized"}}
+    with pytest.raises(ValueError, match="did you mean 'inversion.clock_bits'"):
+        harness.sweep(cfg, "inversion.clock_bit", [2, 5], out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_section_that_is_not_an_object_is_refused():
+    with pytest.raises(ValueError, match="section 'queries' must be an object, got None"):
+        harness.run_pipeline({"pipeline": "classical", "queries": None})
+
+
 def test_stage_labels_surface_in_errors():
     cfg = {"pipeline": "classical", "dataset": {"m": 3, "d": 2, "box": [0.0, 0.0]}}
     with pytest.raises(RuntimeError, match="stage: dataset"):
@@ -542,6 +659,12 @@ def test_inversion_suite_fidelity_rows_check_the_state_against_an_independent_so
     monkeypatch.setattr(qinvert, "invert_ideal", reversed_state)
     bad = harness.verify_bounds("inversion", seed=0)
     assert all(not r["passed"] for r in bad.rows if r["case"].endswith(" fidelity"))
+
+
+def test_inversion_suite_decomposes_each_quantized_system_once(factor_calls):
+    harness.verify_bounds("inversion", seed=0)
+    # one eigh for the on-grid system, one for the system the t0 loop inverts five times
+    assert factor_calls["eigh"] == 2
 
 
 def test_verify_bounds_rows_are_deterministic():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qrbf import compact, harness, interpolation, kernels, qinvert
 from qrbf.interpolation import LinearSystem
@@ -21,11 +22,28 @@ def _random_spd(rng, m):
 def test_eigensolve_ascending_and_symmetric_only():
     rng = np.random.default_rng(1)
     A = _random_spd(rng, 5)
-    w, u = qinvert.eigensolve(LinearSystem(A, np.ones(5)))
+    system = LinearSystem(A, np.ones(5))
+    w, u = qinvert.eigensolve(system)
+    assert qinvert.eigensolve(system) is system.eigenbasis  # taken once, kept on the system
     assert np.all(np.diff(w) >= 0)
     assert np.allclose(u @ np.diag(w) @ u.T, A, atol=1e-12)
     with pytest.raises(ValueError):
         qinvert.eigensolve(LinearSystem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2)))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.eye(3),
+    sparse.csr_array(np.eye(3)),
+    interpolation.InterpMatrix(np.eye(3), normalized=False, family="gaussian"),
+], ids=["dense", "sparse", "interp-matrix"])
+@pytest.mark.parametrize("config", [
+    InversionConfig(),
+    InversionConfig(spectral_floor=0.5),
+    InversionConfig(mode="quantized", evolution_time=1.0, clock_bits=3),
+], ids=["ideal", "floor", "quantized"])
+def test_right_hand_side_of_the_wrong_size_is_refused_where_the_system_is_built(matrix, config):
+    with pytest.raises(ValueError, match="matrix and right-hand side sizes disagree"):
+        qinvert.invert(LinearSystem(matrix, np.ones(2)), config)
 
 
 def test_filter_spectrum():
