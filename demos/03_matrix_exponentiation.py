@@ -3,7 +3,9 @@
 Conjugating a state by e^{-iAt} using l copies of A costs an error
 O(t^2/l) in trace norm.  The demo measures that rate on random 4x4
 density pairs and confirms the closed-form single step against the
-explicit two-register construction.
+explicit two-register construction.  `qcore.dme_evolve` computes the
+l-step channel in A's eigenbasis rather than stepping it, so the rate
+table costs the same at l = 512 as at l = 8.
 """
 
 import numpy as np

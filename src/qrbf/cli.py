@@ -59,7 +59,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _base_config(args)
-    cfg["queries"]["file"] = args.query_file
+    harness._set_by_path(cfg, "queries.file", args.query_file)
     result = harness.run_pipeline(cfg)
     fields = result.query_fields
     print(",".join(fields))
@@ -100,12 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    dataset = harness.default_config()["dataset"]
     p = sub.add_parser("gen-data", help="generate a random dataset CSV")
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--box", type=float, nargs=2, default=[0.0, 1.0], metavar=("LO", "HI"))
+    p.add_argument("--m", type=int, default=dataset["m"])
+    p.add_argument("--d", type=int, default=dataset["d"])
+    p.add_argument("--box", type=float, nargs=2, default=dataset["box"], metavar=("LO", "HI"))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--target", choices=sorted(harness.TARGETS), default="franke")
+    p.add_argument("--target", choices=sorted(harness.TARGETS), default=dataset["target"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 

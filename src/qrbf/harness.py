@@ -152,14 +152,23 @@ def _check_config(cfg: dict) -> None:
             unknown.append(key)
         elif isinstance(defaults[key], dict):
             if not isinstance(val, dict):
-                raise ValueError(f"config section {key!r} must be an object, got {val!r}")
+                raise _not_an_object(key, val)
             unknown += [f"{key}.{sub}" for sub in val if f"{key}.{sub}" not in valid]
     if unknown:
         raise ValueError("\n".join(
-            f"unknown config key {path!r}; did you mean "
-            f"{difflib.get_close_matches(path, valid, n=1, cutoff=0.0)[0]!r}?"
-            for path in unknown
+            f"unknown config key {path!r}; {_key_hint(path, valid)}" for path in unknown
         ))
+
+
+def _key_hint(path: str, valid: list) -> str:
+    if path in valid:  # a valid dotted path, written as a top-level key
+        section, _, sub = path.partition(".")
+        return f'nest it as {{"{section}": {{"{sub}": ...}}}}'
+    return f"did you mean {difflib.get_close_matches(path, valid, n=1, cutoff=0.0)[0]!r}?"
+
+
+def _not_an_object(section: str, val) -> ValueError:
+    return ValueError(f"config section {section!r} must be an object, got {val!r}")
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -742,16 +751,19 @@ def _slope(xs, ys) -> float:
 
 
 def _suite_truncation(seed: int) -> list:
+    ratios = np.arange(0.0, 2.25, 0.25)
+    orders = range(2, 31)
+    # one amplitude table per order for all ratios at sigma = 1; rows keep (ratio, order) order
+    measured = np.empty((ratios.size, len(orders)))
+    for col, order in enumerate(orders):
+        diff = coherent._amplitudes(ratios, order + 200)
+        diff[:, :order] -= coherent._amplitudes(ratios, order)
+        measured[:, col] = [np.linalg.norm(row) for row in diff]
     rows = []
-    for ratio in np.arange(0.0, 2.25, 0.25):
-        for order in range(2, 31):
-            ref = coherent.coherent_state(ratio, 1.0, order + 200).amplitudes
-            trunc = coherent.coherent_state(ratio, 1.0, order).amplitudes
-            padded = np.zeros_like(ref)
-            padded[:order] = trunc
-            measured = float(np.linalg.norm(ref - padded))
+    for ratio, errs in zip(ratios, measured):
+        for order, err in zip(orders, errs.tolist()):
             bound = coherent.truncation_bound(ratio, 1.0, order)
-            rows.append((f"ratio={ratio}", f"order={order}", measured, bound, measured <= bound))
+            rows.append((f"ratio={ratio}", f"order={order}", err, bound, err <= bound))
     return rows
 
 
@@ -1022,8 +1034,10 @@ def verify_bounds(suite: str, seed=None, out_dir=None) -> BoundSuiteResult:
 def _set_by_path(cfg: dict, path: str, value) -> None:
     keys = path.split(".")
     node = cfg
-    for key in keys[:-1]:
+    for depth, key in enumerate(keys[:-1], 1):
         node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise _not_an_object(".".join(keys[:depth]), node)
     node[keys[-1]] = value
 
 

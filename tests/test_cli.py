@@ -22,6 +22,16 @@ def test_gen_data_writes_loadable_csv(tmp_path, capsys):
     assert "seed 5" in capsys.readouterr().out
 
 
+def test_bare_gen_data_draws_the_default_fit_dataset(tmp_path, capsys):
+    """gen-data's option defaults are the dataset section of default_config()."""
+    assert cli.main(["gen-data", "--seed", "0", "--out", str(tmp_path / "gen.csv")]) == 0
+    assert cli.main(["fit", "--seed", "0", "--out", str(tmp_path / "fit")]) == 0
+    gen = interp.load_dataset(tmp_path / "gen.csv")
+    fit = interp.load_dataset(tmp_path / "fit" / "dataset.csv")
+    assert np.array_equal(gen.sites, fit.sites)
+    assert np.array_equal(gen.values, fit.values)
+
+
 def test_gen_data_respects_env_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QRBF_SEED", "21")
     out = tmp_path / "data.csv"
@@ -97,6 +107,16 @@ def test_set_of_an_unknown_key_is_refused():
     with pytest.raises(ValueError, match="did you mean 'inversion.clock_bits'"):
         cli.main(["fit", "--pipeline", "quantum-global", "--seed", "0",
                   "--set", "inversion.clock_bit=3"])
+
+
+def test_writing_into_a_null_config_section_names_the_section(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"queries": None}))
+    qfile = tmp_path / "q.csv"
+    qfile.write_text("x1,x2\n0.5,0.5\n")
+    for args in (["fit", "--set", "queries.n=3"], ["evaluate", "--query-file", str(qfile)]):
+        with pytest.raises(ValueError, match="config section 'queries' must be an object, got None"):
+            cli.main(args + ["--config", str(cfg_path), "--seed", "0"])
 
 
 def test_installed_entry_point():

@@ -594,6 +594,15 @@ def test_unknown_config_keys_are_refused_with_the_nearest_valid_key():
         harness.run_pipeline({"dataset.m": 5})
 
 
+def test_a_dotted_top_level_key_is_told_to_nest():
+    with pytest.raises(ValueError) as info:
+        harness.run_pipeline({"dataset.m": 5, "kernel.sigma": 0.3})
+    assert str(info.value).splitlines() == [
+        """unknown config key 'dataset.m'; nest it as {"dataset": {"m": ...}}""",
+        """unknown config key 'kernel.sigma'; nest it as {"kernel": {"sigma": ...}}""",
+    ]
+
+
 def test_sweep_over_an_unknown_key_is_refused_and_writes_nothing(tmp_path):
     cfg = {"pipeline": "quantum-global", "seed": 0, "inversion": {"mode": "quantized"}}
     with pytest.raises(ValueError, match="did you mean 'inversion.clock_bits'"):
@@ -694,6 +703,9 @@ def test_set_by_path_nested():
     assert cfg["inversion"]["mode"] == "quantized"
     harness._set_by_path(cfg, "dataset.m", 5)
     assert cfg["dataset"]["m"] == 5
+    cfg["queries"] = None
+    with pytest.raises(ValueError, match="config section 'queries' must be an object, got None"):
+        harness._set_by_path(cfg, "queries.n", 3)
 
 
 def test_pipeline_outputs_are_byte_identical_across_reruns(tmp_path):

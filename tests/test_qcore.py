@@ -107,12 +107,75 @@ def test_dme_step_matches_kron_conjugation():
     assert np.allclose(got.entries, want.entries, atol=1e-13)
 
 
+def _stepped_evolve(a_op, rho, t, l):
+    """Reference channel: l calls of dme_step of length t/l."""
+    state = qcore.DensityMatrix(rho, (rho.shape[0],))
+    for _ in range(l):
+        state = qcore.dme_step(a_op, state, t / l)
+    return state
+
+
+def test_dme_evolve_matches_stepped_reference():
+    """The closed form is the stepped channel to rounding, over 300 random systems."""
+    rng = np.random.default_rng(37)
+    worst = 0.0
+    for _ in range(300):
+        m = int(rng.integers(2, 9))
+        A = _random_density(rng, m, rank=int(rng.integers(1, m + 1)))
+        rho = _random_density(rng, m, rank=int(rng.integers(1, m + 1)))
+        t = float(rng.uniform(0.1, 3.0))
+        l = int(rng.integers(1, 601))
+        got = qcore.dme_evolve(A, rho, t, l).entries
+        worst = max(worst, float(np.max(np.abs(got - _stepped_evolve(A, rho, t, l).entries))))
+    assert worst <= 1e-13
+
+
+def test_dme_evolve_single_step_is_dme_step():
+    rng = np.random.default_rng(41)
+    for m in (2, 3, 5, 8):
+        A = _random_density(rng, m, rank=m)
+        rho = _random_density(rng, m, rank=2)
+        for dt in (1e-3, 0.2, 1.5):
+            got = qcore.dme_evolve(A, rho, dt, 1).entries
+            assert np.allclose(got, qcore.dme_step(A, rho, dt).entries, rtol=0, atol=1e-15)
+
+
 def test_dme_fixed_point():
-    """rho = A is stationary for every step size."""
+    """rho = A is returned exactly for every step size."""
     rng = np.random.default_rng(13)
     A = _random_density(rng, 4, rank=4)
-    out = qcore.dme_evolve(A, A, t=1.3, l=7)
-    assert np.allclose(out.entries, A, atol=1e-13)
+    for t, l in ((1.3, 7), (0.5, 1), (2.0, 100000)):
+        assert np.array_equal(qcore.dme_evolve(A, A, t=t, l=l).entries, A)
+
+
+def test_dme_channel_refuses_a_non_hermitian_operator():
+    rng = np.random.default_rng(43)
+    A = _random_density(rng, 3, rank=3)
+    A[0, 1] += 1e-6
+    rho = _random_density(rng, 3, rank=2)
+    for call in (
+        lambda: qcore.dme_evolve(A, rho, 1.0, 8),
+        lambda: qcore.dme_error(A, rho, 1.0, 8),
+        lambda: qcore.exact_conjugation(A, rho, 1.0),
+    ):
+        with pytest.raises(ValueError, match=r"not hermitian: max asymmetry 1\.000e-06"):
+            call()
+    # asymmetry at rounding level of the largest entry passes
+    A[0, 1] -= 1e-6
+    A[1, 0] += 1e-13 * np.max(np.abs(A))
+    qcore.dme_evolve(A, rho, 1.0, 8)
+
+
+def test_dme_error_decomposes_the_operator_once(monkeypatch):
+    rng = np.random.default_rng(47)
+    A = _random_density(rng, 4, rank=4)
+    rho = _random_density(rng, 4, rank=2)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    err = qcore.dme_error(A, rho, 1.0, 10**6)
+    assert len(calls) == 1
+    assert 0.0 < err < 1e-5
 
 
 def test_exact_conjugation_matches_expm():
