@@ -79,6 +79,12 @@ def _amplitudes(ratios, order: int) -> np.ndarray:
     An array of n ratios gives an (n, order) table; a scalar gives the 1-D
     vector through the same path.  The table is built in place so the only
     (n, order) array is the result.
+
+    The sign flip of negative ratios and the unit row of zero ratios are
+    masked writes that leave a table of positive ratios unchanged, so they
+    run only when some ratio is not positive: the bound suites build
+    hundreds of small tables, and on 8 ratios the masked writes take about
+    a quarter of a build's time.
     """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
@@ -92,10 +98,11 @@ def _amplitudes(ratios, order: int) -> np.ndarray:
     table -= 0.5 * gammaln(k + 1.0)
     table -= table.max(axis=1, keepdims=True)
     np.exp(table, out=table)
-    table[r < 0.0, 1::2] *= -1.0
-    zero = r == 0.0
-    table[zero] = 0.0
-    table[zero, 0] = 1.0
+    if not (r > 0.0).all():
+        table[r < 0.0, 1::2] *= -1.0
+        zero = r == 0.0
+        table[zero] = 0.0
+        table[zero, 0] = 1.0
     # one 1 x order @ order x 1 product per row: numpy computes it with the
     # dot routine of the 1-D norm, where norm(axis=-1) differs in the last ulp
     table /= np.sqrt(np.matmul(table[:, None, :], table[:, :, None]))[:, 0]

@@ -103,8 +103,9 @@ def _norms(x_i, x_j, norm_i, norm_j):
     x_j = np.asarray(x_j, dtype=float).ravel()
     if x_i.shape != x_j.shape:
         raise ValueError("points must share a dimension")
-    ni = float(np.linalg.norm(x_i)) if norm_i is None else float(norm_i)
-    nj = float(np.linalg.norm(x_j)) if norm_j is None else float(norm_j)
+    # sqrt(x . x) is what np.linalg.norm computes for a 1-D real vector
+    ni = math.sqrt(x_i.dot(x_i)) if norm_i is None else float(norm_i)
+    nj = math.sqrt(x_j.dot(x_j)) if norm_j is None else float(norm_j)
     if ni == 0.0 and nj == 0.0:
         raise ValueError("pair state undefined when both points are zero")
     return x_i, x_j, ni, nj
@@ -143,7 +144,8 @@ def pair_scale(x_i, x_j, norm_i: float | None = None, norm_j: float | None = Non
 
 def reconstruct_distance(x_i, x_j) -> float:
     """Round-trip distance through the amplitude encoding (exact arithmetic)."""
-    return distance_amplitude(x_i, x_j) * pair_scale(x_i, x_j)
+    x_i, x_j, ni, nj = _norms(x_i, x_j, None, None)
+    return distance_amplitude(x_i, x_j, ni, nj) * pair_scale(x_i, x_j, ni, nj)
 
 
 @functools.lru_cache(maxsize=_AE_BITS_CAP)

@@ -92,15 +92,16 @@ def gen_data(m: int, d: int, box, seed: int, target_fn: str = "franke") -> DataS
         raise ValueError(f"unknown target {target_fn!r}; choose from {sorted(TARGETS)}")
     bounds = _box_array(box, d)
     rng = np.random.default_rng(seed)
-    sites = np.empty((0, d))
+    sites = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m, d))
     for _ in range(100):
-        draw = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m - sites.shape[0], d))
-        sites = np.unique(np.vstack([sites, draw]), axis=0)
+        sites = interpolation.unique_rows(sites)
         if sites.shape[0] == m:
             break
+        draw = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m - sites.shape[0], d))
+        sites = np.vstack([sites, draw])
     else:
         raise RuntimeError(f"could not draw {m} distinct sites in box {box!r}")
-    # unique() sorted the rows; shuffle deterministically so ordering is not biased
+    # unique_rows() sorted the rows; shuffle deterministically so ordering is not biased
     rng.shuffle(sites)
     return DataSet(sites=sites, values=TARGETS[target_fn](sites))
 
@@ -895,7 +896,7 @@ def _perturbation_instance(rng):
         for order in range(3, 40):
             gram = coherent.gram_coherent(ds, sigma, order)
             delta_a = gram.data - exact.data
-            gamma = float(np.linalg.norm(np.linalg.solve(exact.data, delta_a), 2))
+            gamma = float(interpolation.spectral_norm(np.linalg.solve(exact.data, delta_a)))
             if gamma < 0.5:
                 return ds, exact, spec, gram, delta_a, gamma
     raise RuntimeError("could not draw a perturbation instance with gamma < 0.5")
@@ -1071,7 +1072,7 @@ def sweep(cfg: dict, param: str, values, out_dir=None):
                 "param": param,
                 "value": value,
                 "kappa": s.get("kappa"),
-                "fidelity": s.get("fidelity_vs_classical", s.get("fidelity_vs_exact_solution")),
+                "fidelity": s.get("fidelity_vs_exact_solution"),
                 "post_select_prob": s.get("post_select_prob"),
                 "matrix_frobenius_error": s.get(
                     "matrix_frobenius_error", s.get("gram_frobenius_error")

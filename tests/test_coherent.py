@@ -84,6 +84,50 @@ def test_batched_row_norms_equal_one_dimensional_norms(order):
     assert np.array_equal(table, want)
 
 
+def _unguarded_amplitudes(ratios, order: int) -> np.ndarray:
+    """coherent._amplitudes with its sign flip and zero-row fix-up always run."""
+    r = np.asarray(ratios, dtype=float)
+    scalar = r.ndim == 0
+    r = r.reshape(-1)
+    k = np.arange(order)
+    log_r = np.array([math.log(abs(v)) if v != 0.0 else 0.0 for v in r.tolist()])
+    table = np.multiply.outer(log_r, k)
+    table -= 0.5 * gammaln(k + 1.0)
+    table -= table.max(axis=1, keepdims=True)
+    np.exp(table, out=table)
+    table[r < 0.0, 1::2] *= -1.0
+    zero = r == 0.0
+    table[zero] = 0.0
+    table[zero, 0] = 1.0
+    table /= np.sqrt(np.matmul(table[:, None, :], table[:, :, None]))[:, 0]
+    return table[0] if scalar else table
+
+
+@pytest.mark.parametrize("order", [1, 2, 9, 339])
+def test_amplitude_fix_ups_run_wherever_a_ratio_is_not_positive(order):
+    """Skipping the fix-ups on positive ratios leaves every bit of the table."""
+    rng = np.random.default_rng(order)
+    positive = rng.uniform(1e-3, 30.0, 40)
+    cases = [
+        positive,
+        positive[:1],
+        np.float64(2.5),
+        np.append(positive, 0.0),
+        np.append(positive, -1e-300),
+        -positive,
+        rng.uniform(-30.0, 30.0, 40),
+        np.array([np.nan, -0.5, 1.0]),
+        np.array([]),
+        np.float64(0.0),
+        np.float64(-2.5),
+    ]
+    for ratios in cases:
+        got = coherent._amplitudes(ratios, order)
+        want = _unguarded_amplitudes(ratios, order)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_truncations_share_prefixes():
     """Log-space evaluation keeps short and long truncations consistent.
 

@@ -46,6 +46,19 @@ def test_distance_amplitude_range_and_roundtrip():
         assert np.isclose(dist, np.linalg.norm(x_i - x_j), rtol=1e-12, atol=1e-13)
 
 
+def test_reconstruct_distance_equals_amplitude_times_scale():
+    """One pair of 1-D norms serves both steps, with np.linalg.norm's bits."""
+    rng = np.random.default_rng(19)
+    for _ in range(1000):
+        d = int(rng.integers(1, 6))
+        x_i = rng.normal(size=d)
+        x_j = rng.normal(size=d)
+        ni, nj = np.linalg.norm(x_i), np.linalg.norm(x_j)
+        want = compact.distance_amplitude(x_i, x_j, ni, nj) * compact.pair_scale(x_i, x_j, ni, nj)
+        assert compact.reconstruct_distance(x_i, x_j) == want
+        assert compact.distance_amplitude(x_i, x_j) * compact.pair_scale(x_i, x_j) == want
+
+
 def test_estimation_pmf_is_a_distribution():
     for a in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.95):
         pmf = compact.estimation_pmf(a, ae_bits=6)

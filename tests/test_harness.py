@@ -1,5 +1,6 @@
 """Tests for data generation, budgets, pipelines, suites, and determinism."""
 
+import csv
 import json
 import math
 import os
@@ -340,6 +341,28 @@ def test_global_fidelity_vs_exact_solution_sees_a_wrong_state(monkeypatch):
     bad = harness.run_pipeline(cfg).summary
     assert bad["fidelity_vs_classical"] == good["fidelity_vs_classical"]
     assert bad["fidelity_vs_exact_solution"] < 0.5
+
+
+def test_sweep_fidelity_sees_a_wrong_global_state(monkeypatch, tmp_path):
+    """sweep.csv's fidelity is against the exact solution, not the run's own factor."""
+    from qrbf import qcore, qinvert
+
+    cfg = _global_cfg(24, 0.2, seed=2)
+    good, _ = harness.sweep(cfg, "seed", [2])
+    assert good[0]["fidelity"] > 1.0 - 1e-9
+    invert = qinvert.invert
+
+    def reversed_state(system, config):
+        rep = invert(system, config)
+        amps = rep.state_out.amplitudes[::-1]
+        rep.state_out = qcore.PureState(amps, (amps.shape[0],))
+        return rep
+
+    monkeypatch.setattr(qinvert, "invert", reversed_state)
+    _, path = harness.sweep(cfg, "seed", [2], out_dir=str(tmp_path))
+    with open(path, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["fidelity"]) < 0.5
 
 
 def test_global_pipeline_needs_a_norm_success_to_pass():

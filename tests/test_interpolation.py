@@ -45,6 +45,73 @@ def test_dataset_validation():
     assert np.allclose(ds.site_norms, [1.0, 2.0])
 
 
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _signed_zero_grid(rng, m, d, nan_share=0.0):
+    """Rows over {-1, -0.0, 0.0, 1}, so that ties run into later columns."""
+    a = rng.integers(-1, 2, size=(m, d)).astype(float)
+    a[(a == 0.0) & (rng.uniform(size=a.shape) < 0.5)] = -0.0
+    a[rng.uniform(size=a.shape) < nan_share] = np.nan
+    return a
+
+
+def test_unique_rows_equal_numpy_unique_rows():
+    """Random, repeated and tied rows: np.unique(axis=0)'s rows, bit for bit."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        d = int(rng.integers(1, 5))
+        draws = rng.uniform(-1.0, 1.0, size=(m, d))
+        repeated = draws[rng.integers(0, max(1, m // 3), size=m)]
+        ties = rng.integers(-2, 3, size=(m, d)).astype(float)
+        for a in (draws, repeated, ties):
+            _assert_same_bits(interp.unique_rows(a), np.unique(a, axis=0))
+
+
+def test_unique_rows_signed_zeros_and_nan_rows():
+    """-0.0 equals 0.0 and every NaN row is kept, as in np.unique."""
+    a = np.array([[0.0, 1.0], [np.nan, 0.0], [-0.0, 1.0], [1.0, -0.0], [np.nan, 0.0],
+                  [1.0, 0.0], [-0.5, np.nan]])
+    got = interp.unique_rows(a)
+    _assert_same_bits(got, np.unique(a, axis=0))
+    assert got.shape[0] == 5
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        # up to 16 rows np.unique sorts stably, so it keeps the same signed zero
+        a = _signed_zero_grid(rng, int(rng.integers(1, 17)), int(rng.integers(1, 4)), 0.1)
+        _assert_same_bits(interp.unique_rows(a), np.unique(a, axis=0))
+        # past 16 rows its sort is not stable; the kept rows are equal as floats
+        a = _signed_zero_grid(rng, int(rng.integers(17, 60)), int(rng.integers(1, 4)), 0.1)
+        got, want = interp.unique_rows(a), np.unique(a, axis=0)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_dataset_refuses_duplicate_sites():
+    sites = np.array([[0.3, 0.1], [0.5, 0.2], [0.9, 0.0], [0.3, 0.1]])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        interp.DataSet(sites, np.zeros(4))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        interp.DataSet(np.array([[0.0, 1.0], [-0.0, 1.0]]), np.zeros(2))
+    assert interp.DataSet(sites[:3], np.zeros(3)).m == 3
+
+
+def test_spectral_norm_equals_numpy_two_norm():
+    """The largest singular value is np.linalg.norm(x, 2) bit for bit, at any rank."""
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        m, n = (int(v) for v in rng.integers(1, 13, size=2))
+        full = rng.standard_normal((m, n))
+        rank = int(rng.integers(0, min(m, n)))
+        deficient = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        for x in (full, deficient, full @ full.T, np.linalg.inv(full @ full.T + np.eye(m))):
+            _assert_same_bits(interp.spectral_norm(x), np.linalg.norm(x, 2))
+
+
 def test_dataset_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     ds = _random_dataset(rng, 9, 3)
