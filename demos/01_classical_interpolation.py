@@ -48,7 +48,7 @@ print(f"max |f(x_j) - y_j| over the {ds.m} sites: {worst:.3e}")
 section("out-of-sample error against the known target")
 rng = np.random.default_rng(seed + 1)
 queries = rng.uniform(0.0, 1.0, size=(200, 2))
-fhat = interp.evaluate_many(coeffs, ds, kern, queries)
+fhat = np.array([interp.evaluate(coeffs, ds, kern, x) for x in queries])
 truth = harness.TARGETS["franke"](queries)
 print(f"mean |f - target| on 200 fresh points: {np.mean(np.abs(fhat - truth)):.4f}")
 print(f"max  |f - target| on 200 fresh points: {np.max(np.abs(fhat - truth)):.4f}")

@@ -4,8 +4,11 @@ Compactly supported profiles give sparse kernel matrices.  The quantum
 route encodes each site pair in a small state whose first-register
 weight is the scaled distance, estimates that amplitude to ae_bits of
 precision, and rebuilds the matrix entry from the estimate.  The demo
-walks the encoding, the estimation distribution, and the full solve.
+writes out the pair state and the estimation distribution, which the
+package itself never forms, and then runs the full solve.
 """
+
+import math
 
 import numpy as np
 
@@ -13,6 +16,7 @@ from qrbf import compact, harness
 from qrbf import interpolation as interp
 from qrbf.compact import CompactOracleConfig
 from qrbf.kernels import wendland
+from qrbf.qcore import PureState
 
 ds = harness.gen_data(m=16, d=2, box=[0.0, 1.0], seed=11, target_fn="franke")
 kern = wendland(3, 2, alpha=0.45)
@@ -20,7 +24,11 @@ print(f"{ds.m} sites, wendland(3,2) with support alpha={kern.alpha}")
 
 print("\npair-state encoding of one site pair:")
 x_i, x_j = ds.sites[0], ds.sites[1]
-st = compact.pair_state(x_i, x_j)
+# (||x_i|| |+>|x_i_hat> - ||x_j|| |->|x_j_hat>) / sqrt(||x_i||^2 + ||x_j||^2),
+# sign qubit first, in the computational basis
+scale = math.sqrt(x_i @ x_i + x_j @ x_j)
+amps = np.concatenate([x_i - x_j, x_i + x_j]) / (scale * math.sqrt(2.0))
+st = PureState(amps, (2, ds.d))
 a = compact.distance_amplitude(x_i, x_j)
 print(f"  state dims {st.dims}, norm {st.norm:.12f}")
 print(f"  distance amplitude a = {a:.6f} (always in [0, 1])")
@@ -28,7 +36,11 @@ print(f"  reconstructed distance {compact.reconstruct_distance(x_i, x_j):.12f}")
 print(f"  direct distance        {float(np.linalg.norm(x_i - x_j)):.12f}")
 
 print("\nestimation outcome distribution for this amplitude at 5 bits:")
-pmf = compact.estimation_pmf(a, ae_bits=5)
+# cell y weighs (s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2, s = sin(pi y / 32):
+# the two-peak Fejer pattern with its common numerator cancelled
+s = np.array([math.sin(math.pi * min(y, 32 - y) / 32) for y in range(32)])
+pmf = (s * s + a * a * (1.0 - 2.0 * s * s)) / ((s - a) * (s + a)) ** 2
+pmf /= pmf.sum()
 top = np.argsort(pmf)[::-1][:4]
 for y in top:
     est = abs(np.sin(np.pi * y / 32))

@@ -24,7 +24,8 @@ coordinate ratios gives an (n, N) table of unit rows, each bit for bit
 the vector of its coordinate alone, and a single coordinate takes the
 same path.  A product-state overlap is the product of its per-coordinate
 overlaps, so the m x m Gram matrix is built as d BLAS syrk products
-F_c F_c^T, one per coordinate table F_c, multiplied entrywise.
+F_c F_c^T, one per coordinate table F_c, multiplied entrywise; no
+order^d product-state vector is ever formed.
 
 The kernel depends only on x - z, so the quantum-global pipeline encodes
 centred(dataset): each coordinate translated by the midpoint of its
@@ -43,9 +44,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .interpolation import DataSet, InterpMatrix
-
-# largest m * order^d register superposition_gram_check builds as a statevector
-_SUPERPOSITION_CAP = 4096
 
 
 def max_ratio(sites, sigma: float) -> float:
@@ -161,42 +159,6 @@ def min_order(ratio_max: float, delta: float) -> int:
     return order
 
 
-@dataclass
-class ProductCoherent:
-    """Product of per-coordinate truncated encodings for one site."""
-
-    ratios: np.ndarray
-    order: int
-    factors: np.ndarray  # (d, order), each row unit norm
-
-    @property
-    def d(self) -> int:
-        return self.factors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.order**self.d
-
-    def amplitudes(self) -> np.ndarray:
-        """Flattened tensor product; the first coordinate varies slowest."""
-        out = self.factors[0]
-        for row in self.factors[1:]:
-            out = np.kron(out, row)
-        return out
-
-
-def product_state(x, sigma: float, order: int) -> ProductCoherent:
-    ratios = _ratios(np.asarray(x, dtype=float).ravel(), sigma)
-    return ProductCoherent(ratios=ratios, order=int(order), factors=_amplitudes(ratios, order))
-
-
-def coherent_inner(x, z, sigma: float, order: int) -> float:
-    """Overlap of two truncated product encodings (real, in [-1, 1])."""
-    fx = product_state(x, sigma, order).factors
-    fz = product_state(z, sigma, order).factors
-    return float(np.prod(np.sum(fx * fz, axis=1)))
-
-
 def gram_coherent(dataset: DataSet, sigma: float, order: int) -> InterpMatrix:
     """Normalized Gram matrix of truncated encodings, entries <psi_i|psi_j>/m.
 
@@ -260,23 +222,3 @@ def gram_report(dataset: DataSet, sigma: float, order: int) -> GramDeviation:
         gram=approx,
     )
 
-
-def superposition_gram_check(dataset: DataSet, sigma: float, order: int):
-    """Rebuild the Gram matrix as a reduced state of one global pure state.
-
-    Forms |Psi> = m^{-1/2} sum_j |j>|psi_j>, traces out the encoding
-    register of |Psi><Psi| and returns (reduced matrix, max entrywise
-    deviation from gram_coherent, trace of the reduced matrix).
-    """
-    m, dim = dataset.m, order**dataset.d
-    if m * dim > _SUPERPOSITION_CAP:
-        raise ValueError(f"superposition dimension {m * dim} exceeds cap {_SUPERPOSITION_CAP}")
-    psi = np.zeros(m * dim)
-    for j, x in enumerate(dataset.sites):
-        psi[j * dim : (j + 1) * dim] = product_state(x, sigma, order).amplitudes()
-    psi /= math.sqrt(m)
-    # partial trace over the encoding register of the projector |Psi><Psi|
-    block = psi.reshape(m, dim)
-    reduced = block @ block.T
-    direct = gram_coherent(dataset, sigma, order).data
-    return reduced, float(np.max(np.abs(reduced - direct))), float(np.trace(reduced))

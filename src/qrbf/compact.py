@@ -6,12 +6,13 @@ For sites x_i, x_j the two-register state
 
 puts the scaled distance a = ||x_i - x_j|| / sqrt(2(||x_i||^2 + ||x_j||^2))
 on its |0>-branch, where a is always in [0, 1] and can be read off by
-amplitude estimation.  Matrix entries follow by rescaling the estimate
-back to a distance and applying the kernel profile; a column oracle maps
-(column, slot) to the row of the slot-th nonzero so sparse solvers can
-walk the matrix.  Query states |Phi(x)> are prepared by a rotation
-proportional to the kernel values with scaling C_hat, whose success
-probability recovers ||Phi(x)||.
+amplitude estimation.  The state is never formed: distance_amplitude
+computes a from the two sites.  Matrix entries follow by rescaling the
+estimate back to a distance and applying the kernel profile; a column
+oracle maps (column, slot) to the row of the slot-th nonzero so sparse
+solvers can walk the matrix.  Query states |Phi(x)> are prepared by a
+rotation proportional to the kernel values with scaling C_hat, whose
+success probability recovers ||Phi(x)||.
 
 Amplitude estimation is simulated at the outcome-distribution level: in
 a 2^bits-cell phase grid, the outcome y follows the standard two-cell
@@ -23,8 +24,8 @@ otherwise.  The pattern is evaluated in closed form: with s = sin(pi y /
 (s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2, since the Fejer numerator
 sin^2(pi 2^bits omega) is the same in every cell and cancels.  An exact
 hit (s = a, a zero denominator) makes the row the normalised indicator
-of its hit cells.  estimation_pmf and _draw evaluate the whole grid and
-are the reference distribution.
+of its hit cells.  The tests evaluate this distribution over the whole
+grid as the reference the sampler is checked against.
 
 The oracles never form the whole grid.  The weight depends on y only
 through s, and so does the estimate, so _sample_outcomes draws from the
@@ -33,7 +34,7 @@ evaluates the 2 _WINDOW cells around M omega exactly and draws the rest
 of the half by rejection against the envelope M^2 / (2 k^2), k = |y - M
 omega|, which bounds every folded weight and whose integral inverts in
 closed form: expected O(_WINDOW) work per draw at any bit count, and the
-accepted outcomes follow estimation_pmf's distribution exactly.
+accepted outcomes follow the whole-grid distribution exactly.
 
 oracle_PA is the per-entry reference.  The pair {i, j} owns the
 counter-based Philox4x64-10 blocks under key seed at counters (min(i, j)
@@ -111,22 +112,6 @@ def _norms(x_i, x_j, norm_i, norm_j):
     return x_i, x_j, ni, nj
 
 
-def pair_state(x_i, x_j, norm_i: float | None = None, norm_j: float | None = None) -> PureState:
-    """Unit two-register state whose |0>-branch amplitude encodes the distance.
-
-    Register layout: a sign qubit in the |+>/|-> basis and a d-dimensional
-    direction register; amplitudes returned in the computational basis.
-    """
-    x_i, x_j, ni, nj = _norms(x_i, x_j, norm_i, norm_j)
-    d = x_i.shape[0]
-    s = math.sqrt(ni * ni + nj * nj)
-    amps = np.zeros(2 * d)
-    # |+>|x_i> branch and -|->|x_j> branch, written out in the z basis
-    amps[:d] = (x_i - x_j) / (s * math.sqrt(2.0))
-    amps[d:] = (x_i + x_j) / (s * math.sqrt(2.0))
-    return PureState(amps, (2, d))
-
-
 def distance_amplitude(
     x_i, x_j, norm_i: float | None = None, norm_j: float | None = None
 ) -> float:
@@ -174,58 +159,9 @@ def _closed_form(s, a):
         return (s2 + a * a * (1.0 - 2.0 * s2)) / den, den
 
 
-def estimation_pmf(a_true, ae_bits: int) -> np.ndarray:
-    """Outcome distribution of canonical amplitude estimation on a 2^bits grid.
-
-    Cell y of the grid carries the interference weight
-    (F(y/M - omega) + F(y/M + omega)) / 2 with F the squared Dirichlet
-    kernel sin^2(pi M t) / (M sin(pi t))^2 and omega = arcsin(a)/pi.  The
-    numerator sin^2(pi M omega) is the same in every cell of a row and
-    cancels in the normalisation; with s = sin(pi y / M) what is left is
-
-        pmf_y  proportional to  (s^2 + a^2 - 2 s^2 a^2) / ((s - a)(s + a))^2,
-
-    a few multiplies and one divide per cell (_closed_form), s read from
-    _grid_sines.
-    A row with an exact hit, a cell whose squared denominator is 0, is the
-    normalised indicator of its hit cells (the 0/0 limit of F): an
-    on-grid amplitude splits 0.5/0.5 between y0 and M - y0, and a = 0 or
-    a = 1 puts 1.0 on one cell.  An array of n amplitudes gives one
-    distribution per row, shape (n, 2^bits); a scalar gives the 1-D
-    distribution through the same path.
-    """
-    a = np.asarray(a_true, dtype=float)
-    scalar = a.ndim == 0
-    a = a.reshape(-1, 1)
-    if not np.all((a >= 0.0) & (a <= 1.0)):
-        raise ValueError("amplitude must lie in [0, 1]")
-    pmf, den = _closed_form(_grid_sines(ae_bits), a)
-    total = pmf.sum(axis=-1, keepdims=True)
-    hit_rows = ~np.isfinite(total[:, 0])
-    if hit_rows.any():
-        # a zero denominator gives inf or 0/0 = nan, so only hit rows sum to a non-finite
-        pmf[hit_rows] = den[hit_rows] == 0.0
-        total[hit_rows] = pmf[hit_rows].sum(axis=-1, keepdims=True)
-    pmf /= total
-    return pmf[0] if scalar else pmf
-
-
 def ae_error_bound(ae_bits: int) -> float:
     """Precision of amplitude estimation holding with probability >= 8/pi^2."""
     return math.pi * 2.0**-ae_bits + math.pi**2 * 2.0 ** (-2 * ae_bits)
-
-
-def _draw(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcomes for uniforms u in [0, 1) by inverse CDF, shape (..., k).
-
-    pmf has shape (..., M) and u shape (..., k): k draws from each
-    distribution.  The arithmetic is that of Generator.choice(M, p=pmf):
-    cumulative sum scaled to end at 1, then searchsorted(cdf, u, 'right'),
-    which is count(cdf <= u) for a nondecreasing cdf.
-    """
-    cdf = np.cumsum(pmf, axis=-1)
-    cdf /= cdf[..., -1:]
-    return np.count_nonzero(cdf[..., None, :] <= u[..., :, None], axis=-1)
 
 
 def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
@@ -241,7 +177,7 @@ def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
 def _folded_weights(a, y, ae_bits: int):
     """Folded outcome weights c'_y of amplitudes a at cells y in [0, M/2], and hit flags.
 
-    c'_y is estimation_pmf's unnormalised _closed_form, taken twice for
+    c'_y is the unnormalised outcome weight _closed_form, taken twice for
     0 < y < M/2, where cells y and M - y fold together; a and y broadcast.
     A cell whose squared denominator is 0 is flagged as a hit and its
     weight is inf or nan.
@@ -254,17 +190,17 @@ def _folded_weights(a, y, ae_bits: int):
 def _sample_outcomes(a, ae_bits: int, uniforms) -> np.ndarray:
     """Two independent folded AE outcomes for each amplitude of a, shape (n, 2).
 
-    Outcomes follow estimation_pmf(a) folded onto y in [0, M/2], M =
-    2^bits.  A draw picks one of the window cells, the min(2 _WINDOW,
-    M/2 + 1) cells from floor(mu) - _WINDOW + 1 on, mu = M arcsin(a) / pi
-    (shifted to fit in [0, M/2]), with its exact weight c'_y, or a tail
-    cell beyond them with the weight of the envelope M^2 / (2 (x - mu)^2)
-    over the cell [y - 1/2, y + 1/2], which is M^2 / (2 (k^2 - 1/4)),
-    k = y - mu, and is at least c'_y.  A tail cell is found by inverting
-    the envelope's integral and kept with probability c'_y over its
-    envelope weight; a rejected draw starts again, so the kept outcomes
-    are exact.  A window cell with a zero denominator is a hit: both
-    draws return it, as estimation_pmf's indicator does.
+    Outcomes follow the outcome distribution of a (module docstring)
+    folded onto y in [0, M/2], M = 2^bits.  A draw picks one of the
+    window cells, the min(2 _WINDOW, M/2 + 1) cells from floor(mu) -
+    _WINDOW + 1 on, mu = M arcsin(a) / pi (shifted to fit in [0, M/2]),
+    with its exact weight c'_y, or a tail cell beyond them with the
+    weight of the envelope M^2 / (2 (x - mu)^2) over the cell
+    [y - 1/2, y + 1/2], which is M^2 / (2 (k^2 - 1/4)), k = y - mu, and
+    is at least c'_y.  A tail cell is found by inverting the envelope's
+    integral and kept with probability c'_y over its envelope weight; a
+    rejected draw starts again, so the kept outcomes are exact.  A window cell with a zero denominator is a hit: both
+    draws return it, as the distribution's indicator row does.
 
     uniforms(c2, rows) gives the (len(rows), 4) uniforms of attempt c2
     for the rows of a still drawing: column k picks draw k's cell by

@@ -510,8 +510,10 @@ def _run_classical(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult
     with _stage("classical solve"):
         system = interpolation.exact_system(dataset, kernel)
     spec, coeffs = system.spectrum, system.coeffs
-    f_classical = [interpolation.evaluate(coeffs, dataset, kernel, x) for x in queries]
-    rows = _query_rows(queries, seed, chash, f_classical=f_classical)
+    # f_classical as the quantum pipelines read it; the unit classical
+    # coefficients stand in for the inverted state, whose overlaps go unread
+    readings = _basis_readings(dataset, kernel, queries, coeffs, coeffs.c / coeffs.norm)
+    rows = _query_rows(queries, seed, chash, f_classical=readings.f_classical)
     summary = {
         "pipeline": "classical",
         "seed": seed,

@@ -154,30 +154,16 @@ def _as_dense(matrix) -> np.ndarray:
     return data.toarray() if issparse(data) else np.asarray(data, dtype=float)
 
 
-def assemble(
-    dataset: DataSet,
-    kernel: Kernel,
-    normalized: bool = False,
-    override_pd: bool = False,
-    storage: str = "auto",
-) -> InterpMatrix:
+def assemble(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> InterpMatrix:
     """Assemble the interpolation matrix for a dataset and kernel.
 
     Compact kernels are stored as CSR with only the pairs inside the
-    support radius (storage="dense" forces a dense matrix for
-    cross-checks); global kernels are always dense.  Kernels that are not
-    positive definite are refused unless override_pd is set.
+    support radius; global kernels are dense.
     """
-    if not kernel.positive_definite and not override_pd:
-        raise ValueError(
-            f"{kernel.family} is not positive definite; pass override_pd=True to assemble anyway"
-        )
-    if storage not in ("auto", "dense"):
-        raise ValueError(f"unknown storage mode {storage!r}")
     m = dataset.m
     scale = 1.0 / m if normalized else 1.0
 
-    if kernel.is_compact and storage != "dense":
+    if kernel.is_compact:
         tree = cKDTree(dataset.sites)
         pairs = tree.query_pairs(kernel.alpha, output_type="ndarray")
         if pairs.size:
@@ -199,11 +185,7 @@ def assemble(
 
     dist = pair_distance(dataset.sites[:, None, :], dataset.sites[None, :, :])
     mat = kernel.eval(dist) * scale
-    if kernel.is_compact:
-        sparsity = int(np.max(np.count_nonzero(mat, axis=1)))
-    else:
-        sparsity = m
-    return InterpMatrix(data=mat, normalized=normalized, family=kernel.family, sparsity=sparsity)
+    return InterpMatrix(data=mat, normalized=normalized, family=kernel.family, sparsity=m)
 
 
 @dataclass
@@ -271,11 +253,6 @@ def evaluate(coeffs, dataset: DataSet, kernel: Kernel, x) -> float:
             return 0.0
         return float(np.dot(c[mask], kernel.eval(r[mask])))
     return float(np.dot(c, kernel.eval(r)))
-
-
-def evaluate_many(coeffs, dataset: DataSet, kernel: Kernel, points) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.array([evaluate(coeffs, dataset, kernel, x) for x in points])
 
 
 def basis_matrix(dataset: DataSet, kernel: Kernel, points) -> np.ndarray:

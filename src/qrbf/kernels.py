@@ -10,12 +10,16 @@ Global families (shape parameter eta > 0):
 
 ================        ==============================================
 gaussian                exp(-r^2 / (2 sigma^2)),  sigma = sqrt(1/(2 eta^2))
-multiquadric            sqrt(1 + (eta r)^2)        (not positive definite)
 inverse-multiquadric    1 / sqrt(1 + (eta r)^2)
 matern-c0               exp(-eta r)
 matern-c2               exp(-eta r) (1 + eta r)
 matern-c4               exp(-eta r) (3 + 3 eta r + (eta r)^2)
 ================        ==============================================
+
+Each of them is positive definite, so the interpolation matrix of
+distinct sites is nonsingular.  The multiquadric sqrt(1 + (eta r)^2) is
+only conditionally positive definite: it would need the polynomial
+augmentation of Micchelli (1986), and is not offered.
 
 Compact family (support radius alpha, profile below takes r in [0, 1]):
 
@@ -46,7 +50,6 @@ import numpy as np
 
 GLOBAL_FAMILIES = (
     "gaussian",
-    "multiquadric",
     "inverse-multiquadric",
     "matern-c0",
     "matern-c2",
@@ -69,6 +72,12 @@ _WENDLAND_TABLE = {
 }
 
 WENDLAND_PAIRS = tuple(sorted(_WENDLAND_TABLE))
+
+
+def _unknown_family(family) -> ValueError:
+    return ValueError(
+        f"unknown kernel family {family!r}; choose from {GLOBAL_FAMILIES + COMPACT_FAMILIES}"
+    )
 
 
 def cutoff(w):
@@ -110,16 +119,11 @@ class Kernel:
             if not (math.isfinite(self.alpha) and self.alpha > 0):
                 raise ValueError("compact kernels need a finite support radius alpha > 0")
         else:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise _unknown_family(self.family)
 
     @property
     def is_compact(self) -> bool:
         return self.family in COMPACT_FAMILIES
-
-    @property
-    def positive_definite(self) -> bool:
-        """True for every family except the (conditionally definite) multiquadric."""
-        return self.family != "multiquadric"
 
     @property
     def phi0(self) -> float:
@@ -141,8 +145,6 @@ class Kernel:
         fam = self.family
         if fam == "gaussian":
             out = np.exp(-(arr * arr) / (2.0 * self.sigma**2))
-        elif fam == "multiquadric":
-            out = np.sqrt(1.0 + (self.eta * arr) ** 2)
         elif fam == "inverse-multiquadric":
             out = 1.0 / np.sqrt(1.0 + (self.eta * arr) ** 2)
         elif fam == "matern-c0":
@@ -181,16 +183,8 @@ def gaussian(sigma: float | None = None, eta: float | None = None) -> Kernel:
     return Kernel("gaussian", eta=eta, sigma=sigma)
 
 
-def multiquadric(eta: float) -> Kernel:
-    return Kernel("multiquadric", eta=eta)
-
-
 def inverse_multiquadric(eta: float) -> Kernel:
     return Kernel("inverse-multiquadric", eta=eta)
-
-
-def matern_c0(eta: float) -> Kernel:
-    return Kernel("matern-c0", eta=eta)
 
 
 def matern_c2(eta: float) -> Kernel:
@@ -228,4 +222,4 @@ def from_config(cfg: dict) -> Kernel:
         if "eta" not in cfg:
             raise ValueError(f"{family} config needs 'eta'")
         return Kernel(family, eta=cfg.pop("eta"))
-    raise ValueError(f"unknown kernel family {family!r}")
+    raise _unknown_family(family)

@@ -71,22 +71,6 @@ class DensityMatrix:
         if self.entries.shape != (dim, dim):
             raise ValueError(f"entries shape {self.entries.shape} does not match dims {self.dims}")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Raise unless hermitian, unit trace, and positive semidefinite (within atol)."""
-        h = np.max(np.abs(self.entries - self.entries.conj().T))
-        if h > atol:
-            raise ValueError(f"not hermitian: max asymmetry {h:.3e}")
-        tr = np.trace(self.entries)
-        if abs(tr - 1.0) > atol:
-            raise ValueError(f"trace is {tr:.12f}, expected 1")
-        w = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
-        if w[0] < -atol:
-            raise ValueError(f"negative eigenvalue {w[0]:.3e}")
-
 
 def _as_operator(obj) -> np.ndarray:
     if isinstance(obj, DensityMatrix):
@@ -94,37 +78,6 @@ def _as_operator(obj) -> np.ndarray:
     if isinstance(obj, PureState):
         return obj.density().entries
     return np.asarray(obj, dtype=complex)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every register not listed in keep (int or sequence of ints)."""
-    keep = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
-    n = len(rho.dims)
-    if not keep or any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"keep ids must be distinct members of range({n})")
-    keep = sorted(keep)
-    drop = [i for i in range(n) if i not in keep]
-    arr = rho.entries.reshape(rho.dims + rho.dims)
-    offset = n
-    for ax in reversed(drop):
-        arr = np.trace(arr, axis1=ax, axis2=ax + offset)
-        offset -= 1
-    kept_dims = tuple(rho.dims[i] for i in keep)
-    dim = math.prod(kept_dims)
-    return DensityMatrix(arr.reshape(dim, dim), kept_dims)
-
-
-def swap_operator(m: int) -> np.ndarray:
-    """Permutation matrix exchanging the two m-dimensional registers."""
-    s = np.zeros((m * m, m * m))
-    j, k = np.divmod(np.arange(m * m), m)
-    s[k * m + j, np.arange(m * m)] = 1.0
-    return s
-
-
-def swap_exponential(m: int, dt: float) -> np.ndarray:
-    """e^{-iS dt} = cos(dt) I - i sin(dt) S, exact because S^2 = I."""
-    return math.cos(dt) * np.eye(m * m) - 1j * math.sin(dt) * swap_operator(m)
 
 
 def dme_step(a_op, rho, dt: float) -> DensityMatrix:

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 report lines; each test fails loudly if its bound is violated.
 """
 
+import functools
 import math
 import time
 
@@ -83,7 +84,10 @@ def test_criterion_02_gram_construction():
         d = int(rng.integers(1, 3))
         order = int(rng.integers(3, 7))
         ds = interp.DataSet(rng.uniform(-0.9, 0.9, size=(m, d)), rng.standard_normal(m))
-        _, dev, _ = coherent.superposition_gram_check(ds, 0.8, order)
+        # |Psi> = m^{-1/2} sum_j |j>|psi_j>, its encoding register traced out
+        psi = np.stack([functools.reduce(np.kron, coherent._amplitudes(x / 0.8, order))
+                        for x in ds.sites]) / math.sqrt(m)
+        dev = float(np.max(np.abs(psi @ psi.T - coherent.gram_coherent(ds, 0.8, order).data)))
         worst_dev = max(worst_dev, dev)
     ok = ok and worst_dev <= 1e-12
     assert _report(2, "gram construction", ok,
@@ -272,7 +276,7 @@ def test_criterion_09_compact_pipeline():
     bits_grid = list(range(4, 13))
     errs = []
     upper = np.triu_indices(ds.m, k=1)
-    exact = interp.assemble(ds, kern, storage="dense").data[upper]
+    exact = kern.eval(interp.pair_distance(ds.sites[:, None, :], ds.sites[None, :, :]))[upper]
     support = exact != 0.0
     for bits in bits_grid:
         built = compact.build_matrix(
@@ -286,12 +290,11 @@ def test_criterion_09_compact_pipeline():
     for (dw, kw) in kernels.WENDLAND_PAIRS:
         d_data = min(dw, 3)
         sites = np.random.default_rng(90 + dw * 10 + kw).uniform(0.0, 1.0, size=(12, d_data))
-        dsw = interp.DataSet(sites, np.ones(12))
         dists = interp.pair_distance(sites[:, None, :], sites[None, :, :])
-        np.fill_diagonal(dists, np.inf)
-        alpha = 2.0 * float(np.median(dists.min(axis=1)))
-        mat = interp.assemble(dsw, kernels.wendland(dw, kw, alpha=alpha), storage="dense")
-        if np.linalg.eigvalsh(mat.data)[0] <= 0.0:
+        nearest = np.where(np.eye(12, dtype=bool), np.inf, dists).min(axis=1)
+        alpha = 2.0 * float(np.median(nearest))
+        mat = kernels.wendland(dw, kw, alpha=alpha).eval(dists)
+        if np.linalg.eigvalsh(mat)[0] <= 0.0:
             spd_ok = False
     ok = ok and spd_ok
     assert _report(9, "compact pipeline", ok,

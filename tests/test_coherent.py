@@ -1,5 +1,6 @@
 """Tests for truncated coherent encodings and the Gram matrix they induce."""
 
+import functools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ def _reference_amplitudes(ratio: float, order: int) -> np.ndarray:
 
 def _reference_gram(ds: DataSet, sigma: float, order: int) -> np.ndarray:
     """Gram matrix from all per-coordinate overlaps at once, via einsum."""
-    factors = np.stack([coherent.product_state(x, sigma, order).factors for x in ds.sites])
+    factors = np.stack([coherent._amplitudes(x / sigma, order) for x in ds.sites])
     gram = np.einsum("ick,jck->ijc", factors, factors).prod(axis=2)
     gram = 0.5 * (gram + gram.T)
     np.fill_diagonal(gram, 1.0)
@@ -64,7 +65,7 @@ def test_amplitude_table_rows_equal_single_coordinate_states(order):
             assert np.array_equal(table, want)
             assert np.array_equal(states, want)
         for x in sites:
-            factors = coherent.product_state(x, 1.0, order).factors
+            factors = coherent._amplitudes(x, order)
             assert np.array_equal(factors, np.stack([_reference_amplitudes(r, order) for r in x]))
 
 
@@ -197,26 +198,15 @@ def test_truncation_bound_dominates_measured_tail():
             assert measured <= coherent.truncation_bound(ratio, 1.0, order) + 1e-15
 
 
-def test_product_state_kron_structure():
-    x = np.array([0.5, -0.3, 0.1])
-    order = 5
-    ps = coherent.product_state(x, 1.0, order)
-    assert ps.d == 3 and ps.dim == order**3
-    amps = ps.amplitudes()
-    manual = np.array([1.0])
-    for xi in x:
-        manual = np.kron(manual, coherent.coherent_state(xi, 1.0, order).amplitudes)
-    assert np.array_equal(amps, manual)
-    assert np.isclose(np.linalg.norm(amps), 1.0, rtol=1e-12)
-
-
 def test_coherent_inner_converges_to_gaussian_overlap():
     """<psi_x|psi_z> -> exp(-||x-z||^2 / (2 sigma^2)) as the cutoff grows."""
     x = np.array([0.5, -0.3])
     z = np.array([0.1, 0.2])
     sigma = 1.0
     want = math.exp(-np.sum((x - z) ** 2) / (2.0 * sigma**2))
-    got = coherent.coherent_inner(x, z, sigma, 60)
+    # a product-state overlap is the product of its per-coordinate overlaps
+    fx, fz = coherent._amplitudes(x / sigma, 60), coherent._amplitudes(z / sigma, 60)
+    got = np.prod(np.sum(fx * fz, axis=1))
     assert np.isclose(got, want, rtol=1e-13)
 
 
@@ -266,21 +256,27 @@ def test_gram_report_bounds_hold():
         assert rep.frobenius_bound == 2.0 * d * rep.delta
 
 
+def _superposition_gram(ds: DataSet, sigma: float, order: int) -> np.ndarray:
+    """Reduced state of |Psi> = m^{-1/2} sum_j |j>|psi_j> on the site register.
+
+    Each |psi_j> is the order^d Kronecker product of its coordinate
+    states; tracing out the encoding register of |Psi><Psi| leaves the
+    m x m matrix of overlaps <psi_i|psi_j> / m.
+    """
+    psi = np.stack([functools.reduce(np.kron, coherent._amplitudes(x / sigma, order))
+                    for x in ds.sites])
+    psi /= math.sqrt(ds.m)
+    return psi @ psi.T
+
+
 def test_superposition_reduction_reproduces_gram():
-    """Tracing the index register of the global state gives the Gram matrix."""
+    """Tracing the encoding register of the global state gives the Gram matrix."""
     rng = np.random.default_rng(9)
     ds = DataSet(rng.uniform(-0.8, 0.8, size=(4, 2)), rng.standard_normal(4))
-    reduced, dev, trace = coherent.superposition_gram_check(ds, sigma=0.9, order=5)
+    reduced = _superposition_gram(ds, sigma=0.9, order=5)
     direct = coherent.gram_coherent(ds, 0.9, 5).data
-    assert dev <= 1e-12
-    assert np.allclose(reduced, direct, atol=1e-12)
-    assert np.isclose(trace, 1.0, atol=1e-12)
-
-
-def test_superposition_check_refuses_huge_registers():
-    ds = DataSet(np.linspace(0, 1, 5)[:, None] * np.ones((1, 3)), np.ones(5))
-    with pytest.raises(ValueError):
-        coherent.superposition_gram_check(ds, sigma=1.0, order=30)  # 27000 > cap
+    assert np.max(np.abs(reduced - direct)) <= 1e-12
+    assert np.isclose(np.trace(reduced), 1.0, atol=1e-12)
 
 
 def _displacement_state(r: float, sigma: float, order: int) -> np.ndarray:

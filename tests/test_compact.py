@@ -16,15 +16,32 @@ def _dataset(rng, m, d):
     return interp.DataSet(sites, rng.standard_normal(m))
 
 
+def _pair_state(x_i, x_j):
+    """(||x_i|| |+>|x_i_hat> - ||x_j|| |->|x_j_hat>) / sqrt(||x_i||^2 + ||x_j||^2).
+
+    Amplitudes in the computational basis: sign qubit first, then the
+    d-dimensional direction register.
+    """
+    s = math.sqrt(x_i @ x_i + x_j @ x_j)
+    plus_i = np.concatenate([x_i, x_i]) / math.sqrt(2.0)
+    minus_j = np.concatenate([x_j, -x_j]) / math.sqrt(2.0)
+    return (plus_i - minus_j) / s
+
+
 def test_pair_state_layout_and_norm():
     x_i = np.array([1.0, 0.0])
     x_j = np.array([0.0, 1.0])
-    st = compact.pair_state(x_i, x_j)
+    st = _pair_state(x_i, x_j)
     s = math.sqrt(2.0)  # sqrt(||x_i||^2 + ||x_j||^2)
     want = np.concatenate([(x_i - x_j), (x_i + x_j)]) / (s * math.sqrt(2.0))
-    assert np.allclose(st.amplitudes, want, rtol=1e-15)
-    assert st.dims == (2, 2)
-    assert np.isclose(st.norm, 1.0, rtol=1e-14)
+    assert np.allclose(st, want, rtol=1e-15)
+    assert np.isclose(np.linalg.norm(st), 1.0, rtol=1e-14)
+    # the |0>-branch of the sign qubit carries the amplitude the oracles estimate
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        x_i, x_j = rng.uniform(-3, 3, size=3), rng.uniform(-3, 3, size=3)
+        zero_branch = np.linalg.norm(_pair_state(x_i, x_j)[:3])
+        assert np.isclose(zero_branch, compact.distance_amplitude(x_i, x_j), rtol=1e-13)
 
 
 def test_distance_amplitude_reference_point():
@@ -59,9 +76,52 @@ def test_reconstruct_distance_equals_amplitude_times_scale():
         assert compact.distance_amplitude(x_i, x_j) * compact.pair_scale(x_i, x_j) == want
 
 
+def _estimation_pmf(a_true, ae_bits: int) -> np.ndarray:
+    """Reference: outcome distribution of amplitude estimation over the whole 2^bits grid.
+
+    Cell y of the grid carries the interference weight
+    (F(y/M - omega) + F(y/M + omega)) / 2 with F the squared Dirichlet
+    kernel sin^2(pi M t) / (M sin(pi t))^2 and omega = arcsin(a)/pi.  The
+    numerator sin^2(pi M omega) is the same in every cell of a row and
+    cancels in the normalisation; with s = sin(pi y / M) what is left is
+    compact._closed_form, s read from compact._grid_sines.  A row with an
+    exact hit, a cell whose squared denominator is 0, is the normalised
+    indicator of its hit cells (the 0/0 limit of F): an on-grid amplitude
+    splits 0.5/0.5 between y0 and M - y0, and a = 0 or a = 1 puts 1.0 on
+    one cell.  An array of n amplitudes gives one distribution per row,
+    shape (n, 2^bits); a scalar gives the 1-D distribution through the
+    same path.
+    """
+    a = np.asarray(a_true, dtype=float)
+    scalar = a.ndim == 0
+    a = a.reshape(-1, 1)
+    pmf, den = compact._closed_form(compact._grid_sines(ae_bits), a)
+    total = pmf.sum(axis=-1, keepdims=True)
+    hit_rows = ~np.isfinite(total[:, 0])
+    if hit_rows.any():
+        # a zero denominator gives inf or 0/0 = nan, so only hit rows sum to a non-finite
+        pmf[hit_rows] = den[hit_rows] == 0.0
+        total[hit_rows] = pmf[hit_rows].sum(axis=-1, keepdims=True)
+    pmf /= total
+    return pmf[0] if scalar else pmf
+
+
+def _draw(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcomes for uniforms u in [0, 1) by inverse CDF, shape (..., k).
+
+    pmf has shape (..., M) and u shape (..., k): k draws from each
+    distribution.  The arithmetic is that of Generator.choice(M, p=pmf):
+    cumulative sum scaled to end at 1, then searchsorted(cdf, u, 'right'),
+    which is count(cdf <= u) for a nondecreasing cdf.
+    """
+    cdf = np.cumsum(pmf, axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.count_nonzero(cdf[..., None, :] <= u[..., :, None], axis=-1)
+
+
 def test_estimation_pmf_is_a_distribution():
     for a in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.95):
-        pmf = compact.estimation_pmf(a, ae_bits=6)
+        pmf = _estimation_pmf(a, ae_bits=6)
         assert pmf.shape == (64,)
         assert np.all(pmf >= -1e-15)
         assert np.isclose(pmf.sum(), 1.0, atol=1e-12)
@@ -72,11 +132,11 @@ def test_estimation_pmf_exact_cases():
     # a = 1 on outcome M/2, an on-grid a = sin(pi y0 / M) half on y0, half on M - y0
     M = 32
     y0 = 5
-    pmf = compact.estimation_pmf(0.0, ae_bits=5)
+    pmf = _estimation_pmf(0.0, ae_bits=5)
     assert pmf[0] == 1.0 and np.count_nonzero(pmf) == 1
-    pmf = compact.estimation_pmf(1.0, ae_bits=5)
+    pmf = _estimation_pmf(1.0, ae_bits=5)
     assert pmf[M // 2] == 1.0 and np.count_nonzero(pmf) == 1
-    pmf = compact.estimation_pmf(math.sin(math.pi * y0 / M), ae_bits=5)
+    pmf = _estimation_pmf(math.sin(math.pi * y0 / M), ae_bits=5)
     assert pmf[y0] == pmf[M - y0] == 0.5
     assert np.count_nonzero(pmf) == 2
 
@@ -122,7 +182,7 @@ def test_estimation_pmf_closed_form_matches_fejer_reference():
         ])
         amps = amps[(amps >= 0.0) & (amps <= 1.0)]
         for block in _row_blocks(amps.shape[0], bits):
-            pmf = compact.estimation_pmf(amps[block], bits)
+            pmf = _estimation_pmf(amps[block], bits)
             assert np.all(np.isfinite(pmf))
             worst = max(worst, float(np.max(np.abs(pmf - _fejer_pmf(amps[block], bits)))))
     assert worst <= 1e-11
@@ -136,8 +196,8 @@ def test_estimation_pmf_draws_equal_fejer_reference_draws():
         amps = rng.uniform(0.0, 1.0, n)
         u = rng.random((n, 1))
         for block in _row_blocks(n, bits):
-            got = compact._draw(compact.estimation_pmf(amps[block], bits), u[block])
-            want = compact._draw(_fejer_pmf(amps[block], bits), u[block])
+            got = _draw(_estimation_pmf(amps[block], bits), u[block])
+            want = _draw(_fejer_pmf(amps[block], bits), u[block])
             assert np.array_equal(got, want)
         pairs += n
     assert pairs >= 100_000
@@ -197,16 +257,16 @@ def test_estimation_pmf_batch_rows_and_draw_rule():
     for bits in (1, 3, 6, 9, 12):
         M = 2**bits
         amps = np.concatenate([[0.0, 1.0, math.sin(math.pi * 3 / 16)], rng.uniform(0, 1, 37)])
-        batch = compact.estimation_pmf(amps, bits)
+        batch = _estimation_pmf(amps, bits)
         assert batch.shape == (amps.shape[0], M)
         for k, a in enumerate(amps):
-            pmf = compact.estimation_pmf(float(a), bits)
+            pmf = _estimation_pmf(float(a), bits)
             assert pmf.shape == (M,)
             assert np.array_equal(batch[k], pmf)
             seed = (bits, k)
             want = int(np.random.default_rng(seed).choice(M, p=pmf))
             u = np.random.default_rng(seed).random()
-            assert int(compact._draw(pmf, np.array([u]))[0]) == want
+            assert int(_draw(pmf, np.array([u]))[0]) == want
             cases += 1
     assert cases == 200
 
@@ -320,8 +380,8 @@ def test_build_matrix_equals_symmetrized_oracle_loop(bits, monkeypatch):
 
 
 def _folded_pmf(a, bits):
-    """estimation_pmf(a) folded onto y in [0, M/2]: cells y and M - y summed."""
-    pmf = compact.estimation_pmf(a, bits)
+    """_estimation_pmf(a) folded onto y in [0, M/2]: cells y and M - y summed."""
+    pmf = _estimation_pmf(a, bits)
     half = 2 ** (bits - 1)
     folded = pmf[: half + 1].copy()
     folded[1:half] += pmf[:half:-1]
@@ -538,7 +598,7 @@ def test_build_matrix_estimated_is_symmetric_and_close():
     assert np.array_equal(dense, dense.T)
     # amplitude error passes through the distance and the profile Lipschitz
     # constant, so only a loose entrywise tolerance is meaningful here
-    exact = interp.assemble(ds, kern, storage="dense").data
+    exact = kern.eval(interp.pair_distance(ds.sites[:, None, :], ds.sites[None, :, :]))
     assert np.max(np.abs(dense - exact)) <= 0.05
     more = compact.build_matrix(ds, CompactOracleConfig(kernel=kern, ae_bits=14, seed=3))
     assert np.max(np.abs(more.toarray() - exact)) < np.max(np.abs(dense - exact))

@@ -499,10 +499,13 @@ _READOUT_CONFIGS = [
      "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.3},
      "inversion": {"spectral_floor": 1e-3}, "compact": {"ae_bits": 8},
      "queries": {"n": 50}},
+    {"pipeline": "classical", "seed": 2, "dataset": {"m": 40},
+     "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.3}, "queries": {"n": 50}},
 ]
+_READOUT_IDS = ["global", "compact", "classical"]
 
 
-@pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=["global", "compact"])
+@pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=_READOUT_IDS)
 def test_query_rows_do_not_depend_on_the_readout_block(monkeypatch, cfg):
     whole = harness.run_pipeline(cfg)
     for cells in (1, 3 * 40 + 1):  # one query per block; blocks of 3 with a ragged tail
@@ -512,7 +515,7 @@ def test_query_rows_do_not_depend_on_the_readout_block(monkeypatch, cfg):
         assert blocked.summary == whole.summary
 
 
-@pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=["global", "compact"])
+@pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=_READOUT_IDS)
 def test_batched_readout_matches_the_per_query_reference(cfg):
     """Within m ulps of the scale of each sum: the batch reduces rows in another order."""
     from qrbf import compact, kernels
@@ -522,18 +525,22 @@ def test_batched_readout_matches_the_per_query_reference(cfg):
     ds = harness._load_or_generate_dataset(full, cfg["seed"])
     queries = harness._query_points(full, ds, cfg["seed"])
     kern = kernels.from_config(full["kernel"])
-    system = interp.exact_system(ds, kern, normalized=True)
+    classical = cfg["pipeline"] == "classical"
+    system = interp.exact_system(ds, kern, normalized=not classical)
     c, report = system.coeffs.c, result.solve_report
-    state = report.state_out.amplitudes
     tol = ds.m * np.finfo(float).eps
     reached = 0
     for x, row in zip(queries, result.query_rows):
         phi = interp.basis_vector(ds, kern, x)
         assert abs(row["f_classical"] - float(np.dot(c, phi))) <= tol * np.abs(c) @ phi
+        reached += bool(np.any(phi))
+        if classical:
+            assert "f_quantum_analytic" not in row
+            continue
         if not np.any(phi):
             assert row["f_quantum_analytic"] == 0.0
             continue
-        reached += 1
+        state = report.state_out.amplitudes
         if cfg["pipeline"] == "quantum-global":
             norm = float(np.linalg.norm(phi))
             unit = phi / norm
@@ -601,6 +608,15 @@ def test_non_pd_exact_system_names_its_fix_without_a_second_spectrum(factor_call
 def test_pipeline_rejects_unknown_name():
     with pytest.raises(ValueError):
         harness.run_pipeline({"pipeline": "noqueue"})
+
+
+def test_multiquadric_is_refused_at_the_kernel_stage_naming_the_valid_families():
+    cfg = {"pipeline": "classical", "kernel": {"family": "multiquadric", "eta": 1.0}}
+    with pytest.raises(RuntimeError, match=r"\[stage: kernel\]") as info:
+        harness.run_pipeline(cfg)
+    assert isinstance(info.value.__cause__, ValueError)
+    message = str(info.value.__cause__)
+    assert "unknown kernel family 'multiquadric'" in message and "'gaussian'" in message
 
 
 def test_unknown_config_keys_are_refused_with_the_nearest_valid_key():

@@ -15,6 +15,11 @@ def _random_dataset(rng, m, d):
     return interp.DataSet(sites, values)
 
 
+def _dense_matrix(ds, kern):
+    """Dense reference for assemble: the kernel at every site-to-site distance."""
+    return kern.eval(interp.pair_distance(ds.sites[:, None, :], ds.sites[None, :, :]))
+
+
 def test_pair_distance_matches_norm():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((30, 3))
@@ -150,20 +155,11 @@ def test_sparse_and_dense_assembly_agree_exactly():
     ds = _random_dataset(rng, 25, 2)
     kern = kernels.wendland(3, 2, alpha=0.6)
     sp = interp.assemble(ds, kern)
-    de = interp.assemble(ds, kern, storage="dense")
-    assert sp.is_sparse and not de.is_sparse
-    assert np.array_equal(sp.toarray(), de.data)
+    de = _dense_matrix(ds, kern)
+    assert sp.is_sparse
+    assert np.array_equal(sp.toarray(), de)
     # sparsity counts the fullest row
-    assert sp.sparsity == int(np.max(np.count_nonzero(de.data, axis=1)))
-
-
-def test_assemble_refuses_non_pd_without_override():
-    ds = interp.DataSet(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
-    mq = kernels.multiquadric(1.0)
-    with pytest.raises(ValueError):
-        interp.assemble(ds, mq)
-    mat = interp.assemble(ds, mq, override_pd=True)
-    assert mat.data.shape == (2, 2)
+    assert sp.sparsity == int(np.max(np.count_nonzero(de, axis=1)))
 
 
 def test_solve_interpolates_exactly_at_sites():
@@ -195,7 +191,7 @@ def test_sparse_cg_matches_dense_cholesky():
     ds = _random_dataset(rng, 30, 2)
     kern = kernels.wendland(3, 2, alpha=0.8)
     sp = interp.solve(interp.assemble(ds, kern), ds.values)
-    de = interp.solve(interp.assemble(ds, kern, storage="dense"), ds.values)
+    de = interp.solve(_dense_matrix(ds, kern), ds.values)
     assert np.allclose(sp.c, de.c, rtol=1e-9, atol=1e-11)
 
 
@@ -232,17 +228,6 @@ def test_evaluate_matches_basis_dot():
     x = rng.uniform(-1, 1, size=3)
     phi = interp.basis_vector(ds, kern, x)
     assert np.isclose(interp.evaluate(coeffs, ds, kern, x), float(coeffs.c @ phi), rtol=1e-14)
-
-
-def test_evaluate_many_stacks_single_evaluations():
-    rng = np.random.default_rng(37)
-    ds = _random_dataset(rng, 6, 2)
-    kern = kernels.gaussian(sigma=0.9)
-    coeffs = interp.solve(interp.assemble(ds, kern), ds.values)
-    pts = rng.uniform(-1, 1, size=(4, 2))
-    many = interp.evaluate_many(coeffs, ds, kern, pts)
-    for i, x in enumerate(pts):
-        assert many[i] == interp.evaluate(coeffs, ds, kern, x)
 
 
 def test_spectrum_and_kappa_inf():
@@ -295,7 +280,7 @@ def test_perturbation_check_accepts_sparse_matrix():
     ds = _random_dataset(rng, 10, 2)
     kern = kernels.wendland(3, 2, alpha=0.7)
     sp = interp.assemble(ds, kern)
-    de = interp.assemble(ds, kern, storage="dense")
+    de = _dense_matrix(ds, kern)
     assert sp.is_sparse
     E = 1e-6 * np.eye(ds.m)
     assert interp.perturbation_check(sp, E) == interp.perturbation_check(de, E)

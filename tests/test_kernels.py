@@ -41,9 +41,8 @@ def test_gaussian_width_halving_identity():
 
 def test_global_profiles_at_zero():
     assert kernels.gaussian(sigma=1.0).phi0 == 1.0
-    assert kernels.multiquadric(1.0).phi0 == 1.0
     assert kernels.inverse_multiquadric(1.0).phi0 == 1.0
-    assert kernels.matern_c0(1.0).phi0 == 1.0
+    assert kernels.from_config({"family": "matern-c0", "eta": 1.0}).phi0 == 1.0
     assert kernels.matern_c2(1.0).phi0 == 1.0
     # the C^4 profile is not normalized at the origin
     assert kernels.matern_c4(1.0).phi0 == 3.0
@@ -55,14 +54,6 @@ def test_matern_c4_value():
     r = 0.75
     w = 2.0 * r
     assert np.isclose(k.eval(r), math.exp(-w) * (3.0 + 3.0 * w + w * w), rtol=1e-15)
-
-
-def test_multiquadric_grows_and_is_not_pd():
-    k = kernels.multiquadric(1.5)
-    r = np.array([0.0, 1.0, 2.0])
-    assert np.allclose(k.eval(r), np.sqrt(1.0 + (1.5 * r) ** 2))
-    assert not k.positive_definite
-    assert kernels.inverse_multiquadric(1.5).positive_definite
 
 
 def test_wendland_d3_k2_reference_value():
@@ -104,9 +95,8 @@ def test_scalar_and_array_eval_bit_identical():
     """Scalar calls reuse the array code path, so results match exactly."""
     profiles = [
         kernels.gaussian(sigma=0.9),
-        kernels.multiquadric(1.1),
         kernels.inverse_multiquadric(0.4),
-        kernels.matern_c0(1.3),
+        kernels.from_config({"family": "matern-c0", "eta": 1.3}),
         kernels.matern_c2(0.6),
         kernels.matern_c4(2.2),
     ] + [kernels.wendland(d, k, alpha=0.7) for (d, k) in kernels.WENDLAND_PAIRS]
@@ -162,7 +152,10 @@ def test_from_config_round_trips():
     assert k.phi0 == 3.0
     with pytest.raises(ValueError):
         kernels.from_config({"sigma": 0.5})
-    with pytest.raises(ValueError):
-        kernels.from_config({"family": "nope", "eta": 1.0})
+    for bad in ({"family": "nope", "eta": 1.0}, {"family": "multiquadric", "eta": 1.0}):
+        with pytest.raises(ValueError, match=rf"family '{bad['family']}'; choose from .*'gaussian'"):
+            kernels.from_config(bad)
+        with pytest.raises(ValueError, match=rf"family '{bad['family']}'; choose from .*'wendland'"):
+            kernels.Kernel(bad["family"], eta=1.0)
     with pytest.raises(ValueError):
         kernels.from_config({"family": "wendland", "d": 3, "k": 2})
