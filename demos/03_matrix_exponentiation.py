@@ -40,7 +40,7 @@ S = np.eye(16).reshape(4, 4, 4, 4).transpose(1, 0, 2, 3).reshape(16, 16)
 U = math.cos(dt) * np.eye(16) - 1j * math.sin(dt) * S
 joint = U @ np.kron(A, rho) @ U.conj().T
 explicit = joint.reshape(4, 4, 4, 4).trace(axis1=0, axis2=2)
-print(f"  max |closed - explicit| = {np.max(np.abs(closed.entries - explicit)):.3e}")
+print(f"  max |closed - explicit| = {np.max(np.abs(closed - explicit)):.3e}")
 
 print("\nerror vs number of steps at t = 1 (trace norm):")
 print(f"{'l':>5s} {'error':>12s} {'l * error':>12s}")
@@ -57,9 +57,9 @@ print("\nsingle-step error vs dt:")
 for dt in (0.4, 0.2, 0.1, 0.05):
     one = qcore.dme_step(A, rho, dt)
     ref = qcore.exact_conjugation(A, rho, dt)
-    err = qcore.trace_norm(one.entries - ref.entries)
+    err = qcore.trace_norm(one - ref)
     print(f"  dt={dt:5.2f}  error={err:.3e}  error/dt^2={err / dt**2:.4f}")
 
 print("\nfixed point: rho = A is preserved exactly")
 out = qcore.dme_evolve(A, A, t=2.0, l=5)
-print(f"  max |out - A| = {np.max(np.abs(out.entries - A)):.3e}")
+print(f"  max |out - A| = {np.max(np.abs(out - A)):.3e}")

@@ -16,7 +16,6 @@ from qrbf import compact, harness
 from qrbf import interpolation as interp
 from qrbf.compact import CompactOracleConfig
 from qrbf.kernels import wendland
-from qrbf.qcore import PureState
 
 ds = harness.gen_data(m=16, d=2, box=[0.0, 1.0], seed=11, target_fn="franke")
 kern = wendland(3, 2, alpha=0.45)
@@ -28,9 +27,10 @@ x_i, x_j = ds.sites[0], ds.sites[1]
 # sign qubit first, in the computational basis
 scale = math.sqrt(x_i @ x_i + x_j @ x_j)
 amps = np.concatenate([x_i - x_j, x_i + x_j]) / (scale * math.sqrt(2.0))
-st = PureState(amps, (2, ds.d))
+# one row per value of the sign qubit
+st = amps.reshape(2, ds.d)
 a = compact.distance_amplitude(x_i, x_j)
-print(f"  state dims {st.dims}, norm {st.norm:.12f}")
+print(f"  state dims {st.shape}, norm {np.linalg.norm(st):.12f}")
 print(f"  distance amplitude a = {a:.6f} (always in [0, 1])")
 print(f"  reconstructed distance {compact.reconstruct_distance(x_i, x_j):.12f}")
 print(f"  direct distance        {float(np.linalg.norm(x_i - x_j)):.12f}")

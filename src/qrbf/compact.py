@@ -61,7 +61,6 @@ import numpy as np
 from . import interpolation, qinvert
 from .interpolation import DataSet, InterpMatrix, LinearSystem
 from .kernels import Kernel
-from .qcore import PureState
 from .qinvert import InversionConfig, SolveReport
 
 _AE_BITS_CAP = 20
@@ -433,10 +432,10 @@ def prepare_phi_state(x, dataset: DataSet, config: CompactOracleConfig):
     """Rotation-based preparation of the query state |Phi(x)>.
 
     Returns (state, success_prob, phi_norm_est): the post-selected unit
-    state proportional to sum_j phi(||x - x_j|| / alpha) |j>, the
-    probability (scale^2/m) sum_j phi^2 of the successful ancilla
-    outcome, and the norm estimate sqrt(success_prob * m) / scale that
-    recovers ||Phi(x)||.
+    state proportional to sum_j phi(||x - x_j|| / alpha) |j>, as a
+    complex array, the probability (scale^2/m) sum_j phi^2 of the
+    successful ancilla outcome, and the norm estimate
+    sqrt(success_prob * m) / scale that recovers ||Phi(x)||.
     """
     c_hat = config.effective_scale
     if c_hat * config.kernel.phi0 > 1.0 + 1e-12:
@@ -446,8 +445,7 @@ def prepare_phi_state(x, dataset: DataSet, config: CompactOracleConfig):
     if norm == 0.0:
         raise ValueError("query point is outside the support of every site")
     success, phi_norm_est = phi_norm_estimate(float(np.dot(phi, phi)), dataset.m, c_hat)
-    state = PureState(phi / norm, (dataset.m,))
-    return state, float(success), float(phi_norm_est)
+    return (phi / norm).astype(complex), float(success), float(phi_norm_est)
 
 
 def phi_norm_estimate(sq_norm, m: int, c_hat: float):
@@ -506,7 +504,5 @@ def solve_compact(
         solve=report,
         sparsity=system.matrix.sparsity,
         matrix_error=matrix_error,
-        fidelity_vs_exact_solution=qinvert.solution_fidelity(
-            exact.coeffs.c, report.state_out.amplitudes
-        ),
+        fidelity_vs_exact_solution=qinvert.solution_fidelity(exact.coeffs.c, report.state_out),
     )

@@ -285,6 +285,9 @@ def readout_budget(
     2*eps_p around its classical value.  basis_norm and overlap_classical
     may be arrays with one entry per query; each entry gets the bits of
     a scalar call.
+
+    A query is within_budget when abs_err <= 3 * budget.  The factor 3 is
+    a margin, not derived from this bound or from a failure probability.
     """
     base = np.maximum(0.0, 2.0 * (0.5 + 0.5 * (overlap_classical * overlap_classical)) - 1.0)
     eps_o = np.sqrt(base + 2.0 * budgets.eps_p) - np.sqrt(base)
@@ -382,7 +385,8 @@ class _BasisReadings:
     Re<state|Phi^(x)> with the inverted state, swap_p the swap-test
     acceptance probability against that state, and overlap_classical =
     <c^|Phi^(x)> with the unit classical coefficients.  Where no site
-    reaches x (Phi(x) = 0) the overlaps read 0 and swap_p is NaN.
+    reaches x (Phi(x) = 0), or no state was given, the overlaps read 0
+    and swap_p is NaN.
     """
 
     f_classical: np.ndarray
@@ -397,12 +401,14 @@ def _basis_readings(dataset, kernel, queries, coeffs, state) -> _BasisReadings:
 
     Every row is reduced on its own (np.add.reduce along the sites, not a
     BLAS product), so no value depends on the block size or on the other
-    queries of the run.
+    queries of the run.  With state None (the classical pipeline) only
+    f_classical and sq_norm are read, and the coefficients are never
+    divided by their norm, which is 0 on all-zero data.
     """
     n = len(queries)
     out = _BasisReadings(*np.zeros((5, n)))
     out.swap_p[:] = np.nan
-    c_hat = coeffs.c / coeffs.norm
+    c_hat = None if state is None else coeffs.c / coeffs.norm
     step = max(1, _READOUT_BLOCK_CELLS // dataset.m)
     for start in range(0, n, step):
         block = slice(start, start + step)
@@ -410,6 +416,8 @@ def _basis_readings(dataset, kernel, queries, coeffs, state) -> _BasisReadings:
         sq = np.add.reduce(phi * phi, axis=-1)
         out.f_classical[block] = np.add.reduce(phi * coeffs.c, axis=-1)
         out.sq_norm[block] = sq
+        if state is None:
+            continue
         hit = sq > 0.0
         unit = phi[hit] / np.sqrt(sq[hit])[:, None]
         # Re<state|u> = sum_j Re(state_j) u_j for a real row u
@@ -510,9 +518,8 @@ def _run_classical(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult
     with _stage("classical solve"):
         system = interpolation.exact_system(dataset, kernel)
     spec, coeffs = system.spectrum, system.coeffs
-    # f_classical as the quantum pipelines read it; the unit classical
-    # coefficients stand in for the inverted state, whose overlaps go unread
-    readings = _basis_readings(dataset, kernel, queries, coeffs, coeffs.c / coeffs.norm)
+    # f_classical as the quantum pipelines read it, with no state to overlap
+    readings = _basis_readings(dataset, kernel, queries, coeffs, None)
     rows = _query_rows(queries, seed, chash, f_classical=readings.f_classical)
     summary = {
         "pipeline": "classical",
@@ -596,7 +603,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         report = qinvert.invert(interpolation.LinearSystem(gram, system.y), inv_cfg)
 
     with _stage("readout"):
-        readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out.amplitudes)
+        readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out)
         phi_norm = np.sqrt(readings.sq_norm)
         y_norm = float(np.linalg.norm(system.y))
         f_quantum, f_analytic, abs_err, norm_successes = _readout(
@@ -615,7 +622,7 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         )
 
     gram_within = eps_A_measured <= budgets.eps_A
-    fidelity = qinvert.solution_fidelity(coeffs.c, report.state_out.amplitudes)
+    fidelity = qinvert.solution_fidelity(coeffs.c, report.state_out)
     fidelity_within = fidelity >= 1.0 - budgets.eps_c
     summary = {
         "pipeline": "quantum-global",
@@ -679,7 +686,7 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         report = creport.solve
 
     with _stage("readout"):
-        readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out.amplitudes)
+        readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out)
         _, phi_norm_est = compact.phi_norm_estimate(
             readings.sq_norm, dataset.m, oracle_cfg.effective_scale
         )
@@ -815,12 +822,8 @@ def _suite_dme(seed: int) -> list:
     a = _random_density(rng, 4)
     rho = _random_density(rng, 4)
     dts = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
-    errs = [
-        qcore.trace_norm(
-            qcore.dme_step(a, rho, dt).entries - qcore.exact_conjugation(a, rho, dt).entries
-        )
-        for dt in dts
-    ]
+    errs = [qcore.trace_norm(qcore.dme_step(a, rho, dt) - qcore.exact_conjugation(a, rho, dt))
+            for dt in dts]
     rows += [("step", f"dt={dt}", err, None, True) for dt, err in zip(dts, errs)]
     slope = _slope(dts, errs)
     rows.append(("step-slope", "target 2 +/- 0.2", slope, 2.0, abs(slope - 2.0) <= 0.2))
@@ -844,7 +847,7 @@ def _suite_inversion(seed: int) -> list:
         c = np.linalg.solve(a, y)
         # against this LU solution: the report's own fidelity_vs_classical
         # reads its classical solution from the inversion's Cholesky factor
-        fid = float(abs(np.vdot(c / np.linalg.norm(c), rep.state_out.amplitudes)))
+        fid = float(abs(np.vdot(c / np.linalg.norm(c), rep.state_out)))
         rows.append((f"case={case} fidelity", f"m={a.shape[0]}", fid, 1.0 - 1e-10,
                      fid >= 1.0 - 1e-10))
         rel = abs(rep.coeff_norm_est - np.linalg.norm(c)) / np.linalg.norm(c)

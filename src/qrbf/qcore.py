@@ -1,4 +1,4 @@
-"""State containers and the density-matrix exponentiation channel.
+"""The density-matrix exponentiation channel.
 
 The key primitive simulates applying e^{-iAt} when A itself is only
 available as a quantum state: conjugate A (x) rho by the partial swap
@@ -21,80 +21,32 @@ A + U (mu^l o U^dagger (rho - A) U) U^dagger: one eigendecomposition and
 O(m^2) work at any l.  The stepped loop is kept in the tests as the
 reference.
 
-Errors between density matrices are measured in the trace norm (sum of
-singular values of the difference).
+Operators and density matrices are complex (m, m) arrays, and every
+function here returns one.  Errors between density matrices are measured
+in the trace norm (sum of singular values of the difference).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class PureState:
-    """Complex amplitude vector over a tensor product of registers."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
-        self.dims = tuple(int(d) for d in self.dims)
-        if self.amplitudes.shape[0] != math.prod(self.dims):
-            raise ValueError(
-                f"amplitude length {self.amplitudes.shape[0]} does not match dims {self.dims}"
-            )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def density(self) -> "DensityMatrix":
-        psi = self.amplitudes
-        return DensityMatrix(np.outer(psi, psi.conj()), self.dims)
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian unit-trace operator over a tensor product of registers."""
-
-    entries: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        self.dims = tuple(int(d) for d in self.dims)
-        dim = math.prod(self.dims)
-        if self.entries.shape != (dim, dim):
-            raise ValueError(f"entries shape {self.entries.shape} does not match dims {self.dims}")
-
-
-def _as_operator(obj) -> np.ndarray:
-    if isinstance(obj, DensityMatrix):
-        return obj.entries
-    if isinstance(obj, PureState):
-        return obj.density().entries
-    return np.asarray(obj, dtype=complex)
-
-
-def dme_step(a_op, rho, dt: float) -> DensityMatrix:
+def dme_step(a_op, rho, dt: float) -> np.ndarray:
     """One exponentiation step: trace-out of the partial-swap conjugation.
 
     Both a_op and rho must be hermitian with matching shape; a_op is the
     operator being exponentiated (a density-matrix-normalized
     interpolation matrix in this package), rho the evolving state.
     """
-    a = _as_operator(a_op)
-    r = _as_operator(rho)
+    a = np.asarray(a_op, dtype=complex)
+    r = np.asarray(rho, dtype=complex)
     if a.shape != r.shape or a.shape[0] != a.shape[1]:
         raise ValueError("operator and state shapes disagree")
     c, s = math.cos(dt), math.sin(dt)
     comm = a @ r - r @ a
-    out = c * c * r + s * s * a - 1j * s * c * comm
-    return DensityMatrix(out, (a.shape[0],))
+    return c * c * r + s * s * a - 1j * s * c * comm
 
 
 def _eigenbasis(a: np.ndarray):
@@ -105,7 +57,7 @@ def _eigenbasis(a: np.ndarray):
     return np.linalg.eigh(a)
 
 
-def _evolve(a, w, u, r, t: float, l: int) -> DensityMatrix:
+def _evolve(a, w, u, r, t: float, l: int) -> np.ndarray:
     """l steps of length t/l from A's eigenbasis (w, u), as in the module docstring.
 
     mu^l is taken in polar form, |mu|^2 = (1 - s^2)(1 + s^2 (dw^2 - 1)) and
@@ -122,29 +74,28 @@ def _evolve(a, w, u, r, t: float, l: int) -> DensityMatrix:
     log_abs = 0.5 * (math.log1p(-s * s) + np.log1p(s * s * (dw * dw - 1.0)))
     powers = np.exp(l * (log_abs + 1j * np.arctan2(-c * s * dw, c * c)))
     uh = u.conj().T
-    out = a + u @ (powers * (uh @ (r - a) @ u)) @ uh
-    return DensityMatrix(out, (a.shape[0],))
+    return a + u @ (powers * (uh @ (r - a) @ u)) @ uh
 
 
-def _conjugate(w, u, r, t: float) -> DensityMatrix:
+def _conjugate(w, u, r, t: float) -> np.ndarray:
     evo = (u * np.exp(-1j * w * t)) @ u.conj().T
-    out = evo @ r @ evo.conj().T
-    return DensityMatrix(out, (u.shape[0],))
+    return evo @ r @ evo.conj().T
 
 
-def dme_evolve(a_op, rho, t: float, l: int) -> DensityMatrix:
+def dme_evolve(a_op, rho, t: float, l: int) -> np.ndarray:
     """Compose l exponentiation steps of length t/l, in closed form.
 
     Equal to l calls of `dme_step` up to rounding, at the cost of one
     eigendecomposition of A whatever l is.  a_op must be hermitian.
     """
-    a = _as_operator(a_op)
-    return _evolve(a, *_eigenbasis(a), _as_operator(rho), t, l)
+    a = np.asarray(a_op, dtype=complex)
+    return _evolve(a, *_eigenbasis(a), np.asarray(rho, dtype=complex), t, l)
 
 
-def exact_conjugation(a_op, rho, t: float) -> DensityMatrix:
+def exact_conjugation(a_op, rho, t: float) -> np.ndarray:
     """Target channel e^{-iAt} rho e^{+iAt} via the eigendecomposition of A."""
-    return _conjugate(*_eigenbasis(_as_operator(a_op)), _as_operator(rho), t)
+    a = np.asarray(a_op, dtype=complex)
+    return _conjugate(*_eigenbasis(a), np.asarray(rho, dtype=complex), t)
 
 
 def trace_norm(mat) -> float:
@@ -157,7 +108,7 @@ def dme_error(a_op, rho, t: float, l: int) -> float:
 
     Both channels are read from one eigendecomposition of A.
     """
-    a = _as_operator(a_op)
-    r = _as_operator(rho)
+    a = np.asarray(a_op, dtype=complex)
+    r = np.asarray(rho, dtype=complex)
     w, u = _eigenbasis(a)
-    return trace_norm(_evolve(a, w, u, r, t, l).entries - _conjugate(w, u, r, t).entries)
+    return trace_norm(_evolve(a, w, u, r, t, l) - _conjugate(w, u, r, t))

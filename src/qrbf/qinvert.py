@@ -24,10 +24,12 @@ eigenvalue and cell.  Spectra landing exactly on that integer grid
 reproduce the ideal mode to rounding, generic spectra converge to it as
 t0 grows.
 
+The inverted state is `SolveReport.state_out`, a complex 1-D array.
 Readout of the interpolant f(x) = ||c|| * ||Phi(x)|| * <c|Phi(x)> uses a
-swap test for the overlap; since the swap test only determines the
-magnitude |<c|Phi(x)>|, the simulator-exact signed overlap is the
-default and the magnitude-only value is reported alongside.
+swap test for the overlap.  The swap test only determines the magnitude
+|<c|Phi(x)>|, so the readout's f_quantum is the sampled magnitude with
+the sign of the exact overlap, and f_quantum_analytic uses the exact
+signed overlap itself.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 
 from . import interpolation
 from .interpolation import LinearSystem
-from .qcore import PureState
 
 _CLOCK_BITS_CAP = 10
 
@@ -88,7 +89,7 @@ class SolveReport:
     post_select_prob: float
     norm_factor: float
     coeff_norm_est: float
-    state_out: PureState
+    state_out: np.ndarray
     fidelity_vs_classical: float
     repetitions_ledger: int
     kappa_eff: float
@@ -99,7 +100,6 @@ class SolveReport:
     clock_leak: float | None = None
 
     def to_dict(self) -> dict:
-        amps = self.state_out.amplitudes
         out = {
             "mode": self.mode,
             "eigenvalues": [float(v) for v in self.eigenvalues],
@@ -109,8 +109,8 @@ class SolveReport:
             "post_select_prob": float(self.post_select_prob),
             "norm_factor": float(self.norm_factor),
             "coeff_norm_est": float(self.coeff_norm_est),
-            "state_out_real": [float(v) for v in amps.real],
-            "state_out_imag": [float(v) for v in amps.imag],
+            "state_out_real": [float(v) for v in self.state_out.real],
+            "state_out_imag": [float(v) for v in self.state_out.imag],
             # NaN when the matrix is not positive definite, written as null
             "fidelity_vs_classical": (
                 None if math.isnan(self.fidelity_vs_classical) else float(self.fidelity_vs_classical)
@@ -213,7 +213,9 @@ def _report(mode, config, prepared, C, p, state, fidelity, **extra) -> SolveRepo
         post_select_prob=p,
         norm_factor=F,
         coeff_norm_est=F * ynorm / C,
-        state_out=PureState(state, (state.shape[0],)),
+        # complex even where the inversion is real: np.vdot rounds a real pair
+        # differently, and solution_fidelity's bits would follow the dtype
+        state_out=np.asarray(state, dtype=complex),
         fidelity_vs_classical=fidelity,
         repetitions_ledger=math.ceil(1.0 / float(w[kept].min())),
         kappa_eff=kappa_eff,
@@ -412,8 +414,8 @@ def swap_test(u, v):
     row of v must be unit norm.  Each row is reduced on its own, so a row's
     probability does not depend on the rows stacked with it.
     """
-    ua = u.amplitudes if isinstance(u, PureState) else np.asarray(u, dtype=complex).ravel()
-    va = v.amplitudes if isinstance(v, PureState) else np.asarray(v, dtype=complex)
+    ua = np.asarray(u, dtype=complex).ravel()
+    va = np.asarray(v, dtype=complex)
     if va.shape[-1:] != ua.shape:
         raise ValueError("states must have equal dimension")
     if abs(np.linalg.norm(ua) - 1.0) > 1e-10:

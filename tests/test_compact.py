@@ -612,7 +612,7 @@ def test_prepare_phi_state_success_probability():
     x = np.zeros(2)
     state, success, norm_est = compact.prepare_phi_state(x, ds, cfg)
     phi = interp.basis_vector(ds, kern, x)
-    assert np.allclose(state.amplitudes, phi / np.linalg.norm(phi), rtol=1e-14)
+    assert np.allclose(state, phi / np.linalg.norm(phi), rtol=1e-14)
     want = (cfg.effective_scale**2) * float(phi @ phi) / ds.m
     assert np.isclose(success, want, rtol=1e-14)
     assert np.isclose(norm_est, np.linalg.norm(phi), rtol=1e-12)

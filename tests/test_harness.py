@@ -218,6 +218,20 @@ def test_classical_pipeline_runs_and_writes(tmp_path):
     assert back.m == 8
 
 
+@pytest.mark.filterwarnings("error")
+def test_classical_pipeline_on_all_zero_values_reads_zero_without_warnings(tmp_path):
+    """y = 0 gives c = 0, whose norm the classical readout must not divide by."""
+    path = tmp_path / "zero.csv"
+    sites = np.array([[0.1, 0.2], [0.5, 0.7], [0.9, 0.3]])
+    interp.save_dataset(interp.DataSet(sites, np.zeros(3)), path)
+    cfg = {"pipeline": "classical", "seed": 0, "dataset": {"file": str(path)}}
+    result = harness.run_pipeline(cfg, out_dir=str(tmp_path / "run"))
+    assert result.summary["coeff_norm"] == 0.0
+    with open(result.files["queries"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 20 and all(float(row["f_classical"]) == 0.0 for row in rows)
+
+
 def test_classical_pipeline_interpolates_training_data(tmp_path):
     qfile = tmp_path / "q.csv"
     ds = harness.gen_data(8, 2, [0.0, 1.0], seed=3)
@@ -323,7 +337,7 @@ def test_global_pipeline_inverts_the_gram_of_the_centred_dataset(monkeypatch):
 
 
 def test_global_fidelity_vs_exact_solution_sees_a_wrong_state(monkeypatch):
-    from qrbf import qcore, qinvert
+    from qrbf import qinvert
 
     cfg = _global_cfg(24, 0.2, seed=2)
     good = harness.run_pipeline(cfg).summary
@@ -333,8 +347,7 @@ def test_global_fidelity_vs_exact_solution_sees_a_wrong_state(monkeypatch):
     def reversed_state(system, config):
         # a wrong state under a report that still claims fidelity 1
         rep = invert(system, config)
-        amps = rep.state_out.amplitudes[::-1]
-        rep.state_out = qcore.PureState(amps, (amps.shape[0],))
+        rep.state_out = rep.state_out[::-1]
         return rep
 
     monkeypatch.setattr(qinvert, "invert", reversed_state)
@@ -345,7 +358,7 @@ def test_global_fidelity_vs_exact_solution_sees_a_wrong_state(monkeypatch):
 
 def test_sweep_fidelity_sees_a_wrong_global_state(monkeypatch, tmp_path):
     """sweep.csv's fidelity is against the exact solution, not the run's own factor."""
-    from qrbf import qcore, qinvert
+    from qrbf import qinvert
 
     cfg = _global_cfg(24, 0.2, seed=2)
     good, _ = harness.sweep(cfg, "seed", [2])
@@ -354,8 +367,7 @@ def test_sweep_fidelity_sees_a_wrong_global_state(monkeypatch, tmp_path):
 
     def reversed_state(system, config):
         rep = invert(system, config)
-        amps = rep.state_out.amplitudes[::-1]
-        rep.state_out = qcore.PureState(amps, (amps.shape[0],))
+        rep.state_out = rep.state_out[::-1]
         return rep
 
     monkeypatch.setattr(qinvert, "invert", reversed_state)
@@ -540,7 +552,7 @@ def test_batched_readout_matches_the_per_query_reference(cfg):
         if not np.any(phi):
             assert row["f_quantum_analytic"] == 0.0
             continue
-        state = report.state_out.amplitudes
+        state = report.state_out
         if cfg["pipeline"] == "quantum-global":
             norm = float(np.linalg.norm(phi))
             unit = phi / norm
@@ -553,7 +565,7 @@ def test_batched_readout_matches_the_per_query_reference(cfg):
         else:
             oracle = compact.CompactOracleConfig(kernel=kern, ae_bits=full["compact"]["ae_bits"])
             phi_state, _, norm = compact.prepare_phi_state(x, ds, oracle)
-            unit = phi_state.amplitudes.real
+            unit = phi_state.real
         want = report.coeff_norm_est * norm * float(np.real(np.vdot(state, unit)))
         scale = report.coeff_norm_est * norm * (np.abs(state) @ unit)
         assert abs(row["f_quantum_analytic"] - want) <= tol * scale
@@ -690,7 +702,7 @@ def test_verify_bounds_truncation_suite_and_files(tmp_path):
 
 
 def test_inversion_suite_fidelity_rows_check_the_state_against_an_independent_solve(monkeypatch):
-    from qrbf import qcore, qinvert
+    from qrbf import qinvert
 
     good = harness.verify_bounds("inversion", seed=0)
     fidelity = [r for r in good.rows if r["case"].endswith(" fidelity")]
@@ -700,8 +712,7 @@ def test_inversion_suite_fidelity_rows_check_the_state_against_an_independent_so
     def reversed_state(system, config=None):
         # a wrong state under a report that still claims fidelity 1
         rep = invert_ideal(system, config)
-        amps = rep.state_out.amplitudes[::-1]
-        rep.state_out = qcore.PureState(amps, (amps.shape[0],))
+        rep.state_out = rep.state_out[::-1]
         return rep
 
     monkeypatch.setattr(qinvert, "invert_ideal", reversed_state)

@@ -24,18 +24,6 @@ def _random_density(rng, dim, rank=2):
     return rho
 
 
-def test_pure_state_density():
-    rng = np.random.default_rng(1)
-    v = _random_state(rng, 4)
-    ps = qcore.PureState(v, dims=(4,))
-    assert np.isclose(ps.norm, 1.0)
-    rho = ps.density().entries
-    assert np.allclose(rho, rho.conj().T, atol=1e-10)
-    assert np.isclose(np.trace(rho), 1.0, atol=1e-10)
-    assert np.linalg.eigvalsh(rho)[0] >= -1e-10
-    assert np.allclose(rho, np.outer(v, v.conj()))
-
-
 # dme_step's reference, the explicit swap conjugation, and the two tests below check it
 def _swap(m):
     """Permutation matrix exchanging two m-dimensional registers: S (u (x) v) = v (x) u."""
@@ -76,15 +64,14 @@ def test_dme_step_matches_kron_conjugation():
     U = _swap_exponential(m, dt)
     joint = U @ np.kron(A, rho) @ U.conj().T
     want = joint.reshape(m, m, m, m).trace(axis1=0, axis2=2)  # trace out the first register
-    assert np.allclose(got.entries, want, atol=1e-13)
+    assert np.allclose(got, want, atol=1e-13)
 
 
 def _stepped_evolve(a_op, rho, t, l):
     """Reference channel: l calls of dme_step of length t/l."""
-    state = qcore.DensityMatrix(rho, (rho.shape[0],))
     for _ in range(l):
-        state = qcore.dme_step(a_op, state, t / l)
-    return state
+        rho = qcore.dme_step(a_op, rho, t / l)
+    return rho
 
 
 def test_dme_evolve_matches_stepped_reference():
@@ -97,8 +84,8 @@ def test_dme_evolve_matches_stepped_reference():
         rho = _random_density(rng, m, rank=int(rng.integers(1, m + 1)))
         t = float(rng.uniform(0.1, 3.0))
         l = int(rng.integers(1, 601))
-        got = qcore.dme_evolve(A, rho, t, l).entries
-        worst = max(worst, float(np.max(np.abs(got - _stepped_evolve(A, rho, t, l).entries))))
+        got = qcore.dme_evolve(A, rho, t, l)
+        worst = max(worst, float(np.max(np.abs(got - _stepped_evolve(A, rho, t, l)))))
     assert worst <= 1e-13
 
 
@@ -108,8 +95,8 @@ def test_dme_evolve_single_step_is_dme_step():
         A = _random_density(rng, m, rank=m)
         rho = _random_density(rng, m, rank=2)
         for dt in (1e-3, 0.2, 1.5):
-            got = qcore.dme_evolve(A, rho, dt, 1).entries
-            assert np.allclose(got, qcore.dme_step(A, rho, dt).entries, rtol=0, atol=1e-15)
+            got = qcore.dme_evolve(A, rho, dt, 1)
+            assert np.allclose(got, qcore.dme_step(A, rho, dt), rtol=0, atol=1e-15)
 
 
 def test_dme_fixed_point():
@@ -117,7 +104,18 @@ def test_dme_fixed_point():
     rng = np.random.default_rng(13)
     A = _random_density(rng, 4, rank=4)
     for t, l in ((1.3, 7), (0.5, 1), (2.0, 100000)):
-        assert np.array_equal(qcore.dme_evolve(A, A, t=t, l=l).entries, A)
+        assert np.array_equal(qcore.dme_evolve(A, A, t=t, l=l), A)
+
+
+def test_dme_channel_returns_complex_square_arrays():
+    """Real symmetric inputs come back as complex (m, m) arrays from every channel."""
+    rng = np.random.default_rng(53)
+    A = _random_density(rng, 3, rank=3).real
+    rho = _random_density(rng, 3, rank=2).real
+    for out in (qcore.dme_step(A, rho, 0.3), qcore.dme_evolve(A, rho, 1.0, 4),
+                qcore.exact_conjugation(A, rho, 1.0)):
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.complex128 and out.shape == (3, 3)
 
 
 def test_dme_channel_refuses_a_non_hermitian_operator():
@@ -159,7 +157,7 @@ def test_exact_conjugation_matches_expm():
     got = qcore.exact_conjugation(A, rho, t)
     U = expm(-1j * t * A)
     want = U @ rho @ U.conj().T
-    assert np.allclose(got.entries, want, atol=1e-12)
+    assert np.allclose(got, want, atol=1e-12)
 
 
 def test_trace_norm_of_hermitian_matrix():
@@ -190,7 +188,7 @@ def test_dme_single_step_is_second_order_in_dt():
     for dt in (0.2, 0.1, 0.05):
         one = qcore.dme_step(A, rho, dt)
         ref = qcore.exact_conjugation(A, rho, dt)
-        errs.append(qcore.trace_norm(one.entries - ref.entries))
+        errs.append(qcore.trace_norm(one - ref))
     ratios = [e1 / e2 for e1, e2 in zip(errs, errs[1:])]
     assert all(3.4 < r < 4.6 for r in ratios)  # quadratic: factor 4 per halving
 
@@ -205,7 +203,7 @@ def _dme_scaling(a_op, rho, t_values, l_values) -> list:
     for t in t_values:
         exact = qcore.exact_conjugation(a_op, rho, float(t))
         for l in l_values:
-            diff = qcore.dme_evolve(a_op, rho, float(t), int(l)).entries - exact.entries
+            diff = qcore.dme_evolve(a_op, rho, float(t), int(l)) - exact
             rows.append(
                 {
                     "t": float(t),

@@ -46,6 +46,29 @@ def test_right_hand_side_of_the_wrong_size_is_refused_where_the_system_is_built(
         qinvert.invert(LinearSystem(matrix, np.ones(2)), config)
 
 
+@pytest.mark.parametrize("config", [
+    InversionConfig(),
+    InversionConfig(spectral_floor=0.05),
+    InversionConfig(mode="quantized", evolution_time=1.0, clock_bits=3),
+], ids=["cholesky", "floor", "quantized"])
+def test_state_out_is_a_complex_vector_on_every_path(config):
+    """state_out is complex128 even where every inversion path computes it real.
+
+    np.vdot of a real vector against a real state rounds differently from
+    the same call against the state's complex copy, so a real state_out
+    would move the bits of solution_fidelity, and with them every
+    fidelity_vs_exact_solution a pipeline writes.
+    """
+    rng = np.random.default_rng(5)
+    A, y = _random_spd(rng, 6), rng.standard_normal(6)
+    rep = qinvert.invert(LinearSystem(A, y), config)
+    # the Cholesky path alone reads no eigenbasis overlaps
+    assert (rep.overlaps is None) == (config == InversionConfig())
+    assert isinstance(rep.state_out, np.ndarray)
+    assert rep.state_out.dtype == np.complex128 and rep.state_out.shape == (6,)
+    assert not rep.state_out.imag.any()
+
+
 def test_filter_spectrum():
     w = np.array([0.01, 0.2, 0.5, 1.0])
     kept, kappa = qinvert.filter_spectrum(w, 0.1)
@@ -73,7 +96,7 @@ def test_ideal_inversion_diagonal_oracle():
     assert rep.repetitions_ledger == math.ceil(1.0 / 0.25)
     assert np.isclose(rep.kappa_eff, 2.0)
     # solution state is e1 up to sign
-    assert np.isclose(abs(rep.state_out.amplitudes[0]), 1.0, atol=1e-12)
+    assert np.isclose(abs(rep.state_out[0]), 1.0, atol=1e-12)
 
 
 def test_ideal_inversion_random_spd_systems():
@@ -85,7 +108,7 @@ def test_ideal_inversion_random_spd_systems():
         rep = qinvert.invert_ideal(LinearSystem(A, y))
         c = np.linalg.solve(A, y)
         chat = c / np.linalg.norm(c)
-        fid = abs(np.dot(chat, rep.state_out.amplitudes.real))
+        fid = abs(np.dot(chat, rep.state_out.real))
         assert fid > 1.0 - 1e-10
         assert abs(rep.coeff_norm_est - np.linalg.norm(c)) <= 1e-9 * np.linalg.norm(c)
         # with C = lambda_min the acceptance rate is at least kappa^-2
@@ -170,7 +193,7 @@ def test_cholesky_path_matches_the_eigenbasis_path(monkeypatch):
         ref = qinvert.invert_ideal(LinearSystem(A, y), InversionConfig(spectral_floor=0.0))
         assert ref.kept.all() and ref.overlaps is not None
         tol = rep.kappa_eff * u
-        assert np.max(np.abs(rep.state_out.amplitudes - ref.state_out.amplitudes)) <= 4 * tol
+        assert np.max(np.abs(rep.state_out - ref.state_out)) <= 4 * tol
         assert math.isclose(rep.post_select_prob, ref.post_select_prob, rel_tol=16 * tol)
         assert math.isclose(rep.coeff_norm_est, ref.coeff_norm_est, rel_tol=16 * tol)
         assert np.array_equal(rep.eigenvalues, np.linalg.eigvalsh(A))
@@ -219,7 +242,7 @@ def test_spectral_floor_projects_small_eigenvalues():
     assert np.array_equal(rep.kept, [False, True, True])
     assert np.isclose(rep.kappa_eff, 2.0)
     # output lives in the kept eigenspace
-    assert abs(rep.state_out.amplitudes[0]) < 1e-12
+    assert abs(rep.state_out[0]) < 1e-12
 
 
 def test_quantized_on_grid_matches_ideal():
@@ -239,8 +262,8 @@ def _deviation_from_separate_ideal(A, y, rep, floor):
     # a floor of 0 keeps the eigenbasis path, the one invert_quantized's reference takes
     floor = 0.0 if floor is None else floor
     config = InversionConfig(spectral_floor=floor)
-    ideal = qinvert.invert_ideal(LinearSystem(A, y), config).state_out.amplitudes
-    state = rep.state_out.amplitudes
+    ideal = qinvert.invert_ideal(LinearSystem(A, y), config).state_out
+    state = rep.state_out
     theta = np.angle(np.vdot(ideal, state))
     return float(np.linalg.norm(state * np.exp(-1j * theta) - ideal))
 
@@ -326,12 +349,12 @@ def _assert_matches_simulation(A, y, cfg):
     system = LinearSystem(A, y)
     rep = qinvert.invert_quantized(system, cfg)
     state, p, leak = _simulated_clock(system, cfg, rep)
-    assert 1.0 - abs(np.vdot(state, rep.state_out.amplitudes)) <= 1e-14
+    assert 1.0 - abs(np.vdot(state, rep.state_out)) <= 1e-14
     assert math.isclose(rep.post_select_prob, p, rel_tol=1e-10)
     # the simulated phases carry rounding of about eps * T, which floors the leak it resolves
     assert math.isclose(rep.clock_leak, leak, rel_tol=1e-10, abs_tol=1e-15)
     # the closed form is real: no phase is left to align
-    assert not rep.state_out.amplitudes.imag.any()
+    assert not rep.state_out.imag.any()
     return rep
 
 
