@@ -178,21 +178,20 @@ def gram_coherent(dataset: DataSet, sigma: float, order: int) -> InterpMatrix:
         del table  # freed before the next coordinate's table is built
     np.fill_diagonal(gram, 1.0)  # encodings are unit vectors by construction
     gram /= m
-    return InterpMatrix(data=gram, normalized=True, family="gaussian", sparsity=m)
+    return InterpMatrix(data=gram, normalized=True, sparsity=m)
 
 
 @dataclass
 class GramDeviation:
-    """Measured deviation of the truncated Gram matrix from the exact one."""
+    """Measured deviation of the truncated Gram matrix from the exact one, which exact holds."""
 
-    order: int
     delta: float
     entry_bound: float
     entry_max_error: float
     frobenius_bound: float
     frobenius_error: float
     min_eigenvalue: float
-    gram: InterpMatrix
+    exact: InterpMatrix
 
 
 def gram_report(dataset: DataSet, sigma: float, order: int) -> GramDeviation:
@@ -212,13 +211,12 @@ def gram_report(dataset: DataSet, sigma: float, order: int) -> GramDeviation:
     d = dataset.d
     eigs = np.linalg.eigvalsh(approx.data)
     return GramDeviation(
-        order=int(order),
         delta=delta,
         entry_bound=2.0 * d * delta / dataset.m,
         entry_max_error=float(np.max(np.abs(diff))),
         frobenius_bound=2.0 * d * delta,
         frobenius_error=float(np.linalg.norm(diff, "fro")),
         min_eigenvalue=float(eigs[0]),
-        gram=approx,
+        exact=exact,
     )
 

@@ -423,9 +423,7 @@ def build_matrix(
     mat = coo_array((vals, (rows, cols)), shape=(m, m)).tocsr()
     mat.sort_indices()
     sparsity = int(np.max(np.diff(mat.indptr)))
-    return InterpMatrix(
-        data=mat, normalized=normalized, family=config.kernel.family, sparsity=sparsity
-    )
+    return InterpMatrix(data=mat, normalized=normalized, sparsity=sparsity)
 
 
 def prepare_phi_state(x, dataset: DataSet, config: CompactOracleConfig):

@@ -427,31 +427,36 @@ def _basis_readings(dataset, kernel, queries, coeffs, state) -> _BasisReadings:
     return out
 
 
-def _readout(readings, basis_norm, report, inv_cfg, y_norm: float, rng):
+def _shots(cfg: dict, budgets: Budgets) -> tuple[int, int]:
+    """Shots of the norm draw and of each overlap draw: the inversion.* keys, else the budgets'."""
+    inv = cfg["inversion"]
+    return (inv.get("norm_samples", budgets.norm_samples),
+            inv.get("overlap_samples", budgets.overlap_samples))
+
+
+def _readout(readings, basis_norm, report, shots, y_norm: float, rng):
     """Swap-test readout f(x) = ||c|| ||Phi(x)|| <c^|Phi^(x)> of every query.
 
     All draws come from rng: first the norm ||c|| from the post-selection
-    probability, then one binomial per reached query (basis_norm > 0), in
-    query order, in one call.  Where no site reaches a query the
-    interpolant is exactly 0 and nothing is drawn.  The swap test gives
-    |<c^|Phi^(x)>|; its sign is taken from the exact state.  Returns the
+    probability with shots[0] shots, then one binomial of shots[1] shots
+    per reached query (basis_norm > 0), in query order, in one call.
+    Where no site reaches a query the interpolant is exactly 0 and nothing
+    is drawn.  The swap test gives |<c^|Phi^(x)>|; its sign is taken from
+    the exact state.  Returns the
     arrays f_quantum, f_quantum_analytic and abs_err, and the norm draw's
     success count.
     """
-    hits = int(qinvert.sample_successes(report.post_select_prob, inv_cfg.norm_samples, rng))
-    coeff_norm_sampled = math.sqrt(hits / inv_cfg.norm_samples) * y_norm / report.rotation_scale
+    norm_shots, overlap_shots = shots
+    hits = int(qinvert.sample_successes(report.post_select_prob, norm_shots, rng))
+    coeff_norm_sampled = math.sqrt(hits / norm_shots) * y_norm / report.rotation_scale
     reached = basis_norm > 0.0
-    p_hat = qinvert.sample_successes(
-        readings.swap_p[reached], inv_cfg.overlap_samples, rng
-    ) / inv_cfg.overlap_samples
+    p_hat = qinvert.sample_successes(readings.swap_p[reached], overlap_shots, rng) / overlap_shots
     o_mag = np.sqrt(np.maximum(0.0, 2.0 * p_hat - 1.0))
     overlap, norm = readings.overlap[reached], basis_norm[reached]
     f_quantum = np.zeros(len(basis_norm))
     f_analytic = np.zeros(len(basis_norm))
-    f_quantum[reached] = qinvert.readout_value(
-        coeff_norm_sampled, norm, np.copysign(o_mag, overlap)
-    )
-    f_analytic[reached] = qinvert.readout_value(report.coeff_norm_est, norm, overlap)
+    f_quantum[reached] = coeff_norm_sampled * norm * np.copysign(o_mag, overlap)
+    f_analytic[reached] = report.coeff_norm_est * norm * overlap
     return f_quantum, f_analytic, np.abs(f_quantum - readings.f_classical), hits
 
 
@@ -507,9 +512,7 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
         result.files["dataset"] = dpath
         if result.solve_report is not None:
             rpath = os.path.join(out_dir, "solve_report.json")
-            with open(rpath, "w") as fh:
-                fh.write(result.solve_report.to_json(indent=2, sort_keys=True))
-                fh.write("\n")
+            write_json(rpath, result.solve_report.to_dict())
             result.files["solve_report"] = rpath
     return result
 
@@ -547,8 +550,6 @@ def _inversion_config(cfg: dict, budgets, spec, cap_note: dict) -> qinvert.Inver
         "mode": mode,
         "rotation_scale": inv.get("rotation_scale"),
         "spectral_floor": inv.get("spectral_floor"),
-        "norm_samples": inv.get("norm_samples", budgets.norm_samples),
-        "overlap_samples": inv.get("overlap_samples", budgets.overlap_samples),
     }
     if mode == "quantized":
         cap = qinvert._CLOCK_BITS_CAP
@@ -607,7 +608,8 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         phi_norm = np.sqrt(readings.sq_norm)
         y_norm = float(np.linalg.norm(system.y))
         f_quantum, f_analytic, abs_err, norm_successes = _readout(
-            readings, phi_norm, report, inv_cfg, y_norm, np.random.default_rng((seed, 1))
+            readings, phi_norm, report, _shots(cfg, budgets), y_norm,
+            np.random.default_rng((seed, 1)),
         )
         budget = readout_budget(
             phi_norm, y_norm, report.rotation_scale, coeffs.norm,
@@ -691,7 +693,7 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
             readings.sq_norm, dataset.m, oracle_cfg.effective_scale
         )
         f_quantum, f_analytic, abs_err, _ = _readout(
-            readings, phi_norm_est, report, inv_cfg, float(np.linalg.norm(system.y)),
+            readings, phi_norm_est, report, _shots(cfg, budgets), float(np.linalg.norm(system.y)),
             np.random.default_rng((seed, 2)),
         )
         rows = _query_rows(
@@ -792,9 +794,7 @@ def _suite_gram(seed: int) -> list:
                      rep.frobenius_bound, rep.frobenius_error <= rep.frobenius_bound))
         rows.append((f"case={case} entrywise", detail, rep.entry_max_error,
                      rep.entry_bound, rep.entry_max_error <= rep.entry_bound))
-        spec = interpolation.spectrum(
-            interpolation.assemble(ds, kernels.gaussian(sigma=sigma), normalized=True)
-        )
+        spec = interpolation.spectrum(rep.exact)
         rows.append((f"case={case} lambda_max", f"m={m} d={d}", spec.lambda_max,
                      1.0 + 1e-12, spec.lambda_max <= 1.0 + 1e-12))
     return rows

@@ -129,7 +129,6 @@ class InterpMatrix:
 
     data: object
     normalized: bool
-    family: str
     sparsity: int | None = None
 
     @property
@@ -181,11 +180,11 @@ def assemble(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> Inte
         mat = coo_array((data, (rows, cols)), shape=(m, m)).tocsr()
         mat.sort_indices()
         sparsity = int(np.max(np.diff(mat.indptr)))
-        return InterpMatrix(data=mat, normalized=normalized, family=kernel.family, sparsity=sparsity)
+        return InterpMatrix(data=mat, normalized=normalized, sparsity=sparsity)
 
     dist = pair_distance(dataset.sites[:, None, :], dataset.sites[None, :, :])
     mat = kernel.eval(dist) * scale
-    return InterpMatrix(data=mat, normalized=normalized, family=kernel.family, sparsity=m)
+    return InterpMatrix(data=mat, normalized=normalized, sparsity=m)
 
 
 @dataclass

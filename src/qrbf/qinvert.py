@@ -24,9 +24,12 @@ eigenvalue and cell.  Spectra landing exactly on that integer grid
 reproduce the ideal mode to rounding, generic spectra converge to it as
 t0 grows.
 
-The inverted state is `SolveReport.state_out`, a complex 1-D array.
-Readout of the interpolant f(x) = ||c|| * ||Phi(x)|| * <c|Phi(x)> uses a
-swap test for the overlap.  The swap test only determines the magnitude
+Every path hands its results to one report builder, which derives
+kappa_eff, the repetition ledger and the classical check; the inverted
+state is `SolveReport.state_out`, a complex 1-D array.  The readout of
+the interpolant f(x) = ||c|| * ||Phi(x)|| * <c|Phi(x)> is
+`harness._readout`, which draws from this module's `swap_test` and
+`sample_successes`.  The swap test only determines the magnitude
 |<c|Phi(x)>|, so the readout's f_quantum is the sampled magnitude with
 the sign of the exact overlap, and f_quantum_analytic uses the exact
 signed overlap itself.
@@ -34,9 +37,8 @@ signed overlap itself.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,8 +58,7 @@ class InversionConfig:
     positive clock-grid eigenvalue above the spectral floor in quantized
     mode).  spectral_floor discards eigenvalues <= that value before
     inverting, trading accuracy for conditioning.  evolution_time and
-    clock_bits only apply to quantized mode.  The sampling budgets are
-    used by the readout layer, not by the inversion itself.
+    clock_bits only apply to quantized mode.
     """
 
     rotation_scale: float | None = None
@@ -65,8 +66,6 @@ class InversionConfig:
     evolution_time: float | None = None
     clock_bits: int | None = None
     spectral_floor: float | None = None
-    norm_samples: int | None = None
-    overlap_samples: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("ideal", "quantized"):
@@ -100,54 +99,20 @@ class SolveReport:
     clock_leak: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "kept": [bool(v) for v in self.kept],
-            "overlaps": None if self.overlaps is None else [float(v) for v in self.overlaps],
-            "rotation_scale": float(self.rotation_scale),
-            "post_select_prob": float(self.post_select_prob),
-            "norm_factor": float(self.norm_factor),
-            "coeff_norm_est": float(self.coeff_norm_est),
-            "state_out_real": [float(v) for v in self.state_out.real],
-            "state_out_imag": [float(v) for v in self.state_out.imag],
-            # NaN when the matrix is not positive definite, written as null
-            "fidelity_vs_classical": (
-                None if math.isnan(self.fidelity_vs_classical) else float(self.fidelity_vs_classical)
-            ),
-            "repetitions_ledger": int(self.repetitions_ledger),
-            "kappa_eff": float(self.kappa_eff),
-            "spectral_floor": self.spectral_floor,
-            "evolution_time": self.evolution_time,
-            "clock_bits": self.clock_bits,
-            "deviation_from_ideal": self.deviation_from_ideal,
-            "clock_leak": self.clock_leak,
-        }
+        """JSON-ready fields: arrays as lists, the state as its real and imaginary parts."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        state = out.pop("state_out")
+        out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
+        out["state_out_real"], out["state_out_imag"] = state.real.tolist(), state.imag.tolist()
+        # NaN when the matrix is not positive definite, written as null
+        if math.isnan(self.fidelity_vs_classical):
+            out["fidelity_vs_classical"] = None
         return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def eigensolve(system: LinearSystem):
     """Ascending eigenvalues and orthonormal eigenvectors of a system's symmetric matrix."""
     return system.eigenbasis
-
-
-def filter_spectrum(eigenvalues, spectral_floor: float):
-    """Indices of eigenvalues above the floor and the resulting kappa.
-
-    Returns (kept_indices, kappa_eff) with kappa_eff = lambda_max over the
-    smallest kept eigenvalue.  Raises when nothing survives.
-    """
-    if spectral_floor < 0:
-        raise ValueError("spectral_floor must be nonnegative")
-    w = np.asarray(eigenvalues, dtype=float)
-    kept = np.flatnonzero(w > spectral_floor)
-    if kept.size == 0:
-        raise ValueError(f"no eigenvalues above spectral floor {spectral_floor}")
-    kappa_eff = float(w.max() / w[kept].min())
-    return kept, kappa_eff
 
 
 def _rhs_norm(y) -> float:
@@ -168,31 +133,26 @@ def _not_pd(w) -> interpolation.NotPositiveDefiniteError:
     )
 
 
-def _prepare(system: LinearSystem, config):
+def _eigen_split(system: LinearSystem, config):
+    """Eigenvalues w, eigenvectors u, overlaps beta of y_hat, the kept mask and ||y||.
+
+    kept marks the eigenvalues above the spectral floor (above 0 with no
+    floor, where a matrix that is not positive definite is refused).
+    """
     w, u = eigensolve(system)
     ynorm = _rhs_norm(system.y)
     floor = config.spectral_floor
     if floor is None and w[0] <= 0.0:
         raise _not_pd(w)
-    kept_idx, kappa_eff = filter_spectrum(w, 0.0 if floor is None else floor)
-    kept = np.zeros(w.shape[0], dtype=bool)
-    kept[kept_idx] = True
-    beta = u.T @ (system.y / ynorm)
-    return w, u, beta, kept, kappa_eff, ynorm
+    kept = w > (0.0 if floor is None else floor)
+    if not kept.any():
+        raise ValueError(f"no eigenvalues above spectral floor {floor}")
+    return w, u, u.T @ (system.y / ynorm), kept, ynorm
 
 
 def solution_fidelity(c, state: np.ndarray) -> float:
     """|<c_hat|state>| with c_hat = c / ||c||: how well a unit state points along c."""
     return float(abs(np.vdot(c / np.linalg.norm(c), state)))
-
-
-def _classical_fidelity(system: LinearSystem, state: np.ndarray) -> float:
-    """|<c|state>| for the Cholesky solution c of A c = y; NaN when A is not PD."""
-    try:
-        factor = system.factor
-    except interpolation.NotPositiveDefiniteError:
-        return math.nan
-    return solution_fidelity(interpolation.cho_solve(factor, system.y), state)
 
 
 def _ideal_state(w, u, beta, kept) -> np.ndarray:
@@ -201,14 +161,23 @@ def _ideal_state(w, u, beta, kept) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-def _report(mode, config, prepared, C, p, state, fidelity, **extra) -> SolveReport:
-    w, _, beta, kept, kappa_eff, ynorm = prepared
+def _report(system, config, w, kept, ynorm, C, p, state, **named) -> SolveReport:
+    """The report of one inversion; named carries mode, overlaps and the quantized fields.
+
+    fidelity_vs_classical is |<c|state>| for the Cholesky solution c of
+    A c = y, NaN when A is not positive definite.
+    """
+    try:
+        factor = system.factor
+    except interpolation.NotPositiveDefiniteError:
+        fidelity = math.nan
+    else:
+        fidelity = solution_fidelity(interpolation.cho_solve(factor, system.y), state)
     F = math.sqrt(p)
+    lam_min = float(w[kept].min())
     return SolveReport(
-        mode=mode,
         eigenvalues=w,
         kept=kept,
-        overlaps=beta,
         rotation_scale=C,
         post_select_prob=p,
         norm_factor=F,
@@ -217,10 +186,10 @@ def _report(mode, config, prepared, C, p, state, fidelity, **extra) -> SolveRepo
         # differently, and solution_fidelity's bits would follow the dtype
         state_out=np.asarray(state, dtype=complex),
         fidelity_vs_classical=fidelity,
-        repetitions_ledger=math.ceil(1.0 / float(w[kept].min())),
-        kappa_eff=kappa_eff,
+        repetitions_ledger=math.ceil(1.0 / lam_min),
+        kappa_eff=float(w.max() / lam_min),
         spectral_floor=config.spectral_floor,
-        **extra,
+        **named,
     )
 
 
@@ -228,9 +197,7 @@ def _rotation_scale(config, lam_min: float) -> float:
     """The configured C, lambda_min by default; refused above lambda_min."""
     C = lam_min if config.rotation_scale is None else float(config.rotation_scale)
     if C > lam_min * (1 + 1e-12):
-        raise ValueError(
-            f"rotation_scale {C} exceeds the smallest kept eigenvalue {lam_min}"
-        )
+        raise ValueError(f"rotation_scale {C} exceeds the smallest kept eigenvalue {lam_min}")
     return C
 
 
@@ -251,13 +218,13 @@ def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) ->
     """
     config = config or InversionConfig()
     if config.spectral_floor is not None:
-        w, u, beta, kept, _, _ = prepared = _prepare(system, config)
+        w, u, beta, kept, ynorm = _eigen_split(system, config)
         lam = w[kept]
         C = _rotation_scale(config, float(lam.min()))
         amp = C * beta[kept] / lam
         p = float(np.dot(amp, amp))
-        state = _ideal_state(w, u, beta, kept)
-        return _report("ideal", config, prepared, C, p, state, _classical_fidelity(system, state))
+        return _report(system, config, w, kept, ynorm, C, p, _ideal_state(w, u, beta, kept),
+                       mode="ideal", overlaps=beta)
     w = system.spectrum.eigenvalues
     ynorm = _rhs_norm(system.y)
     if w[0] <= 0.0:
@@ -269,11 +236,9 @@ def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) ->
         raise _not_pd(w) from exc
     x = interpolation.cho_solve(factor, system.y / ynorm)
     xnorm = float(np.linalg.norm(x))
-    state = x / xnorm
     # no eigenbasis on this path: every eigenvalue is kept and there are no overlaps
-    prepared = (w, None, None, np.ones(w.shape[0], dtype=bool), float(w[-1] / w[0]), ynorm)
-    return _report("ideal", config, prepared, C, (C * xnorm) ** 2, state,
-                   _classical_fidelity(system, state))
+    return _report(system, config, w, np.ones(w.shape[0], dtype=bool), ynorm, C,
+                   (C * xnorm) ** 2, x / xnorm, mode="ideal", overlaps=None)
 
 
 def _fejer_weights(phi, T: int) -> np.ndarray:
@@ -312,7 +277,7 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
     if not t0 > 0:
         raise ValueError("evolution_time must be positive")
 
-    w, u, beta, kept, _, _ = prepared = _prepare(system, config)
+    w, u, beta, kept, ynorm = _eigen_split(system, config)
     T = 2**b
     phi = w * t0 / (2.0 * math.pi)
     if phi.min() < 0.0 or phi.max() >= T:
@@ -353,7 +318,9 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
     theta = np.angle(phase_align) if abs(phase_align) > 0 else 0.0
     deviation = float(np.linalg.norm(state * np.exp(-1j * theta) - ideal))
     return _report(
-        "quantized", config, prepared, C, p, state, _classical_fidelity(system, state),
+        system, config, w, kept, ynorm, C, p, state,
+        mode="quantized",
+        overlaps=beta,
         evolution_time=t0,
         clock_bits=b,
         deviation_from_ideal=deviation,
@@ -424,15 +391,3 @@ def swap_test(u, v):
         raise ValueError("v is not unit norm")
     return 0.5 + 0.5 * np.abs(np.add.reduce(ua.conj() * va, axis=-1)) ** 2
 
-
-def readout_value(c_norm: float, basis_norm: float, overlap: float) -> float:
-    """Interpolant value from the three estimated factors.
-
-    f(x) = ||c|| * ||Phi(x)|| * <c_hat | Phi_hat(x)> where both unit
-    vectors carry hats; the overlap argument may be signed (simulator
-    route) or a magnitude (swap-test route).  basis_norm and overlap may
-    be arrays with one entry per query.
-    """
-    if np.any(c_norm < 0) or np.any(basis_norm < 0):
-        raise ValueError("norms must be nonnegative")
-    return c_norm * basis_norm * overlap

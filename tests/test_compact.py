@@ -645,7 +645,7 @@ def test_solve_compact_estimated_stays_close():
     # a caller's exact system gives the same report as the one built inside
     exact = interp.exact_system(ds, cfg.kernel, normalized=True)
     shared = compact.solve_compact(ds, cfg, exact=exact)
-    assert shared.solve.to_json() == rep.solve.to_json()
+    assert shared.solve.to_dict() == rep.solve.to_dict()
     for name in ("sparsity", "matrix_error", "fidelity_vs_exact_solution"):
         assert getattr(shared, name) == getattr(rep, name)
 

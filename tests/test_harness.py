@@ -582,9 +582,8 @@ def test_readout_draws_norm_first_then_one_binomial_per_reached_query():
         overlap_classical=np.zeros(6),
     )
     report = SimpleNamespace(post_select_prob=0.3, rotation_scale=0.2, coeff_norm_est=2.5)
-    inv_cfg = SimpleNamespace(norm_samples=1000, overlap_samples=500)
     rng = np.random.default_rng(7)
-    f_q, f_a, err, _ = harness._readout(readings, basis_norm, report, inv_cfg, 0.6, rng)
+    f_q, f_a, err, _ = harness._readout(readings, basis_norm, report, (1000, 500), 0.6, rng)
 
     ref = np.random.default_rng(7)
     coeff_norm = math.sqrt(ref.binomial(1000, 0.3) / 1000) * 0.6 / 0.2
@@ -857,3 +856,41 @@ def test_compact_summary_is_strict_json_and_flags_a_non_pd_oracle_matrix(
     else:
         assert summary["fidelity_vs_oracle_matrix"] is None
         assert report["fidelity_vs_classical"] is None
+
+
+_SOLVE_REPORT_KEYS = {
+    "mode", "eigenvalues", "kept", "overlaps", "rotation_scale", "post_select_prob",
+    "norm_factor", "coeff_norm_est", "state_out_real", "state_out_imag",
+    "fidelity_vs_classical", "repetitions_ledger", "kappa_eff", "spectral_floor",
+    "evolution_time", "clock_bits", "deviation_from_ideal", "clock_leak",
+}
+
+
+def _plain_json_values(value) -> bool:
+    """True when value is built only of lists, dicts and builtin scalars, with no numpy type."""
+    if isinstance(value, list):
+        return all(_plain_json_values(v) for v in value)
+    if isinstance(value, dict):
+        return all(_plain_json_values(v) for v in value.values())
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("cfg, cholesky_path, factor_fails", [
+    ({"pipeline": "quantum-global"}, True, False),
+    ({"pipeline": "quantum-global", "inversion": {"spectral_floor": 1e-3}}, False, False),
+    ({"pipeline": "quantum-global", "kernel": {"sigma": 0.15}, "epsilon": 0.05,
+      "inversion": {"mode": "quantized"}}, False, False),
+    *(({**_NON_PD_ORACLE_CFG, "seed": seed}, False, True) for seed in range(3)),
+], ids=["cholesky", "floor", "quantized", "compact-ae-0", "compact-ae-1", "compact-ae-2"])
+def test_solve_report_json_schema_on_every_inversion_path(tmp_path, cfg, cholesky_path,
+                                                          factor_fails):
+    result = harness.run_pipeline({"seed": 0, **cfg, "queries": {"n": 3}},
+                                  out_dir=str(tmp_path))
+    out = result.solve_report.to_dict()
+    json.dumps(out)  # no ndarray or numpy scalar is left in the dict
+    assert _plain_json_values(out)
+    assert set(out) == _SOLVE_REPORT_KEYS
+    assert _strict_json(tmp_path / "solve_report.json") == out
+    assert (out["overlaps"] is None) == cholesky_path
+    assert (out["fidelity_vs_classical"] is None) == factor_fails
+    assert len(out["state_out_real"]) == len(out["state_out_imag"]) == len(out["eigenvalues"])

@@ -290,7 +290,7 @@ def test_perturbation_check_accepts_sparse_matrix():
 def test_solve_rejects_indefinite_matrix():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(interp.NotPositiveDefiniteError, match="Cholesky"):
-        interp.solve(interp.InterpMatrix(bad, False, "gaussian", 2), np.ones(2))
+        interp.solve(interp.InterpMatrix(bad, False, 2), np.ones(2))
 
 
 def test_linear_system_takes_each_decomposition_once_when_first_read(factor_calls):

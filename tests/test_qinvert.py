@@ -34,7 +34,7 @@ def test_eigensolve_ascending_and_symmetric_only():
 @pytest.mark.parametrize("matrix", [
     np.eye(3),
     sparse.csr_array(np.eye(3)),
-    interpolation.InterpMatrix(np.eye(3), normalized=False, family="gaussian"),
+    interpolation.InterpMatrix(np.eye(3), normalized=False),
 ], ids=["dense", "sparse", "interp-matrix"])
 @pytest.mark.parametrize("config", [
     InversionConfig(),
@@ -69,16 +69,17 @@ def test_state_out_is_a_complex_vector_on_every_path(config):
     assert not rep.state_out.imag.any()
 
 
-def test_filter_spectrum():
-    w = np.array([0.01, 0.2, 0.5, 1.0])
-    kept, kappa = qinvert.filter_spectrum(w, 0.1)
-    assert np.array_equal(kept, [1, 2, 3])
-    assert np.isclose(kappa, 1.0 / 0.2)
-    kept_all, kappa_all = qinvert.filter_spectrum(w, 0.0)
-    assert np.array_equal(kept_all, [0, 1, 2, 3])
-    assert np.isclose(kappa_all, 100.0)
-    with pytest.raises(ValueError):
-        qinvert.filter_spectrum(w, 2.0)
+def test_spectral_floor_keeps_the_eigenvalues_above_it():
+    system = LinearSystem(np.diag([0.05, 0.2, 0.5, 1.0]), np.ones(4))
+    rep = qinvert.invert_ideal(system, InversionConfig(spectral_floor=0.1))
+    assert rep.kept.tolist() == [False, True, True, True]
+    assert rep.kappa_eff == 5.0
+    quantized = InversionConfig(mode="quantized", evolution_time=1.0, clock_bits=3,
+                                spectral_floor=2.0)
+    for invert, config in ((qinvert.invert_ideal, InversionConfig(spectral_floor=2.0)),
+                           (qinvert.invert_quantized, quantized)):
+        with pytest.raises(ValueError, match="no eigenvalues above spectral floor"):
+            invert(system, config)
 
 
 def test_ideal_inversion_diagonal_oracle():
@@ -208,7 +209,7 @@ def test_ideal_inversion_without_floor_takes_eigenvalues_and_one_factor(factor_c
     A = _random_spd(rng, 6)
     rep = qinvert.invert_ideal(LinearSystem(A, rng.standard_normal(6)))
     assert factor_calls == {"eigvalsh": 1, "cho_factor": 1}
-    assert json.loads(rep.to_json())["overlaps"] is None
+    assert rep.to_dict()["overlaps"] is None
 
 
 def test_failed_cholesky_names_the_spectrum_and_the_spectral_floor(monkeypatch):
@@ -480,7 +481,7 @@ def test_invert_dispatches_on_mode():
 def test_report_serializes_to_json():
     A = np.diag([0.25, 0.5])
     rep = qinvert.invert_ideal(LinearSystem(A, np.array([1.0, 1.0])))
-    out = json.loads(rep.to_json())
+    out = json.loads(json.dumps(rep.to_dict()))
     assert out["mode"] == "ideal"
     assert len(out["eigenvalues"]) == 2
     assert isinstance(out["post_select_prob"], float)
@@ -553,9 +554,3 @@ def test_sample_successes_draws_like_a_scalar_loop_and_checks_every_entry():
             qinvert.sample_successes(bad, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
         qinvert.sample_successes(p, 0, np.random.default_rng(0))
-
-
-def test_readout_value_product():
-    assert qinvert.readout_value(2.0, 3.0, -0.5) == -3.0
-    with pytest.raises(ValueError):
-        qinvert.readout_value(-1.0, 1.0, 0.5)
