@@ -35,7 +35,8 @@ print(f"\nsmallest order with per-coordinate bound <= {delta_target:g}: {order}"
 
 rep = coherent.gram_report(ds, sigma, order)
 print(f"entry error {rep.entry_max_error:.3e} <= bound {rep.entry_bound:.3e}")
-print(f"smallest eigenvalue of the encoded matrix: {rep.min_eigenvalue:.4e}")
+min_eig = np.linalg.eigvalsh(coherent.gram_coherent(ds, sigma, order).data)[0]
+print(f"smallest eigenvalue of the encoded matrix: {min_eig:.4e}")
 
 print("\npartial-trace consistency check:")
 # |Psi> = sum_j |j>|psi_j>/sqrt(m), psi_j the Kronecker product of its

@@ -190,7 +190,6 @@ class GramDeviation:
     entry_max_error: float
     frobenius_bound: float
     frobenius_error: float
-    min_eigenvalue: float
     exact: InterpMatrix
 
 
@@ -209,14 +208,12 @@ def gram_report(dataset: DataSet, sigma: float, order: int) -> GramDeviation:
     diff = approx.data - exact.data
     delta = truncation_bound(max_ratio(dataset.sites, sigma), 1.0, order)
     d = dataset.d
-    eigs = np.linalg.eigvalsh(approx.data)
     return GramDeviation(
         delta=delta,
         entry_bound=2.0 * d * delta / dataset.m,
         entry_max_error=float(np.max(np.abs(diff))),
         frobenius_bound=2.0 * d * delta,
         frobenius_error=float(np.linalg.norm(diff, "fro")),
-        min_eigenvalue=float(eigs[0]),
         exact=exact,
     )
 

@@ -129,8 +129,7 @@ def default_config() -> dict:
 _OPTIONAL_KEYS = {
     "dataset": ("file", "seed"),
     "kernel": ("eta", "d", "k", "alpha"),
-    "inversion": ("rotation_scale", "spectral_floor", "norm_samples", "overlap_samples",
-                  "evolution_time", "clock_bits"),
+    "inversion": ("rotation_scale", "spectral_floor", "evolution_time", "clock_bits"),
     "queries": ("file", "seed"),
 }
 
@@ -333,12 +332,11 @@ def _query_points(cfg: dict, dataset: DataSet, seed: int) -> np.ndarray:
                 raise ValueError(
                     f"query file has {len(header)} columns, expected {dataset.d}"
                 )
-            pts = np.asarray([[float(v) for v in row] for row in reader if row])
-        return pts
+            return np.asarray([[float(v) for v in row] for row in reader if row])
     n = int(q_cfg["n"])
     rng = np.random.default_rng(q_cfg.get("seed", seed + 1))
     ds_cfg = cfg["dataset"]
-    if "file" not in ds_cfg:
+    if not ds_cfg.get("file"):
         bounds = _box_array(ds_cfg["box"], dataset.d)
     else:
         bounds = np.stack([dataset.sites.min(axis=0), dataset.sites.max(axis=0)], axis=1)
@@ -355,21 +353,19 @@ _QUERY_BASE_FIELDS = [
 ]
 
 
-def _query_fields(d: int) -> list:
-    return ["seed", "config_hash"] + [f"x{i + 1}" for i in range(d)] + _QUERY_BASE_FIELDS
+def _query_rows(queries, seed: int, chash: str, columns: dict) -> tuple[list, list]:
+    """One {seed, config_hash, x1..xd, **columns} row per query, and the query CSV's fields.
 
-
-def _query_rows(queries, seed: int, chash: str, **columns) -> list:
-    """One {seed, config_hash, x1..xd, **columns} row per query point.
-
-    Each column is a sequence with one value per query.
+    Each column is an array with one entry per query; rows hold builtin
+    values.  The fields name the columns of every pipeline.
     """
     coords = [f"x{i + 1}" for i in range(queries.shape[1])]
     names = list(columns)
-    return [
+    rows = [
         {"seed": seed, "config_hash": chash, **dict(zip(coords, x)), **dict(zip(names, values))}
-        for x, *values in zip(queries.tolist(), *columns.values())
+        for x, *values in zip(queries.tolist(), *(col.tolist() for col in columns.values()))
     ]
+    return rows, ["seed", "config_hash", *coords, *_QUERY_BASE_FIELDS]
 
 
 # query x site cells per block of the batched readout, so the block
@@ -427,26 +423,19 @@ def _basis_readings(dataset, kernel, queries, coeffs, state) -> _BasisReadings:
     return out
 
 
-def _shots(cfg: dict, budgets: Budgets) -> tuple[int, int]:
-    """Shots of the norm draw and of each overlap draw: the inversion.* keys, else the budgets'."""
-    inv = cfg["inversion"]
-    return (inv.get("norm_samples", budgets.norm_samples),
-            inv.get("overlap_samples", budgets.overlap_samples))
-
-
-def _readout(readings, basis_norm, report, shots, y_norm: float, rng):
+def _readout(readings, basis_norm, report, budgets, y_norm: float, rng):
     """Swap-test readout f(x) = ||c|| ||Phi(x)|| <c^|Phi^(x)> of every query.
 
     All draws come from rng: first the norm ||c|| from the post-selection
-    probability with shots[0] shots, then one binomial of shots[1] shots
-    per reached query (basis_norm > 0), in query order, in one call.
-    Where no site reaches a query the interpolant is exactly 0 and nothing
-    is drawn.  The swap test gives |<c^|Phi^(x)>|; its sign is taken from
-    the exact state.  Returns the
-    arrays f_quantum, f_quantum_analytic and abs_err, and the norm draw's
-    success count.
+    probability with budgets.norm_samples shots, then one binomial of
+    budgets.overlap_samples shots per reached query (basis_norm > 0), in
+    query order, in one call.  Where no site reaches a query the
+    interpolant is exactly 0 and nothing is drawn.  The swap test gives
+    |<c^|Phi^(x)>|; its sign is taken from the exact state.  Returns the
+    query columns f_classical, f_quantum, f_quantum_analytic and abs_err,
+    and the norm draw's success count.
     """
-    norm_shots, overlap_shots = shots
+    norm_shots, overlap_shots = budgets.norm_samples, budgets.overlap_samples
     hits = int(qinvert.sample_successes(report.post_select_prob, norm_shots, rng))
     coeff_norm_sampled = math.sqrt(hits / norm_shots) * y_norm / report.rotation_scale
     reached = basis_norm > 0.0
@@ -457,7 +446,9 @@ def _readout(readings, basis_norm, report, shots, y_norm: float, rng):
     f_analytic = np.zeros(len(basis_norm))
     f_quantum[reached] = coeff_norm_sampled * norm * np.copysign(o_mag, overlap)
     f_analytic[reached] = report.coeff_norm_est * norm * overlap
-    return f_quantum, f_analytic, np.abs(f_quantum - readings.f_classical), hits
+    return {"f_classical": readings.f_classical, "f_quantum": f_quantum,
+            "f_quantum_analytic": f_analytic,
+            "abs_err": np.abs(f_quantum - readings.f_classical)}, hits
 
 
 @contextlib.contextmanager
@@ -476,7 +467,12 @@ class _StageError(RuntimeError):
 
 
 def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
-    """Execute one pipeline end to end, classical baseline always included."""
+    """Execute one pipeline end to end, classical baseline always included.
+
+    The pipeline's runner returns its own summary fields, its query
+    columns and its solve report (None for the classical pipeline); the
+    summary head every pipeline shares and the query rows are built here.
+    """
     _check_config(cfg)
     cfg = merge_config(default_config(), cfg)
     pipeline = cfg["pipeline"]
@@ -492,58 +488,47 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     with _stage("kernel"):
         kernel = kernels.from_config(cfg["kernel"])
 
-    if pipeline == "classical":
-        result = _run_classical(cfg, dataset, kernel, queries, seed, chash)
-    elif pipeline == "quantum-global":
-        result = _run_global(cfg, dataset, kernel, queries, seed, chash)
-    else:
-        result = _run_compact(cfg, dataset, kernel, queries, seed, chash)
+    runner = {"classical": _run_classical, "quantum-global": _run_global,
+              "quantum-compact": _run_compact}[pipeline]
+    fields, columns, report = runner(cfg, dataset, kernel, queries, seed)
+    summary = {"pipeline": pipeline, "seed": seed, "config_hash": chash, "m": dataset.m,
+               "d": dataset.d, "kernel": cfg["kernel"], "n_queries": len(queries),
+               "cost_model": COST_MODEL, **fields}
+    result = PipelineResult(pipeline, summary, *_query_rows(queries, seed, chash, columns), report)
 
     out_dir = out_dir or cfg["output"]
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        qpath = os.path.join(out_dir, "queries.csv")
-        write_csv(qpath, result.query_fields, result.query_rows)
-        spath = os.path.join(out_dir, "summary.json")
-        write_json(spath, result.summary)
-        result.files = {"queries": qpath, "summary": spath}
-        dpath = os.path.join(out_dir, "dataset.csv")
-        interpolation.save_dataset(dataset, dpath)
-        result.files["dataset"] = dpath
-        if result.solve_report is not None:
-            rpath = os.path.join(out_dir, "solve_report.json")
-            write_json(rpath, result.solve_report.to_dict())
-            result.files["solve_report"] = rpath
+        files = result.files = {name: os.path.join(out_dir, name + ext) for name, ext in
+                                (("queries", ".csv"), ("summary", ".json"), ("dataset", ".csv"))}
+        write_csv(files["queries"], result.query_fields, result.query_rows)
+        write_json(files["summary"], summary)
+        interpolation.save_dataset(dataset, files["dataset"])
+        if report is not None:
+            files["solve_report"] = os.path.join(out_dir, "solve_report.json")
+            write_json(files["solve_report"], report.to_dict())
     return result
 
 
-def _run_classical(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
+def _run_classical(cfg, dataset, kernel, queries, seed):
     with _stage("classical solve"):
         system = interpolation.exact_system(dataset, kernel)
     spec, coeffs = system.spectrum, system.coeffs
     # f_classical as the quantum pipelines read it, with no state to overlap
     readings = _basis_readings(dataset, kernel, queries, coeffs, None)
-    rows = _query_rows(queries, seed, chash, f_classical=readings.f_classical)
-    summary = {
-        "pipeline": "classical",
-        "seed": seed,
-        "config_hash": chash,
-        "m": dataset.m,
-        "d": dataset.d,
-        "kernel": cfg["kernel"],
+    fields = {
         "kappa": spec.kappa,
         "lambda_min": spec.lambda_min,
         "lambda_max": spec.lambda_max,
         "sparsity": system.matrix.sparsity,
         "site_residual_max": coeffs.residual,
         "coeff_norm": coeffs.norm,
-        "n_queries": len(rows),
-        "cost_model": COST_MODEL,
     }
-    return PipelineResult("classical", summary, rows, _query_fields(dataset.d))
+    return fields, {"f_classical": readings.f_classical}, None
 
 
-def _inversion_config(cfg: dict, budgets, spec, cap_note: dict) -> qinvert.InversionConfig:
+def _inversion_config(cfg: dict, budgets, spec) -> tuple[qinvert.InversionConfig, bool]:
+    """The inversion config, and whether the evolution time was clamped to the clock."""
     inv = cfg["inversion"]
     mode = inv["mode"]
     kwargs = {
@@ -551,6 +536,7 @@ def _inversion_config(cfg: dict, budgets, spec, cap_note: dict) -> qinvert.Inver
         "rotation_scale": inv.get("rotation_scale"),
         "spectral_floor": inv.get("spectral_floor"),
     }
+    clamped = False
     if mode == "quantized":
         cap = qinvert._CLOCK_BITS_CAP
         t0 = inv.get("evolution_time")
@@ -559,16 +545,32 @@ def _inversion_config(cfg: dict, budgets, spec, cap_note: dict) -> qinvert.Inver
             # keep the largest eigenphase on the clock grid
             t0_max = 2.0 * math.pi * (2.0**cap - 1.0) / spec.lambda_max
             if t0 > t0_max:
-                cap_note["evolution_time_clamped"] = True
+                clamped = True
                 t0 = t0_max
         b = inv.get("clock_bits")
         if b is None:
             b = max(1, min(cap, math.ceil(math.log2(spec.lambda_max * t0 / (2 * math.pi))) + 1))
         kwargs.update(evolution_time=float(t0), clock_bits=int(b))
-    return qinvert.InversionConfig(**kwargs)
+    return qinvert.InversionConfig(**kwargs), clamped
 
 
-def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
+def _quantum_fields(spec, coeffs, report, fidelity: float, abs_err, clamped: bool) -> dict:
+    """Summary fields both quantum pipelines write."""
+    fields = {
+        "kappa": spec.kappa,
+        "site_residual_max": coeffs.residual,
+        "post_select_prob": report.post_select_prob,
+        "coeff_norm_est": report.coeff_norm_est,
+        "coeff_norm_classical": coeffs.norm,
+        "fidelity_vs_exact_solution": fidelity,
+        "max_abs_err": float(np.max(abs_err, initial=0.0)),
+    }
+    if clamped:
+        fields["evolution_time_clamped"] = True
+    return fields
+
+
+def _run_global(cfg, dataset, kernel, queries, seed):
     if kernel.family != "gaussian":
         raise ValueError("the coherent-encoding pipeline needs a gaussian kernel")
     with _stage("classical solve"):
@@ -598,42 +600,27 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
                            "budget_eps_E": budgets.eps_E,
                            "steps_for_budget": math.ceil(t * t / budgets.eps_E)}
 
-    cap_note = {}
     with _stage("inversion"):
-        inv_cfg = _inversion_config(cfg, budgets, spec, cap_note)
+        inv_cfg, clamped = _inversion_config(cfg, budgets, spec)
         report = qinvert.invert(interpolation.LinearSystem(gram, system.y), inv_cfg)
 
     with _stage("readout"):
         readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out)
-        phi_norm = np.sqrt(readings.sq_norm)
-        y_norm = float(np.linalg.norm(system.y))
-        f_quantum, f_analytic, abs_err, norm_successes = _readout(
-            readings, phi_norm, report, _shots(cfg, budgets), y_norm,
-            np.random.default_rng((seed, 1)),
+        phi_norm, y_norm = np.sqrt(readings.sq_norm), float(np.linalg.norm(system.y))
+        columns, norm_successes = _readout(
+            readings, phi_norm, report, budgets, y_norm, np.random.default_rng((seed, 1))
         )
         budget = readout_budget(
             phi_norm, y_norm, report.rotation_scale, coeffs.norm,
             readings.overlap_classical, budgets,
         )
-        within = abs_err <= 3.0 * budget
-        rows = _query_rows(
-            queries, seed, chash, f_classical=readings.f_classical.tolist(),
-            f_quantum=f_quantum.tolist(), f_quantum_analytic=f_analytic.tolist(),
-            abs_err=abs_err.tolist(), budget=budget.tolist(),
-            within_budget=within.tolist(),
-        )
+        columns.update(budget=budget, within_budget=columns["abs_err"] <= 3.0 * budget)
 
     gram_within = eps_A_measured <= budgets.eps_A
     fidelity = qinvert.solution_fidelity(coeffs.c, report.state_out)
     fidelity_within = fidelity >= 1.0 - budgets.eps_c
-    summary = {
-        "pipeline": "quantum-global",
-        "seed": seed,
-        "config_hash": chash,
-        "m": dataset.m,
-        "d": dataset.d,
-        "kernel": cfg["kernel"],
-        "kappa": spec.kappa,
+    fields = {
+        **_quantum_fields(spec, coeffs, report, fidelity, columns["abs_err"], clamped),
         "lambda_min": spec.lambda_min,
         "lambda_max": spec.lambda_max,
         "budgets": asdict(budgets),
@@ -642,34 +629,22 @@ def _run_global(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         "gram_frobenius_budget": budgets.eps_A,
         "gram_within_budget": gram_within,
         "budget_unreachable": budgets.eps_A < eps_A_floor,
-        "site_residual_max": coeffs.residual,
         "inversion_mode": report.mode,
-        "post_select_prob": report.post_select_prob,
-        "coeff_norm_est": report.coeff_norm_est,
-        "coeff_norm_classical": coeffs.norm,
+        # on the Cholesky path this is 1 by construction; fidelity_vs_exact_solution is not
         "fidelity_vs_classical": report.fidelity_vs_classical,
-        # on the Cholesky path the field above is 1 by construction; this one is not
-        "fidelity_vs_exact_solution": fidelity,
         "fidelity_within_budget": fidelity_within,
         "deviation_from_ideal": report.deviation_from_ideal,
         "repetitions_ledger": report.repetitions_ledger,
         "norm_successes": norm_successes,
-        "max_abs_err": float(np.max(abs_err, initial=0.0)),
         # with no norm success the sampled ||c|| is 0 and every f_quantum reads 0
-        "all_within_budget": (
-            bool(np.all(within)) and gram_within and fidelity_within and norm_successes > 0
-        ),
-        "n_queries": len(rows),
+        "all_within_budget": (bool(np.all(columns["within_budget"])) and gram_within
+                              and fidelity_within and norm_successes > 0),
         "dme_check": dme_summary,
-        "cost_model": COST_MODEL,
     }
-    summary.update(cap_note)
-    return PipelineResult("quantum-global", summary, rows, _query_fields(dataset.d), report)
+    return fields, columns, report
 
 
-def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
-    if not kernel.is_compact:
-        raise ValueError("the compact pipeline needs a compactly supported kernel")
+def _run_compact(cfg, dataset, kernel, queries, seed):
     comp_cfg = cfg["compact"]
     oracle_cfg = compact.CompactOracleConfig(
         kernel=kernel,
@@ -681,9 +656,8 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         system = interpolation.exact_system(dataset, kernel, normalized=True)
         spec, coeffs = system.spectrum, system.coeffs
         budgets = derive_budgets(cfg["epsilon"], spec.kappa, dataset.d)
-    cap_note = {}
     with _stage("oracle solve"):
-        inv_cfg = _inversion_config(cfg, budgets, spec, cap_note)
+        inv_cfg, clamped = _inversion_config(cfg, budgets, spec)
         creport = compact.solve_compact(dataset, oracle_cfg, inv_cfg, exact=system)
         report = creport.solve
 
@@ -692,42 +666,23 @@ def _run_compact(cfg, dataset, kernel, queries, seed, chash) -> PipelineResult:
         _, phi_norm_est = compact.phi_norm_estimate(
             readings.sq_norm, dataset.m, oracle_cfg.effective_scale
         )
-        f_quantum, f_analytic, abs_err, _ = _readout(
-            readings, phi_norm_est, report, _shots(cfg, budgets), float(np.linalg.norm(system.y)),
+        columns, _ = _readout(
+            readings, phi_norm_est, report, budgets, float(np.linalg.norm(system.y)),
             np.random.default_rng((seed, 2)),
-        )
-        rows = _query_rows(
-            queries, seed, chash, f_classical=readings.f_classical.tolist(),
-            f_quantum=f_quantum.tolist(), f_quantum_analytic=f_analytic.tolist(),
-            abs_err=abs_err.tolist(),
         )
 
     # the oracle matrix's own Cholesky check reads NaN when it fails, and JSON has no NaN
     oracle_pd = not math.isnan(report.fidelity_vs_classical)
-    summary = {
-        "pipeline": "quantum-compact",
-        "seed": seed,
-        "config_hash": chash,
-        "m": dataset.m,
-        "d": dataset.d,
-        "kernel": cfg["kernel"],
+    fields = {
+        **_quantum_fields(spec, coeffs, report, creport.fidelity_vs_exact_solution,
+                          columns["abs_err"], clamped),
         "ae_bits": oracle_cfg.ae_bits,
-        "kappa": spec.kappa,
         "sparsity": creport.sparsity,
         "matrix_frobenius_error": creport.matrix_error,
-        "site_residual_max": coeffs.residual,
-        "post_select_prob": report.post_select_prob,
-        "coeff_norm_est": report.coeff_norm_est,
-        "coeff_norm_classical": coeffs.norm,
         "fidelity_vs_oracle_matrix": report.fidelity_vs_classical if oracle_pd else None,
         "oracle_matrix_positive_definite": oracle_pd,
-        "fidelity_vs_exact_solution": creport.fidelity_vs_exact_solution,
-        "max_abs_err": float(np.max(abs_err, initial=0.0)),
-        "n_queries": len(rows),
-        "cost_model": COST_MODEL,
     }
-    summary.update(cap_note)
-    return PipelineResult("quantum-compact", summary, rows, _query_fields(dataset.d), report)
+    return fields, columns, report
 
 
 # ---------------------------------------------------------------------------

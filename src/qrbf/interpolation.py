@@ -368,7 +368,6 @@ class PerturbationReport:
     Eigenvalue side: every sorted eigenvalue moves by at most ||E||_2.
     """
 
-    contraction: float
     inverse_bound: float
     inverse_measured: float
     inverse_ok: bool
@@ -406,7 +405,6 @@ def perturbation_check(A, E) -> PerturbationReport:
     wAE = np.linalg.eigvalsh(A + E)
     shift = float(np.max(np.abs(wAE - wA)))
     return PerturbationReport(
-        contraction=r,
         inverse_bound=bound,
         inverse_measured=measured,
         inverse_ok=inv_ok,

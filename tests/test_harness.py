@@ -232,6 +232,13 @@ def test_classical_pipeline_on_all_zero_values_reads_zero_without_warnings(tmp_p
     assert len(rows) == 20 and all(float(row["f_classical"]) == 0.0 for row in rows)
 
 
+def test_a_null_dataset_file_draws_queries_from_the_dataset_box():
+    cfg = {"pipeline": "classical", "seed": 0, "dataset": {"box": [0.2, 0.9]}}
+    want = harness.run_pipeline(cfg).query_rows
+    null = harness.run_pipeline(harness.merge_config(cfg, {"dataset": {"file": None}}))
+    assert [(r["x1"], r["x2"]) for r in null.query_rows] == [(r["x1"], r["x2"]) for r in want]
+
+
 def test_classical_pipeline_interpolates_training_data(tmp_path):
     qfile = tmp_path / "q.csv"
     ds = harness.gen_data(8, 2, [0.0, 1.0], seed=3)
@@ -528,6 +535,12 @@ def test_query_rows_do_not_depend_on_the_readout_block(monkeypatch, cfg):
 
 
 @pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=_READOUT_IDS)
+def test_query_rows_hold_only_builtin_values(cfg):
+    for row in harness.run_pipeline(cfg).query_rows:
+        assert all(type(v) in (float, int, bool, str) for v in row.values()), row
+
+
+@pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=_READOUT_IDS)
 def test_batched_readout_matches_the_per_query_reference(cfg):
     """Within m ulps of the scale of each sum: the batch reduces rows in another order."""
     from qrbf import compact, kernels
@@ -583,7 +596,9 @@ def test_readout_draws_norm_first_then_one_binomial_per_reached_query():
     )
     report = SimpleNamespace(post_select_prob=0.3, rotation_scale=0.2, coeff_norm_est=2.5)
     rng = np.random.default_rng(7)
-    f_q, f_a, err, _ = harness._readout(readings, basis_norm, report, (1000, 500), 0.6, rng)
+    shots = SimpleNamespace(norm_samples=1000, overlap_samples=500)
+    columns, _ = harness._readout(readings, basis_norm, report, shots, 0.6, rng)
+    f_q, f_a, err = columns["f_quantum"], columns["f_quantum_analytic"], columns["abs_err"]
 
     ref = np.random.default_rng(7)
     coeff_norm = math.sqrt(ref.binomial(1000, 0.3) / 1000) * 0.6 / 0.2
@@ -642,6 +657,13 @@ def test_unknown_config_keys_are_refused_with_the_nearest_valid_key():
     # a dotted path is how errors and --set name a key, not a key of the config itself
     with pytest.raises(ValueError, match="unknown config key 'dataset.m'"):
         harness.run_pipeline({"dataset.m": 5})
+
+
+@pytest.mark.parametrize("key", ["norm_samples", "overlap_samples"])
+def test_shot_counts_are_not_config_keys(key):
+    """The readout takes its shots from the budgets, which the summary records."""
+    with pytest.raises(ValueError, match=f"unknown config key 'inversion.{key}'"):
+        harness.run_pipeline({"pipeline": "quantum-global", "inversion": {key: 100}})
 
 
 def test_a_dotted_top_level_key_is_told_to_nest():
