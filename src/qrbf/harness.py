@@ -332,7 +332,8 @@ def _query_points(cfg: dict, dataset: DataSet, seed: int) -> np.ndarray:
                 raise ValueError(
                     f"query file has {len(header)} columns, expected {dataset.d}"
                 )
-            return np.asarray([[float(v) for v in row] for row in reader if row])
+            rows = [[float(v) for v in row] for row in reader if row]
+            return np.asarray(rows) if rows else np.empty((0, dataset.d))
     n = int(q_cfg["n"])
     rng = np.random.default_rng(q_cfg.get("seed", seed + 1))
     ds_cfg = cfg["dataset"]
@@ -619,6 +620,12 @@ def _run_global(cfg, dataset, kernel, queries, seed):
     gram_within = eps_A_measured <= budgets.eps_A
     fidelity = qinvert.solution_fidelity(coeffs.c, report.state_out)
     fidelity_within = fidelity >= 1.0 - budgets.eps_c
+    # with no norm success the sampled ||c|| is 0 and every f_quantum reads 0; with no
+    # query there is no readout to hold to its budget, so the run reads as unbudgeted
+    all_within = None
+    if len(queries):
+        all_within = (bool(np.all(columns["within_budget"])) and gram_within
+                      and fidelity_within and norm_successes > 0)
     fields = {
         **_quantum_fields(spec, coeffs, report, fidelity, columns["abs_err"], clamped),
         "lambda_min": spec.lambda_min,
@@ -636,9 +643,7 @@ def _run_global(cfg, dataset, kernel, queries, seed):
         "deviation_from_ideal": report.deviation_from_ideal,
         "repetitions_ledger": report.repetitions_ledger,
         "norm_successes": norm_successes,
-        # with no norm success the sampled ||c|| is 0 and every f_quantum reads 0
-        "all_within_budget": (bool(np.all(columns["within_budget"])) and gram_within
-                              and fidelity_within and norm_successes > 0),
+        "all_within_budget": all_within,
         "dme_check": dme_summary,
     }
     return fields, columns, report

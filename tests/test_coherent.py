@@ -243,6 +243,60 @@ def test_gram_coherent_matches_einsum_reference(m, d, lo, sigma, order):
     assert np.array_equal(np.diag(G), np.full(m, 1.0 / m))
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _unflushed_gram(ds: DataSet, sigma: float, order: int) -> tuple[np.ndarray, int]:
+    """prod_c F_c F_c^T on the tables as built, diagonal 1, then /m; and their subnormal count."""
+    gram = np.ones((ds.m, ds.m))
+    subnormal = 0
+    for c in range(ds.d):
+        table = coherent._amplitudes(ds.sites[:, c] / sigma, order)
+        subnormal += int(np.count_nonzero((table != 0.0) & (np.abs(table) < _TINY)))
+        gram *= table @ table.T
+    np.fill_diagonal(gram, 1.0)
+    return gram / ds.m, subnormal
+
+
+def _flushed_gram(monkeypatch, ds: DataSet, sigma: float, order: int) -> np.ndarray:
+    """gram_coherent, checking that every table it multiplies has its subnormals set to 0."""
+    tables = []
+
+    def recorded(ratios, order):
+        table = real(ratios, order)
+        tables.append((table, table.copy()))
+        return table
+
+    real = coherent._amplitudes
+    monkeypatch.setattr(coherent, "_amplitudes", recorded)
+    gram = coherent.gram_coherent(ds, sigma, order).data
+    assert len(tables) == ds.d
+    for used, built in tables:  # used is the array gram_coherent multiplied, after its flush
+        assert np.array_equal(used, np.where(np.abs(built) < _TINY, 0.0, built))
+    return gram
+
+
+def test_gram_flushes_subnormal_amplitudes_without_changing_a_bit(monkeypatch):
+    """Centred m=512 at sigma=0.05, the global-gram config: order 339."""
+    ds = coherent.centred(gen_data(512, 2, [0.0, 1.0], seed=0))
+    want, subnormal = _unflushed_gram(ds, 0.05, 339)
+    assert subnormal > 1000  # the flush has entries to act on
+    assert np.array_equal(_flushed_gram(monkeypatch, ds, 0.05, 339), want)
+
+
+def test_gram_flush_moves_only_entries_below_the_normal_range(monkeypatch):
+    """m=64 at sigma=0.01 underflows deep: flushed terms move an entry by at most order * tiny."""
+    ds = coherent.centred(gen_data(64, 2, [0.0, 1.0], seed=0))
+    order = coherent.min_order(coherent.max_ratio(ds.sites, 0.01), 1e-16)
+    want, subnormal = _unflushed_gram(ds, 0.01, order)
+    assert subnormal > 0
+    got = _flushed_gram(monkeypatch, ds, 0.01, order)
+    assert np.all(np.abs(got - want) <= order * _TINY)
+    large = np.abs(want) >= 2.0**53 * order * _TINY  # the bound is below half an ulp
+    assert np.array_equal(got[large], want[large])
+    assert not np.array_equal(got, want)  # entries in the subnormal range do move
+
+
 def test_gram_report_bounds_hold():
     rng = np.random.default_rng(4)
     for trial in range(5):

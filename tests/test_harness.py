@@ -257,6 +257,23 @@ def test_classical_pipeline_interpolates_training_data(tmp_path):
     assert np.allclose(got, ds.values, atol=1e-8)
 
 
+@pytest.mark.parametrize("pipeline", ["classical", "quantum-global"])
+@pytest.mark.parametrize("source", ["header-only file", "n = 0"])
+def test_an_empty_query_set_is_an_empty_unbudgeted_run(tmp_path, pipeline, source):
+    """No query: no rows, a header-only queries.csv, and no budget verdict."""
+    qfile = tmp_path / "q.csv"
+    qfile.write_text("x1,x2\n")
+    queries = {"file": str(qfile)} if source == "header-only file" else {"n": 0}
+    out = tmp_path / "out"
+    result = harness.run_pipeline({"pipeline": pipeline, "seed": 0, "queries": queries}, out)
+    assert result.query_rows == []
+    assert result.summary["n_queries"] == 0
+    assert result.summary.get("all_within_budget") is None
+    with open(out / "queries.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["seed", "config_hash", "x1", "x2",
+                                         *harness._QUERY_BASE_FIELDS]]
+
+
 def test_global_pipeline_analytic_readout_matches_classical():
     cfg = {
         "pipeline": "quantum-global",

@@ -40,6 +40,63 @@ def test_pair_distance_batched_equals_single():
         assert single == batched[i]
 
 
+def _reduced_distance(a, b):
+    """Distance by NumPy's reduce over the last axis of the full difference array."""
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
+def _distance_calls(d):
+    """The package's call shapes, then inputs of different ranks.
+
+    In order: site matrix, query block, pair list, site column, two 1-D points.
+    """
+    rng = np.random.default_rng(d)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(1, d))
+    sites = rng.standard_normal((40, d)) * scale
+    sites[7] = sites[3]  # a repeated site: distance exactly 0
+    points = rng.standard_normal((25, d)) * scale
+    i, j = np.triu_indices(40, k=1)
+    return [
+        (sites[:, None, :], sites[None, :, :], (40, 40)),
+        (sites[None, :, :], points[:, None, :], (25, 40)),
+        (sites[i], sites[j], (len(i),)),
+        (sites, points[0], (40,)),
+        (sites[0], points[0], ()),
+        (sites, points[:, None, :], (25, 40)),
+        (points[0], sites[None, :, :], (1, 40)),
+    ]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_pair_distance_equals_numpy_reduce_bit_for_bit(d):
+    """Below 8 coordinates NumPy's reduce adds in order, as pair_distance does."""
+    for a, b, shape in _distance_calls(d):
+        got = interp.pair_distance(a, b)
+        want = _reduced_distance(a, b)
+        assert np.shape(got) == shape
+        assert np.array_equal(got, want)
+        if shape == ():
+            assert type(got) is np.float64
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("d", range(8, 12))
+def test_pair_distance_is_within_4_ulp_of_pairwise_numpy_reduce(d):
+    """From 8 coordinates NumPy sums pairwise; the in-order sum stays within 4 ulp."""
+    for a, b, shape in _distance_calls(d):
+        got = interp.pair_distance(a, b)
+        want = _reduced_distance(a, b)
+        assert np.shape(got) == shape
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+
+def test_pair_distance_refuses_points_of_different_dimensions():
+    with pytest.raises(ValueError, match="share a dimension"):
+        interp.pair_distance(np.zeros((3, 2)), np.zeros(3))
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         interp.DataSet(np.array([[0.0], [0.0]]), np.array([1.0, 2.0]))  # duplicate site
