@@ -183,19 +183,14 @@ def gram_coherent(dataset: DataSet, sigma: float, order: int) -> InterpMatrix:
     the build is one (m, order) amplitude table F_c per coordinate and the
     entrywise product of the d products F_c F_c^T, which BLAS runs as syrk
     and which are therefore exactly symmetric.  Subnormal amplitudes are
-    set to 0.0 first (see the module docstring); the check for them reads
-    only the first and last column of a table, a few microseconds on the
-    bound suites' small tables.
+    set to 0.0 first (see the module docstring).
     """
     m = dataset.m
     ratios = _ratios(dataset.sites, sigma)  # (m, d)
     gram = np.ones((m, m))
     for c in range(dataset.d):
         table = _amplitudes(ratios[:, c], order)
-        # |amplitude| is log-concave along a row, so a row's smallest entry is at one of its ends
-        ends = table[:, :: max(order - 1, 1)]  # first and last column, as a view
-        if np.abs(ends).min() < _TINY:
-            table[np.abs(table) < _TINY] = 0.0
+        table[np.abs(table) < _TINY] = 0.0
         gram *= table @ table.T
         del table  # freed before the next coordinate's table is built
     np.fill_diagonal(gram, 1.0)  # encodings are unit vectors by construction

@@ -621,11 +621,11 @@ def _run_global(cfg, dataset, kernel, queries, seed):
     fidelity = qinvert.solution_fidelity(coeffs.c, report.state_out)
     fidelity_within = fidelity >= 1.0 - budgets.eps_c
     # with no norm success the sampled ||c|| is 0 and every f_quantum reads 0; with no
-    # query there is no readout to hold to its budget, so the run reads as unbudgeted
-    all_within = None
-    if len(queries):
-        all_within = (bool(np.all(columns["within_budget"])) and gram_within
-                      and fidelity_within and norm_successes > 0)
+    # query only the per-query term is vacuous: a failed run-wide check still reads False,
+    # and a run that passes them reads as unbudgeted, since no readout was held to a budget
+    all_within = bool(gram_within and fidelity_within and norm_successes > 0)
+    if all_within:
+        all_within = bool(np.all(columns["within_budget"])) if len(queries) else None
     fields = {
         **_quantum_fields(spec, coeffs, report, fidelity, columns["abs_err"], clamped),
         "lambda_min": spec.lambda_min,

@@ -272,6 +272,14 @@ def test_an_empty_query_set_is_an_empty_unbudgeted_run(tmp_path, pipeline, sourc
     with open(out / "queries.csv", newline="") as fh:
         assert list(csv.reader(fh)) == [["seed", "config_hash", "x1", "x2",
                                          *harness._QUERY_BASE_FIELDS]]
+    if pipeline == "quantum-global":
+        # only the per-query term is vacuous: the clamped quantized clock at seed 1
+        # loses the fidelity, and that fails the run with or without queries
+        cfg = {"pipeline": pipeline, "seed": 1, "queries": queries,
+               "inversion": {"mode": "quantized"}}
+        s = harness.run_pipeline(cfg).summary
+        assert s["fidelity_within_budget"] is False
+        assert s["all_within_budget"] is False
 
 
 def test_global_pipeline_analytic_readout_matches_classical():
