@@ -17,6 +17,7 @@ import csv
 import difflib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -325,15 +326,10 @@ def _load_or_generate_dataset(cfg: dict, seed: int) -> DataSet:
 def _query_points(cfg: dict, dataset: DataSet, seed: int) -> np.ndarray:
     q_cfg = cfg["queries"]
     if q_cfg.get("file"):
-        with open(q_cfg["file"], newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if len(header) != dataset.d:
-                raise ValueError(
-                    f"query file has {len(header)} columns, expected {dataset.d}"
-                )
-            rows = [[float(v) for v in row] for row in reader if row]
-            return np.asarray(rows) if rows else np.empty((0, dataset.d))
+        header, rows = interpolation.read_csv_rows(q_cfg["file"])
+        if len(header) != dataset.d:
+            raise ValueError(f"query file has {len(header)} columns, expected {dataset.d}")
+        return np.asarray(rows) if rows else np.empty((0, dataset.d))
     n = int(q_cfg["n"])
     rng = np.random.default_rng(q_cfg.get("seed", seed + 1))
     ds_cfg = cfg["dataset"]
@@ -358,14 +354,16 @@ def _query_rows(queries, seed: int, chash: str, columns: dict) -> tuple[list, li
     """One {seed, config_hash, x1..xd, **columns} row per query, and the query CSV's fields.
 
     Each column is an array with one entry per query; rows hold builtin
-    values.  The fields name the columns of every pipeline.
+    values.  Every row is built by one dict(zip(keys, values)) over a
+    single zip of the seed, the hash, the coordinates and the columns, so
+    its keys come in that order.  The fields name the columns of every
+    pipeline.
     """
     coords = [f"x{i + 1}" for i in range(queries.shape[1])]
-    names = list(columns)
-    rows = [
-        {"seed": seed, "config_hash": chash, **dict(zip(coords, x)), **dict(zip(names, values))}
-        for x, *values in zip(queries.tolist(), *(col.tolist() for col in columns.values()))
-    ]
+    keys = ("seed", "config_hash", *coords, *columns)
+    values = zip(itertools.repeat(seed), itertools.repeat(chash), *queries.T.tolist(),
+                 *(col.tolist() for col in columns.values()))
+    rows = [dict(zip(keys, row)) for row in values]
     return rows, ["seed", "config_hash", *coords, *_QUERY_BASE_FIELDS]
 
 
@@ -564,7 +562,8 @@ def _quantum_fields(spec, coeffs, report, fidelity: float, abs_err, clamped: boo
         "coeff_norm_est": report.coeff_norm_est,
         "coeff_norm_classical": coeffs.norm,
         "fidelity_vs_exact_solution": fidelity,
-        "max_abs_err": float(np.max(abs_err, initial=0.0)),
+        # null with no query: no readout was made, so there is no error to report
+        "max_abs_err": float(np.max(abs_err)) if len(abs_err) else None,
     }
     if clamped:
         fields["evolution_time_clamped"] = True

@@ -128,14 +128,43 @@ def save_dataset(dataset: DataSet, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
 
 
-def load_dataset(path) -> DataSet:
-    """Read a dataset CSV written by `save_dataset` (header x1..xd,y)."""
+def read_csv_rows(path) -> tuple[list, list]:
+    """The header of a CSV of numbers and its nonblank rows as floats.
+
+    A row whose width differs from the header's, or a cell that is not a
+    finite number (nan, inf, text), is refused with the file, the line and
+    the column.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "y" or any(h != f"x{i + 1}" for i, h in enumerate(header[:-1])):
-            raise ValueError(f"unexpected dataset header {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header")
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} columns, the header has {len(header)}")
+            values = []
+            for name, text in zip(header, row):
+                try:
+                    v = float(text)
+                except ValueError:
+                    v = math.nan
+                if not math.isfinite(v):
+                    raise ValueError(f"{where}, column {name}: {text!r} is not a finite number")
+                values.append(v)
+            rows.append(values)
+    return header, rows
+
+
+def load_dataset(path) -> DataSet:
+    """Read a dataset CSV written by `save_dataset` (header x1..xd,y)."""
+    header, rows = read_csv_rows(path)
+    if header[-1] != "y" or any(h != f"x{i + 1}" for i, h in enumerate(header[:-1])):
+        raise ValueError(f"unexpected dataset header {header}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
     return DataSet(sites=arr[:, :-1], values=arr[:, -1])
 

@@ -257,18 +257,24 @@ def test_classical_pipeline_interpolates_training_data(tmp_path):
     assert np.allclose(got, ds.values, atol=1e-8)
 
 
-@pytest.mark.parametrize("pipeline", ["classical", "quantum-global"])
+@pytest.mark.parametrize("pipeline", ["classical", "quantum-global", "quantum-compact"])
 @pytest.mark.parametrize("source", ["header-only file", "n = 0"])
 def test_an_empty_query_set_is_an_empty_unbudgeted_run(tmp_path, pipeline, source):
-    """No query: no rows, a header-only queries.csv, and no budget verdict."""
+    """No query: no rows, a header-only queries.csv, and no budget verdict or readout error."""
     qfile = tmp_path / "q.csv"
     qfile.write_text("x1,x2\n")
     queries = {"file": str(qfile)} if source == "header-only file" else {"n": 0}
     out = tmp_path / "out"
-    result = harness.run_pipeline({"pipeline": pipeline, "seed": 0, "queries": queries}, out)
+    cfg = {"pipeline": pipeline, "seed": 0, "queries": queries}
+    if pipeline == "quantum-compact":
+        cfg["kernel"] = dict(_W, alpha=0.5)  # exact oracles: compact.ae_bits is None
+    result = harness.run_pipeline(cfg, out)
     assert result.query_rows == []
     assert result.summary["n_queries"] == 0
     assert result.summary.get("all_within_budget") is None
+    assert result.summary.get("max_abs_err") is None
+    if pipeline != "classical":
+        assert json.loads((out / "summary.json").read_text())["max_abs_err"] is None
     with open(out / "queries.csv", newline="") as fh:
         assert list(csv.reader(fh)) == [["seed", "config_hash", "x1", "x2",
                                          *harness._QUERY_BASE_FIELDS]]
@@ -565,6 +571,30 @@ def test_query_rows_hold_only_builtin_values(cfg):
         assert all(type(v) in (float, int, bool, str) for v in row.values()), row
 
 
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 7), (3, 4), (2, 0)])
+def test_query_rows_match_the_per_row_reference_key_for_key(d, n):
+    rng = np.random.default_rng(d)
+    queries = rng.uniform(size=(n, d))
+    columns = {"f_classical": rng.normal(size=n), "abs_err": rng.uniform(size=n)}
+    columns["within_budget"] = columns["abs_err"] <= 0.5
+    rows, fields = harness._query_rows(queries, 9, "abc123", columns)
+    coords, names = [f"x{i + 1}" for i in range(d)], list(columns)
+    want = [{"seed": 9, "config_hash": "abc123", **dict(zip(coords, x)), **dict(zip(names, vals))}
+            for x, *vals in zip(queries.tolist(), *(c.tolist() for c in columns.values()))]
+    assert rows == want and len(rows) == n
+    assert [list(r) for r in rows] == [list(r) for r in want]
+    assert all(type(r["within_budget"]) is bool for r in rows)
+    assert fields == ["seed", "config_hash", *coords, *harness._QUERY_BASE_FIELDS]
+
+
+@pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=_READOUT_IDS)
+def test_query_row_keys_come_in_query_field_order(cfg):
+    result = harness.run_pipeline(cfg)
+    assert result.query_rows
+    for row in result.query_rows:
+        assert list(row) == [f for f in result.query_fields if f in row]
+
+
 @pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=_READOUT_IDS)
 def test_batched_readout_matches_the_per_query_reference(cfg):
     """Within m ulps of the scale of each sum: the batch reduces rows in another order."""
@@ -710,6 +740,33 @@ def test_sweep_over_an_unknown_key_is_refused_and_writes_nothing(tmp_path):
 def test_a_section_that_is_not_an_object_is_refused():
     with pytest.raises(ValueError, match="section 'queries' must be an object, got None"):
         harness.run_pipeline({"pipeline": "classical", "queries": None})
+
+
+_BAD_INPUT_FILES = [
+    ("dataset", "x1,x2,y\n0.1,0.2,0.3\n0.5,0.6,nan\n",
+     ", line 3, column y: 'nan' is not a finite number"),
+    ("dataset", "x1,x2,y\n0.1,0.2,0.3\ninf,0.6,0.1\n",
+     ", line 3, column x1: 'inf' is not a finite number"),
+    ("queries", "x1,x2\n0.1,0.2\n\n0.3,nan\n", ", line 4, column x2: 'nan' is not a finite number"),
+    ("dataset", "x1,x2,y\n0.1,0.2,abc\n", ", line 2, column y: 'abc' is not a finite number"),
+    ("queries", "x1,x2\n0.1,0.2\n0.3\n", ", line 3: 1 columns, the header has 2"),
+    ("queries", "", ": empty file, no header"),
+    ("dataset", "x1,x2,y\n", ": no data rows"),
+]
+
+
+@pytest.mark.parametrize("pipeline", ["classical", "quantum-global"])
+@pytest.mark.parametrize("section, text, cause", _BAD_INPUT_FILES,
+                         ids=["nan value", "inf site", "nan query", "text value", "ragged query",
+                              "empty query file", "header-only dataset"])
+def test_a_bad_input_file_is_refused_at_the_dataset_stage_with_its_name(
+        tmp_path, pipeline, section, text, cause):
+    path = tmp_path / f"bad-{section}.csv"
+    path.write_text(text)
+    cfg = {"pipeline": pipeline, "seed": 0, section: {"file": str(path)}}
+    with pytest.raises(RuntimeError) as info:
+        harness.run_pipeline(cfg)
+    assert str(info.value) == f"[stage: dataset] {path}{cause}"
 
 
 def test_stage_labels_surface_in_errors():
