@@ -2,7 +2,9 @@
 
 Subcommands: gen-data, fit, evaluate, verify-bounds, sweep.  Settings
 come from a JSON config file; flags override it.  QRBF_SEED supplies the
-default seed when neither the config nor --seed sets one.
+default seed when neither the config nor --seed sets one.  A run that a
+pipeline stage refuses prints "error: [stage: <stage>] <cause>" on one
+line of stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -145,8 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a pipeline stage's error is one line on stderr and exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except harness._StageError as exc:
+        print("error: " + str(exc).replace("\n", " "), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -205,13 +205,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# _fmt of a cell of exactly these types, without its isinstance chain
+_CELL_FORMAT = {type(None): lambda _: "", bool: str, int: str, float: repr, str: str}
+
+
 def csv_body(fieldnames, rows) -> str:
-    """CSV text with deterministic float formatting (repr round-trip)."""
+    """CSV text with deterministic float formatting (repr round-trip).
+
+    Each cell is written as `_fmt` writes it: by the formatter of its exact
+    type, and by `_fmt` itself for NumPy scalars and every other type.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(fieldnames)
+    formatter = _CELL_FORMAT.get
     for row in rows:
-        writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+        writer.writerow([formatter(type(v), _fmt)(v) for v in map(row.get, fieldnames)])
     return buf.getvalue()
 
 
@@ -458,11 +467,15 @@ def _stage(label: str):
     except _StageError:
         raise
     except Exception as exc:
-        raise _StageError(f"[stage: {label}] {exc}") from exc
+        raise _StageError(label, exc) from exc
 
 
 class _StageError(RuntimeError):
-    pass
+    """An error of a pipeline stage, worded "[stage: <stage>] <cause>"; `stage` names the stage."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"[stage: {stage}] {cause}")
+        self.stage = stage
 
 
 def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
@@ -675,7 +688,7 @@ def _run_compact(cfg, dataset, kernel, queries, seed):
             np.random.default_rng((seed, 2)),
         )
 
-    # the oracle matrix's own Cholesky check reads NaN when it fails, and JSON has no NaN
+    # the oracle matrix's own LDL^T check reads NaN when it fails, and JSON has no NaN
     oracle_pd = not math.isnan(report.fidelity_vs_classical)
     fields = {
         **_quantum_fields(spec, coeffs, report, creport.fidelity_vs_exact_solution,

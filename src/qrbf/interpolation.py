@@ -21,7 +21,11 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import coo_array, issparse
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import SuperLU, splu
+
+# cg solves nothing: the name stays bound only because perfbench/tracer.py
+# wraps interpolation.cg by name, until tracing moves inside (ROADMAP item 8)
+from scipy.sparse.linalg import cg  # noqa: F401
 from scipy.spatial import cKDTree
 
 from .kernels import Kernel
@@ -251,7 +255,7 @@ class Coefficients:
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky of an interpolation matrix failed: it is not numerically positive definite."""
+    """A factorization of an interpolation matrix failed: it is not numerically positive definite."""
 
 
 def _cholesky(dense: np.ndarray):
@@ -264,20 +268,52 @@ def _cholesky(dense: np.ndarray):
         ) from exc
 
 
-def solve(matrix: InterpMatrix, y) -> Coefficients:
-    """Solve A c = y by Cholesky (dense) or conjugate gradients (sparse)."""
+def _ldlt(sparse) -> SuperLU:
+    """Sparse LDL^T of a symmetric matrix, NotPositiveDefiniteError unless it is positive definite.
+
+    SuperLU with diagonal pivoting and a symmetric fill-reducing order
+    factors P A P^T = L U with U = D L^T, so U's diagonal holds the LDL^T
+    pivots; A is positive definite exactly when each pivot is > 0
+    (Sylvester's criterion).  A zero pivot makes SuperLU pivot off the
+    diagonal (perm_r != perm_c) or stop at an exactly singular factor.
+    A is taken to be symmetric, as `assemble` and `compact.build_matrix`
+    build it; that is not checked here, since `LinearSystem.dense` checks
+    it on a dense copy.
+    """
+    try:
+        lu = splu(sparse.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU's exactly singular factor
+        raise NotPositiveDefiniteError(
+            f"matrix is not numerically positive definite (sparse LDL^T failed: {exc})"
+        ) from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        raise NotPositiveDefiniteError(
+            "matrix is not numerically positive definite (sparse LDL^T has a pivot <= 0)"
+        )
+    return lu
+
+
+def factor_solve(factor, b) -> np.ndarray:
+    """A^-1 b from A's factor: a cho_factor pair (dense) or a SuperLU LDL^T (sparse)."""
+    return factor.solve(b) if isinstance(factor, SuperLU) else cho_solve(factor, b)
+
+
+def solve(matrix: InterpMatrix, y, factor=None) -> Coefficients:
+    """Solve A c = y by Cholesky (dense) or a SuperLU LDL^T (sparse).
+
+    factor is A's factorization if the caller holds one (a
+    `LinearSystem.factor`); otherwise one is taken here and freed when
+    this returns.  NotPositiveDefiniteError when A is not positive definite.
+    """
     y = np.asarray(y, dtype=float).ravel()
     A = _as_matrix_data(matrix)
     if A.shape[0] != y.shape[0]:
         raise ValueError("matrix and right-hand side sizes disagree")
     m = y.shape[0]
-    sparse = not isinstance(A, np.ndarray)
-    if sparse:
-        c, info = cg(A, y, rtol=1e-12, atol=0.0, maxiter=max(10 * m, 200))
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient did not converge (info={info})")
-    else:
-        c = cho_solve(_cholesky(A), y)
+    if factor is None:
+        factor = _cholesky(A) if isinstance(A, np.ndarray) else _ldlt(A)
+    c = factor_solve(factor, y)
     res = A @ c - y
     site_res = float(np.max(np.abs(res)))
     if isinstance(matrix, InterpMatrix) and matrix.normalized:
@@ -343,15 +379,25 @@ def spectrum(matrix) -> Spectrum:
 
 @dataclass
 class LinearSystem:
-    """A c = y; each decomposition of A is computed when first read, and kept."""
+    """A c = y; each decomposition of A is computed when first read, and kept.
+
+    factor is the system's one factorization, whatever the storage: the
+    Cholesky of the dense matrix, or the sparse LDL^T (`_ldlt`) of a CSR
+    one.  A sparse system's coeffs solve from it; a dense system's coeffs
+    take their own Cholesky, freed when the solve returns, so that a run
+    which never reads the factor keeps no m x m copy of it.
+    """
 
     matrix: InterpMatrix
     y: np.ndarray
 
     def __post_init__(self):
-        data = self.matrix.data if isinstance(self.matrix, InterpMatrix) else self.matrix
-        if np.shape(data)[0] != np.size(self.y):
+        if np.shape(self._data)[0] != np.size(self.y):
             raise ValueError("matrix and right-hand side sizes disagree")
+
+    @property
+    def _data(self):
+        return self.matrix.data if isinstance(self.matrix, InterpMatrix) else self.matrix
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -373,12 +419,11 @@ class LinearSystem:
 
     @cached_property
     def factor(self):
-        return _cholesky(self.dense)
+        return _ldlt(self._data) if issparse(self._data) else _cholesky(self.dense)
 
-    # solve takes its own Cholesky factor, which is freed when it returns
     @cached_property
     def coeffs(self) -> Coefficients:
-        return solve(self.matrix, self.y)
+        return solve(self.matrix, self.y, self.factor if issparse(self._data) else None)
 
 
 def exact_system(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> LinearSystem:

@@ -11,10 +11,10 @@ Each decomposition of A is read from the system, which takes it at most once.
 Two fidelity levels are provided.  `invert_ideal` applies the exact
 map lambda -> C/lambda.  With no spectral floor that map is C A^{-1}
 on all of |y>, so the state, p = C^2 ||A^{-1} y_hat||^2 and the
-classical check all come from the system's Cholesky factor, and only
-its spectrum (for C, kappa and the repetition ledger) is read, not the
-eigenbasis; a floor projects onto the eigenvalues above it, which
-needs the eigenbasis.
+classical check all come from the system's factor (a dense Cholesky
+or a sparse LDL^T), and only its spectrum (for C, kappa and the
+repetition ledger) is read, not the eigenbasis; a floor projects onto
+the eigenvalues above it, which needs the eigenbasis.
 `invert_quantized` models phase estimation with a b-bit clock register
 (controlled powers of e^{iA t0 / 2^b}, inverse Fourier transform, rotation
 keyed on the clock value, uncompute, post-select) by the filter it applies
@@ -164,15 +164,15 @@ def _ideal_state(w, u, beta, kept) -> np.ndarray:
 def _report(system, config, w, kept, ynorm, C, p, state, **named) -> SolveReport:
     """The report of one inversion; named carries mode, overlaps and the quantized fields.
 
-    fidelity_vs_classical is |<c|state>| for the Cholesky solution c of
-    A c = y, NaN when A is not positive definite.
+    fidelity_vs_classical is |<c|state>| for the solution c of A c = y
+    from the system's factor, NaN when A is not positive definite.
     """
     try:
         factor = system.factor
     except interpolation.NotPositiveDefiniteError:
         fidelity = math.nan
     else:
-        fidelity = solution_fidelity(interpolation.cho_solve(factor, system.y), state)
+        fidelity = solution_fidelity(interpolation.factor_solve(factor, system.y), state)
     F = math.sqrt(p)
     lam_min = float(w[kept].min())
     return SolveReport(
@@ -206,7 +206,7 @@ def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) ->
 
     With no spectral floor the rotation reaches every eigencomponent, so
     the post-selected state is C A^{-1} y_hat: it comes from the system's
-    Cholesky factor, beside its eigenvalues alone (no eigenbasis), and
+    factor, beside its eigenvalues alone (no eigenbasis), and
     overlaps is None.  fidelity_vs_classical is then read from the same
     factor and is 1 to rounding by construction; the agreement with the
     eigenbasis map is what tests check.  A floor keeps the eigenbasis
@@ -234,7 +234,7 @@ def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) ->
         factor = system.factor
     except interpolation.NotPositiveDefiniteError as exc:
         raise _not_pd(w) from exc
-    x = interpolation.cho_solve(factor, system.y / ynorm)
+    x = interpolation.factor_solve(factor, system.y / ynorm)
     xnorm = float(np.linalg.norm(x))
     # no eigenbasis on this path: every eigenvalue is kept and there are no overlaps
     return _report(system, config, w, np.ones(w.shape[0], dtype=bool), ynorm, C,

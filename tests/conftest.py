@@ -23,8 +23,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def factor_calls(monkeypatch):
-    """Counter of matrix assemblies, CG solves, Cholesky factorizations and
-    eigendecompositions made while the test runs, keyed by function name."""
+    """Counter of matrix assemblies, CG solves, dense Cholesky and sparse
+    LDL^T (splu) factorizations and eigendecompositions made while the test
+    runs, keyed by function name."""
     counts = collections.Counter()
 
     def spy(owner, name):
@@ -36,7 +37,7 @@ def factor_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("assemble", "cg", "cho_factor"):
+    for name in ("assemble", "cg", "cho_factor", "splu"):
         spy(interpolation, name)
     for name in ("eigh", "eigvalsh"):
         spy(np.linalg, name)

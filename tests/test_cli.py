@@ -125,3 +125,25 @@ def test_installed_entry_point():
     assert proc.returncode == 0
     for sub in ("gen-data", "fit", "evaluate", "verify-bounds", "sweep"):
         assert sub in proc.stdout
+
+
+def test_a_refused_fit_prints_one_stage_line_and_exits_2(tmp_path):
+    data = tmp_path / "nan.csv"
+    data.write_text("x1,x2,y\n0.1,0.2,0.3\n0.5,0.6,nan\n")
+    proc = subprocess.run([sys.executable, "-m", "qrbf.cli", "fit", "--pipeline", "classical",
+                           "--set", f"dataset.file={data}"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # one line, no traceback
+    assert proc.stderr == (
+        f"error: [stage: dataset] {data}, line 3, column y: 'nan' is not a finite number\n"
+    )
+
+
+def test_a_refused_sweep_case_prints_one_stage_line_and_exits_2(capsys):
+    rc = cli.main(["sweep", "--pipeline", "classical", "--seed", "0",
+                   "--param", "kernel.sigma", "--values", "0.3,-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [stage: kernel] sigma must be positive\n"

@@ -1,6 +1,7 @@
 """Tests for data generation, budgets, pipelines, suites, and determinism."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -159,6 +160,21 @@ def test_csv_body_repr_floats_and_determinism():
     assert body == harness.csv_body(["a", "b", "c", "d"], rows)
 
 
+def test_csv_body_writes_each_cell_as_fmt_does():
+    cells = [None, True, False, 0, -12, 2**70, "", "a,b", 'say "hi"', 0.1, -0.0, 1e-300,
+             math.inf, math.nan, np.float64(0.1), np.float32(0.1), np.int64(-3), np.uint8(200),
+             np.bool_(True), np.bool_(False), np.str_("s"), (1, 2)]
+    fieldnames = [f"c{i}" for i in range(len(cells))]
+    rows = [dict(zip(fieldnames, cells)), dict(zip(fieldnames, reversed(cells))), {}]
+    # the per-cell writer: _fmt on every cell, missing cells as None
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([harness._fmt(row.get(name)) for name in fieldnames])
+    assert harness.csv_body(fieldnames, rows) == buf.getvalue()
+
+
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "rows.csv"
     rows = [{"v": float(np.pi)}, {"v": 1e-300}]
@@ -255,6 +271,20 @@ def test_classical_pipeline_interpolates_training_data(tmp_path):
     result = harness.run_pipeline(cfg)
     got = np.array([row["f_classical"] for row in result.query_rows])
     assert np.allclose(got, ds.values, atol=1e-8)
+
+
+def test_classical_wendland_run_at_alpha_half_and_m_1024_solves(factor_calls):
+    # about 490 nonzeros per row and kappa 4e7: conjugate gradients stalled
+    # here, the sparse LDL^T solves it once, to rounding
+    s = harness.run_pipeline({
+        "pipeline": "classical",
+        "seed": 0,
+        "dataset": {"m": 1024},
+        "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.5},
+    }).summary
+    assert s["kappa"] > 1e7
+    assert s["site_residual_max"] <= 1e-12
+    assert factor_calls == {"assemble": 1, "splu": 1, "eigvalsh": 1}
 
 
 @pytest.mark.parametrize("pipeline", ["classical", "quantum-global", "quantum-compact"])
@@ -674,11 +704,9 @@ def test_readout_draws_norm_first_then_one_binomial_per_reached_query():
 
 
 def test_non_pd_exact_system_names_its_fix_without_a_second_spectrum(factor_calls):
-    from qrbf import cli
-
-    args = ["fit", "--pipeline", "quantum-global", "--seed", "0", "--set", "dataset.m=128"]
     with pytest.raises(RuntimeError, match=r"\[stage: classical solve\]") as info:
-        cli.main(args)
+        harness.run_pipeline({"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 128}})
+    assert info.value.stage == "classical solve"
     assert isinstance(info.value.__cause__, interp.NotPositiveDefiniteError)
     message = str(info.value)
     assert "lambda_min -5." in message and "kappa inf" in message
@@ -766,6 +794,7 @@ def test_a_bad_input_file_is_refused_at_the_dataset_stage_with_its_name(
     cfg = {"pipeline": pipeline, "seed": 0, section: {"file": str(path)}}
     with pytest.raises(RuntimeError) as info:
         harness.run_pipeline(cfg)
+    assert info.value.stage == "dataset"
     assert str(info.value) == f"[stage: dataset] {path}{cause}"
 
 
@@ -883,9 +912,10 @@ def test_quantized_compact_run_factorizes_each_system_once(factor_calls):
         "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7},
         "inversion": {"mode": "quantized"},
     })
-    # the exact system: one assembly, one CG solve, one spectrum; the oracle
-    # matrix: one eigh for the inversion, one Cholesky for its classical check
-    assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "eigh": 1, "cho_factor": 1}
+    # exact oracles (ae_bits None) invert the exact system itself: one
+    # assembly, one spectrum, one eigh for the inversion, and one sparse
+    # LDL^T that both the coefficients and the classical check solve from
+    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "eigh": 1, "splu": 1}
 
 
 def test_ideal_global_run_factorizes_each_matrix_once(factor_calls):
@@ -910,9 +940,9 @@ def test_exact_ideal_compact_run_inverts_its_exact_system(factor_calls, monkeypa
         "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7},
         "inversion": {"mode": "ideal"},
     }).summary
-    # one assembly, one CG solve, one spectrum for the budgets and the
-    # inversion both, and one Cholesky factor for the inverted state
-    assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "cho_factor": 1}
+    # one assembly, one spectrum for the budgets and the inversion both,
+    # and one sparse LDL^T for the coefficients and the inverted state
+    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "splu": 1}
     assert s["matrix_frobenius_error"] == 0.0
     assert s["fidelity_vs_exact_solution"] > 1.0 - 1e-10
 
@@ -929,12 +959,13 @@ _NON_PD_ORACLE_CFG = {
 
 def test_non_pd_oracle_matrix_takes_no_eigenvalues_for_its_fidelity(factor_calls):
     # m=128 at ae_bits 8: the oracle matrix is not positive definite, so its
-    # Cholesky check fails without a spectrum to word an error
+    # LDL^T check fails without a spectrum to word an error
     result = harness.run_pipeline(_NON_PD_ORACLE_CFG)
     assert result.summary["fidelity_vs_oracle_matrix"] is None
     assert math.isnan(result.solve_report.fidelity_vs_classical)
-    # eigvalsh only for the exact system's spectrum
-    assert factor_calls == {"assemble": 1, "cg": 1, "eigvalsh": 1, "eigh": 1, "cho_factor": 1}
+    # eigvalsh only for the exact system's spectrum; one sparse LDL^T for
+    # each of the exact system and the oracle matrix
+    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "eigh": 1, "splu": 2}
 
 
 def _strict_json(path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import csr_array
 
 from qrbf import interpolation as interp
 from qrbf import kernels
@@ -359,14 +361,62 @@ def test_linear_system_takes_each_decomposition_once_when_first_read(factor_call
     assert factor_calls == {"assemble": 1}
     spec, factor = system.spectrum, system.factor
     assert system.spectrum is spec and system.factor is factor
-    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "cho_factor": 1}
-    # a sparse system solves by CG, not from its Cholesky factor
-    fresh = interp.LinearSystem(mat, ds.values / ds.m)
-    coeffs = fresh.coeffs
-    assert fresh.coeffs is coeffs
-    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "cho_factor": 1, "cg": 1}
+    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "splu": 1}
+    # a sparse system solves from its own sparse LDL^T, with no second factorization
+    coeffs = system.coeffs
+    assert system.coeffs is coeffs
+    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "splu": 1}
     assert np.array_equal(spec.eigenvalues, interp.spectrum(mat).eigenvalues)
     assert np.array_equal(coeffs.c, interp.solve(mat, ds.values / ds.m).c)
+    assert factor_calls == {"assemble": 1, "eigvalsh": 2, "splu": 2}
+
+
+def test_sparse_ldlt_solution_matches_the_dense_cholesky_solution():
+    """Both solves are backward stable, so they differ by about kappa u:
+    on these Wendland systems, kappa below 1e4, by less than 1e-12 relative."""
+    for trial in range(20):
+        rng = np.random.default_rng(1000 + trial)
+        m, d = int(rng.integers(5, 150)), int(rng.integers(2, 4))
+        ds = interp.DataSet(rng.uniform(0.0, 1.0, (m, d)), rng.standard_normal(m))
+        normalized = bool(trial % 2)
+        mat = interp.assemble(ds, kernels.wendland(3, 2, alpha=rng.uniform(0.1, 0.3)),
+                              normalized=normalized)
+        y = ds.values / m if normalized else ds.values
+        system = interp.LinearSystem(mat, y)
+        assert mat.is_sparse and system.spectrum.kappa < 1e4
+        want = cho_solve(cho_factor(mat.toarray()), y)
+        got = system.coeffs.c
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(interp.factor_solve(system.factor, y), got)
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.0, 2.0], [2.0, 1.0]],  # a negative pivot
+    [[0.0, 1.0], [1.0, 0.0]],  # no diagonal to pivot on
+    [[1.0, 1.0], [1.0, 1.0]],  # exactly singular
+    [[0.0, 0.0], [0.0, 0.0]],
+], ids=["indefinite", "zero diagonal", "singular", "zero"])
+def test_sparse_matrix_that_is_not_positive_definite_is_refused(entries, factor_calls):
+    mat = interp.InterpMatrix(csr_array(np.array(entries)), False, 2)
+    with pytest.raises(interp.NotPositiveDefiniteError, match="sparse LDL"):
+        interp.solve(mat, np.ones(2))
+    with pytest.raises(interp.NotPositiveDefiniteError, match="sparse LDL"):
+        interp.LinearSystem(mat, np.ones(2)).factor
+    assert factor_calls == {"splu": 2}
+
+
+def test_exact_system_words_a_failed_sparse_factorization_from_the_spectrum(factor_calls):
+    # a smooth Wendland profile whose support covers the whole box: the
+    # smallest eigenvalue rounds below zero and an LDL^T pivot with it
+    rng = np.random.default_rng(0)
+    ds = interp.DataSet(rng.uniform(0.0, 1.0, (200, 2)), rng.standard_normal(200))
+    with pytest.raises(interp.NotPositiveDefiniteError) as info:
+        interp.exact_system(ds, kernels.wendland(3, 6, alpha=20.0))
+    message = str(info.value)
+    assert "lambda_min -" in message and "kappa inf" in message
+    assert message.endswith("lower kernel.alpha or dataset.m")
+    assert "sparse LDL" in str(info.value.__cause__)
+    assert factor_calls == {"assemble": 1, "splu": 1, "eigvalsh": 1}
 
 
 def test_linear_system_factor_fails_plainly_without_a_spectrum(factor_calls):

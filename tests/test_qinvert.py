@@ -227,13 +227,21 @@ def test_failed_cholesky_names_the_spectrum_and_the_spectral_floor(monkeypatch):
     assert isinstance(info.value.__cause__, interpolation.NotPositiveDefiniteError)
     assert isinstance(info.value.__cause__.__cause__, np.linalg.LinAlgError)
     # an estimated oracle matrix (positive definite here, kappa about 5)
-    # adds the AE knob to the same message
+    # whose sparse LDL^T fails adds the AE knob to the same message; the
+    # exact system is factored before the failure is put in
     rng = np.random.default_rng(11)
     ds = interpolation.DataSet(rng.uniform(0.0, 1.0, (24, 2)), rng.standard_normal(24))
     cfg = compact.CompactOracleConfig(kernel=kernels.wendland(3, 2, alpha=0.2), ae_bits=8, seed=0)
+    exact = interpolation.exact_system(ds, cfg.kernel, normalized=True)
+
+    def fail_sparse(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(interpolation, "splu", fail_sparse)
     match = r"kappa \d\.\d{3}e\+00\); set inversion\.spectral_floor .*, or raise compact\.ae_bits"
-    with pytest.raises(interpolation.NotPositiveDefiniteError, match=match):
-        compact.solve_compact(ds, cfg)
+    with pytest.raises(interpolation.NotPositiveDefiniteError, match=match) as info:
+        compact.solve_compact(ds, cfg, exact=exact)
+    assert isinstance(info.value.__cause__.__cause__.__cause__, RuntimeError)
 
 
 def test_spectral_floor_projects_small_eigenvalues():
