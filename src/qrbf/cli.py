@@ -4,7 +4,8 @@ Subcommands: gen-data, fit, evaluate, verify-bounds, sweep.  Settings
 come from a JSON config file; flags override it.  QRBF_SEED supplies the
 default seed when neither the config nor --seed sets one.  A run that a
 pipeline stage refuses prints "error: [stage: <stage>] <cause>" on one
-line of stderr and exits 2.
+line of stderr and exits 2, at stage "config" for a config file, key,
+--set item, pipeline or seed that cannot be used.
 """
 
 from __future__ import annotations
@@ -24,26 +25,29 @@ def _parse_value(text: str):
 
 
 def _base_config(args) -> dict:
-    cfg = harness.load_config(args.config) if args.config else harness.default_config()
-    if getattr(args, "pipeline", None):
-        cfg["pipeline"] = args.pipeline
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "epsilon", None) is not None:
-        cfg["epsilon"] = args.epsilon
-    if getattr(args, "out", None):
-        cfg["output"] = args.out
-    if getattr(args, "set", None):
-        for item in args.set:
+    with harness._stage("config"):
+        cfg = harness.load_config(args.config) if args.config else harness.default_config()
+        if getattr(args, "pipeline", None):
+            cfg["pipeline"] = args.pipeline
+        if getattr(args, "seed", None) is not None:
+            cfg["seed"] = args.seed
+        if getattr(args, "epsilon", None) is not None:
+            cfg["epsilon"] = args.epsilon
+        if getattr(args, "out", None):
+            cfg["output"] = args.out
+        for item in getattr(args, "set", None) or ():
             if "=" not in item:
-                raise SystemExit(f"--set expects path=value, got {item!r}")
+                raise ValueError(f"--set expects path=value, got {item!r}")
             path, _, raw = item.partition("=")
             harness._set_by_path(cfg, path, _parse_value(raw))
+        if getattr(args, "query_file", None):
+            harness._set_by_path(cfg, "queries.file", args.query_file)
     return cfg
 
 
 def _cmd_gen_data(args) -> int:
-    seed = harness.resolve_seed(args.seed)
+    with harness._stage("config"):
+        seed = harness.resolve_seed(args.seed)
     ds = harness.gen_data(args.m, args.d, args.box, seed, args.target)
     interpolation.save_dataset(ds, args.out)
     print(f"wrote {ds.m} sites in dimension {ds.d} to {args.out} (seed {seed})")
@@ -60,9 +64,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _base_config(args)
-    harness._set_by_path(cfg, "queries.file", args.query_file)
-    result = harness.run_pipeline(cfg)
+    result = harness.run_pipeline(_base_config(args))
     fields = result.query_fields
     print(",".join(fields))
     for row in result.query_rows:

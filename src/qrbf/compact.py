@@ -134,10 +134,11 @@ def reconstruct_distance(x_i, x_j) -> float:
 
 @functools.lru_cache(maxsize=_AE_BITS_CAP)
 def _grid_sines(ae_bits: int) -> np.ndarray:
-    """sin(pi y / 2^bits) for each outcome y of the grid, read-only.
+    """sin(pi y / 2^bits) for each outcome y of the grid, read-only: the amplitude y reads.
 
     Computed as math.sin(pi min(y, M - y) / M), so cells y and M - y hold
-    the same bits.
+    the same bits, and no estimate depends on which vectorized loop numpy
+    picks.
     """
     M = 2**ae_bits
     half = [math.sin(math.pi * k / M) for k in range(M // 2 + 1)]
@@ -161,16 +162,6 @@ def _closed_form(s, a):
 def ae_error_bound(ae_bits: int) -> float:
     """Precision of amplitude estimation holding with probability >= 8/pi^2."""
     return math.pi * 2.0**-ae_bits + math.pi**2 * 2.0 ** (-2 * ae_bits)
-
-
-def _outcome_amplitude(y, ae_bits: int) -> np.ndarray:
-    """Amplitude sin(pi y / 2^bits) read from each folded outcome y in [0, 2^bits / 2].
-
-    A lookup into _grid_sines, whose entry for y <= M/2 is
-    math.sin(math.pi * y / M) itself, so no estimate depends on which
-    vectorized loop numpy picks.
-    """
-    return _grid_sines(ae_bits)[y]
 
 
 def _folded_weights(a, y, ae_bits: int):
@@ -313,7 +304,7 @@ def amplitude_estimate(a_true: float, ae_bits: int, seed) -> float:
     """
     gen = np.random.default_rng(seed)
     y = _sample_outcomes(a_true, ae_bits, lambda c2, rows: gen.random((1, 4)))
-    return float(_outcome_amplitude(y[0, 0], ae_bits))
+    return float(_grid_sines(ae_bits)[y[0, 0]])
 
 
 def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> float:
@@ -343,7 +334,7 @@ def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> 
         return gen.random((1, 4))
 
     y = _sample_outcomes(a, config.ae_bits, block)[0, int(i > j)]
-    r_hat = float(_outcome_amplitude(y, config.ae_bits)) * pair_scale(x_i, x_j, ni, nj)
+    r_hat = float(_grid_sines(config.ae_bits)[y]) * pair_scale(x_i, x_j, ni, nj)
     return float(config.kernel.eval(r_hat))
 
 
@@ -388,7 +379,7 @@ def _estimated_radii(
         dist / scale, config.ae_bits,
         lambda c2, rows: _pair_uniforms(config.seed, i[rows], j[rows], c2),
     )
-    return _outcome_amplitude(y, config.ae_bits) * scale[:, None]
+    return _grid_sines(config.ae_bits)[y] * scale[:, None]
 
 
 def build_matrix(
@@ -402,11 +393,7 @@ def build_matrix(
     pair's Philox blocks, O(_WINDOW) cells per pair (_estimated_radii).
     Exact mode reproduces interpolation.assemble entry for entry.
     """
-    from scipy.sparse import coo_array
-
-    m = dataset.m
-    scale = 1.0 / m if normalized else 1.0
-    i, j = np.triu_indices(m, k=1)
+    i, j = np.triu_indices(dataset.m, k=1)
     dist = interpolation.pair_distance(dataset.sites[i], dataset.sites[j])
     if config.ae_bits is None:
         # both orders see the same distance, and (v + v)/2 == v exactly
@@ -414,16 +401,7 @@ def build_matrix(
     else:
         phi = config.kernel.eval(_estimated_radii(dataset, config, i, j, dist))
         entry = 0.5 * (phi[:, 0] + phi[:, 1])
-    keep = entry != 0.0
-    i, j, entry = i[keep], j[keep], entry[keep] * scale
-    diag = np.arange(m)
-    rows = np.concatenate([diag, i, j])
-    cols = np.concatenate([diag, j, i])
-    vals = np.concatenate([np.full(m, config.kernel.phi0 * scale), entry, entry])
-    mat = coo_array((vals, (rows, cols)), shape=(m, m)).tocsr()
-    mat.sort_indices()
-    sparsity = int(np.max(np.diff(mat.indptr)))
-    return InterpMatrix(data=mat, normalized=normalized, sparsity=sparsity)
+    return interpolation.symmetric_csr(dataset.m, i, j, entry, config.kernel.phi0, normalized)
 
 
 def prepare_phi_state(x, dataset: DataSet, config: CompactOracleConfig):
@@ -436,8 +414,6 @@ def prepare_phi_state(x, dataset: DataSet, config: CompactOracleConfig):
     sqrt(success_prob * m) / scale that recovers ||Phi(x)||.
     """
     c_hat = config.effective_scale
-    if c_hat * config.kernel.phi0 > 1.0 + 1e-12:
-        raise ValueError("scale_hat * phi(0) must not exceed 1")
     phi = interpolation.basis_vector(dataset, config.kernel, x)
     norm = float(np.linalg.norm(phi))
     if norm == 0.0:

@@ -37,9 +37,6 @@ COST_MODEL = {
     "compact-readout": "O~(k^2 s^2 e^-4 log(m) log^2(d))",
 }
 
-PIPELINES = ("classical", "quantum-global", "quantum-compact")
-SUITES = ("truncation", "gram", "dme", "inversion", "perturbation", "compact-oracle")
-
 
 # ---------------------------------------------------------------------------
 # targets and data generation
@@ -68,10 +65,12 @@ TARGETS = {"franke": _franke, "cosines": _cosines, "constant": _constant}
 
 
 def resolve_seed(explicit=None) -> int:
-    """Explicit seed, else the QRBF_SEED environment variable, else 0."""
-    if explicit is not None:
-        return int(explicit)
-    return int(os.environ.get("QRBF_SEED", "0"))
+    """Explicit seed, else QRBF_SEED, else 0; anything but a non-negative integer is refused."""
+    raw = os.environ.get("QRBF_SEED", "0") if explicit is None else explicit
+    with contextlib.suppress(TypeError, ValueError):
+        if int(raw) >= 0 and (isinstance(raw, str) or int(raw) == raw):
+            return int(raw)
+    raise ValueError(f"seed {raw!r} is not a non-negative integer; set seed (--seed) or QRBF_SEED")
 
 
 def _box_array(box, d: int) -> np.ndarray:
@@ -130,7 +129,7 @@ def default_config() -> dict:
 _OPTIONAL_KEYS = {
     "dataset": ("file", "seed"),
     "kernel": ("eta", "d", "k", "alpha"),
-    "inversion": ("rotation_scale", "spectral_floor", "evolution_time", "clock_bits"),
+    "inversion": ("spectral_floor", "evolution_time", "clock_bits"),
     "queries": ("file", "seed"),
 }
 
@@ -485,12 +484,13 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     columns and its solve report (None for the classical pipeline); the
     summary head every pipeline shares and the query rows are built here.
     """
-    _check_config(cfg)
-    cfg = merge_config(default_config(), cfg)
-    pipeline = cfg["pipeline"]
-    if pipeline not in PIPELINES:
-        raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
-    seed = resolve_seed(cfg["seed"])
+    with _stage("config"):
+        _check_config(cfg)
+        cfg = merge_config(default_config(), cfg)
+        pipeline = cfg["pipeline"]
+        if pipeline not in PIPELINES:
+            raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
+        seed = resolve_seed(cfg["seed"])
     # where the files go is not part of the run: the same run hashes alike in every directory
     chash = config_hash(dict(cfg, output=None))
 
@@ -500,9 +500,7 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     with _stage("kernel"):
         kernel = kernels.from_config(cfg["kernel"])
 
-    runner = {"classical": _run_classical, "quantum-global": _run_global,
-              "quantum-compact": _run_compact}[pipeline]
-    fields, columns, report = runner(cfg, dataset, kernel, queries, seed)
+    fields, columns, report = _RUNNERS[pipeline](cfg, dataset, kernel, queries, seed)
     summary = {"pipeline": pipeline, "seed": seed, "config_hash": chash, "m": dataset.m,
                "d": dataset.d, "kernel": cfg["kernel"], "n_queries": len(queries),
                "cost_model": COST_MODEL, **fields}
@@ -543,11 +541,7 @@ def _inversion_config(cfg: dict, budgets, spec) -> tuple[qinvert.InversionConfig
     """The inversion config, and whether the evolution time was clamped to the clock."""
     inv = cfg["inversion"]
     mode = inv["mode"]
-    kwargs = {
-        "mode": mode,
-        "rotation_scale": inv.get("rotation_scale"),
-        "spectral_floor": inv.get("spectral_floor"),
-    }
+    kwargs = {"mode": mode, "spectral_floor": inv.get("spectral_floor")}
     clamped = False
     if mode == "quantized":
         cap = qinvert._CLOCK_BITS_CAP
@@ -702,6 +696,11 @@ def _run_compact(cfg, dataset, kernel, queries, seed):
     return fields, columns, report
 
 
+_RUNNERS = {"classical": _run_classical, "quantum-global": _run_global,
+            "quantum-compact": _run_compact}
+PIPELINES = tuple(_RUNNERS)
+
+
 # ---------------------------------------------------------------------------
 # bound-verification suites
 
@@ -802,19 +801,13 @@ def _suite_dme(seed: int) -> list:
     return rows
 
 
-def _random_spd_system(rng, max_m: int = 16):
-    m = int(rng.integers(2, max_m + 1))
-    g = rng.normal(size=(m, m))
-    a = g @ g.T + m * np.eye(m)
-    y = rng.normal(size=m)
-    return a, y
-
-
 def _suite_inversion(seed: int) -> list:
     rows = []
     rng = np.random.default_rng(seed)
     for case in range(30):
-        a, y = _random_spd_system(rng)
+        m = int(rng.integers(2, 17))
+        g = rng.normal(size=(m, m))
+        a, y = g @ g.T + m * np.eye(m), rng.normal(size=m)
         rep = qinvert.invert_ideal(interpolation.LinearSystem(a, y))
         c = np.linalg.solve(a, y)
         # against this LU solution: the report's own fidelity_vs_classical
@@ -973,13 +966,15 @@ _SUITE_RUNNERS = {
     "perturbation": _suite_perturbation,
     "compact-oracle": _suite_compact_oracle,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def verify_bounds(suite: str, seed=None, out_dir=None) -> BoundSuiteResult:
     """Run one bound-verification sweep and optionally write CSV/JSON reports."""
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITE_RUNNERS)}")
-    seed = resolve_seed(seed)
+    with _stage("config"):
+        seed = resolve_seed(seed)
     chash = config_hash({"suite": suite, "seed": seed})
     rows = [
         dict(zip(_SUITE_FIELDS, (seed, chash, suite) + row)) for row in _SUITE_RUNNERS[suite](seed)
@@ -1039,7 +1034,8 @@ def sweep(cfg: dict, param: str, values, out_dir=None):
     for value in values:
         case = merge_config(default_config(), cfg)
         case["output"] = None  # only sweep.csv is written; cases leave no run files behind
-        _set_by_path(case, param, value)
+        with _stage("config"):
+            _set_by_path(case, param, value)
         result = run_pipeline(case)
         s = result.summary
         rows.append(

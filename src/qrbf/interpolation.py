@@ -197,14 +197,28 @@ class InterpMatrix:
         return self.data.toarray() if self.is_sparse else self.data
 
 
-def _as_matrix_data(matrix):
-    return matrix.data if isinstance(matrix, InterpMatrix) else np.asarray(matrix, dtype=float)
-
-
 def _as_dense(matrix) -> np.ndarray:
     """Dense array of an InterpMatrix, a sparse array or an array-like."""
     data = matrix.data if isinstance(matrix, InterpMatrix) else matrix
     return data.toarray() if issparse(data) else np.asarray(data, dtype=float)
+
+
+def symmetric_csr(m: int, i, j, vals, phi0: float, normalized: bool) -> InterpMatrix:
+    """Sparse symmetric matrix with vals at the pairs (i, j) and (j, i), phi0 on the diagonal.
+
+    Zero entries are dropped (phi is exactly 0 on the support boundary),
+    and normalized scales every entry by 1/m.  The CSR indices are sorted.
+    """
+    scale = 1.0 / m if normalized else 1.0
+    keep = vals != 0.0
+    i, j, vals = i[keep], j[keep], vals[keep] * scale
+    diag = np.arange(m)
+    rows = np.concatenate([diag, i, j])
+    cols = np.concatenate([diag, j, i])
+    data = np.concatenate([np.full(m, phi0 * scale), vals, vals])
+    mat = coo_array((data, (rows, cols)), shape=(m, m)).tocsr()
+    mat.sort_indices()
+    return InterpMatrix(data=mat, normalized=normalized, sparsity=int(np.max(np.diff(mat.indptr))))
 
 
 def assemble(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> InterpMatrix:
@@ -213,32 +227,15 @@ def assemble(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> Inte
     Compact kernels are stored as CSR with only the pairs inside the
     support radius; global kernels are dense.
     """
-    m = dataset.m
-    scale = 1.0 / m if normalized else 1.0
-
+    sites = dataset.sites
     if kernel.is_compact:
-        tree = cKDTree(dataset.sites)
-        pairs = tree.query_pairs(kernel.alpha, output_type="ndarray")
-        if pairs.size:
-            dist = pair_distance(dataset.sites[pairs[:, 0]], dataset.sites[pairs[:, 1]])
-            vals = kernel.eval(dist)
-            keep = vals != 0.0  # drop the support boundary, phi is exactly 0 there
-            pairs, vals = pairs[keep], vals[keep]
-        else:
-            pairs = pairs.reshape(0, 2)
-            vals = np.zeros(0)
-        diag = np.full(m, kernel.phi0)
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(m)])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(m)])
-        data = np.concatenate([vals, vals, diag]) * scale
-        mat = coo_array((data, (rows, cols)), shape=(m, m)).tocsr()
-        mat.sort_indices()
-        sparsity = int(np.max(np.diff(mat.indptr)))
-        return InterpMatrix(data=mat, normalized=normalized, sparsity=sparsity)
-
-    dist = pair_distance(dataset.sites[:, None, :], dataset.sites[None, :, :])
-    mat = kernel.eval(dist) * scale
-    return InterpMatrix(data=mat, normalized=normalized, sparsity=m)
+        i, j = cKDTree(sites).query_pairs(kernel.alpha, output_type="ndarray").T
+        vals = kernel.eval(pair_distance(sites[i], sites[j]))
+        return symmetric_csr(dataset.m, i, j, vals, kernel.phi0, normalized)
+    # bound until the scaled copy exists: freeing dist earlier doubled an m=512 run's page faults
+    dist = pair_distance(sites[:, None, :], sites[None, :, :])
+    scale = 1.0 / dataset.m if normalized else 1.0
+    return InterpMatrix(data=kernel.eval(dist) * scale, normalized=normalized, sparsity=dataset.m)
 
 
 @dataclass
@@ -276,8 +273,7 @@ def _ldlt(sparse) -> SuperLU:
     pivots; A is positive definite exactly when each pivot is > 0
     (Sylvester's criterion).  A zero pivot makes SuperLU pivot off the
     diagonal (perm_r != perm_c) or stop at an exactly singular factor.
-    A is taken to be symmetric, as `assemble` and `compact.build_matrix`
-    build it; that is not checked here, since `LinearSystem.dense` checks
+    A is taken to be symmetric, as `symmetric_csr` builds it; that is not checked here, since `LinearSystem.dense` checks
     it on a dense copy.
     """
     try:
@@ -307,7 +303,7 @@ def solve(matrix: InterpMatrix, y, factor=None) -> Coefficients:
     this returns.  NotPositiveDefiniteError when A is not positive definite.
     """
     y = np.asarray(y, dtype=float).ravel()
-    A = _as_matrix_data(matrix)
+    A = matrix.data if isinstance(matrix, InterpMatrix) else np.asarray(matrix, dtype=float)
     if A.shape[0] != y.shape[0]:
         raise ValueError("matrix and right-hand side sizes disagree")
     m = y.shape[0]
@@ -321,13 +317,9 @@ def solve(matrix: InterpMatrix, y, factor=None) -> Coefficients:
     return Coefficients(c=c, norm=float(np.linalg.norm(c)), residual=site_res)
 
 
-def _coeff_vector(coeffs) -> np.ndarray:
-    return coeffs.c if isinstance(coeffs, Coefficients) else np.asarray(coeffs, dtype=float)
-
-
 def evaluate(coeffs, dataset: DataSet, kernel: Kernel, x) -> float:
     """Evaluate the interpolant at a single point x of matching dimension."""
-    c = _coeff_vector(coeffs)
+    c = coeffs.c if isinstance(coeffs, Coefficients) else np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != dataset.d:
         raise ValueError(f"query point has dimension {x.shape[0]}, expected {dataset.d}")

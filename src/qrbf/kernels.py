@@ -165,8 +165,6 @@ class Kernel:
             return float(out[0])
         return out
 
-    __call__ = eval
-
 
 def gaussian(sigma: float | None = None, eta: float | None = None) -> Kernel:
     """Gaussian kernel, parameterized by width sigma or shape eta (one required)."""

@@ -52,16 +52,14 @@ _CLOCK_BITS_CAP = 10
 class InversionConfig:
     """Knobs for the simulated inversion.
 
-    rotation_scale is the constant C <= lambda_min multiplying the
-    1/lambda rotation amplitudes; None picks the largest admissible
-    value (lambda_min in ideal mode, the smallest
-    positive clock-grid eigenvalue above the spectral floor in quantized
-    mode).  spectral_floor discards eigenvalues <= that value before
+    The rotation amplitudes are C/lambda with C always the largest
+    admissible value, since a smaller C only lowers p: lambda_min in ideal
+    mode, the smallest clock cell above the floor in quantized mode.
+    spectral_floor discards eigenvalues <= that value before
     inverting, trading accuracy for conditioning.  evolution_time and
     clock_bits only apply to quantized mode.
     """
 
-    rotation_scale: float | None = None
     mode: str = "ideal"
     evolution_time: float | None = None
     clock_bits: int | None = None
@@ -70,8 +68,6 @@ class InversionConfig:
     def __post_init__(self):
         if self.mode not in ("ideal", "quantized"):
             raise ValueError(f"unknown inversion mode {self.mode!r}")
-        if self.rotation_scale is not None and not self.rotation_scale > 0:
-            raise ValueError("rotation_scale must be positive")
         if self.spectral_floor is not None and self.spectral_floor < 0:
             raise ValueError("spectral_floor must be nonnegative")
 
@@ -193,14 +189,6 @@ def _report(system, config, w, kept, ynorm, C, p, state, **named) -> SolveReport
     )
 
 
-def _rotation_scale(config, lam_min: float) -> float:
-    """The configured C, lambda_min by default; refused above lambda_min."""
-    C = lam_min if config.rotation_scale is None else float(config.rotation_scale)
-    if C > lam_min * (1 + 1e-12):
-        raise ValueError(f"rotation_scale {C} exceeds the smallest kept eigenvalue {lam_min}")
-    return C
-
-
 def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) -> SolveReport:
     """Inversion with rotation amplitudes C/lambda_j on the exact spectrum.
 
@@ -213,14 +201,14 @@ def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) ->
     path, which projects onto the eigenvalues above it.
 
     post_select_prob is computed by amplitude arithmetic, never sampled
-    here.  With the default C = lambda_min it is bounded below by
-    1/kappa^2.
+    here.  With C = lambda_min of the kept eigenvalues it is bounded
+    below by 1/kappa^2.
     """
     config = config or InversionConfig()
     if config.spectral_floor is not None:
         w, u, beta, kept, ynorm = _eigen_split(system, config)
         lam = w[kept]
-        C = _rotation_scale(config, float(lam.min()))
+        C = float(lam.min())
         amp = C * beta[kept] / lam
         p = float(np.dot(amp, amp))
         return _report(system, config, w, kept, ynorm, C, p, _ideal_state(w, u, beta, kept),
@@ -229,7 +217,7 @@ def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) ->
     ynorm = _rhs_norm(system.y)
     if w[0] <= 0.0:
         raise _not_pd(w)
-    C = _rotation_scale(config, float(w[0]))
+    C = float(w[0])
     try:
         factor = system.factor
     except interpolation.NotPositiveDefiniteError as exc:
@@ -261,9 +249,10 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
 
     Eigenvalue lambda of system.dense has clock phase phi = lambda t0 / (2 pi);
     cell k reads lambda_hat(k) = 2 pi k / t0 and rotates by r_k = C / lambda_hat(k)
-    when lambda_hat >= max(C, spectral floor).  Uncomputing the clock and
-    projecting it onto 0 scales eigencomponent j by h_j = sum_k F_jk r_k, F
-    from _fejer_weights; the variance v_j = sum_k F_jk (r_k - h_j)^2 is the
+    when k > 0 and lambda_hat is above the spectral floor, C the smallest such
+    lambda_hat, so that no r_k exceeds 1.  Uncomputing the clock and projecting
+    it onto 0 scales eigencomponent j by h_j = sum_k F_jk r_k, F from
+    _fejer_weights; the variance v_j = sum_k F_jk (r_k - h_j)^2 is the
     accepted mass left off clock 0, reported as clock_leak.
     """
     if config.evolution_time is None or config.clock_bits is None:
@@ -290,15 +279,11 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
     lam_hat = 2.0 * math.pi * np.arange(T) / t0
     above = lam_hat > floor
     above[0] = False  # cell 0 reads lambda_hat = 0, never rotated
-    if config.rotation_scale is None:
-        if not above.any():
-            raise ValueError("no clock cell above the spectral floor; reduce the floor")
-        C = float(lam_hat[above].min())
-    else:
-        C = float(config.rotation_scale)
-    rotated = above & (lam_hat >= C)
+    if not above.any():
+        raise ValueError("no clock cell above the spectral floor; reduce the floor")
+    C = float(lam_hat[above].min())
     rot_amp = np.zeros(T)
-    rot_amp[rotated] = C / lam_hat[rotated]
+    rot_amp[above] = C / lam_hat[above]
 
     F = _fejer_weights(phi, T)
     h = F @ rot_amp
@@ -306,7 +291,7 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
     survivor = h * beta
     norm = float(np.linalg.norm(survivor))
     if norm == 0.0:
-        raise ValueError("post-selected state vanished; check rotation parameters")
+        raise ValueError("post-selected state vanished; lower inversion.spectral_floor")
     leaked = float(np.dot(beta * beta, v))
     p = norm * norm + leaked
     clock_leak = leaked / p

@@ -1,6 +1,7 @@
 """Command-line interface smoke tests."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -103,20 +104,54 @@ def test_sweep_runs_over_values(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
 
-def test_set_of_an_unknown_key_is_refused():
-    with pytest.raises(ValueError, match="did you mean 'inversion.clock_bits'"):
-        cli.main(["fit", "--pipeline", "quantum-global", "--seed", "0",
-                  "--set", "inversion.clock_bit=3"])
+def test_set_of_an_unknown_key_is_refused(capsys):
+    rc = cli.main(["fit", "--pipeline", "quantum-global", "--seed", "0",
+                   "--set", "inversion.clock_bit=3"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: [stage: config] unknown config key 'inversion.clock_bit'; "
+        "did you mean 'inversion.clock_bits'?\n"
+    )
+    assert cli.main(["fit", "--set", "inversion.clock_bits"]) == 2
+    assert capsys.readouterr().err == (
+        "error: [stage: config] --set expects path=value, got 'inversion.clock_bits'\n"
+    )
 
 
-def test_writing_into_a_null_config_section_names_the_section(tmp_path):
+def test_writing_into_a_null_config_section_names_the_section(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"queries": None}))
     qfile = tmp_path / "q.csv"
     qfile.write_text("x1,x2\n0.5,0.5\n")
     for args in (["fit", "--set", "queries.n=3"], ["evaluate", "--query-file", str(qfile)]):
-        with pytest.raises(ValueError, match="config section 'queries' must be an object, got None"):
-            cli.main(args + ["--config", str(cfg_path), "--seed", "0"])
+        assert cli.main(args + ["--config", str(cfg_path), "--seed", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: [stage: config] config section 'queries' must be an object, got None\n"
+        )
+
+
+@pytest.mark.parametrize("args, env, shown", [
+    (["fit", "--seed", "-1"], None, "-1"),
+    (["fit"], "-1", "'-1'"),
+    (["fit"], "abc", "'abc'"),
+    (["sweep", "--param", "seed", "--values", "1.5"], None, "1.5"),
+    (["gen-data", "--out", os.devnull], "-2", "'-2'"),
+    (["verify-bounds", "--suite", "gram", "--seed", "-1"], None, "-1"),
+])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused_at_the_config_stage(
+    args, env, shown, monkeypatch, capsys
+):
+    if env is None:
+        monkeypatch.delenv("QRBF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QRBF_SEED", env)
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [stage: config] seed {shown} is not a non-negative integer; "
+        "set seed (--seed) or QRBF_SEED\n"
+    )
 
 
 def test_installed_entry_point():

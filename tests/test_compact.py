@@ -325,6 +325,42 @@ def test_build_matrix_exact_equals_assembler():
         assert np.max(gap) == 0.0 if gap.size else True
 
 
+def _same_csr(a, b) -> bool:
+    """Same stored pattern and the same bits in every stored entry."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_support_below_every_pair_distance_stores_only_the_diagonal(normalized):
+    ds = _dataset(np.random.default_rng(5), 9, 2)
+    gaps = interp.pair_distance(ds.sites[:, None, :], ds.sites[None, :, :])
+    kern = wendland(3, 2, alpha=0.5 * np.min(gaps[np.triu_indices(ds.m, k=1)]))
+    mat = interp.assemble(ds, kern, normalized=normalized)
+    built = compact.build_matrix(ds, CompactOracleConfig(kernel=kern), normalized=normalized)
+    for m in (mat, built):
+        assert m.is_sparse and m.sparsity == 1 and m.data.nnz == ds.m
+        want = kern.phi0 * (1.0 / ds.m if normalized else 1.0)
+        assert np.array_equal(m.data.diagonal(), np.full(ds.m, want))
+    assert _same_csr(mat.data, built.data)
+
+
+def test_a_pair_exactly_alpha_apart_is_stored_by_neither_assembly():
+    # sites 0 and 1 are exactly alpha apart, where phi is 0; sites 0 and 2 lie inside it
+    ds = interp.DataSet(np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.25]]), np.ones(3))
+    kern = wendland(3, 2, alpha=0.5)
+    assert interp.pair_distance(ds.sites[0], ds.sites[1]) == kern.alpha
+    mat = interp.assemble(ds, kern)
+    built = compact.build_matrix(ds, CompactOracleConfig(kernel=kern))
+    for m in (mat, built):
+        coo = m.data.tocoo()
+        assert sorted(zip(coo.row.tolist(), coo.col.tolist())) == [
+            (0, 0), (0, 2), (1, 1), (2, 0), (2, 2)
+        ]
+        assert m.sparsity == 2
+    assert _same_csr(mat.data, built.data)
+
+
 def _oracle_loop_matrix(ds, cfg, normalized):
     """Reference build: the symmetrized per-pair oracle_PA loop."""
     from scipy.sparse import coo_array
@@ -350,9 +386,9 @@ def test_build_matrix_equals_symmetrized_oracle_loop(bits, monkeypatch):
         M = 2**bits
         y = np.random.default_rng(bits).integers(0, M // 2 + 1, size=(50, 2))
         want = [[math.sin(math.pi * v / M) for v in row] for row in y.tolist()]
-        assert np.array_equal(compact._outcome_amplitude(y, bits), np.array(want))
-        assert compact._outcome_amplitude(y[0, 0], bits).shape == ()
-        assert float(compact._outcome_amplitude(y[0, 0], bits)) == want[0][0]
+        assert np.array_equal(compact._grid_sines(bits)[y], np.array(want))
+        assert compact._grid_sines(bits)[y[0, 0]].shape == ()
+        assert float(compact._grid_sines(bits)[y[0, 0]]) == want[0][0]
     # record which Philox counter words c2 the batched build reads
     attempts = []
     pair_uniforms = compact._pair_uniforms

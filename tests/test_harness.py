@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -714,9 +715,18 @@ def test_non_pd_exact_system_names_its_fix_without_a_second_spectrum(factor_call
     assert factor_calls["eigvalsh"] == 1
 
 
+def _config_refusal(call, *args, **kwargs) -> str:
+    """The cause of the config-stage error that call(*args, **kwargs) raises, as text."""
+    with pytest.raises(harness._StageError) as info:
+        call(*args, **kwargs)
+    assert info.value.stage == "config"
+    assert isinstance(info.value.__cause__, ValueError)
+    return str(info.value.__cause__)
+
+
 def test_pipeline_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        harness.run_pipeline({"pipeline": "noqueue"})
+    message = _config_refusal(harness.run_pipeline, {"pipeline": "noqueue"})
+    assert "unknown pipeline 'noqueue'" in message
 
 
 def test_multiquadric_is_refused_at_the_kernel_stage_naming_the_valid_families():
@@ -731,28 +741,33 @@ def test_multiquadric_is_refused_at_the_kernel_stage_naming_the_valid_families()
 def test_unknown_config_keys_are_refused_with_the_nearest_valid_key():
     cfg = {"pipeline": "quantum-global", "seed": 0,
            "inversion": {"mode": "quantized", "clock_bit": 3}, "epsilonn": 5}
-    with pytest.raises(ValueError) as info:
-        harness.run_pipeline(cfg)
-    message = str(info.value)
+    message = _config_refusal(harness.run_pipeline, cfg)
     assert "unknown config key 'inversion.clock_bit'; did you mean 'inversion.clock_bits'?" \
         in message
     assert "unknown config key 'epsilonn'; did you mean 'epsilon'?" in message
     # a dotted path is how errors and --set name a key, not a key of the config itself
-    with pytest.raises(ValueError, match="unknown config key 'dataset.m'"):
-        harness.run_pipeline({"dataset.m": 5})
+    assert re.search("unknown config key 'dataset.m'",
+                     _config_refusal(harness.run_pipeline, {"dataset.m": 5}))
 
 
 @pytest.mark.parametrize("key", ["norm_samples", "overlap_samples"])
 def test_shot_counts_are_not_config_keys(key):
     """The readout takes its shots from the budgets, which the summary records."""
-    with pytest.raises(ValueError, match=f"unknown config key 'inversion.{key}'"):
-        harness.run_pipeline({"pipeline": "quantum-global", "inversion": {key: 100}})
+    message = _config_refusal(harness.run_pipeline,
+                              {"pipeline": "quantum-global", "inversion": {key: 100}})
+    assert re.search(f"unknown config key 'inversion.{key}'", message)
+
+
+def test_rotation_scale_is_not_a_config_key():
+    """C is always the largest admissible rotation scale; solve_report.json records it."""
+    message = _config_refusal(harness.run_pipeline,
+                              {"pipeline": "quantum-global", "inversion": {"rotation_scale": 0.1}})
+    assert re.search("unknown config key 'inversion.rotation_scale'", message)
 
 
 def test_a_dotted_top_level_key_is_told_to_nest():
-    with pytest.raises(ValueError) as info:
-        harness.run_pipeline({"dataset.m": 5, "kernel.sigma": 0.3})
-    assert str(info.value).splitlines() == [
+    message = _config_refusal(harness.run_pipeline, {"dataset.m": 5, "kernel.sigma": 0.3})
+    assert message.splitlines() == [
         """unknown config key 'dataset.m'; nest it as {"dataset": {"m": ...}}""",
         """unknown config key 'kernel.sigma'; nest it as {"kernel": {"sigma": ...}}""",
     ]
@@ -760,14 +775,15 @@ def test_a_dotted_top_level_key_is_told_to_nest():
 
 def test_sweep_over_an_unknown_key_is_refused_and_writes_nothing(tmp_path):
     cfg = {"pipeline": "quantum-global", "seed": 0, "inversion": {"mode": "quantized"}}
-    with pytest.raises(ValueError, match="did you mean 'inversion.clock_bits'"):
-        harness.sweep(cfg, "inversion.clock_bit", [2, 5], out_dir=str(tmp_path))
+    message = _config_refusal(harness.sweep, cfg, "inversion.clock_bit", [2, 5],
+                              out_dir=str(tmp_path))
+    assert re.search("did you mean 'inversion.clock_bits'", message)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_a_section_that_is_not_an_object_is_refused():
-    with pytest.raises(ValueError, match="section 'queries' must be an object, got None"):
-        harness.run_pipeline({"pipeline": "classical", "queries": None})
+    message = _config_refusal(harness.run_pipeline, {"pipeline": "classical", "queries": None})
+    assert re.search("section 'queries' must be an object, got None", message)
 
 
 _BAD_INPUT_FILES = [

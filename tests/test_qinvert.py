@@ -116,17 +116,6 @@ def test_ideal_inversion_random_spd_systems():
         assert rep.post_select_prob >= rep.kappa_eff**-2 - 1e-12
 
 
-def test_rotation_scale_above_lambda_min_rejected():
-    # the second C is ten times lambda_min: only a relative check refuses it
-    cases = [
-        (np.diag([0.5, 0.25]), np.array([1.0, 1.0]) / math.sqrt(2.0), 0.3),
-        (np.diag([1e-13, 1.0]), np.array([1.0, 0.0]), 1e-12),
-    ]
-    for A, y, C in cases:
-        with pytest.raises(ValueError, match="exceeds the smallest kept eigenvalue"):
-            qinvert.invert_ideal(LinearSystem(A, y), InversionConfig(rotation_scale=C))
-
-
 def test_non_pd_matrix_names_its_spectrum_and_the_spectral_floor():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
     match = (
@@ -443,14 +432,6 @@ def test_fejer_weights_on_and_next_to_a_cell(offset):
     assert np.allclose(weights[2], fejer, rtol=1e-14, atol=0.0)
 
 
-def test_rotation_scale_above_every_clock_cell_vanishes():
-    # clock cells read lambda_hat = k / 4 <= 1.75: a C of 5 rotates none of them
-    cfg = InversionConfig(mode="quantized", evolution_time=8.0 * math.pi, clock_bits=3,
-                          rotation_scale=5.0)
-    with pytest.raises(ValueError, match="post-selected state vanished"):
-        qinvert.invert_quantized(LinearSystem(np.diag([0.25, 0.5]), np.array([0.6, 0.8])), cfg)
-
-
 def test_quantized_inversion_decomposes_once(factor_calls):
     rng = np.random.default_rng(7)
     A = _random_spd(rng, 3)
@@ -498,8 +479,6 @@ def test_report_serializes_to_json():
 def test_config_validation():
     with pytest.raises(ValueError):
         InversionConfig(mode="other")
-    with pytest.raises(ValueError):
-        InversionConfig(rotation_scale=0.0)
     with pytest.raises(ValueError):
         InversionConfig(spectral_floor=-1.0)
 
