@@ -44,9 +44,11 @@ reproducible in any order.  Attempt c2 = 0, 1, ... of a draw reads block
 c2: word 0 draws the outcome of order (i, j) (i < j) and word 1 that of
 (j, i), words 2 and 3 accept or reject their tail proposals.
 build_matrix computes the same entries in one batched pass over the
-upper-triangle pairs: a_ij == a_ji bit for bit, so both orders share
-one amplitude.  _pair_uniforms evaluates Philox4x64-10 (Salmon et al.,
-SC'11) for all pairs at once, bit for bit as numpy does.
+pairs i < j that the column oracle oracle_Pv lists, the nonzero pattern
+of the exact matrix, so it draws O(nnz) outcomes rather than m(m - 1)/2:
+a_ij == a_ji bit for bit, so both orders share one amplitude.
+_pair_uniforms evaluates Philox4x64-10 (Salmon et al., SC'11) for all
+pairs at once, bit for bit as numpy does.
 """
 
 from __future__ import annotations
@@ -316,6 +318,9 @@ def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> 
     block of numpy's Philox(key=seed, counter=[min(i, j), max(i, j), c2,
     0]), word 0 for i < j and word 1 for i > j (see the module docstring):
     the words build_matrix reads, so its entries equal this oracle's.
+    As in the paper's sparse access, O_PA is queried only on O_Pv's
+    pattern: build_matrix evaluates it at the pairs oracle_Pv lists and
+    at no other.
     """
     m = dataset.m
     if not (0 <= i < m and 0 <= j < m):
@@ -370,8 +375,10 @@ def _estimated_radii(
     Both orders share one amplitude, since it is symmetric.  With i < j,
     _sample_outcomes draws both orders of every pair at once, attempt c2
     reading the pair's Philox block _pair_uniforms(seed, i, j, c2), the
-    words oracle_PA reads, without building a generator per pair.
-    Expected O(_WINDOW) work per pair at any bit count.
+    words oracle_PA reads, without building a generator per pair.  A
+    pair's draw is a function of (seed, i, j) alone, so it does not depend
+    on which other pairs share the batch.  Expected O(_WINDOW) work per
+    pair at any bit count.
     """
     ni, nj = dataset.site_norms[i], dataset.site_norms[j]
     scale = np.sqrt(2.0 * (ni * ni + nj * nj))
@@ -385,20 +392,27 @@ def _estimated_radii(
 def build_matrix(
     dataset: DataSet, config: CompactOracleConfig, normalized: bool = False
 ) -> InterpMatrix:
-    """Assemble the interpolation matrix from the entry oracle, all pairs at once.
+    """Assemble the interpolation matrix from the entry oracle on the column oracle's pattern.
 
-    Entries equal the symmetrized oracle, (PA(i,j) + PA(j,i))/2, bit for
-    bit: the entrywise oracle does not guarantee symmetry on its own.  In
-    estimated mode each ordered pair takes one draw from the unordered
-    pair's Philox blocks, O(_WINDOW) cells per pair (_estimated_radii).
-    Exact mode reproduces interpolation.assemble entry for entry.
+    The entry oracle is queried only at the pairs oracle_Pv lists: the
+    pairs of interpolation.support_pairs whose exact entry is nonzero,
+    the off-diagonal pattern interpolation.assemble stores.  Entries equal
+    the symmetrized oracle, (PA(i,j) + PA(j,i))/2, bit for bit: the
+    entrywise oracle does not guarantee symmetry on its own.  In estimated
+    mode each ordered pair takes one draw from the unordered pair's Philox
+    blocks, O(_WINDOW) cells per pair (_estimated_radii), so the build
+    takes O(nnz) work and memory; an estimate at or beyond the support
+    radius leaves its entry out.  Exact mode reproduces
+    interpolation.assemble entry for entry.
     """
-    i, j = np.triu_indices(dataset.m, k=1)
+    i, j = interpolation.support_pairs(dataset.sites, config.kernel.alpha)
     dist = interpolation.pair_distance(dataset.sites[i], dataset.sites[j])
-    if config.ae_bits is None:
-        # both orders see the same distance, and (v + v)/2 == v exactly
-        entry = config.kernel.eval(dist)
-    else:
+    # both orders see the same distance, and (v + v)/2 == v exactly
+    entry = config.kernel.eval(dist)
+    if config.ae_bits is not None:
+        # a pair exactly alpha apart is in the support but not in the pattern
+        keep = entry != 0.0
+        i, j, dist = i[keep], j[keep], dist[keep]
         phi = config.kernel.eval(_estimated_radii(dataset, config, i, j, dist))
         entry = 0.5 * (phi[:, 0] + phi[:, 1])
     return interpolation.symmetric_csr(dataset.m, i, j, entry, config.kernel.phi0, normalized)
@@ -464,7 +478,8 @@ def solve_compact(
     if config.ae_bits is not None:
         built = build_matrix(dataset, config, normalized=True)
         system = LinearSystem(built, exact.y)
-        matrix_error = float(np.linalg.norm((built.data - exact.matrix.data).toarray(), "fro"))
+        # the Frobenius norm of the stored differences: no dense m x m copy
+        matrix_error = float(np.linalg.norm((built.data - exact.matrix.data).data))
     try:
         report = qinvert.invert(system, inversion)
     except interpolation.NotPositiveDefiniteError as exc:

@@ -221,15 +221,25 @@ def symmetric_csr(m: int, i, j, vals, phi0: float, normalized: bool) -> InterpMa
     return InterpMatrix(data=mat, normalized=normalized, sparsity=int(np.max(np.diff(mat.indptr))))
 
 
+def support_pairs(sites, alpha: float):
+    """Index arrays (i, j), i < j, of the site pairs at most alpha apart.
+
+    The candidate off-diagonal pattern of a kernel supported on [0, alpha]:
+    a k-d tree neighbour search, O(m log m + pairs) instead of the
+    m(m - 1)/2 of all pairs.  Pairs come in the tree's order.
+    """
+    return cKDTree(sites).query_pairs(alpha, output_type="ndarray").T
+
+
 def assemble(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> InterpMatrix:
     """Assemble the interpolation matrix for a dataset and kernel.
 
     Compact kernels are stored as CSR with only the pairs inside the
-    support radius; global kernels are dense.
+    support radius (support_pairs); global kernels are dense.
     """
     sites = dataset.sites
     if kernel.is_compact:
-        i, j = cKDTree(sites).query_pairs(kernel.alpha, output_type="ndarray").T
+        i, j = support_pairs(sites, kernel.alpha)
         vals = kernel.eval(pair_distance(sites[i], sites[j]))
         return symmetric_csr(dataset.m, i, j, vals, kernel.phi0, normalized)
     # bound until the scaled copy exists: freeing dist earlier doubled an m=512 run's page faults

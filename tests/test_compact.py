@@ -362,13 +362,22 @@ def test_a_pair_exactly_alpha_apart_is_stored_by_neither_assembly():
 
 
 def _oracle_loop_matrix(ds, cfg, normalized):
-    """Reference build: the symmetrized per-pair oracle_PA loop."""
+    """Reference build: the symmetrized per-pair oracle_PA loop on the column oracle's pattern.
+
+    Column j's rows are oracle_Pv(j, ell, exact) for ell = 1..s on the
+    exact matrix, in ascending order; each row i < j is a pair the entry
+    oracle is queried at.
+    """
     from scipy.sparse import coo_array
 
+    exact = interp.assemble(ds, cfg.kernel)
     scale = 1.0 / ds.m if normalized else 1.0
     rows, cols, vals = list(range(ds.m)), list(range(ds.m)), [cfg.kernel.phi0 * scale] * ds.m
-    for i in range(ds.m):
-        for j in range(i + 1, ds.m):
+    for j in range(ds.m):
+        for ell in range(1, exact.sparsity + 1):
+            i = compact.oracle_Pv(j, ell, exact)
+            if i >= j:  # the diagonal, then rows i > j or the out-of-band m
+                break
             entry = 0.5 * (compact.oracle_PA(i, j, ds, cfg) + compact.oracle_PA(j, i, ds, cfg))
             if entry != 0.0:
                 rows.extend((i, j))
@@ -413,6 +422,75 @@ def test_build_matrix_equals_symmetrized_oracle_loop(bits, monkeypatch):
     # from 8 bits on some draws land in the tail and are rejected, so the
     # oracle's retries at counter words c2 >= 1 are compared too
     assert (max(attempts, default=-1) >= 1) == (bits is not None and bits >= 8)
+
+
+def _pattern(mat) -> set:
+    coo = mat.data.tocoo()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+@pytest.mark.parametrize("m, alpha, bits", [(128, 0.15, 8), (64, 0.3, 12), (50, 0.7, 20)])
+def test_estimated_build_is_the_all_pairs_draw_restricted_to_the_exact_pattern(m, alpha, bits):
+    # every pair of the upper triangle drawn in one batch, then cut to the exact
+    # pattern: a pair's draw does not depend on which other pairs share its batch
+    for seed in (0, 1):
+        ds = _dataset(np.random.default_rng(900 + seed), m, 2)
+        cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=alpha), ae_bits=bits, seed=seed)
+        i, j = np.triu_indices(m, k=1)
+        dist = interp.pair_distance(ds.sites[i], ds.sites[j])
+        phi = cfg.kernel.eval(compact._estimated_radii(ds, cfg, i, j, dist))
+        entry = 0.5 * (phi[:, 0] + phi[:, 1])
+        inside = cfg.kernel.eval(dist) != 0.0
+        normalized = seed == 1
+        want = interp.symmetric_csr(m, i[inside], j[inside], entry[inside], cfg.kernel.phi0,
+                                    normalized)
+        built = compact.build_matrix(ds, cfg, normalized=normalized)
+        assert _same_csr(built.data, want.data)
+        # below 20 bits the all-pairs draw also stores noise off the pattern, which is left
+        # out; at 20 bits every estimate off the pattern lands at or past alpha
+        full = interp.symmetric_csr(m, i, j, entry, cfg.kernel.phi0, normalized)
+        assert (full.data.nnz > built.data.nnz) == (bits < 20)
+
+
+@pytest.mark.parametrize("bits", [2, 8, 12])
+def test_estimated_pattern_lies_within_the_exact_pattern(bits):
+    kern = wendland(3, 2, alpha=0.5)
+    for seed in range(3):
+        ds = _dataset(np.random.default_rng(40 + seed), 60, 2)
+        built = compact.build_matrix(ds, CompactOracleConfig(kernel=kern, ae_bits=bits, seed=seed))
+        assert _pattern(built) <= _pattern(interp.assemble(ds, kern))
+    # sites 0 and 1 are exactly alpha apart, where phi is 0: a support pair off the
+    # pattern, whose off-grid amplitude estimates below alpha at some of these seeds
+    ds = interp.DataSet(np.array([[0.25, 0.0], [0.75, 0.0], [0.25, 0.25]]), np.ones(3))
+    assert interp.pair_distance(ds.sites[0], ds.sites[1]) == kern.alpha
+    i, j = interp.support_pairs(ds.sites, kern.alpha)
+    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2)]
+    exact = _pattern(interp.assemble(ds, kern))
+    assert exact == {(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)}
+    for seed in range(5):
+        built = compact.build_matrix(ds, CompactOracleConfig(kernel=kern, ae_bits=bits, seed=seed))
+        assert _pattern(built) == exact
+
+
+def test_estimated_build_draws_only_the_support_pairs(monkeypatch):
+    # the draws are counted, not timed: attempt 0 reads one Philox block per support pair
+    m = 4096
+    ds = _dataset(np.random.default_rng(4), m, 2)
+    cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=0.15 * math.sqrt(512 / m)), ae_bits=12)
+    first_attempt_rows = []
+    pair_uniforms = compact._pair_uniforms
+
+    def recording(seed, i, j, c2=0):
+        if c2 == 0:
+            first_attempt_rows.append(i.size)
+        return pair_uniforms(seed, i, j, c2)
+
+    monkeypatch.setattr(compact, "_pair_uniforms", recording)
+    built = compact.build_matrix(ds, cfg)
+    n_pairs = interp.support_pairs(ds.sites, cfg.kernel.alpha)[0].size
+    assert first_attempt_rows == [n_pairs]
+    assert n_pairs < m * (m - 1) // 2 // 50
+    assert built.data.nnz <= interp.assemble(ds, cfg.kernel).data.nnz
 
 
 def _folded_pmf(a, bits):
@@ -677,6 +755,10 @@ def test_solve_compact_estimated_stays_close():
     cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=0.7), ae_bits=12, seed=5)
     rep = compact.solve_compact(ds, cfg)
     assert rep.matrix_error > 0.0
+    # taken from the stored differences, it is the dense Frobenius norm up to summation order
+    gap = compact.build_matrix(ds, cfg, normalized=True).toarray() - interp.assemble(
+        ds, cfg.kernel, normalized=True).toarray()
+    assert rep.matrix_error == pytest.approx(np.linalg.norm(gap, "fro"), rel=1e-14)
     assert rep.fidelity_vs_exact_solution > 0.999
     # a caller's exact system gives the same report as the one built inside
     exact = interp.exact_system(ds, cfg.kernel, normalized=True)
