@@ -11,8 +11,9 @@ computes a from the two sites.  Matrix entries follow by rescaling the
 estimate back to a distance and applying the kernel profile; a column
 oracle maps (column, slot) to the row of the slot-th nonzero so sparse
 solvers can walk the matrix.  Query states |Phi(x)> are prepared by a
-rotation proportional to the kernel values with scaling C_hat, whose
-success probability recovers ||Phi(x)||.
+rotation proportional to the kernel values; its success probability
+C_hat^2 ||Phi(x)||^2 / m gives ||Phi(x)|| back at any admissible scaling
+C_hat, so the simulation reads ||Phi(x)|| directly and models no C_hat.
 
 Amplitude estimation is simulated at the outcome-distribution level: in
 a 2^bits-cell phase grid, the outcome y follows the standard two-cell
@@ -73,16 +74,13 @@ _WINDOW = 8
 
 @dataclass
 class CompactOracleConfig:
-    """Oracle behavior: kernel, estimation precision, state-prep scaling.
+    """Oracle behavior: kernel, estimation precision, and the key of the estimation draws.
 
     ae_bits None means exact oracles (no amplitude estimation).
-    scale_hat is the rotation scaling for query-state preparation and
-    must satisfy scale_hat * phi(0) <= 1; None picks 1/phi(0).
     """
 
     kernel: Kernel
     ae_bits: int | None = None
-    scale_hat: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -92,12 +90,6 @@ class CompactOracleConfig:
             if not 1 <= int(self.ae_bits) <= _AE_BITS_CAP:
                 raise ValueError(f"ae_bits must be in [1, {_AE_BITS_CAP}]")
             self.ae_bits = int(self.ae_bits)
-        if self.scale_hat is not None and self.scale_hat * self.kernel.phi0 > 1.0 + 1e-12:
-            raise ValueError("scale_hat * phi(0) must not exceed 1")
-
-    @property
-    def effective_scale(self) -> float:
-        return 1.0 / self.kernel.phi0 if self.scale_hat is None else self.scale_hat
 
 
 def _norms(x_i, x_j, norm_i, norm_j):
@@ -421,29 +413,16 @@ def build_matrix(
 def prepare_phi_state(x, dataset: DataSet, config: CompactOracleConfig):
     """Rotation-based preparation of the query state |Phi(x)>.
 
-    Returns (state, success_prob, phi_norm_est): the post-selected unit
-    state proportional to sum_j phi(||x - x_j|| / alpha) |j>, as a
-    complex array, the probability (scale^2/m) sum_j phi^2 of the
-    successful ancilla outcome, and the norm estimate
-    sqrt(success_prob * m) / scale that recovers ||Phi(x)||.
+    Returns (state, norm): the post-selected unit state proportional to
+    sum_j phi(||x - x_j|| / alpha) |j>, as a complex array, and
+    ||Phi(x)||, which the preparation's success probability gives back
+    (module docstring).
     """
-    c_hat = config.effective_scale
     phi = interpolation.basis_vector(dataset, config.kernel, x)
     norm = float(np.linalg.norm(phi))
     if norm == 0.0:
         raise ValueError("query point is outside the support of every site")
-    success, phi_norm_est = phi_norm_estimate(float(np.dot(phi, phi)), dataset.m, c_hat)
-    return (phi / norm).astype(complex), float(success), float(phi_norm_est)
-
-
-def phi_norm_estimate(sq_norm, m: int, c_hat: float):
-    """Success probability and ||Phi(x)|| estimate of the query-state preparation.
-
-    sq_norm is ||Phi(x)||^2 (a scalar or one entry per query); returns
-    (c_hat^2 ||Phi||^2 / m, sqrt(success * m) / c_hat).
-    """
-    success = c_hat**2 * sq_norm / m
-    return success, np.sqrt(success * m) / c_hat
+    return (phi / norm).astype(complex), norm
 
 
 @dataclass

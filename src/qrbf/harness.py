@@ -29,14 +29,6 @@ from scipy.spatial import cKDTree
 from . import coherent, compact, interpolation, kernels, qcore, qinvert
 from .interpolation import DataSet
 
-# printed in summary headers as context; never asserted
-COST_MODEL = {
-    "global-state": "O(k^3 e^-3 m d log(d k^2 / e))",
-    "global-readout": "O(k^3 e^-5 m d log(d k^2 / e))",
-    "compact-state": "O~(k^2 s^2 e^-2 log(m) log^2(d))",
-    "compact-readout": "O~(k^2 s^2 e^-4 log(m) log^2(d))",
-}
-
 
 # ---------------------------------------------------------------------------
 # targets and data generation
@@ -114,10 +106,11 @@ def default_config() -> dict:
         "seed": None,
         "pipeline": "classical",
         "dataset": {"m": 8, "d": 2, "box": [0.0, 1.0], "target": "franke"},
-        "kernel": {"family": "gaussian", "sigma": 0.4},
+        # the family's own keys and defaults are kernels.CONFIG_KEYS
+        "kernel": {"family": "gaussian"},
         "epsilon": 1e-2,
         "inversion": {"mode": "ideal"},
-        "compact": {"ae_bits": None, "scale_hat": None},
+        "compact": {"ae_bits": None},
         "dme_check": {"enabled": False, "t": 1.0, "steps": 64},
         "queries": {"n": 20},
         "output": None,
@@ -128,36 +121,9 @@ def default_config() -> dict:
 # every config that does not set them stays what it was
 _OPTIONAL_KEYS = {
     "dataset": ("file", "seed"),
-    "kernel": ("eta", "d", "k", "alpha"),
     "inversion": ("spectral_floor", "evolution_time", "clock_bits"),
     "queries": ("file", "seed"),
 }
-
-
-def _check_config(cfg: dict) -> None:
-    """Refuse a key that neither default_config() nor _OPTIONAL_KEYS names.
-
-    The error names every unknown key by its dotted path, each with the
-    nearest valid path.  A section given as anything but an object is
-    refused too.
-    """
-    defaults = default_config()
-    valid = list(defaults)
-    for section, keys in defaults.items():
-        if isinstance(keys, dict):
-            valid += [f"{section}.{key}" for key in (*keys, *_OPTIONAL_KEYS.get(section, ()))]
-    unknown = []
-    for key, val in cfg.items():
-        if key not in defaults:
-            unknown.append(key)
-        elif isinstance(defaults[key], dict):
-            if not isinstance(val, dict):
-                raise _not_an_object(key, val)
-            unknown += [f"{key}.{sub}" for sub in val if f"{key}.{sub}" not in valid]
-    if unknown:
-        raise ValueError("\n".join(
-            f"unknown config key {path!r}; {_key_hint(path, valid)}" for path in unknown
-        ))
 
 
 def _key_hint(path: str, valid: list) -> str:
@@ -179,6 +145,40 @@ def merge_config(base: dict, override: dict) -> dict:
         else:
             out[key] = val
     return out
+
+
+def _full_config(cfg: dict) -> dict:
+    """The config a run of cfg hashes and echoes: cfg over default_config(), kernel defaults in.
+
+    A key that neither default_config(), _OPTIONAL_KEYS nor a kernel
+    family names is refused by its dotted path, each with the nearest
+    valid path; so are a section given as anything but an object, a kernel
+    key the family does not read (kernels.with_defaults) and an unknown
+    pipeline.
+    """
+    defaults = default_config()
+    valid = list(defaults)
+    for section, keys in defaults.items():
+        if isinstance(keys, dict):
+            valid += [f"{section}.{key}" for key in (*keys, *_OPTIONAL_KEYS.get(section, ()))]
+    valid += [f"kernel.{key}" for keys in kernels.CONFIG_KEYS.values() for key in keys]
+    unknown = []
+    for key, val in cfg.items():
+        if key not in defaults:
+            unknown.append(key)
+        elif isinstance(defaults[key], dict):
+            if not isinstance(val, dict):
+                raise _not_an_object(key, val)
+            unknown += [f"{key}.{sub}" for sub in val if f"{key}.{sub}" not in valid]
+    if unknown:
+        raise ValueError("\n".join(
+            f"unknown config key {path!r}; {_key_hint(path, valid)}" for path in unknown
+        ))
+    cfg = merge_config(defaults, cfg)
+    cfg["kernel"] = kernels.with_defaults(cfg["kernel"])
+    if cfg["pipeline"] not in PIPELINES:
+        raise ValueError(f"unknown pipeline {cfg['pipeline']!r}; choose from {PIPELINES}")
+    return cfg
 
 
 def load_config(path) -> dict:
@@ -485,11 +485,8 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     summary head every pipeline shares and the query rows are built here.
     """
     with _stage("config"):
-        _check_config(cfg)
-        cfg = merge_config(default_config(), cfg)
+        cfg = _full_config(cfg)
         pipeline = cfg["pipeline"]
-        if pipeline not in PIPELINES:
-            raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
         seed = resolve_seed(cfg["seed"])
     # where the files go is not part of the run: the same run hashes alike in every directory
     chash = config_hash(dict(cfg, output=None))
@@ -502,8 +499,7 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
 
     fields, columns, report = _RUNNERS[pipeline](cfg, dataset, kernel, queries, seed)
     summary = {"pipeline": pipeline, "seed": seed, "config_hash": chash, "m": dataset.m,
-               "d": dataset.d, "kernel": cfg["kernel"], "n_queries": len(queries),
-               "cost_model": COST_MODEL, **fields}
+               "d": dataset.d, "kernel": cfg["kernel"], "n_queries": len(queries), **fields}
     result = PipelineResult(pipeline, summary, *_query_rows(queries, seed, chash, columns), report)
 
     out_dir = out_dir or cfg["output"]
@@ -656,13 +652,8 @@ def _run_global(cfg, dataset, kernel, queries, seed):
 
 
 def _run_compact(cfg, dataset, kernel, queries, seed):
-    comp_cfg = cfg["compact"]
-    oracle_cfg = compact.CompactOracleConfig(
-        kernel=kernel,
-        ae_bits=comp_cfg["ae_bits"],
-        scale_hat=comp_cfg["scale_hat"],
-        seed=seed,
-    )
+    oracle_cfg = compact.CompactOracleConfig(kernel=kernel, ae_bits=cfg["compact"]["ae_bits"],
+                                             seed=seed)
     with _stage("classical solve"):
         system = interpolation.exact_system(dataset, kernel, normalized=True)
         spec, coeffs = system.spectrum, system.coeffs
@@ -674,11 +665,8 @@ def _run_compact(cfg, dataset, kernel, queries, seed):
 
     with _stage("readout"):
         readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out)
-        _, phi_norm_est = compact.phi_norm_estimate(
-            readings.sq_norm, dataset.m, oracle_cfg.effective_scale
-        )
         columns, _ = _readout(
-            readings, phi_norm_est, report, budgets, float(np.linalg.norm(system.y)),
+            readings, np.sqrt(readings.sq_norm), report, budgets, float(np.linalg.norm(system.y)),
             np.random.default_rng((seed, 2)),
         )
 

@@ -48,14 +48,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GLOBAL_FAMILIES = (
-    "gaussian",
-    "inverse-multiquadric",
-    "matern-c0",
-    "matern-c2",
-    "matern-c4",
-)
+# family -> {config key the family reads: its default, None where it has none}.  A
+# config that sets none of its family's keys takes the defaults; only the
+# gaussian has one.
+CONFIG_KEYS = {
+    "gaussian": {"sigma": 0.4, "eta": None},
+    "inverse-multiquadric": {"eta": None},
+    "matern-c0": {"eta": None},
+    "matern-c2": {"eta": None},
+    "matern-c4": {"eta": None},
+    "wendland": {"d": None, "k": None, "alpha": None},
+}
 COMPACT_FAMILIES = ("wendland",)
+GLOBAL_FAMILIES = tuple(family for family in CONFIG_KEYS if family not in COMPACT_FAMILIES)
 
 # (d, k) -> (cutoff exponent, polynomial coefficients, low order first)
 _WENDLAND_TABLE = {
@@ -76,7 +81,7 @@ WENDLAND_PAIRS = tuple(sorted(_WENDLAND_TABLE))
 
 def _unknown_family(family) -> ValueError:
     return ValueError(
-        f"unknown kernel family {family!r}; choose from {GLOBAL_FAMILIES + COMPACT_FAMILIES}"
+        f"unknown kernel family {family!r}; choose from {tuple(CONFIG_KEYS)}"
     )
 
 
@@ -198,26 +203,34 @@ def wendland(d: int, k: int, alpha: float) -> Kernel:
     return Kernel("wendland", alpha=float(alpha), d=int(d), k=int(k))
 
 
-def from_config(cfg: dict) -> Kernel:
-    """Build a kernel from a plain dict, e.g. parsed from JSON.
+def with_defaults(cfg: dict) -> dict:
+    """A copy of the kernel config cfg, with its family's defaults if it sets none of its keys.
 
-    Expected keys: family, then sigma or eta for global families, or
-    d/k/alpha for wendland.
+    A key the family does not read raises ValueError; a missing or unknown
+    family is left for from_config to refuse.
     """
-    cfg = dict(cfg)
+    family = cfg.get("family")
+    keys = CONFIG_KEYS.get(family) if isinstance(family, str) else None
+    if keys is None:
+        return dict(cfg)
+    unread = [key for key in cfg if key != "family" and key not in keys]
+    if unread:
+        raise ValueError(f"kernel family {family!r} reads no key {unread[0]!r}; it reads "
+                         + ", ".join(map(repr, keys)))
+    if any(cfg.get(key) is not None for key in keys):
+        return dict(cfg)
+    return {**cfg, **{key: val for key, val in keys.items() if val is not None}}
+
+
+def from_config(cfg: dict) -> Kernel:
+    """Build a kernel from a plain dict, e.g. parsed from JSON: family and the keys it reads."""
+    cfg = with_defaults(cfg)
     family = cfg.pop("family", None)
-    if family is None:
-        raise ValueError("kernel config needs a 'family' key")
+    if family not in GLOBAL_FAMILIES + COMPACT_FAMILIES:
+        raise _unknown_family(family)
     if family == "gaussian":
-        return gaussian(sigma=cfg.pop("sigma", None), eta=cfg.pop("eta", None))
-    if family == "wendland":
-        try:
-            kern = wendland(cfg.pop("d"), cfg.pop("k"), cfg.pop("alpha"))
-        except KeyError as exc:
-            raise ValueError(f"wendland config needs key {exc}") from None
-        return kern
-    if family in GLOBAL_FAMILIES:
-        if "eta" not in cfg:
-            raise ValueError(f"{family} config needs 'eta'")
-        return Kernel(family, eta=cfg.pop("eta"))
-    raise _unknown_family(family)
+        return gaussian(**cfg)
+    missing = [key for key in CONFIG_KEYS[family] if cfg.get(key) is None]
+    if missing:
+        raise ValueError(f"{family} config needs {', '.join(map(repr, missing))}")
+    return wendland(**cfg) if family == "wendland" else Kernel(family, **cfg)

@@ -118,6 +118,18 @@ def test_set_of_an_unknown_key_is_refused(capsys):
     )
 
 
+def test_set_kernel_keys_follow_the_family(capsys):
+    assert cli.main(["fit", "--pipeline", "classical", "--seed", "0",
+                     "--set", "kernel.eta=2.0"]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel"] == {"family": "gaussian", "eta": 2.0}
+    assert cli.main(["fit", "--pipeline", "classical", "--seed", "0",
+                     "--set", "kernel.alpha=0.3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: [stage: config] kernel family 'gaussian' reads no key 'alpha'; "
+        "it reads 'sigma', 'eta'\n"
+    )
+
+
 def test_writing_into_a_null_config_section_names_the_section(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"queries": None}))

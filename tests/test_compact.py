@@ -1,5 +1,6 @@
 """Tests for the pair-state encoding, estimation oracles, and sparse pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -718,18 +719,16 @@ def test_build_matrix_estimated_is_symmetric_and_close():
     assert np.max(np.abs(more.toarray() - exact)) < np.max(np.abs(dense - exact))
 
 
-def test_prepare_phi_state_success_probability():
+def test_prepare_phi_state_returns_the_unit_state_and_norm():
     rng = np.random.default_rng(17)
     ds = _dataset(rng, 9, 2)
     kern = wendland(3, 2, alpha=1.2)
     cfg = CompactOracleConfig(kernel=kern)
     x = np.zeros(2)
-    state, success, norm_est = compact.prepare_phi_state(x, ds, cfg)
+    state, norm = compact.prepare_phi_state(x, ds, cfg)
     phi = interp.basis_vector(ds, kern, x)
     assert np.allclose(state, phi / np.linalg.norm(phi), rtol=1e-14)
-    want = (cfg.effective_scale**2) * float(phi @ phi) / ds.m
-    assert np.isclose(success, want, rtol=1e-14)
-    assert np.isclose(norm_est, np.linalg.norm(phi), rtol=1e-12)
+    assert norm == np.linalg.norm(phi)
 
 
 def test_prepare_phi_state_empty_support():
@@ -768,6 +767,22 @@ def test_solve_compact_estimated_stays_close():
         assert getattr(shared, name) == getattr(rep, name)
 
 
+# a second value of every CompactOracleConfig field, against kernel wendland(3, 2, 0.7),
+# ae_bits 8 and seed 0
+_FIELD_VALUES = {"kernel": wendland(3, 2, alpha=0.5), "ae_bits": None, "seed": 1}
+
+
+@pytest.mark.parametrize("name", list(_FIELD_VALUES))
+def test_no_oracle_config_field_is_inert(name):
+    """Each field, set to a second value, moves the oracle matrix by more than rounding."""
+    assert set(_FIELD_VALUES) == {field.name for field in dataclasses.fields(CompactOracleConfig)}
+    ds = _dataset(np.random.default_rng(29), 12, 2)
+    base = {"kernel": wendland(3, 2, alpha=0.7), "ae_bits": 8, "seed": 0}
+    a, b = (compact.build_matrix(ds, CompactOracleConfig(**cfg)).toarray()
+            for cfg in (base, {**base, name: _FIELD_VALUES[name]}))
+    assert not np.allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CompactOracleConfig(kernel=wendland(3, 2, alpha=0.5), ae_bits=0)
@@ -777,5 +792,3 @@ def test_config_validation():
 
     with pytest.raises(ValueError):
         CompactOracleConfig(kernel=gaussian(sigma=1.0))
-    with pytest.raises(ValueError):
-        CompactOracleConfig(kernel=wendland(3, 2, alpha=0.5), scale_hat=2.0)

@@ -1,5 +1,6 @@
 """Tests for data generation, budgets, pipelines, suites, and determinism."""
 
+import copy
 import csv
 import io
 import json
@@ -56,79 +57,81 @@ def test_config_hash_stable_and_order_free():
     assert harness.config_hash(a) != harness.config_hash({"x": 1, "y": {"z": 2.6}})
 
 
-# literal config_hash values of configs that ran before unknown keys were
-# refused: they must hash alike, so their outputs stay byte-identical.  The
-# first three are the benchmark workloads at seed 0, the rest the configs this
-# file runs.
+# literal config_hash values: the first three are the benchmark workloads at
+# seed 0, the rest the configs this file runs.  A run hashes its full config,
+# with the kernel family's defaults filled in, so these move only when a
+# default or a key of that config does.  They last moved when the inert
+# compact.scale_hat key was deleted and default_config() stopped giving every
+# family the gaussian's sigma: a wendland config no longer hashes a sigma.
 _W = {"family": "wendland", "d": 3, "k": 2}
 _PINNED_HASHES = [
-    ("8f14f4ab12ae", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 512, "d": 2},
+    ("ca5f27fbf790", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 512, "d": 2},
                       "kernel": {"family": "gaussian", "sigma": 0.05},
                       "inversion": {"mode": "ideal"}, "queries": {"n": 20}}),
-    ("16629ebc19bc", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 64, "d": 2},
+    ("21a15d054bb2", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 64, "d": 2},
                       "kernel": {"family": "gaussian", "sigma": 0.1},
                       "inversion": {"mode": "ideal"}, "queries": {"n": 4000}}),
-    ("f4fab2045417", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
+    ("bda312db0134", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
                       "kernel": dict(_W, alpha=0.15),
                       "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
                       "compact": {"ae_bits": 8}}),
-    ("cd99259549df", {"pipeline": "classical", "seed": 3, "queries": {"n": 5}}),
-    ("9d0eb48f4635", {"pipeline": "quantum-global", "seed": 1,
+    ("d01f2c82c965", {"pipeline": "classical", "seed": 3, "queries": {"n": 5}}),
+    ("438362c7abb8", {"pipeline": "quantum-global", "seed": 1,
                       "kernel": {"family": "gaussian", "sigma": 0.4}, "queries": {"n": 6}}),
-    ("3b94c715adbc", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 64}}),
-    ("7118fb2e3784", {"pipeline": "quantum-global", "seed": 0,
+    ("3cb469058c8a", {"pipeline": "quantum-global", "seed": 0, "dataset": {"m": 64}}),
+    ("a0d1f388bbf5", {"pipeline": "quantum-global", "seed": 0,
                       "dataset": {"m": 16, "box": [10.0, 11.0]},
                       "kernel": {"family": "gaussian", "sigma": 0.4}, "queries": {"n": 4}}),
-    ("5d26020fc86f", {"pipeline": "quantum-global", "seed": 0,
+    ("1627f7aef783", {"pipeline": "quantum-global", "seed": 0,
                       "dataset": {"m": 16, "box": [0.0, 1.0]},
                       "kernel": {"family": "gaussian", "sigma": 0.4}, "queries": {"n": 4}}),
-    ("05b67e301b3b", {"pipeline": "quantum-global", "seed": 0,
+    ("b7bdbdd4d19e", {"pipeline": "quantum-global", "seed": 0,
                       "dataset": {"m": 32, "box": [0.0, 1.0]},
                       "kernel": {"family": "gaussian", "sigma": 0.03}, "queries": {"n": 4}}),
-    ("15cc57e588c6", {"pipeline": "quantum-global", "seed": 0,
+    ("980b08bb049b", {"pipeline": "quantum-global", "seed": 0,
                       "dataset": {"m": 32, "box": [0.0, 1.0]},
                       "kernel": {"family": "gaussian", "sigma": 0.018}, "queries": {"n": 4}}),
-    ("ae8feffa9706", {"pipeline": "quantum-global", "seed": 2,
+    ("a735d64e5f1b", {"pipeline": "quantum-global", "seed": 2,
                       "dataset": {"m": 24, "box": [-3.0, -1.5]},
                       "kernel": {"family": "gaussian", "sigma": 0.2}, "queries": {"n": 4}}),
-    ("849f97d9f55a", {"pipeline": "quantum-global", "seed": 2,
+    ("4ceb970f0073", {"pipeline": "quantum-global", "seed": 2,
                       "dataset": {"m": 24, "box": [0.0, 1.0]},
                       "kernel": {"family": "gaussian", "sigma": 0.2}, "queries": {"n": 4}}),
-    ("e9817880659a", {"pipeline": "quantum-global", "seed": 0}),
-    ("bed8925f931d", {"pipeline": "quantum-global", "seed": 3}),
-    ("ee2154da91ee", {"pipeline": "quantum-global", "seed": 3, "epsilon": 0.05,
+    ("1ea64b412da2", {"pipeline": "quantum-global", "seed": 0}),
+    ("b2d60bd7848b", {"pipeline": "quantum-global", "seed": 3}),
+    ("182bf87fc893", {"pipeline": "quantum-global", "seed": 3, "epsilon": 0.05,
                       "kernel": {"family": "gaussian", "sigma": 0.15},
                       "inversion": {"mode": "quantized"}, "queries": {"n": 3}}),
-    ("9ca69886f37d", {"pipeline": "quantum-global", "seed": 0, "inversion": {"mode": "quantized"}}),
-    ("49d5fab8630f", {"pipeline": "quantum-global", "seed": 1, "inversion": {"mode": "quantized"}}),
-    ("b21652d34e07", {"pipeline": "quantum-global", "seed": 2, "inversion": {"mode": "quantized"}}),
-    ("36711939e2e5", {"pipeline": "quantum-global", "seed": 3, "inversion": {"mode": "quantized"}}),
-    ("ba267988ce30", {"pipeline": "quantum-global", "seed": 1,
+    ("f58dcd80463d", {"pipeline": "quantum-global", "seed": 0, "inversion": {"mode": "quantized"}}),
+    ("a9705ab33d12", {"pipeline": "quantum-global", "seed": 1, "inversion": {"mode": "quantized"}}),
+    ("a648ba74c395", {"pipeline": "quantum-global", "seed": 2, "inversion": {"mode": "quantized"}}),
+    ("36db567f9bd3", {"pipeline": "quantum-global", "seed": 3, "inversion": {"mode": "quantized"}}),
+    ("876180f650e2", {"pipeline": "quantum-global", "seed": 1,
                       "dme_check": {"enabled": True, "t": 1.0, "steps": 32},
                       "queries": {"n": 2}}),
-    ("da004536c21d", {"pipeline": "quantum-compact", "seed": 4, "kernel": dict(_W, alpha=0.7),
+    ("5f45e9c23fc2", {"pipeline": "quantum-compact", "seed": 4, "kernel": dict(_W, alpha=0.7),
                       "queries": {"n": 5}}),
-    ("31e43d5698f0", {"pipeline": "quantum-compact", "seed": 4, "kernel": dict(_W, alpha=0.7),
+    ("e06ca0ece8a4", {"pipeline": "quantum-compact", "seed": 4, "kernel": dict(_W, alpha=0.7),
                       "compact": {"ae_bits": 10}, "queries": {"n": 4}}),
-    ("6d2ff0b949a2", {"pipeline": "quantum-global", "seed": 2, "dataset": {"m": 40},
+    ("430e0b836a70", {"pipeline": "quantum-global", "seed": 2, "dataset": {"m": 40},
                       "kernel": {"family": "gaussian", "sigma": 0.1}, "queries": {"n": 50}}),
-    ("219b7550ec88", {"pipeline": "quantum-compact", "seed": 2, "dataset": {"m": 40},
+    ("2bfb547af287", {"pipeline": "quantum-compact", "seed": 2, "dataset": {"m": 40},
                       "kernel": dict(_W, alpha=0.3), "inversion": {"spectral_floor": 1e-3},
                       "compact": {"ae_bits": 8}, "queries": {"n": 50}}),
-    ("1663081d83a1", {"pipeline": "quantum-global", "seed": 9, "queries": {"n": 4}}),
-    ("46c4e68c13ca", {"pipeline": "quantum-compact", "seed": 3, "kernel": dict(_W, alpha=0.7),
+    ("36db09e0ca6b", {"pipeline": "quantum-global", "seed": 9, "queries": {"n": 4}}),
+    ("4da869c3ff3c", {"pipeline": "quantum-compact", "seed": 3, "kernel": dict(_W, alpha=0.7),
                       "inversion": {"mode": "quantized"}}),
-    ("a5d7f4a7df3a", {"pipeline": "quantum-global", "seed": 0,
+    ("fe666503965c", {"pipeline": "quantum-global", "seed": 0,
                       "dataset": {"m": 64, "box": [0.0, 1.0]},
                       "kernel": {"family": "gaussian", "sigma": 0.1}, "queries": {"n": 4},
                       "inversion": {"mode": "ideal"}}),
-    ("151e6ed6bff7", {"pipeline": "quantum-compact", "seed": 3, "kernel": dict(_W, alpha=0.7),
+    ("cde3b210667d", {"pipeline": "quantum-compact", "seed": 3, "kernel": dict(_W, alpha=0.7),
                       "inversion": {"mode": "ideal"}}),
-    ("a16f27a864e2", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
+    ("81c7e12e78eb", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
                       "kernel": dict(_W, alpha=0.15),
                       "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
                       "compact": {"ae_bits": 8}, "queries": {"n": 3}}),
-    ("8bd9760e3637", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
+    ("73842f0964c0", {"pipeline": "quantum-compact", "seed": 0, "dataset": {"m": 128, "d": 2},
                       "kernel": dict(_W, alpha=0.15),
                       "inversion": {"mode": "ideal", "spectral_floor": 1e-3},
                       "compact": {"ae_bits": None}, "queries": {"n": 3}}),
@@ -137,14 +140,12 @@ _PINNED_HASHES = [
 
 @pytest.mark.parametrize("want, cfg", _PINNED_HASHES, ids=[h for h, _ in _PINNED_HASHES])
 def test_config_hash_of_a_valid_config_is_pinned(want, cfg):
-    harness._check_config(cfg)
-    merged = harness.merge_config(harness.default_config(), cfg)
-    assert harness.config_hash(dict(merged, output=None)) == want
+    assert harness.config_hash(dict(harness._full_config(cfg), output=None)) == want
 
 
 def test_default_config_hash_is_pinned_and_reported_by_a_run():
-    assert harness.config_hash(harness.default_config()) == "4484c5432579"
-    assert harness.run_pipeline({}).summary["config_hash"] == "4484c5432579"
+    assert harness.config_hash(harness._full_config({})) == "f1f648a42725"
+    assert harness.run_pipeline({}).summary["config_hash"] == "f1f648a42725"
 
 
 def test_merge_config_is_recursive():
@@ -663,7 +664,7 @@ def test_batched_readout_matches_the_per_query_reference(cfg):
             assert row["budget"] == pytest.approx(budget, rel=tol)
         else:
             oracle = compact.CompactOracleConfig(kernel=kern, ae_bits=full["compact"]["ae_bits"])
-            phi_state, _, norm = compact.prepare_phi_state(x, ds, oracle)
+            phi_state, norm = compact.prepare_phi_state(x, ds, oracle)
             unit = phi_state.real
         want = report.coeff_norm_est * norm * float(np.real(np.vdot(state, unit)))
         scale = report.coeff_norm_est * norm * (np.abs(state) @ unit)
@@ -763,6 +764,151 @@ def test_rotation_scale_is_not_a_config_key():
     message = _config_refusal(harness.run_pipeline,
                               {"pipeline": "quantum-global", "inversion": {"rotation_scale": 0.1}})
     assert re.search("unknown config key 'inversion.rotation_scale'", message)
+
+
+def test_scale_hat_is_not_a_config_key():
+    """The query norm is read as ||Phi(x)||, which the preparation's success probability
+    gives back at every rotation scaling."""
+    message = _config_refusal(harness.run_pipeline,
+                              {"pipeline": "quantum-compact", "compact": {"scale_hat": 0.5}})
+    assert re.search("unknown config key 'compact.scale_hat'", message)
+
+
+@pytest.mark.parametrize("kernel, key, reads", [
+    ({"family": "gaussian", "alpha": 0.3}, "alpha", "'sigma', 'eta'"),
+    ({"family": "wendland", "d": 3, "k": 2, "alpha": 0.7, "sigma": 0.4}, "sigma",
+     "'d', 'k', 'alpha'"),
+    ({"family": "matern-c2", "eta": 2.0, "sigma": 0.4}, "sigma", "'eta'"),
+], ids=["alpha-on-gaussian", "sigma-on-wendland", "sigma-on-matern-c2"])
+def test_a_kernel_key_its_family_does_not_read_is_refused(kernel, key, reads):
+    message = _config_refusal(harness.run_pipeline, {"pipeline": "classical", "kernel": kernel})
+    assert message == f"kernel family {kernel['family']!r} reads no key {key!r}; it reads {reads}"
+
+
+def test_a_gaussian_configured_by_eta_takes_no_default_sigma():
+    result = harness.run_pipeline({"pipeline": "classical", "seed": 0, "kernel": {"eta": 2.0}})
+    assert result.summary["kernel"] == {"family": "gaussian", "eta": 2.0}
+    by_sigma = harness.run_pipeline({"pipeline": "classical", "seed": 0,
+                                     "kernel": {"sigma": math.sqrt(1.0 / 8.0)}})
+    assert result.query_rows[0]["f_classical"] == by_sigma.query_rows[0]["f_classical"]
+    assert harness.run_pipeline({"seed": 0}).summary["kernel"] == {"family": "gaussian",
+                                                                 "sigma": 0.4}
+
+
+@pytest.mark.parametrize("kernel", [{"family": "matern-c2", "eta": 2.0},
+                                    {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7}],
+                         ids=["matern-c2", "wendland"])
+def test_a_family_without_sigma_echoes_no_sigma(kernel):
+    summary = harness.run_pipeline({"pipeline": "classical", "seed": 0, "kernel": kernel}).summary
+    assert summary["kernel"] == kernel
+
+
+_WENDLAND = {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7}
+_QUANTIZED = {"pipeline": "quantum-global", "inversion": {"mode": "quantized"}}
+_DME = {"pipeline": "quantum-global", "dme_check": {"enabled": True}, "queries": {"n": 2}}
+
+
+def _data_file(tmp_path):
+    path = tmp_path / "data.csv"
+    interp.save_dataset(harness.gen_data(8, 2, [0.0, 1.0], 3), str(path))
+    return str(path)
+
+
+def _query_file(tmp_path):
+    path = tmp_path / "queries.csv"
+    path.write_text("x1,x2\n0.1,0.2\n0.7,0.4\n")
+    return str(path)
+
+
+# every key a config may set -> (a config that reads it, a second valid value, or a
+# function of the test's tmp_path giving one); the first value is what that config,
+# or the default, gives
+_KEY_CASES = {
+    "seed": ({}, 1),
+    "pipeline": ({}, "quantum-global"),
+    "dataset.m": ({}, 9),
+    "dataset.d": ({}, 1),
+    "dataset.box": ({}, [0.0, 2.0]),
+    "dataset.target": ({}, "cosines"),
+    "dataset.file": ({}, _data_file),
+    "dataset.seed": ({}, 5),
+    "kernel.family": ({"kernel": {"family": "matern-c2", "eta": 2.0}}, "matern-c4"),
+    "kernel.sigma": ({}, 0.3),
+    "kernel.eta": ({"kernel": {"eta": 2.0}}, 3.0),
+    "kernel.d": ({"kernel": _WENDLAND}, 1),
+    "kernel.k": ({"kernel": _WENDLAND}, 4),
+    "kernel.alpha": ({"kernel": _WENDLAND}, 0.5),
+    "epsilon": ({"pipeline": "quantum-global"}, 0.05),
+    "inversion.mode": ({"pipeline": "quantum-global"}, "quantized"),
+    "inversion.spectral_floor": ({"pipeline": "quantum-global"}, 1e-3),
+    "inversion.evolution_time": (_QUANTIZED, 50.0),
+    "inversion.clock_bits": (dict(_QUANTIZED, inversion={"mode": "quantized",
+                                                         "evolution_time": 50.0}), 6),
+    "compact.ae_bits": ({"pipeline": "quantum-compact", "kernel": _WENDLAND}, 10),
+    "dme_check.enabled": (dict(_DME, dme_check={"enabled": False}), True),
+    "dme_check.t": (_DME, 0.5),
+    "dme_check.steps": (_DME, 32),
+    "queries.n": ({}, 3),
+    "queries.file": ({}, _query_file),
+    "queries.seed": ({}, 5),
+    "output": ({}, lambda tmp_path: str(tmp_path / "out")),
+}
+
+# summary fields and query columns that echo the config rather than compute from it
+_ECHOES = ("config_hash", "seed", "pipeline", "kernel", "ae_bits", "t", "steps")
+
+
+def _leaves(node, path=()):
+    """(path, value) of every value under node but the echoes of the config."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            if key not in _ECHOES:
+                yield from _leaves(val, (*path, key))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _leaves(val, (*path, i))
+    else:
+        yield path, node
+
+
+def _moved(a, b) -> bool:
+    """Whether runs a and b computed or wrote something apart by more than rounding.
+
+    Floats are apart beyond 1e-9 relative (1e-12 absolute); every other
+    value, and the set of fields, must be equal.
+    """
+    la, lb = (dict(_leaves([r.summary, r.query_rows, r.files])) for r in (a, b))
+    if la.keys() != lb.keys():
+        return True
+    for key, x in la.items():
+        y = lb[key]
+        both_floats = isinstance(x, float) and isinstance(y, float)
+        if not (np.allclose(x, y, rtol=1e-9, atol=1e-12, equal_nan=True) if both_floats
+                else x == y):
+            return True
+    return False
+
+
+def test_the_key_cases_name_every_config_key():
+    defaults = harness.default_config()
+    keys = {key for key, val in defaults.items() if not isinstance(val, dict)}
+    for section, val in defaults.items():
+        if isinstance(val, dict):
+            keys |= {f"{section}.{k}" for k in (*val, *harness._OPTIONAL_KEYS.get(section, ()))}
+    keys |= {f"kernel.{k}" for family in harness.kernels.CONFIG_KEYS.values() for k in family}
+    assert set(_KEY_CASES) == keys
+
+
+@pytest.mark.parametrize("key", list(_KEY_CASES))
+def test_no_config_key_is_inert(key, tmp_path):
+    """A second value of each key moves, by more than rounding, something the run
+    computes, or where it writes its files."""
+    cfg, value = _KEY_CASES[key]
+    cfg = harness.merge_config({"pipeline": "classical", "seed": 0, "queries": {"n": 4}},
+                               copy.deepcopy(cfg))
+    changed = copy.deepcopy(cfg)
+    harness._set_by_path(changed, key, value(tmp_path) if callable(value) else value)
+    assert _moved(harness.run_pipeline(changed), harness.run_pipeline(cfg))
 
 
 def test_a_dotted_top_level_key_is_told_to_nest():

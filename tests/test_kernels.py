@@ -141,6 +141,18 @@ def test_invalid_parameters():
         kernels.matern_c2(0.0)
 
 
+def test_with_defaults_fills_only_a_family_that_sets_none_of_its_keys():
+    assert kernels.with_defaults({"family": "gaussian"}) == {"family": "gaussian", "sigma": 0.4}
+    assert kernels.from_config({"family": "gaussian"}).sigma == 0.4
+    for cfg in ({"family": "gaussian", "eta": 2.0}, {"family": "matern-c2", "eta": 2.0},
+                {"family": "wendland", "d": 3, "k": 2, "alpha": 0.5}, {"family": "nope", "x": 1}):
+        assert kernels.with_defaults(cfg) == cfg
+    with pytest.raises(ValueError, match="'matern-c4' reads no key 'sigma'; it reads 'eta'$"):
+        kernels.from_config({"family": "matern-c4", "eta": 1.0, "sigma": 0.4})
+    with pytest.raises(ValueError, match="wendland config needs 'alpha'$"):
+        kernels.from_config({"family": "wendland", "d": 3, "k": 2})
+
+
 def test_from_config_round_trips():
     k = kernels.from_config({"family": "gaussian", "sigma": 0.5})
     assert k.family == "gaussian" and k.sigma == 0.5
