@@ -4,8 +4,8 @@ Solves A c = y by rotating an ancilla through C/lambda on each
 eigenbranch.  Each inversion takes the system as a LinearSystem(A, y),
 which computes each decomposition of A when first read and keeps it.
 Ideal mode applies that map exactly: with no spectral floor it is
-C A^{-1}, so it is simulated from the system's eigenvalues and its one
-Cholesky factor.  Quantized mode applies the phase-estimation
+C A^{-1}, so it is simulated from the system's extreme eigenvalues and
+its one Cholesky factor.  Quantized mode applies the phase-estimation
 clock as the filter it is in the eigenbasis: each eigenvalue reads the
 clock cells with Fejer weights, so grid resolution and leakage become
 visible.

@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import coo_array, issparse
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 # cg solves nothing: the name stays bound only because perfbench/tracer.py
 # wraps interpolation.cg by name, until tracing moves inside (ROADMAP item 8)
@@ -283,8 +283,8 @@ def _ldlt(sparse) -> SuperLU:
     pivots; A is positive definite exactly when each pivot is > 0
     (Sylvester's criterion).  A zero pivot makes SuperLU pivot off the
     diagonal (perm_r != perm_c) or stop at an exactly singular factor.
-    A is taken to be symmetric, as `symmetric_csr` builds it; that is not checked here, since `LinearSystem.dense` checks
-    it on a dense copy.
+    A is taken to be symmetric, as `symmetric_csr` builds it; that is not
+    checked here, since `LinearSystem` checks it on the CSR matrix itself.
     """
     try:
         lu = splu(sparse.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -301,8 +301,15 @@ def _ldlt(sparse) -> SuperLU:
 
 
 def factor_solve(factor, b) -> np.ndarray:
-    """A^-1 b from A's factor: a cho_factor pair (dense) or a SuperLU LDL^T (sparse)."""
-    return factor.solve(b) if isinstance(factor, SuperLU) else cho_solve(factor, b)
+    """A^-1 b from A's factor: a cho_factor pair (dense) or a SuperLU LDL^T (sparse).
+
+    cho_factor has checked A for non-finite entries, so the factor is not
+    scanned again: that O(m^2) scan would cost each Lanczos step as much as
+    the solve.
+    """
+    if isinstance(factor, SuperLU):
+        return factor.solve(b)
+    return cho_solve(factor, b, check_finite=False)
 
 
 def solve(matrix: InterpMatrix, y, factor=None) -> Coefficients:
@@ -359,35 +366,74 @@ def basis_vector(dataset: DataSet, kernel: Kernel, x) -> np.ndarray:
     return basis_matrix(dataset, kernel, x[None, :])[0]
 
 
+# Order from which `LinearSystem.spectrum` takes its extremes by Lanczos on
+# the system's factor: below it a dense eigvalsh is faster (measured at one
+# BLAS thread on dense Gaussian and sparse Wendland matrices, m = 64 to 512)
+LANCZOS_MIN_M = 192
+# ARPACK's Lanczos basis size and residual tolerance, fixed with its start
+# vector (all ones) so that the extremes have the same bits in every run
+_LANCZOS_NCV = 10
+_LANCZOS_TOL = 1e-8
+
+
 @dataclass
 class Spectrum:
     lambda_max: float
     lambda_min: float
     kappa: float
-    eigenvalues: np.ndarray
 
 
-def spectrum(matrix) -> Spectrum:
+def _largest_eigenvalue(operator, what: str) -> float:
+    """Largest eigenvalue of a symmetric operator by Lanczos (ARPACK eigsh)."""
+    m = operator.shape[0]
+    try:
+        w = eigsh(operator, k=1, which="LA", v0=np.ones(m), ncv=_LANCZOS_NCV,
+                  tol=_LANCZOS_TOL, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise ValueError(
+            f"Lanczos found no {what} of the {m} x {m} matrix: ARPACK did not converge "
+            f"to tolerance {_LANCZOS_TOL:g} ({exc})"
+        ) from exc
+    return float(w[0])
+
+
+def spectrum(matrix, factor=None) -> Spectrum:
     """Eigenvalue range and condition number of a (symmetric) matrix.
 
-    kappa is lambda_max / lambda_min, reported as inf when the smallest
-    eigenvalue is not positive.
+    With no factor, the extremes of a dense eigvalsh.  With the matrix's
+    factor (a `LinearSystem.factor`), by Lanczos instead, in O(nnz) memory:
+    lambda_max on A, and lambda_min as 1 / lambda_max(A^-1), A^-1 applied
+    through the factor; the extremes then differ from eigvalsh's by about
+    kappa u relative (u the float64 unit roundoff).  kappa is
+    lambda_max / lambda_min, reported as inf when the smallest eigenvalue
+    is not positive.
     """
-    w = np.linalg.eigvalsh(_as_dense(matrix))
-    lam_min, lam_max = float(w[0]), float(w[-1])
+    if factor is None:
+        w = np.linalg.eigvalsh(_as_dense(matrix))
+        lam_min, lam_max = float(w[0]), float(w[-1])
+    else:
+        data = matrix.data if isinstance(matrix, InterpMatrix) else matrix
+        inverse = LinearOperator(data.shape, matvec=partial(factor_solve, factor), dtype=float)
+        lam_max = _largest_eigenvalue(data, "lambda_max")
+        lam_min = 1.0 / _largest_eigenvalue(inverse, "lambda_min")
     kappa = lam_max / lam_min if lam_min > 0 else math.inf
-    return Spectrum(lambda_max=lam_max, lambda_min=lam_min, kappa=kappa, eigenvalues=w)
+    return Spectrum(lambda_max=lam_max, lambda_min=lam_min, kappa=kappa)
 
 
 @dataclass
 class LinearSystem:
     """A c = y; each decomposition of A is computed when first read, and kept.
 
-    factor is the system's one factorization, whatever the storage: the
-    Cholesky of the dense matrix, or the sparse LDL^T (`_ldlt`) of a CSR
-    one.  A sparse system's coeffs solve from it; a dense system's coeffs
-    take their own Cholesky, freed when the solve returns, so that a run
-    which never reads the factor keeps no m x m copy of it.
+    A is refused unless square and symmetric, a CSR matrix in O(nnz)
+    without a dense copy.  factor is the system's one factorization,
+    whatever the storage: the Cholesky of the dense matrix, or the sparse
+    LDL^T (`_ldlt`) of a CSR one; it is taken once, and a failed one
+    raises the same NotPositiveDefiniteError at every read.  coeffs solve
+    from it.  spectrum gives lambda_min, lambda_max and kappa: from
+    LANCZOS_MIN_M rows on by Lanczos through the factor (`spectrum`),
+    below that, or when the factor fails, from a dense eigvalsh.  Only the
+    eigenbasis, which a spectral floor or quantized inversion reads, takes
+    all m eigenvalues.
     """
 
     matrix: InterpMatrix
@@ -402,16 +448,51 @@ class LinearSystem:
         return self.matrix.data if isinstance(self.matrix, InterpMatrix) else self.matrix
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        dense = _as_dense(self.matrix)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+    def _checked(self):
+        """The matrix data, a CSR array or a dense array, once it is known square and symmetric."""
+        data = self._data if issparse(self._data) else _as_dense(self.matrix)
+        if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError("need a square matrix")
-        if np.max(np.abs(dense - dense.T)) > 1e-10 * max(1.0, np.max(np.abs(dense))):
+        if abs(data - data.T).max() > 1e-10 * max(1.0, abs(data).max()):
             raise ValueError("matrix is not symmetric")
-        return dense
+        return data
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return _as_dense(self._checked)
+
+    @cached_property
+    def _factorization(self):
+        """(factor, None), or (None, the NotPositiveDefiniteError of the failed factorization).
+
+        The error is kept without its own or its cause's traceback: a
+        traceback holds every calling frame alive, this system's among them,
+        and so would make each failed system a reference cycle.
+        """
+        factorize = _ldlt if issparse(self._checked) else _cholesky
+        try:
+            return factorize(self._checked), None
+        except NotPositiveDefiniteError as exc:
+            exc.__traceback__ = None
+            if exc.__cause__ is not None:
+                exc.__cause__.__traceback__ = None
+            return None, exc
+
+    @property
+    def factor(self):
+        factor, error = self._factorization
+        if error is not None:
+            # a new error at each read, so that the kept one takes no traceback
+            raise NotPositiveDefiniteError(*error.args) from error.__cause__
+        return factor
 
     @cached_property
     def spectrum(self) -> Spectrum:
+        if self._checked.shape[0] >= LANCZOS_MIN_M:
+            factor, error = self._factorization
+            if error is None:
+                return spectrum(self._checked, factor)
+        # a matrix with no factor is worded from the dense extremes, at any size
         return spectrum(self.dense)
 
     @cached_property
@@ -420,12 +501,8 @@ class LinearSystem:
         return np.linalg.eigh(self.dense)
 
     @cached_property
-    def factor(self):
-        return _ldlt(self._data) if issparse(self._data) else _cholesky(self.dense)
-
-    @cached_property
     def coeffs(self) -> Coefficients:
-        return solve(self.matrix, self.y, self.factor if issparse(self._data) else None)
+        return solve(self.matrix, self.y, self.factor)
 
 
 def exact_system(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> LinearSystem:

@@ -12,9 +12,12 @@ Two fidelity levels are provided.  `invert_ideal` applies the exact
 map lambda -> C/lambda.  With no spectral floor that map is C A^{-1}
 on all of |y>, so the state, p = C^2 ||A^{-1} y_hat||^2 and the
 classical check all come from the system's factor (a dense Cholesky
-or a sparse LDL^T), and only its spectrum (for C, kappa and the
-repetition ledger) is read, not the eigenbasis; a floor projects onto
-the eigenvalues above it, which needs the eigenbasis.
+or a sparse LDL^T), and of its spectrum only the extremes are read:
+lambda_min for C and the repetition ledger, lambda_max for kappa.  From
+`interpolation.LANCZOS_MIN_M` rows on the system takes them by Lanczos
+through that same factor, so this path takes no dense eigendecomposition.
+A floor projects onto the eigenvalues above it, which needs the
+eigenbasis; only then does the report list all m eigenvalues.
 `invert_quantized` models phase estimation with a b-bit clock register
 (controlled powers of e^{iA t0 / 2^b}, inverse Fourier transform, rotation
 keyed on the clock value, uncompute, post-select) by the filter it applies
@@ -74,11 +77,18 @@ class InversionConfig:
 
 @dataclass
 class SolveReport:
-    """Everything observable about one simulated inversion."""
+    """Everything observable about one simulated inversion.
+
+    lambda_min is the smallest eigenvalue inverted (the smallest above the
+    spectral floor), lambda_max the largest eigenvalue, and kappa_eff their
+    ratio.  eigenvalues (all m, ascending) and kept (those above the floor)
+    are None unless the inversion took the eigenbasis: a spectral floor or
+    quantized mode.
+    """
 
     mode: str
-    eigenvalues: np.ndarray
-    kept: np.ndarray
+    lambda_min: float
+    lambda_max: float
     overlaps: np.ndarray | None
     rotation_scale: float
     post_select_prob: float
@@ -88,6 +98,8 @@ class SolveReport:
     fidelity_vs_classical: float
     repetitions_ledger: int
     kappa_eff: float
+    eigenvalues: np.ndarray | None = None
+    kept: np.ndarray | None = None
     spectral_floor: float | None = None
     evolution_time: float | None = None
     clock_bits: int | None = None
@@ -95,8 +107,13 @@ class SolveReport:
     clock_leak: float | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready fields: arrays as lists, the state as its real and imaginary parts."""
+        """JSON-ready fields: arrays as lists, the state as its real and imaginary parts.
+
+        eigenvalues and kept are left out where the eigenbasis was not taken.
+        """
         out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.eigenvalues is None:
+            del out["eigenvalues"], out["kept"]
         state = out.pop("state_out")
         out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
         out["state_out_real"], out["state_out_imag"] = state.real.tolist(), state.imag.tolist()
@@ -119,12 +136,13 @@ def _rhs_norm(y) -> float:
     return ynorm
 
 
-def _not_pd(w) -> interpolation.NotPositiveDefiniteError:
-    """The error for a matrix of ascending spectrum w that cannot be inverted whole."""
-    kappa = f"{w[-1] / w[0]:.3e}" if w[0] > 0.0 else "inf"
+def _not_pd(lam_min, lam_max) -> interpolation.NotPositiveDefiniteError:
+    """The error for a matrix of extreme eigenvalues lam_min, lam_max that cannot be
+    inverted whole."""
+    kappa = f"{lam_max / lam_min:.3e}" if lam_min > 0.0 else "inf"
     return interpolation.NotPositiveDefiniteError(
-        f"the matrix to invert is not positive definite (lambda_min {w[0]:.3e}, "
-        f"lambda_max {w[-1]:.3e}, kappa {kappa}); set "
+        f"the matrix to invert is not positive definite (lambda_min {lam_min:.3e}, "
+        f"lambda_max {lam_max:.3e}, kappa {kappa}); set "
         "inversion.spectral_floor to invert on the eigenvalues above it"
     )
 
@@ -139,7 +157,7 @@ def _eigen_split(system: LinearSystem, config):
     ynorm = _rhs_norm(system.y)
     floor = config.spectral_floor
     if floor is None and w[0] <= 0.0:
-        raise _not_pd(w)
+        raise _not_pd(w[0], w[-1])
     kept = w > (0.0 if floor is None else floor)
     if not kept.any():
         raise ValueError(f"no eigenvalues above spectral floor {floor}")
@@ -157,9 +175,11 @@ def _ideal_state(w, u, beta, kept) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-def _report(system, config, w, kept, ynorm, C, p, state, **named) -> SolveReport:
-    """The report of one inversion; named carries mode, overlaps and the quantized fields.
+def _report(system, config, lam_min, lam_max, ynorm, C, p, state, **named) -> SolveReport:
+    """The report of one inversion; named carries mode, overlaps, the eigenvalues and
+    kept mask where the eigenbasis was taken, and the quantized fields.
 
+    lam_min is the smallest eigenvalue inverted, lam_max the largest eigenvalue.
     fidelity_vs_classical is |<c|state>| for the solution c of A c = y
     from the system's factor, NaN when A is not positive definite.
     """
@@ -170,10 +190,9 @@ def _report(system, config, w, kept, ynorm, C, p, state, **named) -> SolveReport
     else:
         fidelity = solution_fidelity(interpolation.factor_solve(factor, system.y), state)
     F = math.sqrt(p)
-    lam_min = float(w[kept].min())
     return SolveReport(
-        eigenvalues=w,
-        kept=kept,
+        lambda_min=lam_min,
+        lambda_max=lam_max,
         rotation_scale=C,
         post_select_prob=p,
         norm_factor=F,
@@ -183,7 +202,7 @@ def _report(system, config, w, kept, ynorm, C, p, state, **named) -> SolveReport
         state_out=np.asarray(state, dtype=complex),
         fidelity_vs_classical=fidelity,
         repetitions_ledger=math.ceil(1.0 / lam_min),
-        kappa_eff=float(w.max() / lam_min),
+        kappa_eff=lam_max / lam_min,
         spectral_floor=config.spectral_floor,
         **named,
     )
@@ -194,10 +213,10 @@ def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) ->
 
     With no spectral floor the rotation reaches every eigencomponent, so
     the post-selected state is C A^{-1} y_hat: it comes from the system's
-    factor, beside its eigenvalues alone (no eigenbasis), and
-    overlaps is None.  fidelity_vs_classical is then read from the same
-    factor and is 1 to rounding by construction; the agreement with the
-    eigenbasis map is what tests check.  A floor keeps the eigenbasis
+    factor, beside its extreme eigenvalues alone (no eigenbasis), and
+    overlaps, eigenvalues and kept are None.  fidelity_vs_classical is
+    then read from the same factor and is 1 to rounding by construction;
+    the agreement with the eigenbasis map is what tests check.  A floor keeps the eigenbasis
     path, which projects onto the eigenvalues above it.
 
     post_select_prob is computed by amplitude arithmetic, never sampled
@@ -211,22 +230,23 @@ def invert_ideal(system: LinearSystem, config: InversionConfig | None = None) ->
         C = float(lam.min())
         amp = C * beta[kept] / lam
         p = float(np.dot(amp, amp))
-        return _report(system, config, w, kept, ynorm, C, p, _ideal_state(w, u, beta, kept),
-                       mode="ideal", overlaps=beta)
-    w = system.spectrum.eigenvalues
+        return _report(system, config, C, float(w.max()), ynorm, C, p,
+                       _ideal_state(w, u, beta, kept), mode="ideal", overlaps=beta,
+                       eigenvalues=w, kept=kept)
+    spec = system.spectrum
     ynorm = _rhs_norm(system.y)
-    if w[0] <= 0.0:
-        raise _not_pd(w)
-    C = float(w[0])
+    if spec.lambda_min <= 0.0:
+        raise _not_pd(spec.lambda_min, spec.lambda_max)
+    C = spec.lambda_min
     try:
         factor = system.factor
     except interpolation.NotPositiveDefiniteError as exc:
-        raise _not_pd(w) from exc
+        raise _not_pd(spec.lambda_min, spec.lambda_max) from exc
     x = interpolation.factor_solve(factor, system.y / ynorm)
     xnorm = float(np.linalg.norm(x))
-    # no eigenbasis on this path: every eigenvalue is kept and there are no overlaps
-    return _report(system, config, w, np.ones(w.shape[0], dtype=bool), ynorm, C,
-                   (C * xnorm) ** 2, x / xnorm, mode="ideal", overlaps=None)
+    # no eigenbasis on this path: no eigenvalue array, kept mask or overlaps
+    return _report(system, config, C, spec.lambda_max, ynorm, C, (C * xnorm) ** 2,
+                   x / xnorm, mode="ideal", overlaps=None)
 
 
 def _fejer_weights(phi, T: int) -> np.ndarray:
@@ -303,9 +323,11 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
     theta = np.angle(phase_align) if abs(phase_align) > 0 else 0.0
     deviation = float(np.linalg.norm(state * np.exp(-1j * theta) - ideal))
     return _report(
-        system, config, w, kept, ynorm, C, p, state,
+        system, config, float(w[kept].min()), float(w.max()), ynorm, C, p, state,
         mode="quantized",
         overlaps=beta,
+        eigenvalues=w,
+        kept=kept,
         evolution_time=t0,
         clock_bits=b,
         deviation_from_ideal=deviation,

@@ -24,8 +24,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def factor_calls(monkeypatch):
     """Counter of matrix assemblies, CG solves, dense Cholesky and sparse
-    LDL^T (splu) factorizations and eigendecompositions made while the test
-    runs, keyed by function name."""
+    LDL^T (splu) factorizations, dense eigendecompositions and Lanczos
+    (eigsh) extreme eigenvalues computed while the test runs, keyed by
+    function name."""
     counts = collections.Counter()
 
     def spy(owner, name):
@@ -37,7 +38,7 @@ def factor_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("assemble", "cg", "cho_factor", "splu"):
+    for name in ("assemble", "cg", "cho_factor", "splu", "eigsh"):
         spy(interpolation, name)
     for name in ("eigh", "eigvalsh"):
         spy(np.linalg, name)

@@ -277,7 +277,8 @@ def test_classical_pipeline_interpolates_training_data(tmp_path):
 
 def test_classical_wendland_run_at_alpha_half_and_m_1024_solves(factor_calls):
     # about 490 nonzeros per row and kappa 4e7: conjugate gradients stalled
-    # here, the sparse LDL^T solves it once, to rounding
+    # here, the sparse LDL^T solves it once, to rounding, and its extremes
+    # come from Lanczos through that factor, not from a dense eigvalsh
     s = harness.run_pipeline({
         "pipeline": "classical",
         "seed": 0,
@@ -286,7 +287,7 @@ def test_classical_wendland_run_at_alpha_half_and_m_1024_solves(factor_calls):
     }).summary
     assert s["kappa"] > 1e7
     assert s["site_residual_max"] <= 1e-12
-    assert factor_calls == {"assemble": 1, "splu": 1, "eigvalsh": 1}
+    assert factor_calls == {"assemble": 1, "splu": 1, "eigsh": 2}
 
 
 @pytest.mark.parametrize("pipeline", ["classical", "quantum-global", "quantum-compact"])
@@ -1089,6 +1090,28 @@ def test_ideal_global_run_factorizes_each_matrix_once(factor_calls):
     assert factor_calls == {"assemble": 1, "eigvalsh": 2, "cho_factor": 2}
 
 
+@pytest.mark.parametrize("m", [interp.LANCZOS_MIN_M - 1, interp.LANCZOS_MIN_M])
+def test_ideal_runs_take_extremes_by_lanczos_from_the_crossover_on(m, factor_calls):
+    """Below LANCZOS_MIN_M rows each spectrum is one eigvalsh; from it on, two
+    Lanczos runs on the factor the system holds, and no dense eigendecomposition."""
+    cfg = _global_cfg(m, 0.05)
+    cfg["inversion"] = {"mode": "ideal"}
+    harness.run_pipeline(cfg)
+    # the exact system and the Gram: one Cholesky and one spectrum each
+    spectra = {"eigvalsh": 2} if m < interp.LANCZOS_MIN_M else {"eigsh": 4}
+    assert factor_calls == {"assemble": 1, "cho_factor": 2, **spectra}
+    factor_calls.clear()
+    harness.run_pipeline({
+        "pipeline": "quantum-compact",
+        "seed": 3,
+        "dataset": {"m": m},
+        "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.15},
+        "inversion": {"mode": "ideal"},
+    })
+    spectra = {"eigvalsh": 1} if m < interp.LANCZOS_MIN_M else {"eigsh": 2}
+    assert factor_calls == {"assemble": 1, "splu": 1, **spectra}
+
+
 def test_exact_ideal_compact_run_inverts_its_exact_system(factor_calls, monkeypatch):
     from qrbf import compact
 
@@ -1156,11 +1179,13 @@ def test_compact_summary_is_strict_json_and_flags_a_non_pd_oracle_matrix(
 
 
 _SOLVE_REPORT_KEYS = {
-    "mode", "eigenvalues", "kept", "overlaps", "rotation_scale", "post_select_prob",
+    "mode", "lambda_min", "lambda_max", "overlaps", "rotation_scale", "post_select_prob",
     "norm_factor", "coeff_norm_est", "state_out_real", "state_out_imag",
     "fidelity_vs_classical", "repetitions_ledger", "kappa_eff", "spectral_floor",
     "evolution_time", "clock_bits", "deviation_from_ideal", "clock_leak",
 }
+# written only where the inversion took the eigenbasis
+_EIGENBASIS_KEYS = {"eigenvalues", "kept"}
 
 
 def _plain_json_values(value) -> bool:
@@ -1186,8 +1211,13 @@ def test_solve_report_json_schema_on_every_inversion_path(tmp_path, cfg, cholesk
     out = result.solve_report.to_dict()
     json.dumps(out)  # no ndarray or numpy scalar is left in the dict
     assert _plain_json_values(out)
-    assert set(out) == _SOLVE_REPORT_KEYS
+    assert set(out) == _SOLVE_REPORT_KEYS | (set() if cholesky_path else _EIGENBASIS_KEYS)
     assert _strict_json(tmp_path / "solve_report.json") == out
     assert (out["overlaps"] is None) == cholesky_path
     assert (out["fidelity_vs_classical"] is None) == factor_fails
-    assert len(out["state_out_real"]) == len(out["state_out_imag"]) == len(out["eigenvalues"])
+    assert len(out["state_out_real"]) == len(out["state_out_imag"]) == result.summary["m"]
+    assert out["kappa_eff"] == out["lambda_max"] / out["lambda_min"]
+    if not cholesky_path:
+        assert len(out["eigenvalues"]) == len(out["kept"]) == result.summary["m"]
+        assert out["lambda_max"] == out["eigenvalues"][-1]
+        assert out["lambda_min"] == min(w for w, k in zip(out["eigenvalues"], out["kept"]) if k)

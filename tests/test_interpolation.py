@@ -1,11 +1,14 @@
 """Tests for dataset handling, matrix assembly, and the classical solver."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from qrbf import interpolation as interp
 from qrbf import kernels
@@ -294,7 +297,8 @@ def test_spectrum_and_kappa_inf():
     ds = _random_dataset(rng, 6, 2)
     mat = interp.assemble(ds, kernels.gaussian(sigma=0.5))
     spec = interp.spectrum(mat)
-    assert np.array_equal(spec.eigenvalues, np.linalg.eigvalsh(mat.data))
+    w = np.linalg.eigvalsh(mat.data)
+    assert (spec.lambda_min, spec.lambda_max) == (w[0], w[-1])
     assert spec.kappa == spec.lambda_max / spec.lambda_min
     # has a zero eigenvalue, so kappa is reported as inf
     singular = np.ones((3, 3))
@@ -343,7 +347,7 @@ def test_perturbation_check_accepts_sparse_matrix():
     assert sp.is_sparse
     E = 1e-6 * np.eye(ds.m)
     assert interp.perturbation_check(sp, E) == interp.perturbation_check(de, E)
-    assert np.array_equal(interp.spectrum(sp).eigenvalues, interp.spectrum(de).eigenvalues)
+    assert interp.spectrum(sp) == interp.spectrum(de)
 
 
 def test_solve_rejects_indefinite_matrix():
@@ -366,7 +370,7 @@ def test_linear_system_takes_each_decomposition_once_when_first_read(factor_call
     coeffs = system.coeffs
     assert system.coeffs is coeffs
     assert factor_calls == {"assemble": 1, "eigvalsh": 1, "splu": 1}
-    assert np.array_equal(spec.eigenvalues, interp.spectrum(mat).eigenvalues)
+    assert spec == interp.spectrum(mat)
     assert np.array_equal(coeffs.c, interp.solve(mat, ds.values / ds.m).c)
     assert factor_calls == {"assemble": 1, "eigvalsh": 2, "splu": 2}
 
@@ -417,6 +421,102 @@ def test_exact_system_words_a_failed_sparse_factorization_from_the_spectrum(fact
     assert message.endswith("lower kernel.alpha or dataset.m")
     assert "sparse LDL" in str(info.value.__cause__)
     assert factor_calls == {"assemble": 1, "splu": 1, "eigvalsh": 1}
+
+
+def _scaled_system(m, family):
+    """Normalized system on m seed-0 sites in the unit square, the kernel's width
+    scaled by sqrt(512 / m) from the global-gram sigma (0.05) or the compact-ae alpha (0.15)."""
+    rng = np.random.default_rng(0)
+    ds = interp.DataSet(rng.uniform(0.0, 1.0, (m, 2)), rng.standard_normal(m))
+    scale = math.sqrt(512 / m)
+    kern = (kernels.gaussian(sigma=0.05 * scale) if family == "gaussian"
+            else kernels.wendland(3, 2, alpha=0.15 * scale))
+    return interp.LinearSystem(interp.assemble(ds, kern, normalized=True), ds.values / m)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "wendland"])
+@pytest.mark.parametrize("m", [192, 512, 1024, 2048])
+def test_lanczos_extremes_agree_with_the_dense_eigenvalues(m, family, factor_calls):
+    """From LANCZOS_MIN_M rows on, the extremes come from Lanczos on the system's factor.
+
+    lambda_min = 1 / lambda_max(A^-1) is resolved to about kappa u relative
+    by the factor's solves (u the float64 unit roundoff), so it and kappa
+    are held to 4 kappa u; lambda_max, from products with A, to 1e-12.
+    """
+    system = _scaled_system(m, family)
+    assert system.matrix.is_sparse == (family == "wendland")
+    factor_calls.clear()
+    spec = system.spectrum
+    # the dense reference, taken after the spectrum so the spy sees only the system's work
+    assert factor_calls == {"eigsh": 2, "splu" if family == "wendland" else "cho_factor": 1}
+    w = np.linalg.eigvalsh(system.matrix.toarray())
+    tol = 4.0 * (w[-1] / w[0]) * 2.0**-53
+    assert math.isclose(spec.lambda_min, w[0], rel_tol=tol, abs_tol=0.0)
+    assert math.isclose(spec.kappa, w[-1] / w[0], rel_tol=tol, abs_tol=0.0)
+    assert math.isclose(spec.lambda_max, w[-1], rel_tol=1e-12, abs_tol=0.0)
+    # no dense copy is made: a sparse system has none, a dense one needs no second
+    assert "dense" not in vars(system)
+
+
+def test_a_failed_factor_is_taken_once_raised_at_every_read_and_kept_without_a_cycle(
+        factor_calls):
+    """The kept error has no traceback, which would hold the system's own frame: a
+    system whose factor failed is freed without the cycle collector."""
+    mat = interp.InterpMatrix(csr_array(np.array([[1.0, 2.0], [2.0, 1.0]])), False, 2)
+    gc.disable()
+    try:
+        system = interp.LinearSystem(mat, np.ones(2))
+        for read in ("factor", "coeffs", "factor"):
+            with pytest.raises(interp.NotPositiveDefiniteError, match="sparse LDL"):
+                getattr(system, read)
+        assert factor_calls == {"splu": 1}
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_dense_non_pd_system_above_the_crossover_words_its_error_from_eigvalsh(factor_calls):
+    # a wide Gaussian on 256 sites: the Cholesky fails, so there is no factor for
+    # Lanczos, and the error gives the dense extremes, from one factorization
+    rng = np.random.default_rng(0)
+    ds = interp.DataSet(rng.uniform(0.0, 1.0, (256, 2)), rng.standard_normal(256))
+    with pytest.raises(interp.NotPositiveDefiniteError) as info:
+        interp.exact_system(ds, kernels.gaussian(sigma=0.4), normalized=True)
+    message = str(info.value)
+    assert "lambda_min -" in message and "kappa inf" in message
+    assert message.endswith("lower kernel.sigma or dataset.m")
+    assert factor_calls == {"assemble": 1, "cho_factor": 1, "eigvalsh": 1}
+
+
+def test_lanczos_that_does_not_converge_is_named(monkeypatch):
+    def stall(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(interp, "eigsh", stall)
+    system = _scaled_system(interp.LANCZOS_MIN_M, "wendland")
+    with pytest.raises(ValueError, match="Lanczos found no lambda_max of the 192 x 192 matrix"):
+        system.spectrum
+
+
+def test_asymmetric_csr_system_is_refused_without_a_dense_copy(factor_calls):
+    """The CSR check is the dense one, max |A - A^T| <= 1e-10 max(1, max |A|), in O(nnz)."""
+    system = _scaled_system(interp.LANCZOS_MIN_M, "wendland")
+    data = system.matrix.data.copy()
+    rows = np.repeat(np.arange(data.shape[0]), np.diff(data.indptr))
+    k = int(np.flatnonzero(rows != data.indices)[0])  # the first stored off-diagonal entry
+    step = 1e-10 * max(1.0, float(data.max()))
+    data.data[k] += 2.0 * step
+    factor_calls.clear()
+    for attr in ("factor", "spectrum", "coeffs", "dense"):
+        with pytest.raises(ValueError, match="not symmetric"):
+            getattr(interp.LinearSystem(interp.InterpMatrix(data, True, None), system.y), attr)
+    assert factor_calls == {}
+    # within the tolerance the matrix factors
+    data.data[k] -= 1.5 * step
+    interp.LinearSystem(interp.InterpMatrix(data, True, None), system.y).factor
+    assert factor_calls == {"splu": 1}
 
 
 def test_linear_system_factor_fails_plainly_without_a_spectrum(factor_calls):
