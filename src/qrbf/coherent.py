@@ -22,10 +22,18 @@ float epsilon.
 One batch routine computes every amplitude vector: an array of n
 coordinate ratios gives an (n, N) table of unit rows, each bit for bit
 the vector of its coordinate alone, and a single coordinate takes the
-same path.  A product-state overlap is the product of its per-coordinate
-overlaps, so the m x m Gram matrix is built as d BLAS syrk products
-F_c F_c^T, one per coordinate table F_c, multiplied entrywise; no
-order^d product-state vector is ever formed.
+same path.  It runs in two steps.  The log table k log|r| - gammaln(k +
+1) / 2 does not depend on N, so the table at a high order holds the
+table at every lower order in its leading columns.  The finishing step
+takes a copy of the leading N columns and, in place, subtracts each
+row's maximum, exponentiates, fixes the signs of negative ratios and
+the rows of zero ratios, and scales each row to unit norm.  A search
+over orders (grams_by_order, the bound suites) therefore builds one log
+table and pays one finishing call per order.  A product-state overlap
+is the product of its per-coordinate overlaps, so the m x m Gram
+matrix is built as d BLAS syrk products F_c F_c^T, one per coordinate
+table F_c, multiplied entrywise; no order^d product-state vector is
+ever formed.
 
 The far tails of a row underflow: exp leaves some amplitudes below the
 smallest normal float64 (2.2e-308), about 0.45 % of a centred 512-site
@@ -55,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .interpolation import DataSet, InterpMatrix
+from .interpolation import DataSet, InterpMatrix, row_norms
 
 # smallest normal float64: amplitudes below it are flushed before the Gram's products
 _TINY = np.finfo(float).tiny
@@ -86,12 +94,26 @@ def _ratios(x, sigma: float) -> np.ndarray:
     return np.asarray(x, dtype=float) / sigma
 
 
-def _amplitudes(ratios, order: int) -> np.ndarray:
-    """Unit-normalized truncated amplitude rows, one per coordinate ratio.
+def _log_table(ratios, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ratios r and the (n, order) table k log|r| - gammaln(k + 1) / 2.
 
-    An array of n ratios gives an (n, order) table; a scalar gives the 1-D
-    vector through the same path.  The table is built in place so the only
-    (n, order) array is the result.
+    Entry (i, k) does not depend on the order, so the leading columns of a
+    table at a high order are bit for bit the table at any lower order.
+    A zero ratio takes log|r| = 0.0; _finish makes its row the unit vector.
+    """
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
+    r = np.asarray(ratios, dtype=float).reshape(-1)
+    k = np.arange(order)
+    # math.log, not np.log: the two differ in the last ulp for some inputs
+    log_r = np.array([math.log(abs(v)) if v != 0.0 else 0.0 for v in r.tolist()])
+    table = np.multiply.outer(log_r, k)
+    table -= 0.5 * gammaln(k + 1.0)
+    return r, table
+
+
+def _finish(r, table) -> np.ndarray:
+    """Unit amplitude rows, in place, from a C-contiguous log table of the ratios r.
 
     The sign flip of negative ratios and the unit row of zero ratios are
     masked writes that leave a table of positive ratios unchanged, so they
@@ -99,16 +121,6 @@ def _amplitudes(ratios, order: int) -> np.ndarray:
     hundreds of small tables, and on 8 ratios the masked writes take about
     a quarter of a build's time.
     """
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
-    r = np.asarray(ratios, dtype=float)
-    scalar = r.ndim == 0
-    r = r.reshape(-1)
-    k = np.arange(order)
-    # math.log, not np.log: the two differ in the last ulp for some inputs
-    log_r = np.array([math.log(abs(v)) if v != 0.0 else 0.0 for v in r.tolist()])
-    table = np.multiply.outer(log_r, k)
-    table -= 0.5 * gammaln(k + 1.0)
     table -= table.max(axis=1, keepdims=True)
     np.exp(table, out=table)
     if not (r > 0.0).all():
@@ -116,10 +128,25 @@ def _amplitudes(ratios, order: int) -> np.ndarray:
         zero = r == 0.0
         table[zero] = 0.0
         table[zero, 0] = 1.0
-    # one 1 x order @ order x 1 product per row: numpy computes it with the
-    # dot routine of the 1-D norm, where norm(axis=-1) differs in the last ulp
-    table /= np.sqrt(np.matmul(table[:, None, :], table[:, :, None]))[:, 0]
-    return table[0] if scalar else table
+    table /= row_norms(table)[:, None]
+    return table
+
+
+def _truncated(r, log_table, order: int) -> np.ndarray:
+    """Amplitude rows at an order from a log table at that order or above: a finished copy."""
+    return _finish(r, log_table[:, :order].copy())
+
+
+def _amplitudes(ratios, order: int) -> np.ndarray:
+    """Unit-normalized truncated amplitude rows, one per coordinate ratio.
+
+    An array of n ratios gives an (n, order) table; a scalar gives the 1-D
+    vector through the same path.  The table is built in place so the only
+    (n, order) array is the result.
+    """
+    r, table = _log_table(ratios, order)
+    _finish(r, table)
+    return table[0] if np.ndim(ratios) == 0 else table
 
 
 @dataclass
@@ -174,6 +201,22 @@ def min_order(ratio_max: float, delta: float) -> int:
     return order
 
 
+def _gram(tables, m: int) -> InterpMatrix:
+    """Normalized Gram prod_c F_c F_c^T / m of the (m, order) coordinate tables F_c.
+
+    Each table's subnormal amplitudes are set to 0.0 in place before its
+    syrk product (see the module docstring), and the diagonal is 1.0.
+    """
+    gram = np.ones((m, m))
+    for table in tables:
+        table[np.abs(table) < _TINY] = 0.0
+        gram *= table @ table.T
+        del table  # freed before the next coordinate's table is built
+    np.fill_diagonal(gram, 1.0)  # encodings are unit vectors by construction
+    gram /= m
+    return InterpMatrix(data=gram, normalized=True, sparsity=m)
+
+
 def gram_coherent(dataset: DataSet, sigma: float, order: int) -> InterpMatrix:
     """Normalized Gram matrix of truncated encodings, entries <psi_i|psi_j>/m.
 
@@ -183,19 +226,28 @@ def gram_coherent(dataset: DataSet, sigma: float, order: int) -> InterpMatrix:
     the build is one (m, order) amplitude table F_c per coordinate and the
     entrywise product of the d products F_c F_c^T, which BLAS runs as syrk
     and which are therefore exactly symmetric.  Subnormal amplitudes are
-    set to 0.0 first (see the module docstring).
+    set to 0.0 first (see the module docstring).  One coordinate's table
+    is held at a time.
     """
-    m = dataset.m
     ratios = _ratios(dataset.sites, sigma)  # (m, d)
-    gram = np.ones((m, m))
-    for c in range(dataset.d):
-        table = _amplitudes(ratios[:, c], order)
-        table[np.abs(table) < _TINY] = 0.0
-        gram *= table @ table.T
-        del table  # freed before the next coordinate's table is built
-    np.fill_diagonal(gram, 1.0)  # encodings are unit vectors by construction
-    gram /= m
-    return InterpMatrix(data=gram, normalized=True, sparsity=m)
+    return _gram((_amplitudes(ratios[:, c], order) for c in range(dataset.d)), dataset.m)
+
+
+def grams_by_order(dataset: DataSet, sigma: float, orders):
+    """Yield gram_coherent(dataset, sigma, order) for each order in turn, bit for bit.
+
+    One log table of all m*d coordinate ratios at the largest order is
+    built first; each order then finishes a copy of its leading columns
+    (see the module docstring), so a search over orders pays the logs
+    and gammaln once.  Lazy: a search that stops early builds no later
+    Gram.
+    """
+    orders = list(orders)
+    m, d = dataset.m, dataset.d
+    # coordinate-major rows, so each coordinate's block of a finished copy is contiguous
+    r, log_table = _log_table(_ratios(dataset.sites, sigma).T, max(orders))
+    for order in orders:
+        yield _gram(_truncated(r, log_table, order).reshape(d, m, order), m)
 
 
 @dataclass

@@ -120,10 +120,28 @@ def pair_scale(x_i, x_j, norm_i: float | None = None, norm_j: float | None = Non
     return math.sqrt(2.0 * (ni * ni + nj * nj))
 
 
-def reconstruct_distance(x_i, x_j) -> float:
-    """Round-trip distance through the amplitude encoding (exact arithmetic)."""
-    x_i, x_j, ni, nj = _norms(x_i, x_j, None, None)
-    return distance_amplitude(x_i, x_j, ni, nj) * pair_scale(x_i, x_j, ni, nj)
+def reconstruct_distance(x_i, x_j):
+    """Round-trip distance through the amplitude encoding (exact arithmetic).
+
+    Takes two points, giving a float, or two (n, d) arrays whose rows pair
+    up, giving the n distances as an array.  Both shapes run one path, a
+    point pair as one row, and each row's distance is bit for bit that of
+    its pair alone: distance_amplitude times pair_scale, with the norms of
+    np.linalg.norm.
+    """
+    x_i = np.asarray(x_i, dtype=float)
+    x_j = np.asarray(x_j, dtype=float)
+    rows = x_i.ndim == 2
+    if not rows:
+        x_i, x_j = x_i.reshape(1, -1), x_j.reshape(1, -1)
+    if x_i.shape != x_j.shape:
+        raise ValueError("points must share a dimension")
+    ni, nj = interpolation.row_norms(x_i), interpolation.row_norms(x_j)
+    if ((ni == 0.0) & (nj == 0.0)).any():
+        raise ValueError("pair state undefined when both points are zero")
+    scale = np.sqrt(2.0 * (ni * ni + nj * nj))
+    dist = interpolation.pair_distance(x_i, x_j) / scale * scale
+    return dist if rows else float(dist[0])
 
 
 @functools.lru_cache(maxsize=_AE_BITS_CAP)

@@ -724,11 +724,13 @@ def _slope(xs, ys) -> float:
 def _suite_truncation(seed: int) -> list:
     ratios = np.arange(0.0, 2.25, 0.25)
     orders = range(2, 31)
-    # one amplitude table per order for all ratios at sigma = 1; rows keep (ratio, order) order
+    # one log table for all ratios at sigma = 1 and the top order, sliced at
+    # each order; rows keep (ratio, order) order
+    r, log_table = coherent._log_table(ratios, orders[-1] + 200)
     measured = np.empty((ratios.size, len(orders)))
     for col, order in enumerate(orders):
-        diff = coherent._amplitudes(ratios, order + 200)
-        diff[:, :order] -= coherent._amplitudes(ratios, order)
+        diff = coherent._truncated(r, log_table, order + 200)
+        diff[:, :order] -= coherent._truncated(r, log_table, order)
         measured[:, col] = [np.linalg.norm(row) for row in diff]
     rows = []
     for ratio, errs in zip(ratios, measured):
@@ -837,10 +839,13 @@ def _suite_inversion(seed: int) -> list:
 
 
 def _perturbation_instance(rng):
-    """Random gaussian dataset with a truncation order keeping gamma < 1.
+    """Random gaussian dataset at the first truncation order from 3 up with gamma < 0.5.
 
-    Datasets with kappa beyond 1e5 are redrawn: near the float64 floor
-    the truncation perturbation can never satisfy ||A^-1 dA|| < 1 there.
+    gamma = ||A^-1 dA||_2, taken by SVD at every order in turn; no order
+    is skipped.  The Grams of the search come from one log table
+    (coherent.grams_by_order), bit for bit gram_coherent's.  Datasets
+    with kappa beyond 1e5 are redrawn: near the float64 floor the
+    truncation perturbation can never bring ||A^-1 dA|| below 1 there.
     """
     for _ in range(50):
         m = int(rng.integers(3, 9))
@@ -851,8 +856,7 @@ def _perturbation_instance(rng):
         spec = interpolation.spectrum(exact)
         if spec.kappa > 1e5:
             continue
-        for order in range(3, 40):
-            gram = coherent.gram_coherent(ds, sigma, order)
+        for gram in coherent.grams_by_order(ds, sigma, range(3, 40)):
             delta_a = gram.data - exact.data
             gamma = float(interpolation.spectral_norm(np.linalg.solve(exact.data, delta_a)))
             if gamma < 0.5:
@@ -887,14 +891,17 @@ def _suite_perturbation(seed: int) -> list:
 def _suite_compact_oracle(seed: int) -> list:
     rows = []
     rng = np.random.default_rng(seed)
-    # distance reconstruction through the amplitude encoding
-    worst = 0.0
+    # distance reconstruction through the amplitude encoding: the pairs are
+    # drawn one by one, then each dimension's pairs are checked in one call
+    pairs = {}
     for _ in range(1000):
         d = int(rng.integers(1, 6))
-        x_i = rng.normal(size=d)
-        x_j = rng.normal(size=d)
-        r = float(np.linalg.norm(x_i - x_j))
-        worst = max(worst, abs(compact.reconstruct_distance(x_i, x_j) - r))
+        pairs.setdefault(d, []).append((rng.normal(size=d), rng.normal(size=d)))
+    worst = 0.0
+    for group in pairs.values():
+        x_i, x_j = (np.array(side) for side in zip(*group))
+        err = compact.reconstruct_distance(x_i, x_j) - interpolation.row_norms(x_i - x_j)
+        worst = max(worst, float(np.max(np.abs(err))))
     rows.append(("distance-roundtrip", "1000 random pairs, absolute error", worst, 1e-12,
                  worst <= 1e-12))
     # exact oracle mode reproduces the assembler

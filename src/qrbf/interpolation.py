@@ -63,6 +63,16 @@ def pair_distance(a, b):
     return np.sqrt(total)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real (n, d) array, bit for bit as np.linalg.norm(row).
+
+    One 1 x d @ d x 1 product per row: numpy computes it with the dot
+    routine of x.dot(x), the sum np.linalg.norm takes the root of for a
+    1-D real vector, where norm(axis=-1) differs in the last ulp.
+    """
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
 def unique_rows(a: np.ndarray) -> np.ndarray:
     """Distinct rows of a 2-D array, sorted lexicographically.
 

@@ -297,6 +297,63 @@ def test_gram_flush_moves_only_entries_below_the_normal_range(monkeypatch):
     assert not np.array_equal(got, want)  # entries in the subnormal range do move
 
 
+def _every_ratio_sign(d: int) -> DataSet:
+    """Nine sites whose centred coordinates are negative, positive and exactly 0.0."""
+    rng = np.random.default_rng(d)
+    grid = np.linspace(-0.7, 1.3, 9)  # midpoint 0.3 is a grid value
+    sites = rng.permuted(np.tile(grid, (d, 1)), axis=1).T
+    return coherent.centred(DataSet(sites, rng.standard_normal(9)))
+
+
+def _subnormal_count(ds: DataSet, sigma: float, order: int) -> int:
+    tables = [coherent._amplitudes(ds.sites[:, c] / sigma, order) for c in range(ds.d)]
+    return sum(int(np.count_nonzero((t != 0.0) & (np.abs(t) < _TINY))) for t in tables)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["raw", "centred", "subnormal"])
+def test_grams_by_order_equal_gram_coherent_at_every_order(kind, d):
+    """One log table at order 39 gives every order's Gram bit for bit, orders 3 to 39.
+
+    raw: positive ratios only.  centred: negative, positive and zero
+    ratios, so the sign and zero fix-ups run.  subnormal: sigma = 1e-9,
+    ratios near 1e9, whose rows reach below the normal range within 39
+    levels, so the flush before the products runs.
+    """
+    if kind == "raw":
+        ds, sigma = gen_data(7, d, [0.0, 1.0], seed=d), 0.5
+    elif kind == "centred":
+        ds, sigma = _every_ratio_sign(d), 0.6
+        assert {-1.0, 0.0, 1.0} <= set(np.sign(ds.sites).ravel().tolist())
+    else:
+        ds, sigma = gen_data(6, d, [0.0, 1.0], seed=d), 1e-9
+        assert _subnormal_count(ds, sigma, 39) > 0
+    orders = range(3, 40)
+    grams = list(coherent.grams_by_order(ds, sigma, orders))
+    assert len(grams) == len(orders)
+    for order, gram in zip(orders, grams):
+        want = coherent.gram_coherent(ds, sigma, order)
+        assert np.array_equal(gram.data, want.data), order
+        assert (gram.normalized, gram.sparsity) == (want.normalized, want.sparsity)
+
+
+def test_grams_by_order_builds_no_gram_past_the_one_taken(monkeypatch):
+    """A search that stops at an order finishes no table for the orders after it."""
+    finished = []
+    real = coherent._finish
+
+    def recorded(r, table):
+        finished.append(table.shape[1])
+        return real(r, table)
+
+    monkeypatch.setattr(coherent, "_finish", recorded)
+    ds = gen_data(5, 2, [0.0, 1.0], seed=3)
+    for _ in coherent.grams_by_order(ds, 0.5, range(3, 40)):
+        if len(finished) == 4:
+            break
+    assert finished == [3, 4, 5, 6]
+
+
 def test_gram_report_bounds_hold():
     rng = np.random.default_rng(4)
     for trial in range(5):

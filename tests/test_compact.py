@@ -77,6 +77,37 @@ def test_reconstruct_distance_equals_amplitude_times_scale():
         assert compact.distance_amplitude(x_i, x_j) * compact.pair_scale(x_i, x_j) == want
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_reconstruct_distance_of_rows_equals_the_per_pair_call(d):
+    """(n, d) rows give, bit for bit, each pair's own reconstruction and amplitude times scale."""
+    rng = np.random.default_rng(40 + d)
+    x_i = rng.normal(size=(300, d))
+    x_j = rng.normal(size=(300, d))
+    x_i[:5] = 0.0  # one point of the pair at the origin
+    x_j[5:10] = 0.0
+    x_j[10] = x_i[10]  # distance 0.0
+    got = compact.reconstruct_distance(x_i, x_j)
+    assert got.shape == (300,)
+    want = [compact.reconstruct_distance(a, b) for a, b in zip(x_i, x_j)]
+    assert all(type(w) is float for w in want)
+    assert np.array_equal(got, want)
+    old = [compact.distance_amplitude(a, b) * compact.pair_scale(a, b) for a, b in zip(x_i, x_j)]
+    assert np.array_equal(got, old)
+    assert got[10] == 0.0
+
+
+def test_reconstruct_distance_of_rows_refuses_what_a_pair_refuses():
+    rows = np.ones((4, 3))
+    with pytest.raises(ValueError, match="share a dimension"):
+        compact.reconstruct_distance(rows, np.ones((4, 2)))
+    zero = rows.copy()
+    zero[2] = 0.0
+    with pytest.raises(ValueError, match="both points are zero"):
+        compact.reconstruct_distance(zero, zero)
+    with pytest.raises(ValueError, match="both points are zero"):
+        compact.reconstruct_distance(np.zeros(3), np.zeros(3))
+
+
 def _estimation_pmf(a_true, ae_bits: int) -> np.ndarray:
     """Reference: outcome distribution of amplitude estimation over the whole 2^bits grid.
 

@@ -1029,6 +1029,88 @@ def test_verify_bounds_rows_are_deterministic():
     assert body_a == body_b
 
 
+def _per_order_perturbation_instance(rng):
+    """The order search with one full gram_coherent build per order, each from its own tables."""
+    from qrbf import coherent, kernels
+
+    for _ in range(50):
+        m = int(rng.integers(3, 9))
+        d = int(rng.integers(1, 4))
+        sigma = float(rng.uniform(0.3, 0.8))
+        ds = harness.gen_data(m, d, [0.0, 1.0], int(rng.integers(2**31)), "franke")
+        exact = interp.assemble(ds, kernels.gaussian(sigma=sigma), normalized=True)
+        spec = interp.spectrum(exact)
+        if spec.kappa > 1e5:
+            continue
+        for order in range(3, 40):
+            gram = coherent.gram_coherent(ds, sigma, order)
+            delta_a = gram.data - exact.data
+            gamma = float(interp.spectral_norm(np.linalg.solve(exact.data, delta_a)))
+            if gamma < 0.5:
+                return ds, exact, spec, gram, delta_a, gamma
+    raise RuntimeError("could not draw a perturbation instance with gamma < 0.5")
+
+
+def _per_order_truncation_suite(seed: int) -> list:
+    """The truncation suite with two full amplitude tables built per order."""
+    from qrbf import coherent
+
+    ratios = np.arange(0.0, 2.25, 0.25)
+    orders = range(2, 31)
+    measured = np.empty((ratios.size, len(orders)))
+    for col, order in enumerate(orders):
+        diff = coherent._amplitudes(ratios, order + 200)
+        diff[:, :order] -= coherent._amplitudes(ratios, order)
+        measured[:, col] = [np.linalg.norm(row) for row in diff]
+    rows = []
+    for ratio, errs in zip(ratios, measured):
+        for order, err in zip(orders, errs.tolist()):
+            bound = coherent.truncation_bound(ratio, 1.0, order)
+            rows.append((f"ratio={ratio}", f"order={order}", err, bound, err <= bound))
+    return rows
+
+
+def _suite_body(suite: str, seed: int) -> str:
+    res = harness.verify_bounds(suite, seed=seed)
+    return f"{res.n_failed}\n" + harness.csv_body(res.fieldnames, res.rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_order_searches_from_one_log_table_equal_the_per_order_builds(monkeypatch, seed):
+    """perturbation and truncation rows equal those of a full build at every order."""
+    got = {suite: _suite_body(suite, seed) for suite in ("perturbation", "truncation")}
+    monkeypatch.setattr(harness, "_perturbation_instance", _per_order_perturbation_instance)
+    monkeypatch.setitem(harness._SUITE_RUNNERS, "truncation", _per_order_truncation_suite)
+    for suite, body in got.items():
+        assert body == _suite_body(suite, seed), suite
+
+
+def _per_pair_roundtrip_row(seed: int) -> tuple:
+    """The distance-roundtrip row from one reconstruction per pair, as amplitude times scale."""
+    from qrbf import compact
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(1000):
+        d = int(rng.integers(1, 6))
+        x_i = rng.normal(size=d)
+        x_j = rng.normal(size=d)
+        r = float(np.linalg.norm(x_i - x_j))
+        got = compact.distance_amplitude(x_i, x_j) * compact.pair_scale(x_i, x_j)
+        worst = max(worst, abs(got - r))
+    return ("distance-roundtrip", "1000 random pairs, absolute error", worst, 1e-12,
+            worst <= 1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_distance_roundtrip_row_equals_the_per_pair_loop(seed):
+    res = harness.verify_bounds("compact-oracle", seed=seed)
+    row = res.rows[0]
+    assert tuple(row[k] for k in harness._SUITE_FIELDS[3:]) == _per_pair_roundtrip_row(seed)
+    assert type(row["measured"]) is float
+    assert 0.0 < row["measured"] <= 1e-12
+
+
 def test_sweep_over_ae_bits(tmp_path):
     cfg = {
         "pipeline": "quantum-compact",
