@@ -3,10 +3,13 @@
 Each site x becomes a product of truncated coherent states, one factor
 per coordinate.  Pairwise inner products then reproduce the normalized
 Gaussian kernel matrix, with a truncation error that is bounded a
-priori.  The same matrix also appears as the reduced state of a single
-uniform superposition over sites: the demo builds that statevector from
-Kronecker products of the coordinate states and traces out the encoding
-register explicitly.
+priori.  gram_coherent builds that matrix in closed form, from the
+Gaussian of the pair distances and incomplete-gamma truncation factors,
+never from the states themselves.  The same matrix also appears as the
+reduced state of a single uniform superposition over sites: the demo
+builds that statevector from Kronecker products of the coordinate
+states and traces out the encoding register explicitly, so the
+partial-trace check compares two independent routes to the matrix.
 """
 
 import functools

@@ -430,6 +430,23 @@ def spectrum(matrix, factor=None) -> Spectrum:
     return Spectrum(lambda_max=lam_max, lambda_min=lam_min, kappa=kappa)
 
 
+def _exactly_symmetric(data) -> bool:
+    """True when a dense or CSR square matrix equals its transpose entry for entry.
+
+    A CSR matrix's CSC arrays are the CSR arrays of its transpose, so the
+    two are compared array by array.  Where the stored patterns differ (an
+    explicit zero, unsorted indices) this reads False though the matrix
+    may be symmetric; the caller's tolerance check then decides.
+    """
+    if issparse(data):
+        csc = data.tocsc()
+        return all(
+            np.array_equal(getattr(data, name), getattr(csc, name))
+            for name in ("indptr", "indices", "data")
+        )
+    return bool((data == data.T).all())
+
+
 @dataclass
 class LinearSystem:
     """A c = y; each decomposition of A is computed when first read, and kept.
@@ -463,7 +480,10 @@ class LinearSystem:
         data = self._data if issparse(self._data) else _as_dense(self.matrix)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError("need a square matrix")
-        if abs(data - data.T).max() > 1e-10 * max(1.0, abs(data).max()):
+        # an exactly symmetric matrix, as every assembly builds, skips the tolerance check
+        if not _exactly_symmetric(data) and (
+            abs(data - data.T).max() > 1e-10 * max(1.0, abs(data).max())
+        ):
             raise ValueError("matrix is not symmetric")
         return data
 

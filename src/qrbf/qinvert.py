@@ -109,14 +109,18 @@ class SolveReport:
     def to_dict(self) -> dict:
         """JSON-ready fields: arrays as lists, the state as its real and imaginary parts.
 
-        eigenvalues and kept are left out where the eigenbasis was not taken.
+        eigenvalues and kept are left out where the eigenbasis was not taken,
+        and state_out_imag where every imaginary part is 0.0, as it is on
+        every inversion path of a real system.
         """
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.eigenvalues is None:
             del out["eigenvalues"], out["kept"]
         state = out.pop("state_out")
         out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
-        out["state_out_real"], out["state_out_imag"] = state.real.tolist(), state.imag.tolist()
+        out["state_out_real"] = state.real.tolist()
+        if state.imag.any():
+            out["state_out_imag"] = state.imag.tolist()
         # NaN when the matrix is not positive definite, written as null
         if math.isnan(self.fidelity_vs_classical):
             out["fidelity_vs_classical"] = None

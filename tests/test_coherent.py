@@ -2,11 +2,12 @@
 
 import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from qrbf import coherent
 from qrbf.harness import gen_data
@@ -32,9 +33,15 @@ def _reference_amplitudes(ratio: float, order: int) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _reference_gram(ds: DataSet, sigma: float, order: int) -> np.ndarray:
-    """Gram matrix from all per-coordinate overlaps at once, via einsum."""
+def _reference_gram(ds: DataSet, sigma: float, order: int, magnitudes: bool = False) -> np.ndarray:
+    """Gram matrix of the amplitude tables, all per-coordinate overlaps at once, via einsum.
+
+    With magnitudes, the same products of the tables' absolute values: the
+    scale of the dot products' rounding errors.
+    """
     factors = np.stack([coherent._amplitudes(x / sigma, order) for x in ds.sites])
+    if magnitudes:
+        factors = np.abs(factors)
     gram = np.einsum("ick,jck->ijc", factors, factors).prod(axis=2)
     gram = 0.5 * (gram + gram.T)
     np.fill_diagonal(gram, 1.0)
@@ -185,6 +192,40 @@ def test_min_order_searches_past_bounds_beyond_the_float_range():
     assert coherent.min_order(26.0, 1e-12) == 1889
 
 
+def _scanned_min_order(ratio_max: float, delta: float) -> int:
+    """min_order by a linear scan from ceil(ratio_max^2), one bound per order."""
+    ratio_max = abs(ratio_max)
+    order = max(1, math.ceil(ratio_max * ratio_max))
+    while coherent.truncation_bound(ratio_max, 1.0, order) > delta:
+        order += 1
+        if order > 100_000:
+            raise RuntimeError("truncation order search did not terminate")
+    return order
+
+
+def test_min_order_bisection_equals_the_linear_scan(monkeypatch):
+    """Same order on a grid of ratios and delta, bounds past the float range included,
+    in far fewer bound evaluations; past order 100000 both refuse."""
+    calls = []
+    bound = coherent.truncation_bound
+    ratios = (0.0, 1e-3, 0.3, 1.0, 2.0, 5.5, 10.0, 19.97, 20.0, 38.0, 40.0, 56.8, 57.0, 100.0)
+    deltas = (0.9, 1e-1, 1e-4, 1e-8, 1e-12, 1e-16, 1e-30, 1e-100, 1e-300, 5e-324)
+    for ratio in ratios:
+        for delta in deltas:
+            want = _scanned_min_order(ratio, delta)
+            monkeypatch.setattr(coherent, "truncation_bound",
+                                lambda *a: calls.append(a) or bound(*a))
+            assert coherent.min_order(ratio, delta) == want, (ratio, delta)
+            monkeypatch.undo()
+    assert len(calls) < 40 * len(ratios) * len(deltas)
+    assert coherent.min_order(10.0, 1e-20) > 300  # the global-gram regime
+    for ratio in (316.0, 317.0):  # ratio^2 within 144 of the cap, and past it
+        with pytest.raises(RuntimeError, match="did not terminate"):
+            _scanned_min_order(ratio, 1e-16)
+        with pytest.raises(RuntimeError, match="did not terminate"):
+            coherent.min_order(ratio, 1e-16)
+
+
 def test_truncation_bound_dominates_measured_tail():
     """The bound must sit above the actual L2 distance to the full state."""
     ref_order = 220
@@ -234,67 +275,172 @@ def test_gram_coherent_matches_exact_matrix():
     ],
 )
 def test_gram_coherent_matches_einsum_reference(m, d, lo, sigma, order):
-    """Per-coordinate BLAS products agree with the all-coordinates einsum."""
+    """The closed form agrees with the amplitude tables' products entry by entry.
+
+    Per entry, |G - R| <= (d + 3)(1 + x) u |R| + d gamma_N R_abs, with x =
+    ||a_i - a_j||^2 / 2: the closed form's exponent x is rounded in d + 2
+    operations and exp multiplies a relative error in x by x, one more u
+    covers exp and the factors; the reference's N-term dot products err by
+    gamma_N = N u / (1 - N u) of the products of the tables' magnitudes,
+    R_abs (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+    Entries as small as 1e-65 are compared, so the bound is relative.
+    """
     rng = np.random.default_rng(m * d)
     ds = DataSet(rng.uniform(lo, 1.0, size=(m, d)), rng.standard_normal(m))
     G = coherent.gram_coherent(ds, sigma, order).data
-    np.testing.assert_allclose(G, _reference_gram(ds, sigma, order), rtol=1e-13, atol=0.0)
+    want = _reference_gram(ds, sigma, order)
+    u = 2.0**-53
+    a = ds.sites / sigma
+    x = 0.5 * np.sum((a[:, None, :] - a[None, :, :]) ** 2, axis=2)
+    gamma = order * u / (1.0 - order * u)
+    magnitudes = _reference_gram(ds, sigma, order, magnitudes=True)
+    bound = (d + 3) * (1.0 + x) * u * np.abs(want) + d * gamma * magnitudes
+    assert np.all(np.abs(G - want) <= bound)
     assert np.array_equal(G, G.T)
     assert np.array_equal(np.diag(G), np.full(m, 1.0 / m))
 
 
-_TINY = np.finfo(float).tiny
+def _partial_exp(t: Decimal, order: int) -> Decimal:
+    """e_N(t) = sum_{k<N} t^k / k!, term by term in the current decimal context."""
+    total, term = Decimal(0), Decimal(1)
+    for k in range(1, order + 1):
+        total += term
+        term = term * t / k
+    return total
 
 
-def _unflushed_gram(ds: DataSet, sigma: float, order: int) -> tuple[np.ndarray, int]:
-    """prod_c F_c F_c^T on the tables as built, diagonal 1, then /m; and their subnormal count."""
-    gram = np.ones((ds.m, ds.m))
-    subnormal = 0
-    for c in range(ds.d):
-        table = coherent._amplitudes(ds.sites[:, c] / sigma, order)
-        subnormal += int(np.count_nonzero((table != 0.0) & (np.abs(table) < _TINY)))
-        gram *= table @ table.T
-    np.fill_diagonal(gram, 1.0)
-    return gram / ds.m, subnormal
+def _decimal_entries(ratios: np.ndarray, order: int, pairs) -> list:
+    """Gram entries prod_c e_N(a_ic a_jc) / sqrt(e_N(a_ic^2) e_N(a_jc^2)) / m at 60 digits.
+
+    The ratios are the float64 values the build reads, taken exactly.  An
+    alternating sum (a_ic a_jc < 0) rounds each of its N terms by 1e-60 of
+    the largest, at most e^{|a_ic a_jc|} <= e^{(a_ic^2 + a_jc^2) / 2}, and
+    the denominator is at least that over 2 where every a^2 <= N, so its
+    rounding moves an entry by under 1e-55: far below u / m.
+    """
+    m = len(ratios)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sq = {}
+
+        def norm(i, c):
+            if (i, c) not in sq:
+                sq[i, c] = _partial_exp(Decimal(ratios[i, c]) ** 2, order).sqrt()
+            return sq[i, c]
+
+        out = []
+        for i, j in pairs:
+            entry = Decimal(1) / m
+            for c in range(ratios.shape[1]):
+                t = Decimal(ratios[i, c]) * Decimal(ratios[j, c])
+                entry *= _partial_exp(t, order) / (norm(i, c) * norm(j, c))
+            out.append(entry)
+        return out
 
 
-def _flushed_gram(monkeypatch, ds: DataSet, sigma: float, order: int) -> np.ndarray:
-    """gram_coherent, checking that every table it multiplies has its subnormals set to 0."""
-    tables = []
-
-    def recorded(ratios, order):
-        table = real(ratios, order)
-        tables.append((table, table.copy()))
-        return table
-
-    real = coherent._amplitudes
-    monkeypatch.setattr(coherent, "_amplitudes", recorded)
-    gram = coherent.gram_coherent(ds, sigma, order).data
-    assert len(tables) == ds.d
-    for used, built in tables:  # used is the array gram_coherent multiplied, after its flush
-        assert np.array_equal(used, np.where(np.abs(built) < _TINY, 0.0, built))
-    return gram
-
-
-def test_gram_flushes_subnormal_amplitudes_without_changing_a_bit(monkeypatch):
-    """Centred m=512 at sigma=0.05, the global-gram config: order 339."""
-    ds = coherent.centred(gen_data(512, 2, [0.0, 1.0], seed=0))
-    want, subnormal = _unflushed_gram(ds, 0.05, 339)
-    assert subnormal > 1000  # the flush has entries to act on
-    assert np.array_equal(_flushed_gram(monkeypatch, ds, 0.05, 339), want)
+def _sampled_pairs(ratios: np.ndarray, seed: int) -> list:
+    """Pairs of each coordinate's most negative product, of its largest
+    opposite-signed ratios, of the largest-ratio rows, and near neighbours."""
+    m, d = ratios.shape
+    pairs = set()
+    for c in range(d):
+        high, low = np.argsort(ratios[:, c])[[-1, -2]], np.argsort(ratios[:, c])[[0, 1]]
+        pairs.update((int(i), int(j)) for i in high for j in low)
+    big = np.argsort(-np.max(np.abs(ratios), axis=1))[:3]
+    pairs.update((int(i), int(j)) for i in big for j in big if i < j)
+    rng = np.random.default_rng(seed)
+    for i in rng.choice(m, 4, replace=False):
+        near = np.argsort(np.sum((ratios - ratios[i]) ** 2, axis=1))[1:3]
+        pairs.update((int(i), int(j)) for j in near)
+    return sorted(pairs)
 
 
-def test_gram_flush_moves_only_entries_below_the_normal_range(monkeypatch):
-    """m=64 at sigma=0.01 underflows deep: flushed terms move an entry by at most order * tiny."""
-    ds = coherent.centred(gen_data(64, 2, [0.0, 1.0], seed=0))
-    order = coherent.min_order(coherent.max_ratio(ds.sites, 0.01), 1e-16)
-    want, subnormal = _unflushed_gram(ds, 0.01, order)
-    assert subnormal > 0
-    got = _flushed_gram(monkeypatch, ds, 0.01, order)
-    assert np.all(np.abs(got - want) <= order * _TINY)
-    large = np.abs(want) >= 2.0**53 * order * _TINY  # the bound is below half an ulp
-    assert np.array_equal(got[large], want[large])
-    assert not np.array_equal(got, want)  # entries in the subnormal range do move
+@pytest.mark.parametrize("m, sigma, order, centre", [
+    (512, 0.05, 339, True),  # the global-gram config at seed 0
+    (256, 0.025, 1149, True),
+    (256, 0.0088, None, True),  # (r/sigma)^2 ~ 3200, order from min_order at delta 1e-16
+    (256, 0.05, 400, False),  # ratios up to 20 at order 400: rows with Q(N, a^2) < 1
+])
+def test_gram_coherent_entries_match_a_60_digit_reference(m, sigma, order, centre):
+    """Sampled entries lie within 8 u / m of the exact overlaps of the truncated states.
+
+    8 u / m bounds the closed form's rounding where every a^2 <= N: the
+    exponent x = ||a_i - a_j||^2 / 2 is rounded in d + 2 = 4 operations,
+    which exp turns into at most 4 u x e^-x <= 4 u / e of the entry's
+    scale 1 / m; exp, each factor's log and the division by m add about
+    u each.  The table products this build replaced erred by up to N u / m.
+    """
+    ds = gen_data(m, 2, [0.0, 1.0], seed=0)
+    if centre:
+        ds = coherent.centred(ds)
+    ratios = ds.sites / sigma
+    if order is None:
+        order = coherent.min_order(coherent.max_ratio(ds.sites, sigma), 1e-16)
+    assert np.max(ratios * ratios) <= order  # the closed form's range
+    G = coherent.gram_coherent(ds, sigma, order).data
+    pairs = _sampled_pairs(ratios, seed=m)
+    want = _decimal_entries(ratios, order, pairs)
+    u = 2.0**-53
+    for (i, j), ref in zip(pairs, want):
+        assert abs(Decimal(G[i, j]) - ref) <= Decimal(8.0 * u / m), (i, j)
+    rows = sorted({i for pair in pairs for i in pair})
+    if centre:  # the most negative products, where the remainder factor acts
+        products = ratios[:, None, 0] * ratios[None, :, 0]
+        assert np.unravel_index(np.argmin(products), products.shape) in pairs
+    else:
+        assert np.min(gammaincc(order, ratios[rows] ** 2)) < 0.6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_matches_tables_at_low_orders_with_every_sign(d):
+    """Every order from ceil(max a^2) to 39 on ratios of both signs, factors far from 1 included.
+
+    At ratios near +-sqrt(N) an even order makes e_N(ab) negative, so the
+    remainder factor flips signs (e_4(-4) = -17/3).  The bound is the
+    reference's d gamma_N of the magnitudes' products plus 16 u / m for
+    the closed form, whose factors far from 1 cancel part of its exponent.
+    """
+    rng = np.random.default_rng(d)
+    grid = np.array([-2.0, -1.9, -1.0, -0.3, 0.0, 0.4, 1.2, 1.95, 2.0])
+    sites = rng.permuted(np.tile(grid, (d, 1)), axis=1).T
+    ds = DataSet(sites, rng.standard_normal(len(grid)))
+    u = 2.0**-53
+    signs = set()
+    for order, G in zip(range(4, 40), coherent.grams_by_order(ds, 1.0, range(4, 40))):
+        G = G.data
+        want = _reference_gram(ds, 1.0, order)
+        gamma = order * u / (1.0 - order * u)
+        bound = d * gamma * _reference_gram(ds, 1.0, order, magnitudes=True) + 16 * u / ds.m
+        assert np.all(np.abs(G - want) <= bound), order
+        assert np.array_equal(G, G.T)
+        assert np.array_equal(np.diag(G), np.full(ds.m, 1.0 / ds.m))
+        signs.update(np.sign(G[G != 0.0]).tolist())
+    assert signs == {-1.0, 1.0}
+
+
+def test_factor_blocks_give_the_one_call_gram(monkeypatch):
+    """Factors taken per coordinate on the rows that reach the cut, as on large problems,
+    agree with all factors in one call to within the 2^-54 the cut allows per factor."""
+    ds = _every_ratio_sign(3)
+    for order in (3, 4, 9, 20, 39):
+        stacked = coherent.gram_coherent(ds, 0.6, order).data
+        monkeypatch.setattr(coherent, "_STACKED_MAX", 0)
+        blocks = coherent.gram_coherent(ds, 0.6, order).data
+        monkeypatch.undo()
+        assert np.array_equal(blocks, blocks.T)
+        np.testing.assert_allclose(blocks, stacked, rtol=8 * 2.0**-53, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 20, 39, 64, 339, 1149, 4405])
+def test_factor_cut_is_conservative(order):
+    """Just below the cut every factor is within 2^-54 of 1; well above it some is not."""
+    cut = coherent._factor_cut(order)
+    t = np.array([-0.999 * cut, 0.999 * cut, -0.5 * cut, 0.5 * cut])
+    log_f, _ = coherent._log_factors(order, t, t < 0)
+    assert np.all(np.abs(log_f) <= 2.0**-54)
+    if order <= 1149:  # where the remainder is formed at one scale
+        t = np.array([-4.0 * cut])
+        assert np.abs(coherent._log_factors(order, t, t < 0)[0][0]) > 2.0**-54
 
 
 def _every_ratio_sign(d: int) -> DataSet:
@@ -303,6 +449,9 @@ def _every_ratio_sign(d: int) -> DataSet:
     grid = np.linspace(-0.7, 1.3, 9)  # midpoint 0.3 is a grid value
     sites = rng.permuted(np.tile(grid, (d, 1)), axis=1).T
     return coherent.centred(DataSet(sites, rng.standard_normal(9)))
+
+
+_TINY = np.finfo(float).tiny
 
 
 def _subnormal_count(ds: DataSet, sigma: float, order: int) -> int:
@@ -318,7 +467,7 @@ def test_grams_by_order_equal_gram_coherent_at_every_order(kind, d):
     raw: positive ratios only.  centred: negative, positive and zero
     ratios, so the sign and zero fix-ups run.  subnormal: sigma = 1e-9,
     ratios near 1e9, whose rows reach below the normal range within 39
-    levels, so the flush before the products runs.
+    levels, at orders far below a^2, which take the amplitude tables.
     """
     if kind == "raw":
         ds, sigma = gen_data(7, d, [0.0, 1.0], seed=d), 0.5
@@ -338,17 +487,23 @@ def test_grams_by_order_equal_gram_coherent_at_every_order(kind, d):
 
 
 def test_grams_by_order_builds_no_gram_past_the_one_taken(monkeypatch):
-    """A search that stops at an order finishes no table for the orders after it."""
+    """A search that stops at an order builds no Gram, by tables or in closed form, after it."""
     finished = []
-    real = coherent._finish
+    truncated, closed_form = coherent._truncated, coherent._closed_form
 
-    def recorded(r, table):
-        finished.append(table.shape[1])
-        return real(r, table)
+    def recorded_table(r, log_table, order):
+        finished.append(order)
+        return truncated(r, log_table, order)
 
-    monkeypatch.setattr(coherent, "_finish", recorded)
+    def recorded_closed_form(terms, order, last):
+        finished.append(order)
+        return closed_form(terms, order, last)
+
+    monkeypatch.setattr(coherent, "_truncated", recorded_table)
+    monkeypatch.setattr(coherent, "_closed_form", recorded_closed_form)
     ds = gen_data(5, 2, [0.0, 1.0], seed=3)
-    for _ in coherent.grams_by_order(ds, 0.5, range(3, 40)):
+    assert 3 < np.max((ds.sites / 0.43) ** 2) <= 4  # order 3 takes the tables, 4 on the closed form
+    for _ in coherent.grams_by_order(ds, 0.43, range(3, 40)):
         if len(finished) == 4:
             break
     assert finished == [3, 4, 5, 6]

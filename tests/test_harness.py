@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -1262,7 +1263,7 @@ def test_compact_summary_is_strict_json_and_flags_a_non_pd_oracle_matrix(
 
 _SOLVE_REPORT_KEYS = {
     "mode", "lambda_min", "lambda_max", "overlaps", "rotation_scale", "post_select_prob",
-    "norm_factor", "coeff_norm_est", "state_out_real", "state_out_imag",
+    "norm_factor", "coeff_norm_est", "state_out_real",
     "fidelity_vs_classical", "repetitions_ledger", "kappa_eff", "spectral_floor",
     "evolution_time", "clock_bits", "deviation_from_ideal", "clock_leak",
 }
@@ -1297,9 +1298,23 @@ def test_solve_report_json_schema_on_every_inversion_path(tmp_path, cfg, cholesk
     assert _strict_json(tmp_path / "solve_report.json") == out
     assert (out["overlaps"] is None) == cholesky_path
     assert (out["fidelity_vs_classical"] is None) == factor_fails
-    assert len(out["state_out_real"]) == len(out["state_out_imag"]) == result.summary["m"]
+    assert len(out["state_out_real"]) == result.summary["m"]
+    # every path inverts a real system: the all-zero imaginary part is not written
+    assert not result.solve_report.state_out.imag.any()
     assert out["kappa_eff"] == out["lambda_max"] / out["lambda_min"]
     if not cholesky_path:
         assert len(out["eigenvalues"]) == len(out["kept"]) == result.summary["m"]
         assert out["lambda_max"] == out["eigenvalues"][-1]
         assert out["lambda_min"] == min(w for w, k in zip(out["eigenvalues"], out["kept"]) if k)
+
+
+def test_solve_report_writes_the_imaginary_part_only_where_it_is_nonzero():
+    report = harness.run_pipeline({"seed": 0, "pipeline": "quantum-global",
+                                   "queries": {"n": 1}}).solve_report
+    assert "state_out_imag" not in report.to_dict()
+    state = report.state_out.copy()
+    state[1] += 0.25j
+    out = dataclasses.replace(report, state_out=state).to_dict()
+    assert out["state_out_imag"] == state.imag.tolist()
+    assert out["state_out_real"] == state.real.tolist()
+    assert set(out) == _SOLVE_REPORT_KEYS | {"state_out_imag"}

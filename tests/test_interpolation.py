@@ -519,6 +519,43 @@ def test_asymmetric_csr_system_is_refused_without_a_dense_copy(factor_calls):
     assert factor_calls == {"splu": 1}
 
 
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_symmetry_check_takes_exact_equality_first_and_the_tolerance_after(storage):
+    """Exact symmetry passes at once; symmetry within 1e-10 passes the tolerance check."""
+    system = _scaled_system(interp.LANCZOS_MIN_M, "wendland")
+    csr = system.matrix.data.copy()
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    k = int(np.flatnonzero(rows != csr.indices)[0])  # the first stored off-diagonal entry
+    step = 1e-10 * max(1.0, float(csr.max()))
+
+    def matrix(shift):
+        data = csr.copy()
+        data.data[k] += shift
+        return data.toarray() if storage == "dense" else data
+
+    exact = matrix(0.0)
+    assert interp._exactly_symmetric(exact)
+    assert interp.LinearSystem(exact, system.y).dense.shape == exact.shape
+    close = matrix(0.5 * step)
+    assert not interp._exactly_symmetric(close)
+    interp.LinearSystem(close, system.y).dense
+    with pytest.raises(ValueError, match="not symmetric"):
+        interp.LinearSystem(matrix(2.0 * step), system.y).dense
+
+
+def test_exact_csr_symmetry_reads_the_stored_pattern():
+    """An explicit zero on one side only fails the exact check but passes the tolerance check."""
+    from scipy.sparse import csr_array
+
+    a = csr_array((np.array([2.0, 0.0, 3.0]), np.array([0, 1, 1]), np.array([0, 2, 3])),
+                  shape=(2, 2))
+    assert a.nnz == 3 and not interp._exactly_symmetric(a)
+    assert interp.LinearSystem(a, np.ones(2)).factor is not None
+    b = csr_array((np.array([2.0, 1.0, 1.0, 3.0]), np.array([0, 1, 0, 1]), np.array([0, 2, 4])),
+                  shape=(2, 2))
+    assert interp._exactly_symmetric(b)
+
+
 def test_linear_system_factor_fails_plainly_without_a_spectrum(factor_calls):
     system = interp.LinearSystem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
     with pytest.raises(interp.NotPositiveDefiniteError, match="Cholesky failed"):
