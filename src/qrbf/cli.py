@@ -26,7 +26,7 @@ def _parse_value(text: str):
 
 def _base_config(args) -> dict:
     with harness._stage("config"):
-        cfg = harness.load_config(args.config) if args.config else harness.default_config()
+        cfg = harness.load_config(args.config) if args.config else {}
         if getattr(args, "pipeline", None):
             cfg["pipeline"] = args.pipeline
         if getattr(args, "seed", None) is not None:

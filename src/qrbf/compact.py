@@ -7,13 +7,17 @@ For sites x_i, x_j the two-register state
 puts the scaled distance a = ||x_i - x_j|| / sqrt(2(||x_i||^2 + ||x_j||^2))
 on its |0>-branch, where a is always in [0, 1] and can be read off by
 amplitude estimation.  The state is never formed: distance_amplitude
-computes a from the two sites.  Matrix entries follow by rescaling the
-estimate back to a distance and applying the kernel profile; a column
-oracle maps (column, slot) to the row of the slot-th nonzero so sparse
-solvers can walk the matrix.  Query states |Phi(x)> are prepared by a
-rotation proportional to the kernel values; its success probability
-C_hat^2 ||Phi(x)||^2 / m gives ||Phi(x)|| back at any admissible scaling
-C_hat, so the simulation reads ||Phi(x)|| directly and models no C_hat.
+computes a from the two sites.  Every distance and norm of a pair comes
+from one routine, _pair_rows (interpolation.pair_distance and
+interpolation.row_norms), so distance_amplitude, pair_scale, oracle_PA
+and the batched build_matrix read the same bits for a pair.  Matrix
+entries follow by rescaling the estimate back to a distance and applying
+the kernel profile; a column oracle maps (column, slot) to the row of the
+slot-th nonzero so sparse solvers can walk the matrix.  Query states
+|Phi(x)> are prepared by a rotation proportional to the kernel values;
+its success probability C_hat^2 ||Phi(x)||^2 / m gives ||Phi(x)|| back
+at any admissible scaling C_hat, so the simulation reads ||Phi(x)||
+directly and models no C_hat.
 
 Amplitude estimation is simulated at the outcome-distribution level: in
 a 2^bits-cell phase grid, the outcome y follows the standard two-cell
@@ -92,56 +96,46 @@ class CompactOracleConfig:
             self.ae_bits = int(self.ae_bits)
 
 
-def _norms(x_i, x_j, norm_i, norm_j):
-    x_i = np.asarray(x_i, dtype=float).ravel()
-    x_j = np.asarray(x_j, dtype=float).ravel()
+def _pair_rows(x_i, x_j):
+    """Distances ||x_i - x_j|| and scales sqrt(2 (||x_i||^2 + ||x_j||^2)) of pairs of points.
+
+    The one arithmetic of the pair geometry.  x_i and x_j are two points,
+    taken as one row each, or two (n, d) arrays whose rows pair up.  The
+    distances are interpolation.pair_distance and the norms
+    interpolation.row_norms, each row's values those of its pair alone, so
+    a pair of points gets the bits the batched build gets for it.
+    """
+    x_i = np.atleast_2d(np.asarray(x_i, dtype=float))
+    x_j = np.atleast_2d(np.asarray(x_j, dtype=float))
     if x_i.shape != x_j.shape:
         raise ValueError("points must share a dimension")
-    # sqrt(x . x) is what np.linalg.norm computes for a 1-D real vector
-    ni = math.sqrt(x_i.dot(x_i)) if norm_i is None else float(norm_i)
-    nj = math.sqrt(x_j.dot(x_j)) if norm_j is None else float(norm_j)
-    if ni == 0.0 and nj == 0.0:
+    ni, nj = interpolation.row_norms(x_i), interpolation.row_norms(x_j)
+    if ((ni == 0.0) & (nj == 0.0)).any():
         raise ValueError("pair state undefined when both points are zero")
-    return x_i, x_j, ni, nj
+    return interpolation.pair_distance(x_i, x_j), np.sqrt(2.0 * (ni * ni + nj * nj))
 
 
-def distance_amplitude(
-    x_i, x_j, norm_i: float | None = None, norm_j: float | None = None
-) -> float:
+def distance_amplitude(x_i, x_j) -> float:
     """Scaled distance ||x_i - x_j|| / sqrt(2 (||x_i||^2 + ||x_j||^2)), in [0, 1]."""
-    x_i, x_j, ni, nj = _norms(x_i, x_j, norm_i, norm_j)
-    dist = interpolation.pair_distance(x_i, x_j)
-    return float(dist / math.sqrt(2.0 * (ni * ni + nj * nj)))
+    dist, scale = _pair_rows(x_i, x_j)
+    return float(dist[0] / scale[0])
 
 
-def pair_scale(x_i, x_j, norm_i: float | None = None, norm_j: float | None = None) -> float:
+def pair_scale(x_i, x_j) -> float:
     """Factor sqrt(2 (||x_i||^2 + ||x_j||^2)) converting amplitude to distance."""
-    _, _, ni, nj = _norms(x_i, x_j, norm_i, norm_j)
-    return math.sqrt(2.0 * (ni * ni + nj * nj))
+    return float(_pair_rows(x_i, x_j)[1][0])
 
 
 def reconstruct_distance(x_i, x_j):
     """Round-trip distance through the amplitude encoding (exact arithmetic).
 
     Takes two points, giving a float, or two (n, d) arrays whose rows pair
-    up, giving the n distances as an array.  Both shapes run one path, a
-    point pair as one row, and each row's distance is bit for bit that of
-    its pair alone: distance_amplitude times pair_scale, with the norms of
-    np.linalg.norm.
+    up, giving the n distances as an array.  Each row's distance is bit
+    for bit that of its pair alone: distance_amplitude times pair_scale.
     """
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    rows = x_i.ndim == 2
-    if not rows:
-        x_i, x_j = x_i.reshape(1, -1), x_j.reshape(1, -1)
-    if x_i.shape != x_j.shape:
-        raise ValueError("points must share a dimension")
-    ni, nj = interpolation.row_norms(x_i), interpolation.row_norms(x_j)
-    if ((ni == 0.0) & (nj == 0.0)).any():
-        raise ValueError("pair state undefined when both points are zero")
-    scale = np.sqrt(2.0 * (ni * ni + nj * nj))
-    dist = interpolation.pair_distance(x_i, x_j) / scale * scale
-    return dist if rows else float(dist[0])
+    dist, scale = _pair_rows(x_i, x_j)
+    dist = dist / scale * scale
+    return dist if np.ndim(x_i) == 2 else float(dist[0])
 
 
 @functools.lru_cache(maxsize=_AE_BITS_CAP)
@@ -322,9 +316,10 @@ def amplitude_estimate(a_true: float, ae_bits: int, seed) -> float:
 def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> float:
     """Matrix-entry oracle: estimated (or exact) distance pushed through the kernel.
 
-    Estimated mode reconstructs r_hat = a_hat * sqrt(2(||x_i||^2+||x_j||^2))
-    from one amplitude-estimation draw by _sample_outcomes, then evaluates
-    the kernel profile at r_hat.  Attempt c2 of the draw reads the first
+    Estimated mode reconstructs r_hat = a_hat * pair_scale(x_i, x_j) from
+    one amplitude-estimation draw by _sample_outcomes of a =
+    distance_amplitude(x_i, x_j), then evaluates the kernel profile at
+    r_hat.  Attempt c2 of the draw reads the first
     block of numpy's Philox(key=seed, counter=[min(i, j), max(i, j), c2,
     0]), word 0 for i < j and word 1 for i > j (see the module docstring):
     the words build_matrix reads, so its entries equal this oracle's.
@@ -338,10 +333,9 @@ def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> 
     if i == j:
         return config.kernel.phi0
     x_i, x_j = dataset.sites[i], dataset.sites[j]
-    ni, nj = dataset.site_norms[i], dataset.site_norms[j]
     if config.ae_bits is None:
         return float(config.kernel.eval(float(interpolation.pair_distance(x_i, x_j))))
-    a = distance_amplitude(x_i, x_j, ni, nj)
+    a = distance_amplitude(x_i, x_j)
     lo, hi = sorted((i, j))
 
     def block(c2, rows):
@@ -349,7 +343,7 @@ def oracle_PA(i: int, j: int, dataset: DataSet, config: CompactOracleConfig) -> 
         return gen.random((1, 4))
 
     y = _sample_outcomes(a, config.ae_bits, block)[0, int(i > j)]
-    r_hat = float(_grid_sines(config.ae_bits)[y]) * pair_scale(x_i, x_j, ni, nj)
+    r_hat = float(_grid_sines(config.ae_bits)[y]) * pair_scale(x_i, x_j)
     return float(config.kernel.eval(r_hat))
 
 
@@ -377,9 +371,7 @@ def oracle_Pv(j: int, ell: int, matrix: InterpMatrix) -> int:
     return int(rows[ell - 1])
 
 
-def _estimated_radii(
-    dataset: DataSet, config: CompactOracleConfig, i, j, dist
-) -> np.ndarray:
+def _estimated_radii(dataset: DataSet, config: CompactOracleConfig, i, j) -> np.ndarray:
     """Estimated radii of the pairs (i, j), shape (n, 2): orders (i, j), (j, i).
 
     Both orders share one amplitude, since it is symmetric.  With i < j,
@@ -390,8 +382,7 @@ def _estimated_radii(
     on which other pairs share the batch.  Expected O(_WINDOW) work per
     pair at any bit count.
     """
-    ni, nj = dataset.site_norms[i], dataset.site_norms[j]
-    scale = np.sqrt(2.0 * (ni * ni + nj * nj))
+    dist, scale = _pair_rows(dataset.sites[i], dataset.sites[j])
     y = _sample_outcomes(
         dist / scale, config.ae_bits,
         lambda c2, rows: _pair_uniforms(config.seed, i[rows], j[rows], c2),
@@ -422,8 +413,8 @@ def build_matrix(
     if config.ae_bits is not None:
         # a pair exactly alpha apart is in the support but not in the pattern
         keep = entry != 0.0
-        i, j, dist = i[keep], j[keep], dist[keep]
-        phi = config.kernel.eval(_estimated_radii(dataset, config, i, j, dist))
+        i, j = i[keep], j[keep]
+        phi = config.kernel.eval(_estimated_radii(dataset, config, i, j))
         entry = 0.5 * (phi[:, 0] + phi[:, 1])
     return interpolation.symmetric_csr(dataset.m, i, j, entry, config.kernel.phi0, normalized)
 
@@ -434,10 +425,12 @@ def prepare_phi_state(x, dataset: DataSet, config: CompactOracleConfig):
     Returns (state, norm): the post-selected unit state proportional to
     sum_j phi(||x - x_j|| / alpha) |j>, as a complex array, and
     ||Phi(x)||, which the preparation's success probability gives back
-    (module docstring).
+    (module docstring).  The norm is sqrt(np.add.reduce(phi * phi)), as
+    the pipelines' readout takes it, so the state and the norm equal the
+    readout's unit row and sqrt(sq_norm) of the query bit for bit.
     """
     phi = interpolation.basis_vector(dataset, config.kernel, x)
-    norm = float(np.linalg.norm(phi))
+    norm = float(np.sqrt(np.add.reduce(phi * phi)))
     if norm == 0.0:
         raise ValueError("query point is outside the support of every site")
     return (phi / norm).astype(complex), norm

@@ -13,6 +13,7 @@ so the slack is visible.
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import difflib
 import hashlib
@@ -20,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -126,6 +128,11 @@ _OPTIONAL_KEYS = {
 }
 
 
+# keys read as counts: an integer, or null where the default is null
+_INTEGER_KEYS = ("dataset.m", "dataset.d", "queries.n", "compact.ae_bits", "inversion.clock_bits",
+                 "dme_check.steps")
+
+
 def _key_hint(path: str, valid: list) -> str:
     if path in valid:  # a valid dotted path, written as a top-level key
         section, _, sub = path.partition(".")
@@ -152,9 +159,10 @@ def _full_config(cfg: dict) -> dict:
 
     A key that neither default_config(), _OPTIONAL_KEYS nor a kernel
     family names is refused by its dotted path, each with the nearest
-    valid path; so are a section given as anything but an object, a kernel
-    key the family does not read (kernels.with_defaults) and an unknown
-    pipeline.
+    valid path.  Also refused: a section given as anything but an object,
+    an object given for any other key, a kernel key the family does not
+    read (kernels.with_defaults), an unknown pipeline, and a count
+    (_INTEGER_KEYS) that is not an integer.
     """
     defaults = default_config()
     valid = list(defaults)
@@ -170,21 +178,34 @@ def _full_config(cfg: dict) -> dict:
             if not isinstance(val, dict):
                 raise _not_an_object(key, val)
             unknown += [f"{key}.{sub}" for sub in val if f"{key}.{sub}" not in valid]
+        elif isinstance(val, dict):
+            raise ValueError(f"config key {key!r} takes a value, not an object, got {val!r}")
     if unknown:
         raise ValueError("\n".join(
             f"unknown config key {path!r}; {_key_hint(path, valid)}" for path in unknown
         ))
     cfg = merge_config(defaults, cfg)
     cfg["kernel"] = kernels.with_defaults(cfg["kernel"])
+    for path in _INTEGER_KEYS:
+        section, _, key = path.partition(".")
+        val = cfg[section].get(key)
+        if val is None and defaults[section].get(key) is None:
+            continue
+        # bool is an int subclass, and int() would truncate 8.9 to 8
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+            raise ValueError(f"config key {path!r} must be an integer, got {val!r}")
     if cfg["pipeline"] not in PIPELINES:
         raise ValueError(f"unknown pipeline {cfg['pipeline']!r}; choose from {PIPELINES}")
     return cfg
 
 
 def load_config(path) -> dict:
+    """The JSON object of a config file, as written: run_pipeline merges the defaults in."""
     with open(path) as fh:
         user = json.load(fh)
-    return merge_config(default_config(), user)
+    if not isinstance(user, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, got {user!r}")
+    return user
 
 
 def config_hash(cfg: dict) -> str:
@@ -1027,7 +1048,7 @@ def sweep(cfg: dict, param: str, values, out_dir=None):
     """Rerun one pipeline config while varying a dot-path parameter."""
     rows = []
     for value in values:
-        case = merge_config(default_config(), cfg)
+        case = copy.deepcopy(cfg)
         case["output"] = None  # only sweep.csv is written; cases leave no run files behind
         with _stage("config"):
             _set_by_path(case, param, value)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -103,11 +103,14 @@ def spectral_norm(x: np.ndarray) -> np.floating:
 
 @dataclass
 class DataSet:
-    """Scattered sites (m, d), target values (m,), and cached site norms."""
+    """Scattered sites (m, d) and target values (m,).
+
+    No site norm is cached: every norm of a site is row_norms of the rows
+    that need it, so per-pair and batched code read the same bits.
+    """
 
     sites: np.ndarray
     values: np.ndarray
-    site_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
@@ -118,7 +121,6 @@ class DataSet:
             raise ValueError("empty dataset")
         if unique_rows(self.sites).shape[0] != self.sites.shape[0]:
             raise ValueError("sites must be pairwise distinct")
-        self.site_norms = np.linalg.norm(self.sites, axis=1)
 
     @property
     def m(self) -> int:
@@ -345,18 +347,14 @@ def solve(matrix: InterpMatrix, y, factor=None) -> Coefficients:
 
 
 def evaluate(coeffs, dataset: DataSet, kernel: Kernel, x) -> float:
-    """Evaluate the interpolant at a single point x of matching dimension."""
+    """The interpolant f(x) = sum_j c_j phi(||x - x_j||) at a single point x.
+
+    np.add.reduce over basis_vector(x) * c, the sum the pipelines' batched
+    readout takes for each query row, so f(x) equals the f_classical of
+    that query bit for bit.
+    """
     c = coeffs.c if isinstance(coeffs, Coefficients) else np.asarray(coeffs, dtype=float)
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != dataset.d:
-        raise ValueError(f"query point has dimension {x.shape[0]}, expected {dataset.d}")
-    r = pair_distance(dataset.sites, x)
-    if kernel.is_compact:
-        mask = r < kernel.alpha
-        if not np.any(mask):
-            return 0.0
-        return float(np.dot(c[mask], kernel.eval(r[mask])))
-    return float(np.dot(c, kernel.eval(r)))
+    return float(np.add.reduce(basis_vector(dataset, kernel, x) * c))
 
 
 def basis_matrix(dataset: DataSet, kernel: Kernel, points) -> np.ndarray:

@@ -296,7 +296,8 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
     if phi.min() < 0.0 or phi.max() >= T:
         raise ValueError(
             f"clock wraparound: eigenphases must lie in [0, {T}), got "
-            f"[{phi.min():.4g}, {phi.max():.4g}]; reduce evolution_time or raise clock_bits"
+            f"[{phi.min():.4g}, {phi.max():.4g}]; reduce inversion.evolution_time or raise "
+            "inversion.clock_bits"
         )
 
     floor = 0.0 if config.spectral_floor is None else config.spectral_floor

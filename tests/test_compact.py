@@ -72,9 +72,9 @@ def test_reconstruct_distance_equals_amplitude_times_scale():
         x_i = rng.normal(size=d)
         x_j = rng.normal(size=d)
         ni, nj = np.linalg.norm(x_i), np.linalg.norm(x_j)
-        want = compact.distance_amplitude(x_i, x_j, ni, nj) * compact.pair_scale(x_i, x_j, ni, nj)
+        assert compact.pair_scale(x_i, x_j) == math.sqrt(2.0 * (ni * ni + nj * nj))
+        want = compact.distance_amplitude(x_i, x_j) * compact.pair_scale(x_i, x_j)
         assert compact.reconstruct_distance(x_i, x_j) == want
-        assert compact.distance_amplitude(x_i, x_j) * compact.pair_scale(x_i, x_j) == want
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -470,7 +470,7 @@ def test_estimated_build_is_the_all_pairs_draw_restricted_to_the_exact_pattern(m
         cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=alpha), ae_bits=bits, seed=seed)
         i, j = np.triu_indices(m, k=1)
         dist = interp.pair_distance(ds.sites[i], ds.sites[j])
-        phi = cfg.kernel.eval(compact._estimated_radii(ds, cfg, i, j, dist))
+        phi = cfg.kernel.eval(compact._estimated_radii(ds, cfg, i, j))
         entry = 0.5 * (phi[:, 0] + phi[:, 1])
         inside = cfg.kernel.eval(dist) != 0.0
         normalized = seed == 1
@@ -482,6 +482,32 @@ def test_estimated_build_is_the_all_pairs_draw_restricted_to_the_exact_pattern(m
         # out; at 20 bits every estimate off the pattern lands at or past alpha
         full = interp.symmetric_csr(m, i, j, entry, cfg.kernel.phi0, normalized)
         assert (full.data.nnz > built.data.nnz) == (bits < 20)
+
+
+def test_estimated_build_draws_the_distance_amplitude_of_each_pair(monkeypatch):
+    """The amplitudes the estimated build draws are distance_amplitude of each pair's sites.
+
+    The sites of an m=128 dataset at seed 0 include some whose
+    np.linalg.norm(axis=1) and interpolation.row_norms differ in the last
+    bit, and pairs of the pattern touch them.
+    """
+    from qrbf import harness
+
+    ds = harness.gen_data(128, 2, [0.0, 1.0], 0)
+    kern = wendland(3, 2, alpha=0.15)
+    drawn = []
+    sample_outcomes = compact._sample_outcomes
+    monkeypatch.setattr(compact, "_sample_outcomes",
+                        lambda a, bits, u: drawn.append(a) or sample_outcomes(a, bits, u))
+    compact.build_matrix(ds, CompactOracleConfig(kernel=kern, ae_bits=8, seed=0))
+    i, j = interp.support_pairs(ds.sites, kern.alpha)
+    inside = kern.eval(interp.pair_distance(ds.sites[i], ds.sites[j])) != 0.0
+    i, j = i[inside], j[inside]
+    differ = np.linalg.norm(ds.sites, axis=1) != interp.row_norms(ds.sites)
+    assert np.any(differ[i] | differ[j])
+    want = [compact.distance_amplitude(ds.sites[a], ds.sites[b]) for a, b in zip(i, j)]
+    assert len(drawn) == 1
+    assert drawn[0].tolist() == want
 
 
 @pytest.mark.parametrize("bits", [2, 8, 12])
@@ -647,7 +673,6 @@ def test_estimated_build_edge_cases_equal_the_oracle(bits):
         ds = _pair_dataset(sites)
         if ds.m == 4:
             ds.sites[1] = ds.sites[0]
-            ds.site_norms[1] = ds.site_norms[0]
         built = compact.build_matrix(ds, cfg)
         want = _oracle_loop_matrix(ds, cfg, normalized=False)
         for name in ("data", "indices", "indptr"):
@@ -655,7 +680,7 @@ def test_estimated_build_edge_cases_equal_the_oracle(bits):
     dense = built.toarray()
     # both draws of an exact hit return it: estimate 0, and 1 times the pair scale
     assert dense[0, 1] == dense[1, 0] == kern.phi0
-    scale = compact.pair_scale(ds.sites[0], ds.sites[2], ds.site_norms[0], ds.site_norms[2])
+    scale = compact.pair_scale(ds.sites[0], ds.sites[2])
     assert dense[0, 2] == float(kern.eval(scale))
 
 

@@ -674,6 +674,52 @@ def test_batched_readout_matches_the_per_query_reference(cfg):
     assert reached > 0
 
 
+@pytest.mark.parametrize("m, kernel", [
+    (8, {"family": "gaussian"}),
+    (64, {"family": "gaussian", "sigma": 0.1}),
+    (64, {"family": "wendland", "d": 3, "k": 2, "alpha": 0.3}),
+], ids=["gaussian-m8", "gaussian-m64", "wendland-m64"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_evaluate_is_the_f_classical_of_a_classical_run(m, kernel, seed):
+    """interpolation.evaluate at each query is that query's f_classical, bit for bit."""
+    from qrbf import kernels
+
+    cfg = {"pipeline": "classical", "seed": seed, "dataset": {"m": m}, "kernel": kernel,
+           "queries": {"n": 200}}
+    result = harness.run_pipeline(cfg)
+    full = harness._full_config(cfg)
+    ds = harness._load_or_generate_dataset(full, seed)
+    kern = kernels.from_config(full["kernel"])
+    coeffs = interp.exact_system(ds, kern).coeffs
+    got = [interp.evaluate(coeffs, ds, kern, x) for x in harness._query_points(full, ds, seed)]
+    assert got == [row["f_classical"] for row in result.query_rows]
+
+
+@pytest.mark.parametrize("m", [64, 128])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prepare_phi_state_is_the_readouts_unit_row_and_norm(monkeypatch, m, seed):
+    """Each query's state and norm are, bit for bit, the unit row the readout's swap test
+    takes and the square root of its sq_norm."""
+    from qrbf import compact, kernels, qinvert
+
+    kern = kernels.wendland(3, 2, alpha=0.3)
+    ds = harness.gen_data(m, 2, [0.0, 1.0], seed)
+    queries = np.random.default_rng(seed + 1).uniform(0.0, 1.0, size=(20, 2))
+    coeffs = interp.exact_system(ds, kern, normalized=True).coeffs
+    units = []
+    swap_test = qinvert.swap_test
+    monkeypatch.setattr(qinvert, "swap_test", lambda u, v: units.append(v) or swap_test(u, v))
+    readings = harness._basis_readings(ds, kern, queries, coeffs, coeffs.c / coeffs.norm)
+    reached = readings.sq_norm > 0.0
+    units = np.concatenate(units)
+    assert units.shape[0] == np.count_nonzero(reached) > 0
+    oracle = compact.CompactOracleConfig(kernel=kern)
+    for x, unit, sq in zip(queries[reached], units, readings.sq_norm[reached]):
+        state, norm = compact.prepare_phi_state(x, ds, oracle)
+        assert norm == np.sqrt(sq)
+        assert np.array_equal(state, unit.astype(complex))
+
+
 def test_readout_draws_norm_first_then_one_binomial_per_reached_query():
     basis_norm = np.array([0.7, 0.0, 1.3, 0.4, 0.0, 0.9])
     readings = harness._BasisReadings(
@@ -1134,6 +1180,109 @@ def test_set_by_path_nested():
     cfg["queries"] = None
     with pytest.raises(ValueError, match="config section 'queries' must be an object, got None"):
         harness._set_by_path(cfg, "queries.n", 3)
+
+
+_WENDLAND = {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7}
+# a valid kernel of each pipeline, which a row's own kernel section overrides
+_PIPELINE_KERNEL = {"classical": {"family": "gaussian"}, "quantum-global": {"family": "gaussian"},
+                    "quantum-compact": _WENDLAND}
+_QUANTIZED_WRAP = {"mode": "quantized", "evolution_time": 1e6, "clock_bits": 3}
+_ESTIMATED_NOT_PD = {"dataset": {"m": 128}, "compact": {"ae_bits": 8},
+                     "kernel": {"family": "wendland", "d": 3, "k": 2, "alpha": 0.15}}
+
+# The failure contract (ROADMAP item 18): each refusal names its stage, its cause and
+# the setting that fixes it, or the input that is invalid.  A row is (id, pipelines,
+# config file, stage, cause, knob): the config file is JSON text, which no pipeline
+# reads, or a dict written as JSON over each pipeline's valid config, with "{dataset}"
+# or "{queries}" standing for the input file _CONTRACT_FILES holds for the row;
+# "{config}" in the knob stands for the config file's own path.
+_FAILURE_CONTRACT = [
+    ("unknown key", harness.PIPELINES, {"inversion": {"clock_bit": 3}},
+     "config", "unknown config key 'inversion.clock_bit'", "inversion.clock_bits"),
+    ("section not an object", harness.PIPELINES, {"queries": None},
+     "config", "must be an object, got None", "'queries'"),
+    ("object for a value", harness.PIPELINES, {"epsilon": {"x": 1}},
+     "config", "takes a value, not an object", "'epsilon'"),
+    ("config file not an object", ("classical",), "[1, 2]",
+     "config", "must hold a JSON object, got [1, 2]", "{config}"),
+    ("config file a number", ("classical",), "5",
+     "config", "must hold a JSON object, got 5", "{config}"),
+    ("negative seed", harness.PIPELINES, {"seed": -1},
+     "config", "seed -1 is not a non-negative integer", "set seed"),
+    ("bad QRBF_SEED", harness.PIPELINES, {"seed": None},
+     "config", "seed 'abc' is not a non-negative integer", "QRBF_SEED"),
+    ("unknown pipeline", ("noqueue",), {},
+     "config", "unknown pipeline 'noqueue'", "choose from"),
+    ("kernel key the family does not read", harness.PIPELINES,
+     {"kernel": {**_WENDLAND, "sigma": 0.3}},
+     "config", "reads no key 'sigma'", "kernel family 'wendland'"),
+    ("fractional count", harness.PIPELINES, {"queries": {"n": 3.7}},
+     "config", "must be an integer, got 3.7", "'queries.n'"),
+    ("fractional ae_bits", ("quantum-compact",), {"compact": {"ae_bits": 8.9}},
+     "config", "must be an integer, got 8.9", "'compact.ae_bits'"),
+    ("bool clock_bits", ("quantum-global",), {"inversion": {"clock_bits": True}},
+     "config", "must be an integer, got True", "'inversion.clock_bits'"),
+    ("null dataset size", harness.PIPELINES, {"dataset": {"m": None}},
+     "config", "must be an integer, got None", "'dataset.m'"),
+    ("unknown family", harness.PIPELINES, {"kernel": {"family": "cubic"}},
+     "kernel", "unknown kernel family 'cubic'", "choose from"),
+    ("non-finite dataset", harness.PIPELINES, {"dataset": {"file": "{dataset}"}},
+     "dataset", "line 3, column y: 'nan' is not a finite number", "{dataset}"),
+    ("ragged queries", harness.PIPELINES, {"queries": {"file": "{queries}"}},
+     "dataset", "line 3: 1 columns, the header has 2", "{queries}"),
+    ("empty queries", harness.PIPELINES, {"queries": {"file": "{queries}"}},
+     "dataset", "empty file, no header", "{queries}"),
+    ("header-only dataset", harness.PIPELINES, {"dataset": {"file": "{dataset}"}},
+     "dataset", "no data rows", "{dataset}"),
+    ("wide gaussian", ("classical", "quantum-global"), {"dataset": {"m": 128}},
+     "classical solve", "not numerically positive definite", "lower kernel.sigma or dataset.m"),
+    ("wide wendland", ("classical", "quantum-compact"),
+     {"dataset": {"m": 200}, "kernel": {"family": "wendland", "d": 3, "k": 6, "alpha": 20.0}},
+     "classical solve", "not numerically positive definite", "lower kernel.alpha or dataset.m"),
+    ("estimated oracle not positive definite", ("quantum-compact",), _ESTIMATED_NOT_PD,
+     "oracle solve", "not positive definite", "raise compact.ae_bits"),
+    ("clock wraparound", ("quantum-global",), {"inversion": _QUANTIZED_WRAP},
+     "inversion", "clock wraparound", "inversion.evolution_time or raise inversion.clock_bits"),
+    ("clock wraparound", ("quantum-compact",), {"inversion": _QUANTIZED_WRAP},
+     "oracle solve", "clock wraparound", "inversion.evolution_time or raise inversion.clock_bits"),
+]
+_CONTRACT_FILES = {
+    "non-finite dataset": ("dataset", "x1,x2,y\n0.1,0.2,0.3\n0.5,0.6,nan\n"),
+    "ragged queries": ("queries", "x1,x2\n0.1,0.2\n0.3\n"),
+    "empty queries": ("queries", ""),
+    "header-only dataset": ("dataset", "x1,x2,y\n"),
+}
+
+
+@pytest.mark.parametrize("case, pipeline, config, stage, cause, knob", [
+    pytest.param(case, pipeline, config, stage, cause, knob, id=f"{case}-{pipeline}")
+    for case, pipelines, config, stage, cause, knob in _FAILURE_CONTRACT
+    for pipeline in pipelines
+])
+def test_failure_contract(case, pipeline, config, stage, cause, knob, tmp_path, monkeypatch):
+    """A config file the CLI would read, refused at its stage with its cause and knob named."""
+    from qrbf import cli
+
+    monkeypatch.setenv("QRBF_SEED", "abc")
+    text = config
+    if isinstance(config, dict):
+        base = {"pipeline": pipeline, "seed": 0, "queries": {"n": 2},
+                "kernel": _PIPELINE_KERNEL.get(pipeline, {"family": "gaussian"})}
+        text = json.dumps(harness.merge_config(base, config))
+    paths = {"config": tmp_path / "cfg.json"}
+    if case in _CONTRACT_FILES:
+        section, body = _CONTRACT_FILES[case]
+        paths[section] = tmp_path / f"{section}.csv"
+        paths[section].write_text(body)
+        text = text.replace("{" + section + "}", str(paths[section]))
+    paths["config"].write_text(text)
+    with pytest.raises(harness._StageError) as info:
+        harness.run_pipeline(cli._base_config(SimpleNamespace(config=str(paths["config"]))))
+    message = str(info.value)
+    assert info.value.stage == stage
+    assert message.startswith(f"[stage: {stage}] ")
+    assert cause in message
+    assert knob.format(**{name: str(path) for name, path in paths.items()}) in message
 
 
 def test_pipeline_outputs_are_byte_identical_across_reruns(tmp_path):
