@@ -21,9 +21,9 @@ import io
 import itertools
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -104,33 +104,32 @@ def gen_data(m: int, d: int, box, seed: int, target_fn: str = "franke") -> DataS
 # config and report plumbing
 
 def default_config() -> dict:
-    return {
-        "seed": None,
-        "pipeline": "classical",
-        "dataset": {"m": 8, "d": 2, "box": [0.0, 1.0], "target": "franke"},
-        # the family's own keys and defaults are kernels.CONFIG_KEYS
-        "kernel": {"family": "gaussian"},
-        "epsilon": 1e-2,
-        "inversion": {"mode": "ideal"},
-        "compact": {"ae_bits": None},
-        "dme_check": {"enabled": False, "t": 1.0, "steps": 64},
-        "queries": {"n": 20},
-        "output": None,
-    }
+    """Each _SCHEMA default, nested by its dotted path; the keys marked _UNSET are left out."""
+    cfg = {}
+    for path, (default, *_) in _SCHEMA.items():
+        section, _, key = path.rpartition(".")
+        if default is not _UNSET:
+            (cfg.setdefault(section, {}) if section else cfg)[key] = copy.copy(default)
+    return cfg
 
 
-# keys a user may set that default_config() leaves out, so that the hash of
-# every config that does not set them stays what it was
-_OPTIONAL_KEYS = {
-    "dataset": ("file", "seed"),
-    "inversion": ("spectral_floor", "evolution_time", "clock_bits"),
-    "queries": ("file", "seed"),
-}
+def _check(path: str, val, kind, within: str = "", inside=None, null: bool = False) -> None:
+    """Refuse val at path unless it is one of the tuple kind, or of type kind (bool, or a
+    number that is not a bool) with inside(val) true; null passes where null is set."""
+    if (val is None and null) or (isinstance(kind, tuple) and val in kind):
+        return
+    if isinstance(kind, tuple):
+        raise ValueError(f"unknown {path} {val!r}; choose from {kind}")
+    if not isinstance(val, kind) or isinstance(val, bool) is not (kind is bool):
+        noun = {bool: "true or false", Integral: "an integer", Real: "a number"}
+        raise ValueError(f"config key {path!r} must be {noun[kind]}, got {val!r}")
+    if inside is not None and not inside(val):
+        raise ValueError(f"config key {path!r} must be {within}, got {val!r}")
 
 
-# keys read as counts: an integer, or null where the default is null
-_INTEGER_KEYS = ("dataset.m", "dataset.d", "queries.n", "compact.ae_bits", "inversion.clock_bits",
-                 "dme_check.steps")
+def _count(lo: int, hi=math.inf, null: bool = False) -> tuple:
+    within = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    return Integral, within, lambda v: lo <= v <= hi, null
 
 
 def _key_hint(path: str, valid: list) -> str:
@@ -157,18 +156,13 @@ def merge_config(base: dict, override: dict) -> dict:
 def _full_config(cfg: dict) -> dict:
     """The config a run of cfg hashes and echoes: cfg over default_config(), kernel defaults in.
 
-    A key that neither default_config(), _OPTIONAL_KEYS nor a kernel
-    family names is refused by its dotted path, each with the nearest
-    valid path.  Also refused: a section given as anything but an object,
-    an object given for any other key, a kernel key the family does not
-    read (kernels.with_defaults), an unknown pipeline, and a count
-    (_INTEGER_KEYS) that is not an integer.
+    Refused, each naming its dotted path: a key that neither _SCHEMA nor a kernel family
+    names (with the nearest valid path), a section that is not an object, an object for a
+    value, what kernels.with_defaults or a key's _SCHEMA rule refuses, and a kernel family
+    that the pipeline cannot encode.
     """
     defaults = default_config()
-    valid = list(defaults)
-    for section, keys in defaults.items():
-        if isinstance(keys, dict):
-            valid += [f"{section}.{key}" for key in (*keys, *_OPTIONAL_KEYS.get(section, ()))]
+    valid = [*defaults, *(path for path in _SCHEMA if "." in path)]
     valid += [f"kernel.{key}" for keys in kernels.CONFIG_KEYS.values() for key in keys]
     unknown = []
     for key, val in cfg.items():
@@ -186,16 +180,16 @@ def _full_config(cfg: dict) -> dict:
         ))
     cfg = merge_config(defaults, cfg)
     cfg["kernel"] = kernels.with_defaults(cfg["kernel"])
-    for path in _INTEGER_KEYS:
-        section, _, key = path.partition(".")
-        val = cfg[section].get(key)
-        if val is None and defaults[section].get(key) is None:
-            continue
-        # bool is an int subclass, and int() would truncate 8.9 to 8
-        if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-            raise ValueError(f"config key {path!r} must be an integer, got {val!r}")
-    if cfg["pipeline"] not in PIPELINES:
-        raise ValueError(f"unknown pipeline {cfg['pipeline']!r}; choose from {PIPELINES}")
+    for path, (_, *rule) in _SCHEMA.items():
+        section, _, key = path.rpartition(".")
+        node = cfg[section] if section else cfg
+        if rule and key in node:
+            _check(path, node[key], *rule)
+    family, encodes = cfg["kernel"].get("family"), _PIPELINE_FAMILIES[cfg["pipeline"]]
+    # an unknown family is left for kernels.from_config to refuse with the valid ones
+    if family not in encodes and family in _PIPELINE_FAMILIES["classical"]:
+        raise ValueError(f"pipeline {cfg['pipeline']!r} needs kernel.family in {encodes}, "
+                         f"got {family!r}")
     return cfg
 
 
@@ -359,14 +353,13 @@ def _query_points(cfg: dict, dataset: DataSet, seed: int) -> np.ndarray:
         if len(header) != dataset.d:
             raise ValueError(f"query file has {len(header)} columns, expected {dataset.d}")
         return np.asarray(rows) if rows else np.empty((0, dataset.d))
-    n = int(q_cfg["n"])
     rng = np.random.default_rng(q_cfg.get("seed", seed + 1))
     ds_cfg = cfg["dataset"]
     if not ds_cfg.get("file"):
         bounds = _box_array(ds_cfg["box"], dataset.d)
     else:
         bounds = np.stack([dataset.sites.min(axis=0), dataset.sites.max(axis=0)], axis=1)
-    return rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, dataset.d))
+    return rng.uniform(bounds[:, 0], bounds[:, 1], size=(q_cfg["n"], dataset.d))
 
 
 _QUERY_BASE_FIELDS = [
@@ -595,8 +588,6 @@ def _quantum_fields(spec, coeffs, report, fidelity: float, abs_err, clamped: boo
 
 
 def _run_global(cfg, dataset, kernel, queries, seed):
-    if kernel.family != "gaussian":
-        raise ValueError("the coherent-encoding pipeline needs a gaussian kernel")
     with _stage("classical solve"):
         system = interpolation.exact_system(dataset, kernel, normalized=True)
     exact, spec, coeffs = system.matrix, system.spectrum, system.coeffs
@@ -708,6 +699,36 @@ def _run_compact(cfg, dataset, kernel, queries, seed):
 _RUNNERS = {"classical": _run_classical, "quantum-global": _run_global,
             "quantum-compact": _run_compact}
 PIPELINES = tuple(_RUNNERS)
+_PIPELINE_FAMILIES = {"classical": tuple(kernels.CONFIG_KEYS), "quantum-global": ("gaussian",),
+                      "quantum-compact": kernels.COMPACT_FAMILIES}
+
+_UNSET = object()  # a default that leaves the key out of default_config(), and so of the hash
+# dotted path -> (default, then _check's kind, within, inside, null).  A key with no rule is
+# left to its reader: resolve_seed, _box_array, the CSV readers, or kernels.
+_SCHEMA = {
+    "seed": (None,),
+    "pipeline": ("classical", PIPELINES),
+    "dataset.m": (8, *_count(1)),
+    "dataset.d": (2, *_count(1)),
+    "dataset.box": ([0.0, 1.0],),
+    "dataset.target": ("franke", tuple(TARGETS)),
+    "dataset.file": (_UNSET,),
+    "dataset.seed": (_UNSET, *_count(0)),
+    "kernel.family": ("gaussian",),
+    "epsilon": (1e-2, Real, "in (0, 1)", lambda v: 0 < v < 1),
+    "inversion.mode": ("ideal", qinvert.MODES),
+    "inversion.spectral_floor": (_UNSET, Real, ">= 0", lambda v: v >= 0, True),
+    "inversion.evolution_time": (_UNSET, Real, "> 0", lambda v: v > 0, True),
+    "inversion.clock_bits": (_UNSET, *_count(1, qinvert._CLOCK_BITS_CAP, null=True)),
+    "compact.ae_bits": (None, *_count(1, compact._AE_BITS_CAP, null=True)),
+    "dme_check.enabled": (False, bool),
+    "dme_check.t": (1.0, Real, "finite", math.isfinite),
+    "dme_check.steps": (64, *_count(1)),
+    "queries.n": (20, *_count(0)),
+    "queries.file": (_UNSET,),
+    "queries.seed": (_UNSET, *_count(0)),
+    "output": (None,),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -200,14 +201,14 @@ def matern_c4(eta: float) -> Kernel:
 
 def wendland(d: int, k: int, alpha: float) -> Kernel:
     """Compactly supported kernel for dimension d, smoothness C^k, support alpha."""
-    return Kernel("wendland", alpha=float(alpha), d=int(d), k=int(k))
+    return Kernel("wendland", alpha=float(alpha), d=d, k=k)
 
 
 def with_defaults(cfg: dict) -> dict:
     """A copy of the kernel config cfg, with its family's defaults if it sets none of its keys.
 
-    A key the family does not read raises ValueError; a missing or unknown
-    family is left for from_config to refuse.
+    A key the family does not read, or a value that is not a number (for d and k an integer;
+    a bool is neither), raises ValueError; a missing or unknown family is left to from_config.
     """
     family = cfg.get("family")
     keys = CONFIG_KEYS.get(family) if isinstance(family, str) else None
@@ -217,6 +218,10 @@ def with_defaults(cfg: dict) -> dict:
     if unread:
         raise ValueError(f"kernel family {family!r} reads no key {unread[0]!r}; it reads "
                          + ", ".join(map(repr, keys)))
+    for key, val in zip(keys, map(cfg.get, keys)):
+        kind, noun = (Integral, "an integer") if key in ("d", "k") else (Real, "a number")
+        if val is not None and (isinstance(val, bool) or not isinstance(val, kind)):
+            raise ValueError(f"config key 'kernel.{key}' must be {noun}, got {val!r}")
     if any(cfg.get(key) is not None for key in keys):
         return dict(cfg)
     return {**cfg, **{key: val for key, val in keys.items() if val is not None}}

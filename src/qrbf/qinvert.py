@@ -49,6 +49,7 @@ from . import interpolation
 from .interpolation import LinearSystem
 
 _CLOCK_BITS_CAP = 10
+MODES = ("ideal", "quantized")
 
 
 @dataclass
@@ -69,7 +70,7 @@ class InversionConfig:
     spectral_floor: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("ideal", "quantized"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown inversion mode {self.mode!r}")
         if self.spectral_floor is not None and self.spectral_floor < 0:
             raise ValueError("spectral_floor must be nonnegative")
@@ -282,10 +283,8 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
     if config.evolution_time is None or config.clock_bits is None:
         raise ValueError("quantized mode needs evolution_time and clock_bits")
     b = int(config.clock_bits)
-    if b < 1:
-        raise ValueError("clock_bits must be positive")
-    if b > _CLOCK_BITS_CAP:
-        raise ValueError(f"clock_bits {b} exceeds cap {_CLOCK_BITS_CAP}")
+    if not 1 <= b <= _CLOCK_BITS_CAP:
+        raise ValueError(f"clock_bits {b} outside [1, {_CLOCK_BITS_CAP}]")
     t0 = float(config.evolution_time)
     if not t0 > 0:
         raise ValueError("evolution_time must be positive")

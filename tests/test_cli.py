@@ -187,6 +187,16 @@ def test_a_refused_fit_prints_one_stage_line_and_exits_2(tmp_path):
     )
 
 
+def test_a_compact_fit_with_the_default_kernel_is_refused_at_the_config_stage():
+    """The default kernel is the gaussian, which the compact pipeline cannot encode."""
+    proc = subprocess.run([sys.executable, "-m", "qrbf.cli", "fit", "--pipeline",
+                           "quantum-compact", "--seed", "0"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: [stage: config] pipeline 'quantum-compact' needs "
+                           "kernel.family in ('wendland',), got 'gaussian'\n")
+
+
 def test_a_refused_sweep_case_prints_one_stage_line_and_exits_2(capsys):
     rc = cli.main(["sweep", "--pipeline", "classical", "--seed", "0",
                    "--param", "kernel.sigma", "--values", "0.3,-1"])

@@ -464,8 +464,10 @@ def test_global_pipeline_rejects_non_gaussian_kernel():
         "pipeline": "quantum-global",
         "kernel": {"family": "matern-c2", "eta": 1.0},
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(harness._StageError) as info:
         harness.run_pipeline(cfg)
+    assert info.value.stage == "config"
+    assert "kernel.family" in str(info.value)
 
 
 def test_global_pipeline_quantized_mode_smoke():
@@ -938,11 +940,7 @@ def _moved(a, b) -> bool:
 
 
 def test_the_key_cases_name_every_config_key():
-    defaults = harness.default_config()
-    keys = {key for key, val in defaults.items() if not isinstance(val, dict)}
-    for section, val in defaults.items():
-        if isinstance(val, dict):
-            keys |= {f"{section}.{k}" for k in (*val, *harness._OPTIONAL_KEYS.get(section, ()))}
+    keys = set(harness._SCHEMA)
     keys |= {f"kernel.{k}" for family in harness.kernels.CONFIG_KEYS.values() for k in family}
     assert set(_KEY_CASES) == keys
 
@@ -1192,8 +1190,8 @@ _ESTIMATED_NOT_PD = {"dataset": {"m": 128}, "compact": {"ae_bits": 8},
 
 # The failure contract (ROADMAP item 18): each refusal names its stage, its cause and
 # the setting that fixes it, or the input that is invalid.  A row is (id, pipelines,
-# config file, stage, cause, knob): the config file is JSON text, which no pipeline
-# reads, or a dict written as JSON over each pipeline's valid config, with "{dataset}"
+# config file, stage, cause, knob): the config file is JSON text, written as it is,
+# or a dict written as JSON over each pipeline's valid config, with "{dataset}"
 # or "{queries}" standing for the input file _CONTRACT_FILES holds for the row;
 # "{config}" in the knob stands for the config file's own path.
 _FAILURE_CONTRACT = [
@@ -1245,6 +1243,54 @@ _FAILURE_CONTRACT = [
      "inversion", "clock wraparound", "inversion.evolution_time or raise inversion.clock_bits"),
     ("clock wraparound", ("quantum-compact",), {"inversion": _QUANTIZED_WRAP},
      "oracle solve", "clock wraparound", "inversion.evolution_time or raise inversion.clock_bits"),
+    # each value outside its _SCHEMA rule, refused at the config stage on every pipeline,
+    # also where the pipeline or mode does not read the key
+    ("no ae_bits", harness.PIPELINES, {"compact": {"ae_bits": 0}},
+     "config", "must be in [1, 20], got 0", "'compact.ae_bits'"),
+    ("ae_bits above the cap", harness.PIPELINES, {"compact": {"ae_bits": 21}},
+     "config", "must be in [1, 20], got 21", "'compact.ae_bits'"),
+    ("global with a compact kernel", ("quantum-global",), {"kernel": _WENDLAND},
+     "config", "needs kernel.family in ('gaussian',), got 'wendland'", "kernel.family"),
+    ("compact with its default kernel", ("quantum-compact",),
+     '{"pipeline": "quantum-compact", "seed": 0}',
+     "config", "needs kernel.family in ('wendland',), got 'gaussian'", "kernel.family"),
+    ("negative query count", harness.PIPELINES, {"queries": {"n": -1}},
+     "config", "must be >= 0, got -1", "'queries.n'"),
+    ("no sites", harness.PIPELINES, {"dataset": {"m": 0}},
+     "config", "must be >= 1, got 0", "'dataset.m'"),
+    ("no dimension", harness.PIPELINES, {"dataset": {"d": 0}},
+     "config", "must be >= 1, got 0", "'dataset.d'"),
+    ("unknown target", harness.PIPELINES, {"dataset": {"target": "runge"}},
+     "config", "unknown dataset.target 'runge'", "choose from ('franke', 'cosines', 'constant')"),
+    ("no clock bits", harness.PIPELINES, {"inversion": {"mode": "quantized", "clock_bits": 0}},
+     "config", "must be in [1, 10], got 0", "'inversion.clock_bits'"),
+    ("clock bits above the cap in ideal mode", harness.PIPELINES, {"inversion": {"clock_bits": 12}},
+     "config", "must be in [1, 10], got 12", "'inversion.clock_bits'"),
+    ("no DME steps", harness.PIPELINES, {"dme_check": {"enabled": True, "steps": 0}},
+     "config", "must be >= 1, got 0", "'dme_check.steps'"),
+    ("text DME time", harness.PIPELINES, {"dme_check": {"t": "a"}},
+     "config", "must be a number, got 'a'", "'dme_check.t'"),
+    ("text DME switch", harness.PIPELINES, {"dme_check": {"enabled": "no"}},
+     "config", "must be true or false, got 'no'", "'dme_check.enabled'"),
+    ("epsilon above 1", harness.PIPELINES, {"epsilon": 2},
+     "config", "must be in (0, 1), got 2", "'epsilon'"),
+    ("text epsilon", harness.PIPELINES, {"epsilon": "x"},
+     "config", "must be a number, got 'x'", "'epsilon'"),
+    ("unknown inversion mode", harness.PIPELINES, {"inversion": {"mode": "foo"}},
+     "config", "unknown inversion.mode 'foo'", "choose from ('ideal', 'quantized')"),
+    ("negative spectral floor", harness.PIPELINES, {"inversion": {"spectral_floor": -1}},
+     "config", "must be >= 0, got -1", "'inversion.spectral_floor'"),
+    ("negative evolution time", harness.PIPELINES,
+     {"inversion": {"mode": "quantized", "evolution_time": -1}},
+     "config", "must be > 0, got -1", "'inversion.evolution_time'"),
+    ("null dataset seed", harness.PIPELINES, {"dataset": {"seed": None}},
+     "config", "must be an integer, got None", "'dataset.seed'"),
+    ("null query seed", harness.PIPELINES, {"queries": {"seed": None}},
+     "config", "must be an integer, got None", "'queries.seed'"),
+    ("fractional kernel d", harness.PIPELINES, {"kernel": {**_WENDLAND, "d": 3.9}},
+     "config", "must be an integer, got 3.9", "'kernel.d'"),
+    ("text kernel sigma", ("classical", "quantum-global"), {"kernel": {"sigma": "a"}},
+     "config", "must be a number, got 'a'", "'kernel.sigma'"),
 ]
 _CONTRACT_FILES = {
     "non-finite dataset": ("dataset", "x1,x2,y\n0.1,0.2,0.3\n0.5,0.6,nan\n"),
@@ -1283,6 +1329,29 @@ def test_failure_contract(case, pipeline, config, stage, cause, knob, tmp_path, 
     assert message.startswith(f"[stage: {stage}] ")
     assert cause in message
     assert knob.format(**{name: str(path) for name, path in paths.items()}) in message
+
+
+def test_every_schema_rule_is_the_knob_of_a_failure_contract_row():
+    """Each _SCHEMA path with a rule is named by the cause or knob of at least one row."""
+    named = " ".join(f"{cause} {knob}" for *_, cause, knob in _FAILURE_CONTRACT)
+    ruled = [path for path, (_, *rule) in harness._SCHEMA.items() if rule]
+    assert ruled and [path for path in ruled if path not in named] == []
+
+
+@pytest.mark.parametrize("section", ["dataset", "queries"])
+def test_a_null_seed_is_refused_rather_than_drawn_from_the_os(section):
+    """A null seed would hand None to default_rng, which reads OS entropy: two runs of
+    one config, with one config_hash, would draw different data."""
+    message = _config_refusal(harness.run_pipeline, {"seed": 0, section: {"seed": None}})
+    assert message == f"config key '{section}.seed' must be an integer, got None"
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1], ids=repr)
+def test_dme_check_enabled_takes_only_a_bool(value):
+    """A string is truthy, so "no" would run the check."""
+    cfg = {"pipeline": "quantum-global", "seed": 0, "dme_check": {"enabled": value}}
+    message = _config_refusal(harness.run_pipeline, cfg)
+    assert message == f"config key 'dme_check.enabled' must be true or false, got {value!r}"
 
 
 def test_pipeline_outputs_are_byte_identical_across_reruns(tmp_path):

@@ -141,6 +141,29 @@ def test_invalid_parameters():
         kernels.matern_c2(0.0)
 
 
+@pytest.mark.parametrize("cfg, key, shown", [
+    ({"family": "wendland", "d": 3.9, "k": 2, "alpha": 0.7}, "d", "an integer, got 3.9"),
+    ({"family": "wendland", "d": 3, "k": 2.5, "alpha": 0.7}, "k", "an integer, got 2.5"),
+    ({"family": "wendland", "d": True, "k": 2, "alpha": 0.7}, "d", "an integer, got True"),
+    ({"family": "wendland", "d": 3, "k": 2, "alpha": "0.7"}, "alpha", "a number, got '0.7'"),
+    ({"family": "gaussian", "sigma": True}, "sigma", "a number, got True"),
+    ({"family": "gaussian", "sigma": "a"}, "sigma", "a number, got 'a'"),
+    ({"family": "matern-c2", "eta": [2.0]}, "eta", "a number, got [2.0]"),
+], ids=["fractional d", "fractional k", "bool d", "text alpha", "bool sigma", "text sigma",
+        "list eta"])
+def test_a_kernel_value_of_the_wrong_type_is_refused_by_its_path(cfg, key, shown):
+    """Neither truncated (d 3.9 would run as 3) nor read as a number (True as 1)."""
+    for call in (kernels.with_defaults, kernels.from_config):
+        with pytest.raises(ValueError) as info:
+            call(cfg)
+        assert str(info.value) == f"config key 'kernel.{key}' must be {shown}"
+
+
+def test_wendland_does_not_truncate_its_profile():
+    with pytest.raises(ValueError, match=r"unsupported wendland profile \(d=3.9, k=2\)"):
+        kernels.wendland(3.9, 2, alpha=0.7)
+
+
 def test_with_defaults_fills_only_a_family_that_sets_none_of_its_keys():
     assert kernels.with_defaults({"family": "gaussian"}) == {"family": "gaussian", "sigma": 0.4}
     assert kernels.from_config({"family": "gaussian"}).sigma == 0.4
