@@ -46,7 +46,7 @@ print("\npartial-trace consistency check:")
 # coordinate states: row j of block is the psi_j slice, and tracing out the
 # encoding register of |Psi><Psi| leaves block block^T
 block = np.stack([
-    functools.reduce(np.kron, [coherent.coherent_state(v, sigma, 6).amplitudes for v in x])
+    functools.reduce(np.kron, [coherent.coherent_state(v, sigma, 6) for v in x])
     for x in ds.sites
 ]) / math.sqrt(ds.m)
 reduced = block @ block.T
@@ -57,8 +57,8 @@ print(f"max |reduced - gram| = {dev:.3e}, trace = {float(np.trace(reduced)):.12f
 print("\nsingle-pair overlap vs the Gaussian kernel value:")
 x, z = ds.sites[0], ds.sites[1]
 # a product-state overlap is the product of its per-coordinate overlaps
-fx = np.array([coherent.coherent_state(v, sigma, 40).amplitudes for v in x])
-fz = np.array([coherent.coherent_state(v, sigma, 40).amplitudes for v in z])
+fx = np.array([coherent.coherent_state(v, sigma, 40) for v in x])
+fz = np.array([coherent.coherent_state(v, sigma, 40) for v in z])
 got = float(np.prod(np.sum(fx * fz, axis=1)))
 want = float(np.exp(-np.sum((x - z) ** 2) / (2 * sigma**2)))
 print(f"<psi_x|psi_z> = {got:.15f}")

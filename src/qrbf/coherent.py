@@ -14,49 +14,34 @@ within delta = sqrt(2 (r/sigma)^{2N} / N!) of its exact counterpart, a
 d-coordinate product state is within d*delta, and every Gram entry moves
 by at most 2*d*delta.
 
-All amplitude arithmetic runs in log space (gammaln) so deep tails stay
-accurate: two truncations of the same state share bit-identical leading
-amplitudes, which keeps measured truncation errors meaningful far below
-float epsilon.
-
-One batch routine computes every amplitude vector: an array of n
-coordinate ratios gives an (n, N) table of unit rows, each bit for bit
-the vector of its coordinate alone, and a single coordinate takes the
-same path.  It runs in two steps.  The log table k log|r| - gammaln(k +
-1) / 2 does not depend on N, so the table at a high order holds the
-table at every lower order in its leading columns.  The finishing step
-takes a copy of the leading N columns and, in place, subtracts each
-row's maximum, exponentiates, fixes the signs of negative ratios and
-the rows of zero ratios, and scales each row to unit norm.  A search
-over orders (the truncation suite, grams_by_order below the ratios)
-therefore builds one log table and pays one finishing call per order.
-
-The Gram matrix has a closed form (NIST DLMF 8.4, 13.2).  With a =
+The Gram matrix and the truncation error have closed forms (NIST DLMF
+8.2, 8.4, 13.2); only coherent_state builds amplitudes.  With a =
 coordinate / sigma, a truncated state's squared norm is e_N(a^2), the
-partial sum of the exponential series to N terms, so one coordinate's
-overlap is
+partial sum of the exponential series to N terms, so it overlaps the
+exact state by sqrt(Q(N, a^2)), Q the regularized upper incomplete gamma
+function (truncation_error), and two truncated coordinate states overlap by
 
     e_N(ab) / sqrt(e_N(a^2) e_N(b^2)) = e^{-(a - b)^2 / 2} f(ab) / sqrt(f(a^2) f(b^2))
 
-with the truncation factor f(t) = e^-t e_N(t): Q(N, t), the regularized
-upper incomplete gamma function, for t >= 0, and 1 - e^-t R_N(t) for
-t < 0, where R_N(t) = t^N / N! 1F1(1; N + 1; t) is the series'
-remainder.  A product-state overlap is the product over coordinates, so
-an entry is the exp of -||a_i - a_j||^2 / 2 plus, per coordinate,
-ln f(a_i a_j) - ln f(a_i^2) / 2 - ln f(a_j^2) / 2.  gram_coherent forms
-the pair exponent, adds the log factors and takes one exp: O(m^2 d)
-work, where d products of (m, N) amplitude tables took O(m^2 d N).  A
-factor moves an entry by 2^-54 of itself, half a unit in its last
-place, only where |t| reaches a cut that the bounds of _factor_cut give
-once per order; at the orders min_order picks, only products of large
-opposite-signed ratios reach it.  With every a^2 at most N, as
-min_order guarantees, the factors are near 1 wherever an entry is not
-negligible: against a 60-digit reference the tests bound entries by
-8 u / m (u = 2^-53) and find them within 1.3 u / m, where the table
-products' N-term dot products erred by up to N u / m.  At orders below
-some a^2 the factors would cancel most of the exponent, so the Gram
-there is the entrywise product of the coordinates' amplitude-table
-products F_c F_c^T instead.
+with the truncation factor f(t) = e^-t e_N(t): Q(N, t) for t >= 0, and
+1 - e^-t R_N(t) for t < 0, where R_N(t) = t^N / N! 1F1(1; N + 1; t) is
+the series' remainder.  A product-state overlap is the product over
+coordinates, so an entry is the exp of -||a_i - a_j||^2 / 2 plus, per
+coordinate, ln f(a_i a_j) - ln f(a_i^2) / 2 - ln f(a_j^2) / 2.
+gram_coherent forms the pair exponent, adds the log factors and takes
+one exp: O(m^2 d) work.  A factor moves an entry by 2^-54 of itself,
+half a unit in its last place, only where |t| reaches a cut that the
+bounds of _factor_cut give once per order; at the orders min_order
+picks, only products of large opposite-signed ratios reach it.
+
+With every a^2 at most N, as min_order guarantees, the factors are near
+1 wherever an entry is not negligible: against a 60-digit reference the
+tests bound entries by 8 u / m (u = 2^-53) and find them within 1.3 u / m.
+Below some a^2 (the bound suites' order searches) the factors cancel part
+of the exponent, so an entry errs by a few u times the sum of the
+magnitudes of its log's terms: up to 17 u / m on 30 datasets like the
+bound suites', far below the truncation bounds at those orders.  Where
+Q(N, max a^2) leaves the normal range the build refuses.
 
 The kernel depends only on x - z, so the quantum-global pipeline encodes
 centred(dataset): each coordinate translated by the midpoint of its
@@ -73,9 +58,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, hyp1f1
+from scipy.special import gammainc, gammaincc, gammaln, hyp1f1
 
-from .interpolation import DataSet, InterpMatrix, row_norms
+from .interpolation import DataSet, InterpMatrix
 
 # min_order searches no further
 _MAX_ORDER = 100_000
@@ -99,81 +84,41 @@ def centred(dataset: DataSet) -> DataSet:
     return DataSet(sites=sites - mid, values=dataset.values)
 
 
-def _ratios(x, sigma: float) -> np.ndarray:
-    """Coordinates divided by sigma."""
+def _ratios(x, sigma: float, order: int) -> np.ndarray:
+    """Coordinates divided by sigma, for a truncation order that must be at least 1."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
     return np.asarray(x, dtype=float) / sigma
 
 
-def _log_table(ratios, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ratios r and the (n, order) table k log|r| - gammaln(k + 1) / 2.
+def coherent_state(r: float, sigma: float, order: int) -> np.ndarray:
+    """Unit amplitudes of the truncated encoding of coordinate r at width sigma.
 
-    Entry (i, k) does not depend on the order, so the leading columns of a
-    table at a high order are bit for bit the table at any lower order.
-    A zero ratio takes log|r| = 0.0; _finish makes its row the unit vector.
+    Formed in log space, k log|a| - ln(k!) / 2 less its largest value, so
+    (r/sigma)^2 past exp's float range stays a unit vector; a negative
+    ratio alternates the signs, and a zero ratio gives the ground state.
     """
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
-    r = np.asarray(ratios, dtype=float).reshape(-1)
+    ratio = float(_ratios(r, sigma, order))
+    if ratio == 0.0:
+        return np.eye(1, order)[0]
     k = np.arange(order)
-    # math.log, not np.log: the two differ in the last ulp for some inputs
-    log_r = np.array([math.log(abs(v)) if v != 0.0 else 0.0 for v in r.tolist()])
-    table = np.multiply.outer(log_r, k)
-    table -= 0.5 * gammaln(k + 1.0)
-    return r, table
+    log_u = k * math.log(abs(ratio)) - 0.5 * gammaln(k + 1.0)
+    u = np.exp(log_u - log_u.max()) * np.sign(ratio) ** k
+    return u / np.linalg.norm(u)
 
 
-def _finish(r, table) -> np.ndarray:
-    """Unit amplitude rows, in place, from a C-contiguous log table of the ratios r.
+def truncation_error(r, sigma: float, order: int):
+    """Distance ||psi_N - psi|| of the unit truncation at order N from the exact state.
 
-    The sign flip of negative ratios and the unit row of zero ratios are
-    masked writes that leave a table of positive ratios unchanged, so they
-    run only when some ratio is not positive: the bound suites build
-    hundreds of small tables, and on 8 ratios the masked writes take about
-    a quarter of a build's time.
+    The two overlap by sqrt(Q(N, a^2)), a = r / sigma, so the squared
+    distance is 2 - 2 sqrt(Q) = 2 P / (1 + sqrt(Q)), P = 1 - Q, which keeps
+    its digits far below float epsilon, where 2 - 2 sqrt(Q) rounds to 0,
+    and near sqrt(2), where P rounds to 1.  r may be an array.
     """
-    table -= table.max(axis=1, keepdims=True)
-    np.exp(table, out=table)
-    if not (r > 0.0).all():
-        table[r < 0.0, 1::2] *= -1.0
-        zero = r == 0.0
-        table[zero] = 0.0
-        table[zero, 0] = 1.0
-    table /= row_norms(table)[:, None]
-    return table
-
-
-def _truncated(r, log_table, order: int) -> np.ndarray:
-    """Amplitude rows at an order from a log table at that order or above: a finished copy."""
-    return _finish(r, log_table[:, :order].copy())
-
-
-def _amplitudes(ratios, order: int) -> np.ndarray:
-    """Unit-normalized truncated amplitude rows, one per coordinate ratio.
-
-    An array of n ratios gives an (n, order) table; a scalar gives the 1-D
-    vector through the same path.  The table is built in place so the only
-    (n, order) array is the result.
-    """
-    r, table = _log_table(ratios, order)
-    _finish(r, table)
-    return table[0] if np.ndim(ratios) == 0 else table
-
-
-@dataclass
-class TruncatedCoherent:
-    """Single-coordinate truncated encoding."""
-
-    ratio: float
-    order: int
-    amplitudes: np.ndarray
-
-
-def coherent_state(r: float, sigma: float, order: int) -> TruncatedCoherent:
-    """Truncated coherent encoding of coordinate r at width sigma."""
-    ratio = float(_ratios(r, sigma))
-    return TruncatedCoherent(ratio, int(order), _amplitudes(ratio, order))
+    x = _ratios(r, sigma, order) ** 2
+    return np.sqrt(2.0 * gammainc(order, x) / (1.0 + np.sqrt(gammaincc(order, x))))
 
 
 def truncation_bound(r: float, sigma: float, order: int) -> float:
@@ -359,7 +304,15 @@ def _closed_form(terms: _PairTerms, order: int, last: bool) -> np.ndarray:
     _STACKED_MAX products, once some row reaches the cut, the factors of
     all pairs and coordinates are taken in one call.  Every term is a
     function of the unordered pair, so the result is exactly symmetric.
+    Refused where Q(N, max a^2) is below the normal range: its log would
+    be -inf, or would keep only the few bits of a subnormal.
     """
+    if order < terms.top and gammaincc(order, terms.top) < np.finfo(float).tiny:
+        raise ValueError(
+            f"truncation order {order} is too low for max (coordinate/sigma)^2 = "
+            f"{terms.top:.6g}: Q(N, a^2) underflows there; take the order from "
+            f"coherent.min_order, which starts at {math.ceil(terms.top)}"
+        )
     m = len(terms.ratios)
     log_gram = terms.exponent if last else terms.exponent.copy()
     cut = _factor_cut(order)
@@ -400,10 +353,8 @@ def gram_coherent(dataset: DataSet, sigma: float, order: int) -> InterpMatrix:
 
     This is the matrix the quantum pipeline actually inverts; it converges
     to the normalized Gaussian interpolation matrix as the order grows.
-    Where the order is at least every a^2 = (coordinate / sigma)^2 it is
-    the closed form of the module docstring, O(m^2 d); below that, the
-    product of the coordinates' amplitude tables.  The matrix is exactly
-    symmetric with diagonal 1/m.
+    It is the closed form of the module docstring at every order, O(m^2 d),
+    exactly symmetric with diagonal 1/m.
     """
     return next(grams_by_order(dataset, sigma, (order,)))
 
@@ -411,30 +362,16 @@ def gram_coherent(dataset: DataSet, sigma: float, order: int) -> InterpMatrix:
 def grams_by_order(dataset: DataSet, sigma: float, orders):
     """Yield gram_coherent(dataset, sigma, order) for each order in turn, bit for bit.
 
-    The closed form's pair exponent -||a_i - a_j||^2 / 2 is computed once
-    and copied per order; the orders below the ratios share one log table
-    at the largest order, each finishing a copy of its leading columns
-    (see the module docstring).  Each is built when first needed.  Lazy:
-    a search that stops early builds no later Gram.
+    The closed form's pair exponent -||a_i - a_j||^2 / 2 and the products
+    a_ic a_jc are computed once and each order adds its own truncation
+    factors to a copy of the exponent.  Lazy: a search that stops early
+    builds no later Gram.
     """
     orders = list(orders)
-    if min(orders) < 1:
-        raise ValueError("truncation order must be at least 1")
-    ratios = _ratios(dataset.sites, sigma)  # (m, d)
-    m, d = ratios.shape
-    terms = _PairTerms(ratios)
-    log_table = None
+    terms = _PairTerms(_ratios(dataset.sites, sigma, min(orders)))
+    m = len(terms.ratios)
     for k, order in enumerate(orders):
-        if order >= terms.top:
-            gram = _closed_form(terms, order, last=k == len(orders) - 1)
-        else:
-            if log_table is None:
-                # coordinate-major rows, so each coordinate's block of a finished copy is contiguous
-                r, log_table = _log_table(ratios.T, max(orders))
-            # the entrywise product of the coordinates' F_c F_c^T
-            gram = np.ones((m, m))
-            for table in _truncated(r, log_table, order).reshape(d, m, order):
-                gram *= table @ table.T
+        gram = _closed_form(terms, order, last=k == len(orders) - 1)
         np.fill_diagonal(gram, 1.0)  # encodings are unit vectors by construction
         gram /= m
         yield InterpMatrix(data=gram, normalized=True, sparsity=m)

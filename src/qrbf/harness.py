@@ -67,14 +67,17 @@ def resolve_seed(explicit=None) -> int:
     raise ValueError(f"seed {raw!r} is not a non-negative integer; set seed (--seed) or QRBF_SEED")
 
 
-def _box_array(box, d: int) -> np.ndarray:
-    arr = np.asarray(box, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (2,):
-            raise ValueError("box must be (lo, hi) or a list of per-dimension (lo, hi)")
+def _box_array(box, d: int, name: str = "box") -> np.ndarray:
+    """The (d, 2) bounds of box: one [lo, hi] for every dimension, or d rows [lo, hi]; anything
+    else is refused under name, with the shape it needs."""
+    try:
+        arr = np.asarray(box, dtype=float)
+    except (TypeError, ValueError):  # text, or rows of unequal length
+        arr = np.empty(0)
+    if arr.shape == (2,):
         arr = np.tile(arr, (d, 1))
     if arr.shape != (d, 2) or np.any(arr[:, 0] > arr[:, 1]):
-        raise ValueError(f"bad box for dimension {d}: {box!r}")
+        raise ValueError(f"{name} must be [lo, hi] or {d} rows [lo, hi], lo <= hi, got {box!r}")
     return arr
 
 
@@ -114,14 +117,14 @@ def default_config() -> dict:
 
 
 def _check(path: str, val, kind, within: str = "", inside=None, null: bool = False) -> None:
-    """Refuse val at path unless it is one of the tuple kind, or of type kind (bool, or a
-    number that is not a bool) with inside(val) true; null passes where null is set."""
+    """Refuse val at path unless it is one of the tuple kind, or of type kind (bool, str, or
+    a number that is not a bool) with inside(val) true; null passes where null is set."""
     if (val is None and null) or (isinstance(kind, tuple) and val in kind):
         return
     if isinstance(kind, tuple):
         raise ValueError(f"unknown {path} {val!r}; choose from {kind}")
     if not isinstance(val, kind) or isinstance(val, bool) is not (kind is bool):
-        noun = {bool: "true or false", Integral: "an integer", Real: "a number"}
+        noun = {bool: "true or false", Integral: "an integer", Real: "a number", str: "a string"}
         raise ValueError(f"config key {path!r} must be {noun[kind]}, got {val!r}")
     if inside is not None and not inside(val):
         raise ValueError(f"config key {path!r} must be {within}, got {val!r}")
@@ -158,8 +161,9 @@ def _full_config(cfg: dict) -> dict:
 
     Refused, each naming its dotted path: a key that neither _SCHEMA nor a kernel family
     names (with the nearest valid path), a section that is not an object, an object for a
-    value, what kernels.with_defaults or a key's _SCHEMA rule refuses, and a kernel family
-    that the pipeline cannot encode.
+    value, what kernels.with_defaults or a key's _SCHEMA rule refuses, a dataset.box that
+    _box_array refuses where no dataset file replaces it, and a kernel family that the
+    pipeline cannot encode.
     """
     defaults = default_config()
     valid = [*defaults, *(path for path in _SCHEMA if "." in path)]
@@ -185,6 +189,8 @@ def _full_config(cfg: dict) -> dict:
         node = cfg[section] if section else cfg
         if rule and key in node:
             _check(path, node[key], *rule)
+    if not cfg["dataset"].get("file"):
+        _box_array(cfg["dataset"]["box"], cfg["dataset"]["d"], "config key 'dataset.box'")
     family, encodes = cfg["kernel"].get("family"), _PIPELINE_FAMILIES[cfg["pipeline"]]
     # an unknown family is left for kernels.from_config to refuse with the valid ones
     if family not in encodes and family in _PIPELINE_FAMILIES["classical"]:
@@ -704,7 +710,7 @@ _PIPELINE_FAMILIES = {"classical": tuple(kernels.CONFIG_KEYS), "quantum-global":
 
 _UNSET = object()  # a default that leaves the key out of default_config(), and so of the hash
 # dotted path -> (default, then _check's kind, within, inside, null).  A key with no rule is
-# left to its reader: resolve_seed, _box_array, the CSV readers, or kernels.
+# checked by its reader: resolve_seed, _box_array (from _full_config too), or kernels.
 _SCHEMA = {
     "seed": (None,),
     "pipeline": ("classical", PIPELINES),
@@ -712,7 +718,7 @@ _SCHEMA = {
     "dataset.d": (2, *_count(1)),
     "dataset.box": ([0.0, 1.0],),
     "dataset.target": ("franke", tuple(TARGETS)),
-    "dataset.file": (_UNSET,),
+    "dataset.file": (_UNSET, str, "", None, True),
     "dataset.seed": (_UNSET, *_count(0)),
     "kernel.family": ("gaussian",),
     "epsilon": (1e-2, Real, "in (0, 1)", lambda v: 0 < v < 1),
@@ -725,9 +731,9 @@ _SCHEMA = {
     "dme_check.t": (1.0, Real, "finite", math.isfinite),
     "dme_check.steps": (64, *_count(1)),
     "queries.n": (20, *_count(0)),
-    "queries.file": (_UNSET,),
+    "queries.file": (_UNSET, str, "", None, True),
     "queries.seed": (_UNSET, *_count(0)),
-    "output": (None,),
+    "output": (None, str, "", None, True),
 }
 
 
@@ -766,14 +772,8 @@ def _slope(xs, ys) -> float:
 def _suite_truncation(seed: int) -> list:
     ratios = np.arange(0.0, 2.25, 0.25)
     orders = range(2, 31)
-    # one log table for all ratios at sigma = 1 and the top order, sliced at
-    # each order; rows keep (ratio, order) order
-    r, log_table = coherent._log_table(ratios, orders[-1] + 200)
-    measured = np.empty((ratios.size, len(orders)))
-    for col, order in enumerate(orders):
-        diff = coherent._truncated(r, log_table, order + 200)
-        diff[:, :order] -= coherent._truncated(r, log_table, order)
-        measured[:, col] = [np.linalg.norm(row) for row in diff]
+    # one truncation_error call per order, over all ratios; rows keep (ratio, order) order
+    measured = np.stack([coherent.truncation_error(ratios, 1.0, order) for order in orders], 1)
     rows = []
     for ratio, errs in zip(ratios, measured):
         for order, err in zip(orders, errs.tolist()):
@@ -884,7 +884,7 @@ def _perturbation_instance(rng):
     """Random gaussian dataset at the first truncation order from 3 up with gamma < 0.5.
 
     gamma = ||A^-1 dA||_2, taken by SVD at every order in turn; no order
-    is skipped.  The Grams of the search come from one log table
+    is skipped.  The Grams of the search share one pair exponent
     (coherent.grams_by_order), bit for bit gram_coherent's.  Datasets
     with kappa beyond 1e5 are redrawn: near the float64 floor the
     truncation perturbation can never bring ||A^-1 dA|| below 1 there.

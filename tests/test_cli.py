@@ -187,6 +187,15 @@ def test_a_refused_fit_prints_one_stage_line_and_exits_2(tmp_path):
     )
 
 
+def test_a_file_key_that_is_not_a_string_is_refused_before_any_file_is_opened():
+    """open(2) would take stderr's descriptor and its with block close it: no output at all."""
+    proc = subprocess.run([sys.executable, "-m", "qrbf.cli", "fit", "--seed", "0",
+                           "--set", "dataset.file=2"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: [stage: config] config key 'dataset.file' must be a string, got 2\n"
+
+
 def test_a_compact_fit_with_the_default_kernel_is_refused_at_the_config_stage():
     """The default kernel is the gaussian, which the compact pipeline cannot encode."""
     proc = subprocess.run([sys.executable, "-m", "qrbf.cli", "fit", "--pipeline",

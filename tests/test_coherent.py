@@ -7,11 +7,11 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaincc, gammaln, hyp1f1
 
 from qrbf import coherent
 from qrbf.harness import gen_data
-from qrbf.interpolation import DataSet, assemble
+from qrbf.interpolation import DataSet, assemble, row_norms
 from qrbf.kernels import gaussian
 
 # one ratio of each kind: zero, negative, positive, and (r/sigma)^2 of about
@@ -20,7 +20,7 @@ EDGE_RATIOS = (0.0, -0.3, -2.2, -26.45, -57.0, 0.4, 1.0, 7.9, 26.45, 57.0)
 
 
 def _reference_amplitudes(ratio: float, order: int) -> np.ndarray:
-    """One coordinate's amplitude vector, computed on its own."""
+    """One coordinate's amplitude vector, computed on its own in log space."""
     if ratio == 0.0:
         out = np.zeros(order)
         out[0] = 1.0
@@ -33,13 +33,32 @@ def _reference_amplitudes(ratio: float, order: int) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
+def _reference_table(ratios, order: int) -> np.ndarray:
+    """The (n, order) table of the amplitude vectors of n ratios, built at once.
+
+    The log table k log|r| - gammaln(k + 1) / 2 less each row's maximum is
+    exponentiated, the odd columns of negative ratios flip sign, a zero
+    ratio's row is the ground state, and the rows are normalised in one
+    batched product (interpolation.row_norms).
+    """
+    r = np.asarray(ratios, dtype=float).reshape(-1)
+    k = np.arange(order)
+    # math.log, not np.log: the two differ in the last ulp for some inputs
+    log_r = np.array([math.log(abs(v)) if v != 0.0 else 0.0 for v in r.tolist()])
+    table = np.multiply.outer(log_r, k) - 0.5 * gammaln(k + 1.0)
+    table = np.exp(table - table.max(axis=1, keepdims=True))
+    table[r < 0.0, 1::2] *= -1.0
+    table[r == 0.0] = np.eye(1, order)[0]
+    return table / row_norms(table)[:, None]
+
+
 def _reference_gram(ds: DataSet, sigma: float, order: int, magnitudes: bool = False) -> np.ndarray:
     """Gram matrix of the amplitude tables, all per-coordinate overlaps at once, via einsum.
 
     With magnitudes, the same products of the tables' absolute values: the
     scale of the dot products' rounding errors.
     """
-    factors = np.stack([coherent._amplitudes(x / sigma, order) for x in ds.sites])
+    factors = np.stack([_reference_table(x / sigma, order) for x in ds.sites])
     if magnitudes:
         factors = np.abs(factors)
     gram = np.einsum("ick,jck->ijc", factors, factors).prod(axis=2)
@@ -52,33 +71,33 @@ def test_amplitude_profile_small_case():
     """ratio 1, four levels: unnormalized weights 1, 1, 1/sqrt(2), 1/sqrt(6)."""
     st = coherent.coherent_state(1.0, 1.0, 4)
     raw = np.array([1.0, 1.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)])
-    assert np.allclose(st.amplitudes, raw / np.linalg.norm(raw), rtol=1e-14)
-    assert np.isclose(np.linalg.norm(st.amplitudes), 1.0, rtol=1e-14)
+    assert np.allclose(st, raw / np.linalg.norm(raw), rtol=1e-14)
+    assert np.isclose(np.linalg.norm(st), 1.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 7, 300])
 def test_amplitude_table_rows_equal_single_coordinate_states(order):
-    """Each table row is bit for bit the state of its coordinate alone."""
+    """Each row of the reference table is bit for bit the state of its coordinate alone,
+    as _reference_amplitudes and coherent_state compute it."""
     rng = np.random.default_rng(order)
     for d in (1, 2, 3):
         sites = rng.permuted(np.tile(EDGE_RATIOS, (d, 1)), axis=1).T  # every ratio per column
         for c in range(d):
-            table = coherent._amplitudes(sites[:, c], order)
+            table = _reference_table(sites[:, c], order)
             assert table.shape == (len(sites), order)
             want = np.stack([_reference_amplitudes(float(r), order) for r in sites[:, c]])
-            states = np.stack(
-                [coherent.coherent_state(float(r), 1.0, order).amplitudes for r in sites[:, c]]
-            )
+            states = np.stack([coherent.coherent_state(float(r), 1.0, order) for r in sites[:, c]])
             assert np.array_equal(table, want)
             assert np.array_equal(states, want)
         for x in sites:
-            factors = coherent._amplitudes(x, order)
+            factors = _reference_table(x, order)
             assert np.array_equal(factors, np.stack([_reference_amplitudes(r, order) for r in x]))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 17, 64, 339, 1161, 3300])
 def test_batched_row_norms_equal_one_dimensional_norms(order):
-    """Rows are normalised in one batched product, bit for bit as by a 1-D norm each.
+    """The reference table's rows, normalised in one batched product, are bit for bit
+    coherent_state's, each normalised by its 1-D norm.
 
     The grid runs over negative, zero and positive ratios up to
     (r/sigma)^2 of about 3200.
@@ -87,53 +106,9 @@ def test_batched_row_norms_equal_one_dimensional_norms(order):
     grid = np.linspace(-56.6, 56.6, 67)  # passes through 0.0
     ratios = np.concatenate([grid, rng.uniform(-56.6, 56.6, 33), [0.0, -1e-300, 1e-300]])
     assert 0.0 in grid
-    table = coherent._amplitudes(ratios, order)
-    want = np.stack([_reference_amplitudes(float(r), order) for r in ratios])
+    table = _reference_table(ratios, order)
+    want = np.stack([coherent.coherent_state(float(r), 1.0, order) for r in ratios])
     assert np.array_equal(table, want)
-
-
-def _unguarded_amplitudes(ratios, order: int) -> np.ndarray:
-    """coherent._amplitudes with its sign flip and zero-row fix-up always run."""
-    r = np.asarray(ratios, dtype=float)
-    scalar = r.ndim == 0
-    r = r.reshape(-1)
-    k = np.arange(order)
-    log_r = np.array([math.log(abs(v)) if v != 0.0 else 0.0 for v in r.tolist()])
-    table = np.multiply.outer(log_r, k)
-    table -= 0.5 * gammaln(k + 1.0)
-    table -= table.max(axis=1, keepdims=True)
-    np.exp(table, out=table)
-    table[r < 0.0, 1::2] *= -1.0
-    zero = r == 0.0
-    table[zero] = 0.0
-    table[zero, 0] = 1.0
-    table /= np.sqrt(np.matmul(table[:, None, :], table[:, :, None]))[:, 0]
-    return table[0] if scalar else table
-
-
-@pytest.mark.parametrize("order", [1, 2, 9, 339])
-def test_amplitude_fix_ups_run_wherever_a_ratio_is_not_positive(order):
-    """Skipping the fix-ups on positive ratios leaves every bit of the table."""
-    rng = np.random.default_rng(order)
-    positive = rng.uniform(1e-3, 30.0, 40)
-    cases = [
-        positive,
-        positive[:1],
-        np.float64(2.5),
-        np.append(positive, 0.0),
-        np.append(positive, -1e-300),
-        -positive,
-        rng.uniform(-30.0, 30.0, 40),
-        np.array([np.nan, -0.5, 1.0]),
-        np.array([]),
-        np.float64(0.0),
-        np.float64(-2.5),
-    ]
-    for ratios in cases:
-        got = coherent._amplitudes(ratios, order)
-        want = _unguarded_amplitudes(ratios, order)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
 
 
 def test_truncations_share_prefixes():
@@ -143,22 +118,21 @@ def test_truncations_share_prefixes():
     at the short state's largest amplitude.
     """
     for ratio in (0.0, 0.3, 1.0, 2.7, 30.0, 57.0):
-        short = coherent.coherent_state(ratio, 1.0, 6).amplitudes
-        long = coherent.coherent_state(ratio, 1.0, 12).amplitudes
+        short = coherent.coherent_state(ratio, 1.0, 6)
+        long = coherent.coherent_state(ratio, 1.0, 12)
         kmax = np.argmax(np.abs(short))
         assert np.allclose(short / short[kmax], long[:6] / long[kmax], rtol=5e-15, atol=0.0)
 
 
 def test_negative_displacement_alternates_sign():
-    st = coherent.coherent_state(-1.0, 1.0, 5)
-    signs = np.sign(st.amplitudes)
+    signs = np.sign(coherent.coherent_state(-1.0, 1.0, 5))
     assert np.array_equal(signs, [1.0, -1.0, 1.0, -1.0, 1.0])
 
 
 def test_sigma_only_enters_through_the_ratio():
     a = coherent.coherent_state(0.8, 2.0, 7)
     b = coherent.coherent_state(0.4, 1.0, 7)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(a, b)
 
 
 def test_truncation_bound_formula_and_monotonicity():
@@ -227,16 +201,80 @@ def test_min_order_bisection_equals_the_linear_scan(monkeypatch):
 
 
 def test_truncation_bound_dominates_measured_tail():
-    """The bound must sit above the actual L2 distance to the full state."""
+    """The bound sits above the L2 distance to the full state, measured on the states
+    themselves, and truncation_error gives that distance to within its rounding.
+
+    The order-220 state stands in for the exact one (its own error is below
+    1e-150 here).  Each of its amplitudes, and of the padded truncation,
+    is within 2 u of itself, so the measured distance is within 4 u of the
+    true one; truncation_error is within 1e-13 of itself (see the decimal
+    test below).
+    """
     ref_order = 220
+    u = 2.0**-53
     for ratio in (0.25, 0.75, 1.5):
-        ref = coherent.coherent_state(ratio, 1.0, ref_order).amplitudes
+        ref = coherent.coherent_state(ratio, 1.0, ref_order)
         for order in range(2, 20):
-            st = coherent.coherent_state(ratio, 1.0, order).amplitudes
             padded = np.zeros(ref_order)
-            padded[:order] = st
+            padded[:order] = coherent.coherent_state(ratio, 1.0, order)
             measured = np.linalg.norm(padded - ref)
+            error = coherent.truncation_error(ratio, 1.0, order)
             assert measured <= coherent.truncation_bound(ratio, 1.0, order) + 1e-15
+            assert abs(measured - error) <= 4 * u + 1e-13 * error, (ratio, order)
+
+
+def _decimal_truncation_error(ratio: float, order: int) -> Decimal:
+    """||psi_N - psi|| = sqrt(2 P / (1 + sqrt(Q))) at 60 digits, for the float ratio taken exactly.
+
+    Q = e^-x e_N(x) and P = e^-x (e^x - e_N(x)), x = ratio^2, are the head
+    and the tail of the exponential series, each a sum of positive terms,
+    so neither cancels; the tail is summed until its terms fall below
+    1e-70 of it.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(ratio) ** 2
+        head, term = Decimal(0), Decimal(1)
+        for k in range(1, order + 1):
+            head += term
+            term = term * x / k
+        tail, k = Decimal(0), order
+        while term > tail * Decimal("1e-70") or k < x:
+            tail += term
+            k += 1
+            term = term * x / k
+        scale = (-x).exp()
+        return (2 * tail * scale / (1 + (head * scale).sqrt())).sqrt()
+
+
+def test_truncation_error_matches_a_decimal_reference():
+    """Within 1e-13 relative of the 60-digit distance, on the truncation suite's grid and
+    past it, from errors of 1e-150 to sqrt(2).
+
+    The rounding is that of scipy's gammainc and gammaincc: the expression
+    adds a few u, and the square root halves their relative error.  On
+    this grid they err by up to 220 u relative (ratio 0.25, order 56), and
+    1e-13 is 450 u.  Below 1e-150, P(N, x) is subnormal and keeps fewer
+    bits, so the grid stops there.  At ratio 10, order 29, P rounds to 1:
+    the form -2 expm1(log1p(-P) / 2) reads sqrt(2) there, 2e-9 relative
+    off, where 2 P / (1 + sqrt(Q)) keeps every digit.
+    """
+    ratios = (0.0, 1e-3, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, -2.0, 3.0, 4.5, 6.0, 10.0)
+    for ratio in ratios:
+        got = coherent.truncation_error(np.array([ratio]), 1.0, 29)
+        assert got.shape == (1,)
+        for order in range(1, 61):
+            want = _decimal_truncation_error(ratio, order)
+            error = coherent.truncation_error(ratio, 1.0, order)
+            if order == 29:
+                assert got[0] == error
+            if want == 0:
+                assert error == 0.0
+            elif want > Decimal("1e-150"):
+                assert abs(Decimal(error) - want) <= Decimal("1e-13") * want, (ratio, order)
+    assert coherent.truncation_error(2.0, 0.5, 7) == coherent.truncation_error(4.0, 1.0, 7)
+    with pytest.raises(ValueError, match="at least 1"):
+        coherent.truncation_error(1.0, 1.0, 0)
 
 
 def test_coherent_inner_converges_to_gaussian_overlap():
@@ -246,7 +284,8 @@ def test_coherent_inner_converges_to_gaussian_overlap():
     sigma = 1.0
     want = math.exp(-np.sum((x - z) ** 2) / (2.0 * sigma**2))
     # a product-state overlap is the product of its per-coordinate overlaps
-    fx, fz = coherent._amplitudes(x / sigma, 60), coherent._amplitudes(z / sigma, 60)
+    fx = np.stack([coherent.coherent_state(v, sigma, 60) for v in x])
+    fz = np.stack([coherent.coherent_state(v, sigma, 60) for v in z])
     got = np.prod(np.sum(fx * fz, axis=1))
     assert np.isclose(got, want, rtol=1e-13)
 
@@ -309,14 +348,18 @@ def _partial_exp(t: Decimal, order: int) -> Decimal:
     return total
 
 
-def _decimal_entries(ratios: np.ndarray, order: int, pairs) -> list:
+def _decimal_entries(ratios: np.ndarray, order: int, pairs, magnitudes: bool = False) -> list:
     """Gram entries prod_c e_N(a_ic a_jc) / sqrt(e_N(a_ic^2) e_N(a_jc^2)) / m at 60 digits.
 
     The ratios are the float64 values the build reads, taken exactly.  An
     alternating sum (a_ic a_jc < 0) rounds each of its N terms by 1e-60 of
     the largest, at most e^{|a_ic a_jc|} <= e^{(a_ic^2 + a_jc^2) / 2}, and
     the denominator is at least that over 2 where every a^2 <= N, so its
-    rounding moves an entry by under 1e-55: far below u / m.
+    rounding moves an entry by under 1e-55: far below u / m.  Below max
+    a^2 the denominator is at least 1, and at the ratios up to 6 the tests
+    use a term is at most e^36, so the rounding stays under 1e-44.  With
+    magnitudes, e_N(|a_ic a_jc|) replaces e_N(a_ic a_jc): the sum of the
+    terms' magnitudes, at most 1 / m by Cauchy-Schwarz.
     """
     m = len(ratios)
     with localcontext() as ctx:
@@ -333,7 +376,7 @@ def _decimal_entries(ratios: np.ndarray, order: int, pairs) -> list:
             entry = Decimal(1) / m
             for c in range(ratios.shape[1]):
                 t = Decimal(ratios[i, c]) * Decimal(ratios[j, c])
-                entry *= _partial_exp(t, order) / (norm(i, c) * norm(j, c))
+                entry *= _partial_exp(abs(t) if magnitudes else t, order) / (norm(i, c) * norm(j, c))
             out.append(entry)
         return out
 
@@ -389,6 +432,94 @@ def test_gram_coherent_entries_match_a_60_digit_reference(m, sigma, order, centr
         assert np.unravel_index(np.argmin(products), products.shape) in pairs
     else:
         assert np.min(gammaincc(order, ratios[rows] ** 2)) < 0.6
+
+
+def _log_term_sizes(ratios: np.ndarray, order: int) -> np.ndarray:
+    """S_ij: the sum of the magnitudes of the terms the closed form adds into entry (i, j)'s log.
+
+    Per coordinate: (a_i - a_j)^2 / 2, |ln Q(N, a_i^2)| / 2, |ln Q(N, a_j^2)| / 2,
+    and the factor of t = a_i a_j: |ln Q(N, t)| for t >= 0, and for t < 0
+    the four terms of its remainder's log, N |ln|t||, ln N!,
+    |ln 1F1(1; N + 1; t)| and |t| (coherent._log_factors).
+    """
+    total = np.zeros((len(ratios), len(ratios)))
+    for a in ratios.T:
+        log_q = np.abs(np.log(gammaincc(order, a * a)))
+        total += 0.5 * np.subtract.outer(a, a) ** 2 + 0.5 * np.add.outer(log_q, log_q)
+        t = np.multiply.outer(a, a)
+        s = np.maximum(-t, 1e-300)  # the remainder's terms, read only where t < 0
+        remainder = (order * np.abs(np.log(s)) + gammaln(order + 1.0)
+                     + np.abs(np.log(hyp1f1(1.0, order + 1.0, -s))) + s)
+        total += np.where(t >= 0.0, np.abs(np.log(gammaincc(order, np.abs(t)))), remainder)
+    return total
+
+
+def _low_order_cases(kind: str) -> list:
+    """(dataset, sigma, orders) triples whose orders lie below max (coordinate/sigma)^2.
+
+    grid-d: ratios at 0, +-0.3, +-1, +-sqrt(2), +-sqrt(3) and +-2 at orders
+    1 to 3, where e_N(a b) crosses 0 between opposite-signed ratios near
+    +-sqrt(N) (e_2(-1) = 0, e_2(-2) = -1).  suite: 30 datasets like the
+    perturbation suite's (m 4-8, d 1-3, sigma 0.3-0.8, raw and centred
+    sites) at every order from 1 to ceil(max a^2).  wide-d: 8 ratios in
+    (-6, 6) at every order from 1 to 36.
+    """
+    if kind.startswith("grid"):
+        d = int(kind[-1])
+        roots = [0.3, 1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0]
+        grid = np.array([0.0, *roots, *(-r for r in roots)])
+        rng = np.random.default_rng(d)
+        sites = rng.permuted(np.tile(grid, (d, 1)), axis=1).T
+        return [(DataSet(sites, rng.standard_normal(len(grid))), 1.0, range(1, 4))]
+    if kind.startswith("wide"):
+        rng = np.random.default_rng(10 + int(kind[-1]))
+        ds = DataSet(rng.uniform(-6.0, 6.0, size=(8, int(kind[-1]))), rng.standard_normal(8))
+        return [(ds, 1.0, range(1, 37))]
+    rng = np.random.default_rng(0)
+    cases = []
+    for case in range(30):
+        m, d, sigma = int(rng.integers(4, 9)), int(rng.integers(1, 4)), float(rng.uniform(0.3, 0.8))
+        ds = gen_data(m, d, [0.0, 1.0], int(rng.integers(2**31)), "franke")
+        ds = coherent.centred(ds) if case % 2 else ds
+        top = float(np.max((ds.sites / sigma) ** 2))
+        cases.append((ds, sigma, range(1, math.ceil(top) + 1)))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["grid-1", "grid-2", "grid-3", "suite", "wide-1", "wide-2"])
+def test_gram_coherent_below_max_a2_matches_a_60_digit_reference(kind):
+    """Every entry at orders below max a^2 lies within 16 u (1 + S_ij) A_ij of the exact
+    overlap of the truncated states.
+
+    Below max a^2 the truncation factors are far from 1, and their logs
+    cancel part of the pair exponent.  Each term of the entry's log is
+    rounded by a few u of its own size, so the log errs by a few u times
+    S_ij, the sum of the terms' magnitudes (_log_term_sizes), and exp
+    carries that into the entry's relative error.  The scale A_ij is the
+    entry with every series term taken by magnitude, prod_c
+    e_N(|a_ic a_jc|) / sqrt(e_N(a_ic^2) e_N(a_jc^2)) / m <= 1 / m: it
+    bounds the entry, and also the remainder e^-t R_N(t) whose log is
+    rounded where t < 0, to within a factor 2.  The 1 covers the final
+    exp and the division by m.  c = 16 allows up to 4 u per special
+    function, 1 u for its log and 1 u for adding it in, doubled for the
+    remainder.  Measured: up to 3.4 on the suite-like datasets (16.5 u / m
+    of the largest entry), 1.4 on the grids and 11.2 on ratios up to 6
+    (128 u / m), where the amplitude tables' dot products err by 5 u / m.
+    """
+    u = 2.0**-53
+    below = 0
+    for ds, sigma, orders in _low_order_cases(kind):
+        ratios = ds.sites / sigma
+        pairs = [(i, j) for i in range(ds.m) for j in range(ds.m)]
+        below += sum(order < np.max(ratios * ratios) for order in orders)
+        for order, gram in zip(orders, coherent.grams_by_order(ds, sigma, orders)):
+            want = np.array(_decimal_entries(ratios, order, pairs), dtype=float).reshape(ds.m, -1)
+            scale = np.array(_decimal_entries(ratios, order, pairs, magnitudes=True), dtype=float)
+            bound = 16 * u * (1.0 + _log_term_sizes(ratios, order)) * scale.reshape(ds.m, -1)
+            assert np.all(np.abs(gram.data - want) <= bound), (kind, order)
+            if kind.startswith("grid") and order == 2:  # opposite-signed pairs at +-1, +-sqrt(2)
+                assert np.min(want) < 0.0 and np.min(np.abs(want)) == 0.0
+    assert below
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -451,32 +582,20 @@ def _every_ratio_sign(d: int) -> DataSet:
     return coherent.centred(DataSet(sites, rng.standard_normal(9)))
 
 
-_TINY = np.finfo(float).tiny
-
-
-def _subnormal_count(ds: DataSet, sigma: float, order: int) -> int:
-    tables = [coherent._amplitudes(ds.sites[:, c] / sigma, order) for c in range(ds.d)]
-    return sum(int(np.count_nonzero((t != 0.0) & (np.abs(t) < _TINY))) for t in tables)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["raw", "centred", "subnormal"])
+@pytest.mark.parametrize("kind", ["raw", "centred"])
 def test_grams_by_order_equal_gram_coherent_at_every_order(kind, d):
-    """One log table at order 39 gives every order's Gram bit for bit, orders 3 to 39.
+    """One pair exponent gives every order's Gram bit for bit, orders 3 to 39.
 
-    raw: positive ratios only.  centred: negative, positive and zero
-    ratios, so the sign and zero fix-ups run.  subnormal: sigma = 1e-9,
-    ratios near 1e9, whose rows reach below the normal range within 39
-    levels, at orders far below a^2, which take the amplitude tables.
+    raw: positive ratios only, up to a^2 = 4, so order 3 lies below max
+    a^2.  centred: negative, positive and zero ratios, so remainder
+    factors and sign flips run.
     """
     if kind == "raw":
         ds, sigma = gen_data(7, d, [0.0, 1.0], seed=d), 0.5
-    elif kind == "centred":
+    else:
         ds, sigma = _every_ratio_sign(d), 0.6
         assert {-1.0, 0.0, 1.0} <= set(np.sign(ds.sites).ravel().tolist())
-    else:
-        ds, sigma = gen_data(6, d, [0.0, 1.0], seed=d), 1e-9
-        assert _subnormal_count(ds, sigma, 39) > 0
     orders = range(3, 40)
     grams = list(coherent.grams_by_order(ds, sigma, orders))
     assert len(grams) == len(orders)
@@ -486,23 +605,45 @@ def test_grams_by_order_equal_gram_coherent_at_every_order(kind, d):
         assert (gram.normalized, gram.sparsity) == (want.normalized, want.sparsity)
 
 
-def test_grams_by_order_builds_no_gram_past_the_one_taken(monkeypatch):
-    """A search that stops at an order builds no Gram, by tables or in closed form, after it."""
-    finished = []
-    truncated, closed_form = coherent._truncated, coherent._closed_form
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_gram_whose_q_underflows_is_refused_naming_the_order(d):
+    """Where Q(N, max a^2) leaves the normal range, ln Q would be -inf (a NaN Gram) or keep
+    a subnormal's few bits: the build refuses, naming the order, max a^2 and min_order.
 
-    def recorded_table(r, log_table, order):
-        finished.append(order)
-        return truncated(r, log_table, order)
+    At sigma = 1e-9 (ratios near 1e9) every order is refused.  At max a^2
+    = 750 the first order whose Q(N, 750) is normal builds finite entries,
+    and the order below it is refused.
+    """
+    ds = gen_data(6, d, [0.0, 1.0], seed=d)
+    top = float(np.max((ds.sites / 1e-9) ** 2))
+    for order in (3, 39):
+        with pytest.raises(ValueError) as info:
+            coherent.gram_coherent(ds, 1e-9, order)
+        for part in (f"truncation order {order} ", f"= {top:.6g}:", "coherent.min_order"):
+            assert part in str(info.value)
+    with pytest.raises(ValueError, match="truncation order 3 is too low"):
+        next(coherent.grams_by_order(ds, 1e-9, range(3, 40)))
+    sigma = float(np.max(np.abs(ds.sites))) / math.sqrt(750.0)
+    top = float(np.max((ds.sites / sigma) ** 2))
+    first = next(n for n in range(1, 100) if gammaincc(n, top) >= np.finfo(float).tiny)
+    assert first > 1
+    assert np.all(np.isfinite(coherent.gram_coherent(ds, sigma, first).data))
+    with pytest.raises(ValueError, match=f"truncation order {first - 1} is too low"):
+        coherent.gram_coherent(ds, sigma, first - 1)
+
+
+def test_grams_by_order_builds_no_gram_past_the_one_taken(monkeypatch):
+    """A search that stops at an order builds no Gram after it."""
+    finished = []
+    closed_form = coherent._closed_form
 
     def recorded_closed_form(terms, order, last):
         finished.append(order)
         return closed_form(terms, order, last)
 
-    monkeypatch.setattr(coherent, "_truncated", recorded_table)
     monkeypatch.setattr(coherent, "_closed_form", recorded_closed_form)
     ds = gen_data(5, 2, [0.0, 1.0], seed=3)
-    assert 3 < np.max((ds.sites / 0.43) ** 2) <= 4  # order 3 takes the tables, 4 on the closed form
+    assert 3 < np.max((ds.sites / 0.43) ** 2) <= 4  # order 3 lies below max a^2, 4 above it
     for _ in coherent.grams_by_order(ds, 0.43, range(3, 40)):
         if len(finished) == 4:
             break
@@ -529,7 +670,7 @@ def _superposition_gram(ds: DataSet, sigma: float, order: int) -> np.ndarray:
     states; tracing out the encoding register of |Psi><Psi| leaves the
     m x m matrix of overlaps <psi_i|psi_j> / m.
     """
-    psi = np.stack([functools.reduce(np.kron, coherent._amplitudes(x / sigma, order))
+    psi = np.stack([functools.reduce(np.kron, [coherent.coherent_state(v, sigma, order) for v in x])
                     for x in ds.sites])
     psi /= math.sqrt(ds.m)
     return psi @ psi.T
@@ -564,7 +705,7 @@ def test_displacement_operator_cross_check():
     """Truncated amplitudes agree with expm of the displacement generator."""
     order = 30
     for r in (0.3, 1.0, 1.7):
-        direct = coherent.coherent_state(r, 1.0, order).amplitudes
+        direct = coherent.coherent_state(r, 1.0, order)
         matrix = _displacement_state(r, 1.0, order)
         assert np.max(np.abs(direct - matrix)) <= 1e-8
 
@@ -573,7 +714,7 @@ def test_coherent_state_is_a_unit_vector_past_the_float_range_of_its_norm():
     """exp(57^2) overflows float64; the amplitudes never form it."""
     for order in (10, 3249, 4000):
         st = coherent.coherent_state(57.0, 1.0, order)
-        assert np.isclose(np.linalg.norm(st.amplitudes), 1.0, rtol=1e-14)
+        assert np.isclose(np.linalg.norm(st), 1.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("m, d", [(256, 2), (64, 3)])

@@ -258,6 +258,21 @@ def test_a_null_dataset_file_draws_queries_from_the_dataset_box():
     assert [(r["x1"], r["x2"]) for r in null.query_rows] == [(r["x1"], r["x2"]) for r in want]
 
 
+def test_a_dataset_file_leaves_the_box_unread(tmp_path):
+    """With a dataset file the sites and the query box come from the file: no box is
+    checked there, while gen_data refuses a malformed one with the shape it needs."""
+    path = tmp_path / "data.csv"
+    interp.save_dataset(harness.gen_data(8, 2, [0.0, 1.0], seed=3), str(path))
+    cfg = {"pipeline": "classical", "seed": 0, "dataset": {"file": str(path)}}
+    runs = [harness.run_pipeline(harness.merge_config(cfg, {"dataset": {"box": box}}))
+            for box in ([0.0, 1.0], "a")]
+    want, got = ([(r["x1"], r["x2"], r["f_classical"]) for r in run.query_rows] for run in runs)
+    assert got == want
+    for box in ("a", [1.0], [[0.0, 1.0], [0.0]], [1.0, 0.0]):
+        with pytest.raises(ValueError, match=r"^box must be \[lo, hi\] or 3 rows \[lo, hi\]"):
+            harness.gen_data(8, 3, box, seed=0)
+
+
 def test_classical_pipeline_interpolates_training_data(tmp_path):
     qfile = tmp_path / "q.csv"
     ds = harness.gen_data(8, 2, [0.0, 1.0], seed=3)
@@ -1097,19 +1112,13 @@ def _per_order_perturbation_instance(rng):
 
 
 def _per_order_truncation_suite(seed: int) -> list:
-    """The truncation suite with two full amplitude tables built per order."""
+    """The truncation suite with one truncation_error call per ratio and order."""
     from qrbf import coherent
 
-    ratios = np.arange(0.0, 2.25, 0.25)
-    orders = range(2, 31)
-    measured = np.empty((ratios.size, len(orders)))
-    for col, order in enumerate(orders):
-        diff = coherent._amplitudes(ratios, order + 200)
-        diff[:, :order] -= coherent._amplitudes(ratios, order)
-        measured[:, col] = [np.linalg.norm(row) for row in diff]
     rows = []
-    for ratio, errs in zip(ratios, measured):
-        for order, err in zip(orders, errs.tolist()):
+    for ratio in np.arange(0.0, 2.25, 0.25):
+        for order in range(2, 31):
+            err = float(coherent.truncation_error(float(ratio), 1.0, order))
             bound = coherent.truncation_bound(ratio, 1.0, order)
             rows.append((f"ratio={ratio}", f"order={order}", err, bound, err <= bound))
     return rows
@@ -1122,7 +1131,9 @@ def _suite_body(suite: str, seed: int) -> str:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_order_searches_from_one_log_table_equal_the_per_order_builds(monkeypatch, seed):
-    """perturbation and truncation rows equal those of a full build at every order."""
+    """perturbation and truncation rows equal those of one build per order: one
+    gram_coherent per order for the Grams that share a pair exponent, one scalar
+    truncation_error per ratio and order for the errors taken over all ratios at once."""
     got = {suite: _suite_body(suite, seed) for suite in ("perturbation", "truncation")}
     monkeypatch.setattr(harness, "_perturbation_instance", _per_order_perturbation_instance)
     monkeypatch.setitem(harness._SUITE_RUNNERS, "truncation", _per_order_truncation_suite)
@@ -1291,6 +1302,19 @@ _FAILURE_CONTRACT = [
      "config", "must be an integer, got 3.9", "'kernel.d'"),
     ("text kernel sigma", ("classical", "quantum-global"), {"kernel": {"sigma": "a"}},
      "config", "must be a number, got 'a'", "'kernel.sigma'"),
+    # open() takes an integer for a file descriptor, and a with block closes it
+    ("numeric dataset file", harness.PIPELINES, {"dataset": {"file": 2}},
+     "config", "must be a string, got 2", "'dataset.file'"),
+    ("numeric queries file", harness.PIPELINES, {"queries": {"file": 7}},
+     "config", "must be a string, got 7", "'queries.file'"),
+    ("numeric output directory", harness.PIPELINES, {"output": 5},
+     "config", "must be a string, got 5", "'output'"),
+    ("text box", harness.PIPELINES, {"dataset": {"box": "a"}},
+     "config", "must be [lo, hi] or 2 rows [lo, hi], lo <= hi, got 'a'", "'dataset.box'"),
+    ("one-number box", harness.PIPELINES, {"dataset": {"box": [1]}},
+     "config", "must be [lo, hi] or 2 rows [lo, hi], lo <= hi, got [1]", "'dataset.box'"),
+    ("box of the wrong dimension", harness.PIPELINES, {"dataset": {"d": 3, "box": [[0, 1], [0, 1]]}},
+     "config", "must be [lo, hi] or 3 rows [lo, hi], lo <= hi", "'dataset.box'"),
 ]
 _CONTRACT_FILES = {
     "non-finite dataset": ("dataset", "x1,x2,y\n0.1,0.2,0.3\n0.5,0.6,nan\n"),
