@@ -49,7 +49,7 @@ section("out-of-sample error against the known target")
 rng = np.random.default_rng(seed + 1)
 queries = rng.uniform(0.0, 1.0, size=(200, 2))
 fhat = np.array([interp.evaluate(coeffs, ds, kern, x) for x in queries])
-truth = harness.TARGETS["franke"](queries)
+truth = interp.TARGETS["franke"](queries)
 print(f"mean |f - target| on 200 fresh points: {np.mean(np.abs(fhat - truth)):.4f}")
 print(f"max  |f - target| on 200 fresh points: {np.max(np.abs(fhat - truth)):.4f}")
 

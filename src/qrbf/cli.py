@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import harness, interpolation
+from . import config, harness, interpolation
 
 
 def _parse_value(text: str):
@@ -26,7 +26,7 @@ def _parse_value(text: str):
 
 def _base_config(args) -> dict:
     with harness._stage("config"):
-        cfg = harness.load_config(args.config) if args.config else {}
+        cfg = config.load_config(args.config) if args.config else {}
         if getattr(args, "pipeline", None):
             cfg["pipeline"] = args.pipeline
         if getattr(args, "seed", None) is not None:
@@ -39,16 +39,16 @@ def _base_config(args) -> dict:
             if "=" not in item:
                 raise ValueError(f"--set expects path=value, got {item!r}")
             path, _, raw = item.partition("=")
-            harness._set_by_path(cfg, path, _parse_value(raw))
+            config.set_by_path(cfg, path, _parse_value(raw))
         if getattr(args, "query_file", None):
-            harness._set_by_path(cfg, "queries.file", args.query_file)
+            config.set_by_path(cfg, "queries.file", args.query_file)
     return cfg
 
 
 def _cmd_gen_data(args) -> int:
     with harness._stage("config"):
-        seed = harness.resolve_seed(args.seed)
-    ds = harness.gen_data(args.m, args.d, args.box, seed, args.target)
+        seed = config.resolve_seed(args.seed)
+    ds = interpolation.gen_data(args.m, args.d, args.box, seed, args.target)
     interpolation.save_dataset(ds, args.out)
     print(f"wrote {ds.m} sites in dimension {ds.d} to {args.out} (seed {seed})")
     return 0
@@ -104,19 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dataset = harness.default_config()["dataset"]
+    dataset = config.default_config()["dataset"]
     p = sub.add_parser("gen-data", help="generate a random dataset CSV")
     p.add_argument("--m", type=int, default=dataset["m"])
     p.add_argument("--d", type=int, default=dataset["d"])
     p.add_argument("--box", type=float, nargs=2, default=dataset["box"], metavar=("LO", "HI"))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--target", choices=sorted(harness.TARGETS), default=dataset["target"])
+    p.add_argument("--target", choices=sorted(interpolation.TARGETS), default=dataset["target"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--pipeline", choices=harness.PIPELINES)
+    common.add_argument("--pipeline", choices=config.PIPELINES)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--epsilon", type=float, default=None)
     common.add_argument("--out", help="output directory")

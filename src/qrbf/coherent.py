@@ -60,7 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, hyp1f1
 
+from . import interpolation
 from .interpolation import DataSet, InterpMatrix
+from .kernels import gaussian
 
 # min_order searches no further
 _MAX_ORDER = 100_000
@@ -128,11 +130,7 @@ def truncation_bound(r: float, sigma: float, order: int) -> float:
     by its first term times a geometric factor of 2).  A bound past the
     float range is inf.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
-    ratio = abs(r) / sigma
+    ratio = abs(_ratios(r, sigma, order))
     if ratio == 0.0:
         return 0.0
     lg = 0.5 * (math.log(2.0) + 2.0 * order * math.log(ratio) - gammaln(order + 1.0))
@@ -241,7 +239,8 @@ def _log_factors(order: int, t: np.ndarray, neg):
     if order % 2:
         out[neg] = np.logaddexp(0.0, rho)  # ln(1 + e^rho)
         return out, None
-    out[neg] = np.maximum(rho, 0.0) + np.log(-np.expm1(-np.abs(rho)))  # ln|1 - e^rho|
+    with np.errstate(divide="ignore"):  # rho = 0 is f(t) = 0 exactly: ln 0 = -inf, entry 0
+        out[neg] = np.maximum(rho, 0.0) + np.log(-np.expm1(-np.abs(rho)))  # ln|1 - e^rho|
     flip = np.zeros(t.shape, dtype=bool)
     flip[neg] = rho > 0.0
     return out, flip if flip.any() else None
@@ -396,11 +395,8 @@ def gram_report(dataset: DataSet, sigma: float, order: int) -> GramDeviation:
     dataset; entries are bounded by 2*d*delta/m and the Frobenius norm of
     the deviation by 2*d*delta.
     """
-    from .kernels import gaussian
-    from .interpolation import assemble
-
     approx = gram_coherent(dataset, sigma, order)
-    exact = assemble(dataset, gaussian(sigma=sigma), normalized=True)
+    exact = interpolation.assemble(dataset, gaussian(sigma=sigma), normalized=True)
     diff = approx.data - exact.data
     delta = truncation_bound(max_ratio(dataset.sites, sigma), 1.0, order)
     d = dataset.d

@@ -62,6 +62,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -91,9 +92,10 @@ class CompactOracleConfig:
         if not self.kernel.is_compact:
             raise ValueError("compact pipeline needs a compactly supported kernel")
         if self.ae_bits is not None:
-            if not 1 <= int(self.ae_bits) <= _AE_BITS_CAP:
-                raise ValueError(f"ae_bits must be in [1, {_AE_BITS_CAP}]")
-            self.ae_bits = int(self.ae_bits)
+            bits, cap = self.ae_bits, _AE_BITS_CAP
+            if isinstance(bits, bool) or not isinstance(bits, Integral) or not 1 <= bits <= cap:
+                raise ValueError(f"ae_bits must be an integer in [1, {cap}], got {bits!r}")
+            self.ae_bits = int(bits)
 
 
 def _pair_rows(x_i, x_j):

@@ -1,4 +1,4 @@
-"""Experiment drivers: data generation, pipelines, bound suites, reports.
+"""Experiment drivers: pipelines, bound suites, reports.
 
 Everything here is deterministic given (config, seed).  Report rows all
 carry the seed and a hash of the originating config, floats are written
@@ -15,203 +15,23 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
-import difflib
-import hashlib
 import io
 import itertools
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import coherent, compact, interpolation, kernels, qcore, qinvert
-from .interpolation import DataSet
+from . import coherent, compact, config, interpolation, kernels, qcore, qinvert
+# gen_data is called by this module's name, which the benchmark tracer wraps
+from .interpolation import DataSet, gen_data
 
 
 # ---------------------------------------------------------------------------
-# targets and data generation
-
-def _franke(sites: np.ndarray) -> np.ndarray:
-    # classic two-dimensional blend of four gaussian bumps; extra
-    # coordinates are ignored, a missing second coordinate is fixed at 0.5
-    x = sites[:, 0]
-    y = sites[:, 1] if sites.shape[1] > 1 else np.full(sites.shape[0], 0.5)
-    t1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4.0)
-    t2 = 0.75 * np.exp(-((9 * x + 1) ** 2) / 49.0 - (9 * y + 1) / 10.0)
-    t3 = 0.5 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4.0)
-    t4 = -0.2 * np.exp(-((9 * x - 4) ** 2) - (9 * y - 7) ** 2)
-    return t1 + t2 + t3 + t4
-
-
-def _cosines(sites: np.ndarray) -> np.ndarray:
-    return np.prod(np.cos(2.0 * np.pi * sites), axis=1)
-
-
-def _constant(sites: np.ndarray) -> np.ndarray:
-    return np.ones(sites.shape[0])
-
-
-TARGETS = {"franke": _franke, "cosines": _cosines, "constant": _constant}
-
-
-def resolve_seed(explicit=None) -> int:
-    """Explicit seed, else QRBF_SEED, else 0; anything but a non-negative integer is refused."""
-    raw = os.environ.get("QRBF_SEED", "0") if explicit is None else explicit
-    with contextlib.suppress(TypeError, ValueError):
-        if int(raw) >= 0 and (isinstance(raw, str) or int(raw) == raw):
-            return int(raw)
-    raise ValueError(f"seed {raw!r} is not a non-negative integer; set seed (--seed) or QRBF_SEED")
-
-
-def _box_array(box, d: int, name: str = "box") -> np.ndarray:
-    """The (d, 2) bounds of box: one [lo, hi] for every dimension, or d rows [lo, hi]; anything
-    else is refused under name, with the shape it needs."""
-    try:
-        arr = np.asarray(box, dtype=float)
-    except (TypeError, ValueError):  # text, or rows of unequal length
-        arr = np.empty(0)
-    if arr.shape == (2,):
-        arr = np.tile(arr, (d, 1))
-    if arr.shape != (d, 2) or np.any(arr[:, 0] > arr[:, 1]):
-        raise ValueError(f"{name} must be [lo, hi] or {d} rows [lo, hi], lo <= hi, got {box!r}")
-    return arr
-
-
-def gen_data(m: int, d: int, box, seed: int, target_fn: str = "franke") -> DataSet:
-    """Uniform random distinct sites in the box with built-in target values."""
-    if m < 1 or d < 1:
-        raise ValueError("need m >= 1 and d >= 1")
-    if target_fn not in TARGETS:
-        raise ValueError(f"unknown target {target_fn!r}; choose from {sorted(TARGETS)}")
-    bounds = _box_array(box, d)
-    rng = np.random.default_rng(seed)
-    sites = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m, d))
-    for _ in range(100):
-        sites = interpolation.unique_rows(sites)
-        if sites.shape[0] == m:
-            break
-        draw = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m - sites.shape[0], d))
-        sites = np.vstack([sites, draw])
-    else:
-        raise RuntimeError(f"could not draw {m} distinct sites in box {box!r}")
-    # unique_rows() sorted the rows; shuffle deterministically so ordering is not biased
-    rng.shuffle(sites)
-    return DataSet(sites=sites, values=TARGETS[target_fn](sites))
-
-
-# ---------------------------------------------------------------------------
-# config and report plumbing
-
-def default_config() -> dict:
-    """Each _SCHEMA default, nested by its dotted path; the keys marked _UNSET are left out."""
-    cfg = {}
-    for path, (default, *_) in _SCHEMA.items():
-        section, _, key = path.rpartition(".")
-        if default is not _UNSET:
-            (cfg.setdefault(section, {}) if section else cfg)[key] = copy.copy(default)
-    return cfg
-
-
-def _check(path: str, val, kind, within: str = "", inside=None, null: bool = False) -> None:
-    """Refuse val at path unless it is one of the tuple kind, or of type kind (bool, str, or
-    a number that is not a bool) with inside(val) true; null passes where null is set."""
-    if (val is None and null) or (isinstance(kind, tuple) and val in kind):
-        return
-    if isinstance(kind, tuple):
-        raise ValueError(f"unknown {path} {val!r}; choose from {kind}")
-    if not isinstance(val, kind) or isinstance(val, bool) is not (kind is bool):
-        noun = {bool: "true or false", Integral: "an integer", Real: "a number", str: "a string"}
-        raise ValueError(f"config key {path!r} must be {noun[kind]}, got {val!r}")
-    if inside is not None and not inside(val):
-        raise ValueError(f"config key {path!r} must be {within}, got {val!r}")
-
-
-def _count(lo: int, hi=math.inf, null: bool = False) -> tuple:
-    within = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-    return Integral, within, lambda v: lo <= v <= hi, null
-
-
-def _key_hint(path: str, valid: list) -> str:
-    if path in valid:  # a valid dotted path, written as a top-level key
-        section, _, sub = path.partition(".")
-        return f'nest it as {{"{section}": {{"{sub}": ...}}}}'
-    return f"did you mean {difflib.get_close_matches(path, valid, n=1, cutoff=0.0)[0]!r}?"
-
-
-def _not_an_object(section: str, val) -> ValueError:
-    return ValueError(f"config section {section!r} must be an object, got {val!r}")
-
-
-def merge_config(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = merge_config(out[key], val)
-        else:
-            out[key] = val
-    return out
-
-
-def _full_config(cfg: dict) -> dict:
-    """The config a run of cfg hashes and echoes: cfg over default_config(), kernel defaults in.
-
-    Refused, each naming its dotted path: a key that neither _SCHEMA nor a kernel family
-    names (with the nearest valid path), a section that is not an object, an object for a
-    value, what kernels.with_defaults or a key's _SCHEMA rule refuses, a dataset.box that
-    _box_array refuses where no dataset file replaces it, and a kernel family that the
-    pipeline cannot encode.
-    """
-    defaults = default_config()
-    valid = [*defaults, *(path for path in _SCHEMA if "." in path)]
-    valid += [f"kernel.{key}" for keys in kernels.CONFIG_KEYS.values() for key in keys]
-    unknown = []
-    for key, val in cfg.items():
-        if key not in defaults:
-            unknown.append(key)
-        elif isinstance(defaults[key], dict):
-            if not isinstance(val, dict):
-                raise _not_an_object(key, val)
-            unknown += [f"{key}.{sub}" for sub in val if f"{key}.{sub}" not in valid]
-        elif isinstance(val, dict):
-            raise ValueError(f"config key {key!r} takes a value, not an object, got {val!r}")
-    if unknown:
-        raise ValueError("\n".join(
-            f"unknown config key {path!r}; {_key_hint(path, valid)}" for path in unknown
-        ))
-    cfg = merge_config(defaults, cfg)
-    cfg["kernel"] = kernels.with_defaults(cfg["kernel"])
-    for path, (_, *rule) in _SCHEMA.items():
-        section, _, key = path.rpartition(".")
-        node = cfg[section] if section else cfg
-        if rule and key in node:
-            _check(path, node[key], *rule)
-    if not cfg["dataset"].get("file"):
-        _box_array(cfg["dataset"]["box"], cfg["dataset"]["d"], "config key 'dataset.box'")
-    family, encodes = cfg["kernel"].get("family"), _PIPELINE_FAMILIES[cfg["pipeline"]]
-    # an unknown family is left for kernels.from_config to refuse with the valid ones
-    if family not in encodes and family in _PIPELINE_FAMILIES["classical"]:
-        raise ValueError(f"pipeline {cfg['pipeline']!r} needs kernel.family in {encodes}, "
-                         f"got {family!r}")
-    return cfg
-
-
-def load_config(path) -> dict:
-    """The JSON object of a config file, as written: run_pipeline merges the defaults in."""
-    with open(path) as fh:
-        user = json.load(fh)
-    if not isinstance(user, dict):
-        raise ValueError(f"config file {path} must hold a JSON object, got {user!r}")
-    return user
-
-
-def config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
+# report plumbing
 
 def _fmt(value) -> str:
     if value is None:
@@ -362,7 +182,7 @@ def _query_points(cfg: dict, dataset: DataSet, seed: int) -> np.ndarray:
     rng = np.random.default_rng(q_cfg.get("seed", seed + 1))
     ds_cfg = cfg["dataset"]
     if not ds_cfg.get("file"):
-        bounds = _box_array(ds_cfg["box"], dataset.d)
+        bounds = interpolation._box_array(ds_cfg["box"], dataset.d)
     else:
         bounds = np.stack([dataset.sites.min(axis=0), dataset.sites.max(axis=0)], axis=1)
     return rng.uniform(bounds[:, 0], bounds[:, 1], size=(q_cfg["n"], dataset.d))
@@ -505,17 +325,17 @@ def run_pipeline(cfg: dict, out_dir=None) -> PipelineResult:
     summary head every pipeline shares and the query rows are built here.
     """
     with _stage("config"):
-        cfg = _full_config(cfg)
+        cfg = config.full_config(cfg)
         pipeline = cfg["pipeline"]
-        seed = resolve_seed(cfg["seed"])
+        seed = config.resolve_seed(cfg["seed"])
     # where the files go is not part of the run: the same run hashes alike in every directory
-    chash = config_hash(dict(cfg, output=None))
+    chash = config.config_hash(dict(cfg, output=None))
 
     with _stage("dataset"):
         dataset = _load_or_generate_dataset(cfg, seed)
         queries = _query_points(cfg, dataset, seed)
     with _stage("kernel"):
-        kernel = kernels.from_config(cfg["kernel"])
+        kernel = config.from_config(cfg["kernel"])
 
     fields, columns, report = _RUNNERS[pipeline](cfg, dataset, kernel, queries, seed)
     summary = {"pipeline": pipeline, "seed": seed, "config_hash": chash, "m": dataset.m,
@@ -702,39 +522,7 @@ def _run_compact(cfg, dataset, kernel, queries, seed):
     return fields, columns, report
 
 
-_RUNNERS = {"classical": _run_classical, "quantum-global": _run_global,
-            "quantum-compact": _run_compact}
-PIPELINES = tuple(_RUNNERS)
-_PIPELINE_FAMILIES = {"classical": tuple(kernels.CONFIG_KEYS), "quantum-global": ("gaussian",),
-                      "quantum-compact": kernels.COMPACT_FAMILIES}
-
-_UNSET = object()  # a default that leaves the key out of default_config(), and so of the hash
-# dotted path -> (default, then _check's kind, within, inside, null).  A key with no rule is
-# checked by its reader: resolve_seed, _box_array (from _full_config too), or kernels.
-_SCHEMA = {
-    "seed": (None,),
-    "pipeline": ("classical", PIPELINES),
-    "dataset.m": (8, *_count(1)),
-    "dataset.d": (2, *_count(1)),
-    "dataset.box": ([0.0, 1.0],),
-    "dataset.target": ("franke", tuple(TARGETS)),
-    "dataset.file": (_UNSET, str, "", None, True),
-    "dataset.seed": (_UNSET, *_count(0)),
-    "kernel.family": ("gaussian",),
-    "epsilon": (1e-2, Real, "in (0, 1)", lambda v: 0 < v < 1),
-    "inversion.mode": ("ideal", qinvert.MODES),
-    "inversion.spectral_floor": (_UNSET, Real, ">= 0", lambda v: v >= 0, True),
-    "inversion.evolution_time": (_UNSET, Real, "> 0", lambda v: v > 0, True),
-    "inversion.clock_bits": (_UNSET, *_count(1, qinvert._CLOCK_BITS_CAP, null=True)),
-    "compact.ae_bits": (None, *_count(1, compact._AE_BITS_CAP, null=True)),
-    "dme_check.enabled": (False, bool),
-    "dme_check.t": (1.0, Real, "finite", math.isfinite),
-    "dme_check.steps": (64, *_count(1)),
-    "queries.n": (20, *_count(0)),
-    "queries.file": (_UNSET, str, "", None, True),
-    "queries.seed": (_UNSET, *_count(0)),
-    "output": (None, str, "", None, True),
-}
+_RUNNERS = dict(zip(config.PIPELINES, (_run_classical, _run_global, _run_compact)))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,8 +799,8 @@ def verify_bounds(suite: str, seed=None, out_dir=None) -> BoundSuiteResult:
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITE_RUNNERS)}")
     with _stage("config"):
-        seed = resolve_seed(seed)
-    chash = config_hash({"suite": suite, "seed": seed})
+        seed = config.resolve_seed(seed)
+    chash = config.config_hash({"suite": suite, "seed": seed})
     rows = [
         dict(zip(_SUITE_FIELDS, (seed, chash, suite) + row)) for row in _SUITE_RUNNERS[suite](seed)
     ]
@@ -1041,16 +829,6 @@ def verify_bounds(suite: str, seed=None, out_dir=None) -> BoundSuiteResult:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-def _set_by_path(cfg: dict, path: str, value) -> None:
-    keys = path.split(".")
-    node = cfg
-    for depth, key in enumerate(keys[:-1], 1):
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise _not_an_object(".".join(keys[:depth]), node)
-    node[keys[-1]] = value
-
-
 _SWEEP_FIELDS = [
     "seed",
     "config_hash",
@@ -1072,7 +850,7 @@ def sweep(cfg: dict, param: str, values, out_dir=None):
         case = copy.deepcopy(cfg)
         case["output"] = None  # only sweep.csv is written; cases leave no run files behind
         with _stage("config"):
-            _set_by_path(case, param, value)
+            config.set_by_path(case, param, value)
         result = run_pipeline(case)
         s = result.summary
         rows.append(

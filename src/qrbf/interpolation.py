@@ -131,6 +131,65 @@ class DataSet:
         return self.sites.shape[1]
 
 
+def _franke(sites: np.ndarray) -> np.ndarray:
+    # classic two-dimensional blend of four gaussian bumps; extra
+    # coordinates are ignored, a missing second coordinate is fixed at 0.5
+    x = sites[:, 0]
+    y = sites[:, 1] if sites.shape[1] > 1 else np.full(sites.shape[0], 0.5)
+    t1 = 0.75 * np.exp(-((9 * x - 2) ** 2 + (9 * y - 2) ** 2) / 4.0)
+    t2 = 0.75 * np.exp(-((9 * x + 1) ** 2) / 49.0 - (9 * y + 1) / 10.0)
+    t3 = 0.5 * np.exp(-((9 * x - 7) ** 2 + (9 * y - 3) ** 2) / 4.0)
+    t4 = -0.2 * np.exp(-((9 * x - 4) ** 2) - (9 * y - 7) ** 2)
+    return t1 + t2 + t3 + t4
+
+
+def _cosines(sites: np.ndarray) -> np.ndarray:
+    return np.prod(np.cos(2.0 * np.pi * sites), axis=1)
+
+
+def _constant(sites: np.ndarray) -> np.ndarray:
+    return np.ones(sites.shape[0])
+
+
+TARGETS = {"franke": _franke, "cosines": _cosines, "constant": _constant}
+
+
+def _box_array(box, d: int, name: str = "box") -> np.ndarray:
+    """The (d, 2) bounds of box: one [lo, hi] for every dimension, or d rows [lo, hi]; anything
+    else is refused under name, with the shape it needs."""
+    try:
+        arr = np.asarray(box, dtype=float)
+    except (TypeError, ValueError):  # text, or rows of unequal length
+        arr = np.empty(0)
+    if arr.shape == (2,):
+        arr = np.tile(arr, (d, 1))
+    if arr.shape != (d, 2) or np.any(arr[:, 0] > arr[:, 1]):
+        raise ValueError(f"{name} must be [lo, hi] or {d} rows [lo, hi], lo <= hi, got {box!r}")
+    return arr
+
+
+def gen_data(m: int, d: int, box, seed: int, target_fn: str = "franke") -> DataSet:
+    """Uniform random distinct sites in the box with built-in target values."""
+    if m < 1 or d < 1:
+        raise ValueError("need m >= 1 and d >= 1")
+    if target_fn not in TARGETS:
+        raise ValueError(f"unknown target {target_fn!r}; choose from {sorted(TARGETS)}")
+    bounds = _box_array(box, d)
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m, d))
+    for _ in range(100):
+        sites = unique_rows(sites)
+        if sites.shape[0] == m:
+            break
+        draw = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m - sites.shape[0], d))
+        sites = np.vstack([sites, draw])
+    else:
+        raise RuntimeError(f"could not draw {m} distinct sites in box {box!r}")
+    # unique_rows() sorted the rows; shuffle deterministically so ordering is not biased
+    rng.shuffle(sites)
+    return DataSet(sites=sites, values=TARGETS[target_fn](sites))
+
+
 def save_dataset(dataset: DataSet, path) -> None:
     """Write sites and values as CSV with header x1..xd,y.
 

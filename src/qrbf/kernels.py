@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -96,7 +95,7 @@ class Kernel:
     """Radial profile with its shape/support parameters.
 
     Use the module-level constructors (`gaussian`, `wendland`, ...) or
-    `from_config` rather than instantiating directly.
+    `config.from_config` rather than instantiating directly.
     """
 
     family: str
@@ -202,40 +201,3 @@ def matern_c4(eta: float) -> Kernel:
 def wendland(d: int, k: int, alpha: float) -> Kernel:
     """Compactly supported kernel for dimension d, smoothness C^k, support alpha."""
     return Kernel("wendland", alpha=float(alpha), d=d, k=k)
-
-
-def with_defaults(cfg: dict) -> dict:
-    """A copy of the kernel config cfg, with its family's defaults if it sets none of its keys.
-
-    A key the family does not read, or a value that is not a number (for d and k an integer;
-    a bool is neither), raises ValueError; a missing or unknown family is left to from_config.
-    """
-    family = cfg.get("family")
-    keys = CONFIG_KEYS.get(family) if isinstance(family, str) else None
-    if keys is None:
-        return dict(cfg)
-    unread = [key for key in cfg if key != "family" and key not in keys]
-    if unread:
-        raise ValueError(f"kernel family {family!r} reads no key {unread[0]!r}; it reads "
-                         + ", ".join(map(repr, keys)))
-    for key, val in zip(keys, map(cfg.get, keys)):
-        kind, noun = (Integral, "an integer") if key in ("d", "k") else (Real, "a number")
-        if val is not None and (isinstance(val, bool) or not isinstance(val, kind)):
-            raise ValueError(f"config key 'kernel.{key}' must be {noun}, got {val!r}")
-    if any(cfg.get(key) is not None for key in keys):
-        return dict(cfg)
-    return {**cfg, **{key: val for key, val in keys.items() if val is not None}}
-
-
-def from_config(cfg: dict) -> Kernel:
-    """Build a kernel from a plain dict, e.g. parsed from JSON: family and the keys it reads."""
-    cfg = with_defaults(cfg)
-    family = cfg.pop("family", None)
-    if family not in GLOBAL_FAMILIES + COMPACT_FAMILIES:
-        raise _unknown_family(family)
-    if family == "gaussian":
-        return gaussian(**cfg)
-    missing = [key for key in CONFIG_KEYS[family] if cfg.get(key) is None]
-    if missing:
-        raise ValueError(f"{family} config needs {', '.join(map(repr, missing))}")
-    return wendland(**cfg) if family == "wendland" else Kernel(family, **cfg)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -282,9 +283,10 @@ def invert_quantized(system: LinearSystem, config: InversionConfig) -> SolveRepo
     """
     if config.evolution_time is None or config.clock_bits is None:
         raise ValueError("quantized mode needs evolution_time and clock_bits")
-    b = int(config.clock_bits)
-    if not 1 <= b <= _CLOCK_BITS_CAP:
-        raise ValueError(f"clock_bits {b} outside [1, {_CLOCK_BITS_CAP}]")
+    b = config.clock_bits
+    if isinstance(b, bool) or not isinstance(b, Integral) or not 1 <= b <= _CLOCK_BITS_CAP:
+        raise ValueError(f"clock_bits must be an integer in [1, {_CLOCK_BITS_CAP}], got {b!r}")
+    b = int(b)
     t0 = float(config.evolution_time)
     if not t0 > 0:
         raise ValueError("evolution_time must be positive")

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -736,3 +737,14 @@ def test_gram_coherent_accuracy_at_large_ratios(m, d, sigma):
     approx = coherent.gram_coherent(ds, sigma, order).data
     exact = assemble(ds, gaussian(sigma=sigma), normalized=True).data
     assert np.max(np.abs(approx - exact)) <= bound
+
+
+def test_a_zero_remainder_factor_builds_without_a_warning():
+    """Sites 1 and -1 at sigma 1, order 2: f(t) = e (1 + t) is exactly 0 at t = -1, and its
+    ln 0 = -inf raises no warning; the Gram keeps the bits it had while it warned."""
+    ds = DataSet(sites=np.array([[1.0], [-1.0], [0.5]]), values=np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = coherent.gram_coherent(ds, 1.0, 2).data
+    third, a, b = 0.3333333333333333, 0.31622776601683794, 0.10540925533894596
+    assert gram.tolist() == [[third, 0.0, a], [0.0, third, b], [a, b, third]]

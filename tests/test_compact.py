@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -848,3 +849,16 @@ def test_config_validation():
 
     with pytest.raises(ValueError):
         CompactOracleConfig(kernel=gaussian(sigma=1.0))
+
+
+@pytest.mark.parametrize("bits", [8.9, 8.0, True, "8", 0, 21])
+def test_ae_bits_that_are_not_an_integer_in_range_are_refused(bits):
+    """No truncation: 8.9 is not 8 bits, and a bool is not 1 bit."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"ae_bits must be an integer in [1, 20], got {bits!r}")):
+        CompactOracleConfig(kernel=wendland(3, 2, alpha=0.7), ae_bits=bits)
+
+
+def test_a_numpy_integer_ae_bits_is_kept_as_an_int():
+    cfg = CompactOracleConfig(kernel=wendland(3, 2, alpha=0.7), ae_bits=np.int64(8))
+    assert type(cfg.ae_bits) is int and cfg.ae_bits == 8

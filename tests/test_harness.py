@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qrbf import harness
+from qrbf import config, harness
 from qrbf import interpolation as interp
 
 
@@ -43,19 +43,19 @@ def test_gen_data_targets():
 
 def test_resolve_seed_env_and_explicit(monkeypatch):
     monkeypatch.delenv("QRBF_SEED", raising=False)
-    assert harness.resolve_seed(None) == 0
-    assert harness.resolve_seed(7) == 7
+    assert config.resolve_seed(None) == 0
+    assert config.resolve_seed(7) == 7
     monkeypatch.setenv("QRBF_SEED", "13")
-    assert harness.resolve_seed(None) == 13
-    assert harness.resolve_seed(7) == 7  # explicit wins over the environment
+    assert config.resolve_seed(None) == 13
+    assert config.resolve_seed(7) == 7  # explicit wins over the environment
 
 
 def test_config_hash_stable_and_order_free():
     a = {"x": 1, "y": {"z": 2.5}}
     b = {"y": {"z": 2.5}, "x": 1}
-    assert harness.config_hash(a) == harness.config_hash(b)
-    assert len(harness.config_hash(a)) == 12
-    assert harness.config_hash(a) != harness.config_hash({"x": 1, "y": {"z": 2.6}})
+    assert config.config_hash(a) == config.config_hash(b)
+    assert len(config.config_hash(a)) == 12
+    assert config.config_hash(a) != config.config_hash({"x": 1, "y": {"z": 2.6}})
 
 
 # literal config_hash values: the first three are the benchmark workloads at
@@ -141,17 +141,17 @@ _PINNED_HASHES = [
 
 @pytest.mark.parametrize("want, cfg", _PINNED_HASHES, ids=[h for h, _ in _PINNED_HASHES])
 def test_config_hash_of_a_valid_config_is_pinned(want, cfg):
-    assert harness.config_hash(dict(harness._full_config(cfg), output=None)) == want
+    assert config.config_hash(dict(config.full_config(cfg), output=None)) == want
 
 
 def test_default_config_hash_is_pinned_and_reported_by_a_run():
-    assert harness.config_hash(harness._full_config({})) == "f1f648a42725"
+    assert config.config_hash(config.full_config({})) == "f1f648a42725"
     assert harness.run_pipeline({}).summary["config_hash"] == "f1f648a42725"
 
 
 def test_merge_config_is_recursive():
     base = {"a": {"b": 1, "c": 2}, "d": 3}
-    out = harness.merge_config(base, {"a": {"c": 9}, "e": 4})
+    out = config.merge_config(base, {"a": {"c": 9}, "e": 4})
     assert out == {"a": {"b": 1, "c": 9}, "d": 3, "e": 4}
     assert base["a"]["c"] == 2  # base not mutated
 
@@ -254,7 +254,7 @@ def test_classical_pipeline_on_all_zero_values_reads_zero_without_warnings(tmp_p
 def test_a_null_dataset_file_draws_queries_from_the_dataset_box():
     cfg = {"pipeline": "classical", "seed": 0, "dataset": {"box": [0.2, 0.9]}}
     want = harness.run_pipeline(cfg).query_rows
-    null = harness.run_pipeline(harness.merge_config(cfg, {"dataset": {"file": None}}))
+    null = harness.run_pipeline(config.merge_config(cfg, {"dataset": {"file": None}}))
     assert [(r["x1"], r["x2"]) for r in null.query_rows] == [(r["x1"], r["x2"]) for r in want]
 
 
@@ -264,7 +264,7 @@ def test_a_dataset_file_leaves_the_box_unread(tmp_path):
     path = tmp_path / "data.csv"
     interp.save_dataset(harness.gen_data(8, 2, [0.0, 1.0], seed=3), str(path))
     cfg = {"pipeline": "classical", "seed": 0, "dataset": {"file": str(path)}}
-    runs = [harness.run_pipeline(harness.merge_config(cfg, {"dataset": {"box": box}}))
+    runs = [harness.run_pipeline(config.merge_config(cfg, {"dataset": {"box": box}}))
             for box in ([0.0, 1.0], "a")]
     want, got = ([(r["x1"], r["x2"], r["f_classical"]) for r in run.query_rows] for run in runs)
     assert got == want
@@ -649,13 +649,13 @@ def test_query_row_keys_come_in_query_field_order(cfg):
 @pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=_READOUT_IDS)
 def test_batched_readout_matches_the_per_query_reference(cfg):
     """Within m ulps of the scale of each sum: the batch reduces rows in another order."""
-    from qrbf import compact, kernels
+    from qrbf import compact
 
     result = harness.run_pipeline(cfg)
-    full = harness.merge_config(harness.default_config(), cfg)
+    full = config.merge_config(config.default_config(), cfg)
     ds = harness._load_or_generate_dataset(full, cfg["seed"])
     queries = harness._query_points(full, ds, cfg["seed"])
-    kern = kernels.from_config(full["kernel"])
+    kern = config.from_config(full["kernel"])
     classical = cfg["pipeline"] == "classical"
     system = interp.exact_system(ds, kern, normalized=not classical)
     c, report = system.coeffs.c, result.solve_report
@@ -699,14 +699,12 @@ def test_batched_readout_matches_the_per_query_reference(cfg):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_evaluate_is_the_f_classical_of_a_classical_run(m, kernel, seed):
     """interpolation.evaluate at each query is that query's f_classical, bit for bit."""
-    from qrbf import kernels
-
     cfg = {"pipeline": "classical", "seed": seed, "dataset": {"m": m}, "kernel": kernel,
            "queries": {"n": 200}}
     result = harness.run_pipeline(cfg)
-    full = harness._full_config(cfg)
+    full = config.full_config(cfg)
     ds = harness._load_or_generate_dataset(full, seed)
-    kern = kernels.from_config(full["kernel"])
+    kern = config.from_config(full["kernel"])
     coeffs = interp.exact_system(ds, kern).coeffs
     got = [interp.evaluate(coeffs, ds, kern, x) for x in harness._query_points(full, ds, seed)]
     assert got == [row["f_classical"] for row in result.query_rows]
@@ -955,7 +953,7 @@ def _moved(a, b) -> bool:
 
 
 def test_the_key_cases_name_every_config_key():
-    keys = set(harness._SCHEMA)
+    keys = set(config._SCHEMA)
     keys |= {f"kernel.{k}" for family in harness.kernels.CONFIG_KEYS.values() for k in family}
     assert set(_KEY_CASES) == keys
 
@@ -965,10 +963,10 @@ def test_no_config_key_is_inert(key, tmp_path):
     """A second value of each key moves, by more than rounding, something the run
     computes, or where it writes its files."""
     cfg, value = _KEY_CASES[key]
-    cfg = harness.merge_config({"pipeline": "classical", "seed": 0, "queries": {"n": 4}},
+    cfg = config.merge_config({"pipeline": "classical", "seed": 0, "queries": {"n": 4}},
                                copy.deepcopy(cfg))
     changed = copy.deepcopy(cfg)
-    harness._set_by_path(changed, key, value(tmp_path) if callable(value) else value)
+    config.set_by_path(changed, key, value(tmp_path) if callable(value) else value)
     assert _moved(harness.run_pipeline(changed), harness.run_pipeline(cfg))
 
 
@@ -1033,7 +1031,7 @@ def test_stage_lets_keyboard_interrupt_through(monkeypatch):
     def raise_interrupt(cfg):
         raise interrupt
 
-    monkeypatch.setattr(harness.kernels, "from_config", raise_interrupt)
+    monkeypatch.setattr(config, "from_config", raise_interrupt)
     with pytest.raises(KeyboardInterrupt) as info:
         harness.run_pipeline({"pipeline": "classical"})
     assert info.value is interrupt
@@ -1181,14 +1179,14 @@ def test_sweep_over_ae_bits(tmp_path):
 
 
 def test_set_by_path_nested():
-    cfg = harness.default_config()
-    harness._set_by_path(cfg, "inversion.mode", "quantized")
+    cfg = config.default_config()
+    config.set_by_path(cfg, "inversion.mode", "quantized")
     assert cfg["inversion"]["mode"] == "quantized"
-    harness._set_by_path(cfg, "dataset.m", 5)
+    config.set_by_path(cfg, "dataset.m", 5)
     assert cfg["dataset"]["m"] == 5
     cfg["queries"] = None
     with pytest.raises(ValueError, match="config section 'queries' must be an object, got None"):
-        harness._set_by_path(cfg, "queries.n", 3)
+        config.set_by_path(cfg, "queries.n", 3)
 
 
 _WENDLAND = {"family": "wendland", "d": 3, "k": 2, "alpha": 0.7}
@@ -1206,42 +1204,42 @@ _ESTIMATED_NOT_PD = {"dataset": {"m": 128}, "compact": {"ae_bits": 8},
 # or "{queries}" standing for the input file _CONTRACT_FILES holds for the row;
 # "{config}" in the knob stands for the config file's own path.
 _FAILURE_CONTRACT = [
-    ("unknown key", harness.PIPELINES, {"inversion": {"clock_bit": 3}},
+    ("unknown key", config.PIPELINES, {"inversion": {"clock_bit": 3}},
      "config", "unknown config key 'inversion.clock_bit'", "inversion.clock_bits"),
-    ("section not an object", harness.PIPELINES, {"queries": None},
+    ("section not an object", config.PIPELINES, {"queries": None},
      "config", "must be an object, got None", "'queries'"),
-    ("object for a value", harness.PIPELINES, {"epsilon": {"x": 1}},
+    ("object for a value", config.PIPELINES, {"epsilon": {"x": 1}},
      "config", "takes a value, not an object", "'epsilon'"),
     ("config file not an object", ("classical",), "[1, 2]",
      "config", "must hold a JSON object, got [1, 2]", "{config}"),
     ("config file a number", ("classical",), "5",
      "config", "must hold a JSON object, got 5", "{config}"),
-    ("negative seed", harness.PIPELINES, {"seed": -1},
+    ("negative seed", config.PIPELINES, {"seed": -1},
      "config", "seed -1 is not a non-negative integer", "set seed"),
-    ("bad QRBF_SEED", harness.PIPELINES, {"seed": None},
+    ("bad QRBF_SEED", config.PIPELINES, {"seed": None},
      "config", "seed 'abc' is not a non-negative integer", "QRBF_SEED"),
     ("unknown pipeline", ("noqueue",), {},
      "config", "unknown pipeline 'noqueue'", "choose from"),
-    ("kernel key the family does not read", harness.PIPELINES,
+    ("kernel key the family does not read", config.PIPELINES,
      {"kernel": {**_WENDLAND, "sigma": 0.3}},
      "config", "reads no key 'sigma'", "kernel family 'wendland'"),
-    ("fractional count", harness.PIPELINES, {"queries": {"n": 3.7}},
+    ("fractional count", config.PIPELINES, {"queries": {"n": 3.7}},
      "config", "must be an integer, got 3.7", "'queries.n'"),
     ("fractional ae_bits", ("quantum-compact",), {"compact": {"ae_bits": 8.9}},
      "config", "must be an integer, got 8.9", "'compact.ae_bits'"),
     ("bool clock_bits", ("quantum-global",), {"inversion": {"clock_bits": True}},
      "config", "must be an integer, got True", "'inversion.clock_bits'"),
-    ("null dataset size", harness.PIPELINES, {"dataset": {"m": None}},
+    ("null dataset size", config.PIPELINES, {"dataset": {"m": None}},
      "config", "must be an integer, got None", "'dataset.m'"),
-    ("unknown family", harness.PIPELINES, {"kernel": {"family": "cubic"}},
+    ("unknown family", config.PIPELINES, {"kernel": {"family": "cubic"}},
      "kernel", "unknown kernel family 'cubic'", "choose from"),
-    ("non-finite dataset", harness.PIPELINES, {"dataset": {"file": "{dataset}"}},
+    ("non-finite dataset", config.PIPELINES, {"dataset": {"file": "{dataset}"}},
      "dataset", "line 3, column y: 'nan' is not a finite number", "{dataset}"),
-    ("ragged queries", harness.PIPELINES, {"queries": {"file": "{queries}"}},
+    ("ragged queries", config.PIPELINES, {"queries": {"file": "{queries}"}},
      "dataset", "line 3: 1 columns, the header has 2", "{queries}"),
-    ("empty queries", harness.PIPELINES, {"queries": {"file": "{queries}"}},
+    ("empty queries", config.PIPELINES, {"queries": {"file": "{queries}"}},
      "dataset", "empty file, no header", "{queries}"),
-    ("header-only dataset", harness.PIPELINES, {"dataset": {"file": "{dataset}"}},
+    ("header-only dataset", config.PIPELINES, {"dataset": {"file": "{dataset}"}},
      "dataset", "no data rows", "{dataset}"),
     ("wide gaussian", ("classical", "quantum-global"), {"dataset": {"m": 128}},
      "classical solve", "not numerically positive definite", "lower kernel.sigma or dataset.m"),
@@ -1256,64 +1254,64 @@ _FAILURE_CONTRACT = [
      "oracle solve", "clock wraparound", "inversion.evolution_time or raise inversion.clock_bits"),
     # each value outside its _SCHEMA rule, refused at the config stage on every pipeline,
     # also where the pipeline or mode does not read the key
-    ("no ae_bits", harness.PIPELINES, {"compact": {"ae_bits": 0}},
+    ("no ae_bits", config.PIPELINES, {"compact": {"ae_bits": 0}},
      "config", "must be in [1, 20], got 0", "'compact.ae_bits'"),
-    ("ae_bits above the cap", harness.PIPELINES, {"compact": {"ae_bits": 21}},
+    ("ae_bits above the cap", config.PIPELINES, {"compact": {"ae_bits": 21}},
      "config", "must be in [1, 20], got 21", "'compact.ae_bits'"),
     ("global with a compact kernel", ("quantum-global",), {"kernel": _WENDLAND},
      "config", "needs kernel.family in ('gaussian',), got 'wendland'", "kernel.family"),
     ("compact with its default kernel", ("quantum-compact",),
      '{"pipeline": "quantum-compact", "seed": 0}',
      "config", "needs kernel.family in ('wendland',), got 'gaussian'", "kernel.family"),
-    ("negative query count", harness.PIPELINES, {"queries": {"n": -1}},
+    ("negative query count", config.PIPELINES, {"queries": {"n": -1}},
      "config", "must be >= 0, got -1", "'queries.n'"),
-    ("no sites", harness.PIPELINES, {"dataset": {"m": 0}},
+    ("no sites", config.PIPELINES, {"dataset": {"m": 0}},
      "config", "must be >= 1, got 0", "'dataset.m'"),
-    ("no dimension", harness.PIPELINES, {"dataset": {"d": 0}},
+    ("no dimension", config.PIPELINES, {"dataset": {"d": 0}},
      "config", "must be >= 1, got 0", "'dataset.d'"),
-    ("unknown target", harness.PIPELINES, {"dataset": {"target": "runge"}},
+    ("unknown target", config.PIPELINES, {"dataset": {"target": "runge"}},
      "config", "unknown dataset.target 'runge'", "choose from ('franke', 'cosines', 'constant')"),
-    ("no clock bits", harness.PIPELINES, {"inversion": {"mode": "quantized", "clock_bits": 0}},
+    ("no clock bits", config.PIPELINES, {"inversion": {"mode": "quantized", "clock_bits": 0}},
      "config", "must be in [1, 10], got 0", "'inversion.clock_bits'"),
-    ("clock bits above the cap in ideal mode", harness.PIPELINES, {"inversion": {"clock_bits": 12}},
+    ("clock bits above the cap in ideal mode", config.PIPELINES, {"inversion": {"clock_bits": 12}},
      "config", "must be in [1, 10], got 12", "'inversion.clock_bits'"),
-    ("no DME steps", harness.PIPELINES, {"dme_check": {"enabled": True, "steps": 0}},
+    ("no DME steps", config.PIPELINES, {"dme_check": {"enabled": True, "steps": 0}},
      "config", "must be >= 1, got 0", "'dme_check.steps'"),
-    ("text DME time", harness.PIPELINES, {"dme_check": {"t": "a"}},
+    ("text DME time", config.PIPELINES, {"dme_check": {"t": "a"}},
      "config", "must be a number, got 'a'", "'dme_check.t'"),
-    ("text DME switch", harness.PIPELINES, {"dme_check": {"enabled": "no"}},
+    ("text DME switch", config.PIPELINES, {"dme_check": {"enabled": "no"}},
      "config", "must be true or false, got 'no'", "'dme_check.enabled'"),
-    ("epsilon above 1", harness.PIPELINES, {"epsilon": 2},
+    ("epsilon above 1", config.PIPELINES, {"epsilon": 2},
      "config", "must be in (0, 1), got 2", "'epsilon'"),
-    ("text epsilon", harness.PIPELINES, {"epsilon": "x"},
+    ("text epsilon", config.PIPELINES, {"epsilon": "x"},
      "config", "must be a number, got 'x'", "'epsilon'"),
-    ("unknown inversion mode", harness.PIPELINES, {"inversion": {"mode": "foo"}},
+    ("unknown inversion mode", config.PIPELINES, {"inversion": {"mode": "foo"}},
      "config", "unknown inversion.mode 'foo'", "choose from ('ideal', 'quantized')"),
-    ("negative spectral floor", harness.PIPELINES, {"inversion": {"spectral_floor": -1}},
+    ("negative spectral floor", config.PIPELINES, {"inversion": {"spectral_floor": -1}},
      "config", "must be >= 0, got -1", "'inversion.spectral_floor'"),
-    ("negative evolution time", harness.PIPELINES,
+    ("negative evolution time", config.PIPELINES,
      {"inversion": {"mode": "quantized", "evolution_time": -1}},
      "config", "must be > 0, got -1", "'inversion.evolution_time'"),
-    ("null dataset seed", harness.PIPELINES, {"dataset": {"seed": None}},
+    ("null dataset seed", config.PIPELINES, {"dataset": {"seed": None}},
      "config", "must be an integer, got None", "'dataset.seed'"),
-    ("null query seed", harness.PIPELINES, {"queries": {"seed": None}},
+    ("null query seed", config.PIPELINES, {"queries": {"seed": None}},
      "config", "must be an integer, got None", "'queries.seed'"),
-    ("fractional kernel d", harness.PIPELINES, {"kernel": {**_WENDLAND, "d": 3.9}},
+    ("fractional kernel d", config.PIPELINES, {"kernel": {**_WENDLAND, "d": 3.9}},
      "config", "must be an integer, got 3.9", "'kernel.d'"),
     ("text kernel sigma", ("classical", "quantum-global"), {"kernel": {"sigma": "a"}},
      "config", "must be a number, got 'a'", "'kernel.sigma'"),
     # open() takes an integer for a file descriptor, and a with block closes it
-    ("numeric dataset file", harness.PIPELINES, {"dataset": {"file": 2}},
+    ("numeric dataset file", config.PIPELINES, {"dataset": {"file": 2}},
      "config", "must be a string, got 2", "'dataset.file'"),
-    ("numeric queries file", harness.PIPELINES, {"queries": {"file": 7}},
+    ("numeric queries file", config.PIPELINES, {"queries": {"file": 7}},
      "config", "must be a string, got 7", "'queries.file'"),
-    ("numeric output directory", harness.PIPELINES, {"output": 5},
+    ("numeric output directory", config.PIPELINES, {"output": 5},
      "config", "must be a string, got 5", "'output'"),
-    ("text box", harness.PIPELINES, {"dataset": {"box": "a"}},
+    ("text box", config.PIPELINES, {"dataset": {"box": "a"}},
      "config", "must be [lo, hi] or 2 rows [lo, hi], lo <= hi, got 'a'", "'dataset.box'"),
-    ("one-number box", harness.PIPELINES, {"dataset": {"box": [1]}},
+    ("one-number box", config.PIPELINES, {"dataset": {"box": [1]}},
      "config", "must be [lo, hi] or 2 rows [lo, hi], lo <= hi, got [1]", "'dataset.box'"),
-    ("box of the wrong dimension", harness.PIPELINES, {"dataset": {"d": 3, "box": [[0, 1], [0, 1]]}},
+    ("box of the wrong dimension", config.PIPELINES, {"dataset": {"d": 3, "box": [[0, 1], [0, 1]]}},
      "config", "must be [lo, hi] or 3 rows [lo, hi], lo <= hi", "'dataset.box'"),
 ]
 _CONTRACT_FILES = {
@@ -1324,21 +1322,21 @@ _CONTRACT_FILES = {
 }
 
 
-@pytest.mark.parametrize("case, pipeline, config, stage, cause, knob", [
-    pytest.param(case, pipeline, config, stage, cause, knob, id=f"{case}-{pipeline}")
-    for case, pipelines, config, stage, cause, knob in _FAILURE_CONTRACT
+@pytest.mark.parametrize("case, pipeline, cfg, stage, cause, knob", [
+    pytest.param(case, pipeline, cfg, stage, cause, knob, id=f"{case}-{pipeline}")
+    for case, pipelines, cfg, stage, cause, knob in _FAILURE_CONTRACT
     for pipeline in pipelines
 ])
-def test_failure_contract(case, pipeline, config, stage, cause, knob, tmp_path, monkeypatch):
+def test_failure_contract(case, pipeline, cfg, stage, cause, knob, tmp_path, monkeypatch):
     """A config file the CLI would read, refused at its stage with its cause and knob named."""
     from qrbf import cli
 
     monkeypatch.setenv("QRBF_SEED", "abc")
-    text = config
-    if isinstance(config, dict):
+    text = cfg
+    if isinstance(cfg, dict):
         base = {"pipeline": pipeline, "seed": 0, "queries": {"n": 2},
                 "kernel": _PIPELINE_KERNEL.get(pipeline, {"family": "gaussian"})}
-        text = json.dumps(harness.merge_config(base, config))
+        text = json.dumps(config.merge_config(base, cfg))
     paths = {"config": tmp_path / "cfg.json"}
     if case in _CONTRACT_FILES:
         section, body = _CONTRACT_FILES[case]
@@ -1358,7 +1356,7 @@ def test_failure_contract(case, pipeline, config, stage, cause, knob, tmp_path, 
 def test_every_schema_rule_is_the_knob_of_a_failure_contract_row():
     """Each _SCHEMA path with a rule is named by the cause or knob of at least one row."""
     named = " ".join(f"{cause} {knob}" for *_, cause, knob in _FAILURE_CONTRACT)
-    ruled = [path for path, (_, *rule) in harness._SCHEMA.items() if rule]
+    ruled = [path for path, (_, *rule) in config._SCHEMA.items() if rule]
     assert ruled and [path for path in ruled if path not in named] == []
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qrbf import kernels
+from qrbf import config, kernels
 
 
 def test_gaussian_values():
@@ -42,7 +42,7 @@ def test_gaussian_width_halving_identity():
 def test_global_profiles_at_zero():
     assert kernels.gaussian(sigma=1.0).phi0 == 1.0
     assert kernels.inverse_multiquadric(1.0).phi0 == 1.0
-    assert kernels.from_config({"family": "matern-c0", "eta": 1.0}).phi0 == 1.0
+    assert config.from_config({"family": "matern-c0", "eta": 1.0}).phi0 == 1.0
     assert kernels.matern_c2(1.0).phi0 == 1.0
     # the C^4 profile is not normalized at the origin
     assert kernels.matern_c4(1.0).phi0 == 3.0
@@ -96,7 +96,7 @@ def test_scalar_and_array_eval_bit_identical():
     profiles = [
         kernels.gaussian(sigma=0.9),
         kernels.inverse_multiquadric(0.4),
-        kernels.from_config({"family": "matern-c0", "eta": 1.3}),
+        config.from_config({"family": "matern-c0", "eta": 1.3}),
         kernels.matern_c2(0.6),
         kernels.matern_c4(2.2),
     ] + [kernels.wendland(d, k, alpha=0.7) for (d, k) in kernels.WENDLAND_PAIRS]
@@ -153,7 +153,7 @@ def test_invalid_parameters():
         "list eta"])
 def test_a_kernel_value_of_the_wrong_type_is_refused_by_its_path(cfg, key, shown):
     """Neither truncated (d 3.9 would run as 3) nor read as a number (True as 1)."""
-    for call in (kernels.with_defaults, kernels.from_config):
+    for call in (config.with_defaults, config.from_config):
         with pytest.raises(ValueError) as info:
             call(cfg)
         assert str(info.value) == f"config key 'kernel.{key}' must be {shown}"
@@ -165,32 +165,32 @@ def test_wendland_does_not_truncate_its_profile():
 
 
 def test_with_defaults_fills_only_a_family_that_sets_none_of_its_keys():
-    assert kernels.with_defaults({"family": "gaussian"}) == {"family": "gaussian", "sigma": 0.4}
-    assert kernels.from_config({"family": "gaussian"}).sigma == 0.4
+    assert config.with_defaults({"family": "gaussian"}) == {"family": "gaussian", "sigma": 0.4}
+    assert config.from_config({"family": "gaussian"}).sigma == 0.4
     for cfg in ({"family": "gaussian", "eta": 2.0}, {"family": "matern-c2", "eta": 2.0},
                 {"family": "wendland", "d": 3, "k": 2, "alpha": 0.5}, {"family": "nope", "x": 1}):
-        assert kernels.with_defaults(cfg) == cfg
+        assert config.with_defaults(cfg) == cfg
     with pytest.raises(ValueError, match="'matern-c4' reads no key 'sigma'; it reads 'eta'$"):
-        kernels.from_config({"family": "matern-c4", "eta": 1.0, "sigma": 0.4})
+        config.from_config({"family": "matern-c4", "eta": 1.0, "sigma": 0.4})
     with pytest.raises(ValueError, match="wendland config needs 'alpha'$"):
-        kernels.from_config({"family": "wendland", "d": 3, "k": 2})
+        config.from_config({"family": "wendland", "d": 3, "k": 2})
 
 
 def test_from_config_round_trips():
-    k = kernels.from_config({"family": "gaussian", "sigma": 0.5})
+    k = config.from_config({"family": "gaussian", "sigma": 0.5})
     assert k.family == "gaussian" and k.sigma == 0.5
-    k = kernels.from_config({"family": "gaussian", "eta": 2.0})
+    k = config.from_config({"family": "gaussian", "eta": 2.0})
     assert np.isclose(k.sigma, math.sqrt(1.0 / 8.0))
-    k = kernels.from_config({"family": "wendland", "d": 3, "k": 6, "alpha": 0.9})
+    k = config.from_config({"family": "wendland", "d": 3, "k": 6, "alpha": 0.9})
     assert (k.d, k.k, k.alpha) == (3, 6, 0.9)
-    k = kernels.from_config({"family": "matern-c4", "eta": 1.5})
+    k = config.from_config({"family": "matern-c4", "eta": 1.5})
     assert k.phi0 == 3.0
     with pytest.raises(ValueError):
-        kernels.from_config({"sigma": 0.5})
+        config.from_config({"sigma": 0.5})
     for bad in ({"family": "nope", "eta": 1.0}, {"family": "multiquadric", "eta": 1.0}):
         with pytest.raises(ValueError, match=rf"family '{bad['family']}'; choose from .*'gaussian'"):
-            kernels.from_config(bad)
+            config.from_config(bad)
         with pytest.raises(ValueError, match=rf"family '{bad['family']}'; choose from .*'wendland'"):
             kernels.Kernel(bad["family"], eta=1.0)
     with pytest.raises(ValueError):
-        kernels.from_config({"family": "wendland", "d": 3, "k": 2})
+        config.from_config({"family": "wendland", "d": 3, "k": 2})

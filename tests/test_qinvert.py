@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -554,3 +555,21 @@ def test_sample_successes_draws_like_a_scalar_loop_and_checks_every_entry():
             qinvert.sample_successes(bad, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
         qinvert.sample_successes(p, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bits", [3.7, 3.0, True, "3", 0, 11])
+def test_clock_bits_that_are_not_an_integer_in_range_are_refused(bits):
+    """No truncation: 3.7 is not a 3-bit clock, and a bool is not a 1-bit one."""
+    cfg = InversionConfig(mode="quantized", evolution_time=8.0 * math.pi, clock_bits=bits)
+    with pytest.raises(ValueError, match=re.escape(
+            f"clock_bits must be an integer in [1, 10], got {bits!r}")):
+        qinvert.invert_quantized(LinearSystem(np.diag([0.25, 0.5]), np.array([0.6, 0.8])), cfg)
+
+
+def test_a_numpy_integer_clock_runs_the_clock_of_its_int():
+    system = LinearSystem(np.diag([0.25, 0.5]), np.array([0.6, 0.8]))
+    reports = [qinvert.invert_quantized(system, InversionConfig(
+        mode="quantized", evolution_time=8.0 * math.pi, clock_bits=bits))
+        for bits in (3, np.int64(3))]
+    # json.dumps refuses a numpy integer: the report holds an int
+    assert json.dumps(reports[0].to_dict()) == json.dumps(reports[1].to_dict())

@@ -6,6 +6,7 @@ keeps such helpers from growing back into the package.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +44,19 @@ def test_every_public_definition_is_used_by_the_package_a_demo_or_the_tracer():
         and not any(stmt.name in refs for _, other, refs in statements if other is not stmt)
     ]
     assert unused == []
+
+
+def test_a_traced_bounds_all_op_times_gen_data():
+    """The suites call gen_data by harness's name, which the benchmark tracer wraps."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import tracer
+    import workloads
+
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        traced.op = 0
+        workloads.run_op("bounds-all", 0)
+    finally:
+        traced.restore()
+    assert traced.op_metrics()[0]["harness.gen_data_s"] > 0.0
