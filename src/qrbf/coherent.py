@@ -118,6 +118,12 @@ def truncation_error(r, sigma: float, order: int):
     distance is 2 - 2 sqrt(Q) = 2 P / (1 + sqrt(Q)), P = 1 - Q, which keeps
     its digits far below float epsilon, where 2 - 2 sqrt(Q) rounds to 0,
     and near sqrt(2), where P rounds to 1.  r may be an array.
+
+    It is only as exact as SciPy's gammainc, which loses digits as the order
+    grows: against a 60-digit reference the distance errs by up to 75 u
+    relative (u the float64 unit roundoff) at orders up to 30, 220 u up to
+    60, and 4.9e-13 at ratio 20, order 1000.  A bound near rounding at
+    min_order's orders (hundreds to thousands) cannot be checked with it.
     """
     x = _ratios(r, sigma, order) ** 2
     return np.sqrt(2.0 * gammainc(order, x) / (1.0 + np.sqrt(gammaincc(order, x))))

@@ -200,11 +200,16 @@ def config_hash(cfg: dict) -> str:
 
 
 def resolve_seed(explicit=None) -> int:
-    """Explicit seed, else QRBF_SEED, else 0; anything but a non-negative integer is refused."""
+    """Explicit seed, else QRBF_SEED, else 0; anything but a non-negative integer is refused.
+
+    QRBF_SEED is text, and parsed; an explicit seed must be an integer as given, so that a
+    bool or a float never runs, under its own config hash, as the integer it equals.
+    """
     raw = os.environ.get("QRBF_SEED", "0") if explicit is None else explicit
-    with contextlib.suppress(TypeError, ValueError):
-        if int(raw) >= 0 and (isinstance(raw, str) or int(raw) == raw):
-            return int(raw)
+    with contextlib.suppress(ValueError):
+        seed = int(raw) if explicit is None else raw
+        if isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0:
+            return int(seed)
     raise ValueError(f"seed {raw!r} is not a non-negative integer; set seed (--seed) or QRBF_SEED")
 
 

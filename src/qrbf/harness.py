@@ -671,50 +671,63 @@ def _suite_inversion(seed: int) -> list:
 def _perturbation_instance(rng):
     """Random gaussian dataset at the first truncation order from 3 up with gamma < 0.5.
 
-    gamma = ||A^-1 dA||_2, taken by SVD at every order in turn; no order
-    is skipped.  The Grams of the search share one pair exponent
-    (coherent.grams_by_order), bit for bit gram_coherent's.  Datasets
-    with kappa beyond 1e5 are redrawn: near the float64 floor the
-    truncation perturbation can never bring ||A^-1 dA|| below 1 there.
+    Returns the dataset, its normalized matrix A, A's ascending eigenvalues,
+    A^-1, the truncation perturbation dA = G - A and gamma = ||A^-1 dA||_2.
+    A is decomposed once, by one eigvalsh and one inverse; gamma is taken
+    from that inverse by SVD at every order in turn, and no order is
+    skipped.  The Grams of the search share one pair exponent
+    (coherent.grams_by_order), bit for bit gram_coherent's.  Datasets with
+    kappa beyond 1e5 are redrawn: near the float64 floor the truncation
+    perturbation can never bring ||A^-1 dA|| below 1 there.
     """
     for _ in range(50):
         m = int(rng.integers(3, 9))
         d = int(rng.integers(1, 4))
         sigma = float(rng.uniform(0.3, 0.8))
         ds = gen_data(m, d, [0.0, 1.0], int(rng.integers(2**31)), "franke")
-        exact = interpolation.assemble(ds, kernels.gaussian(sigma=sigma), normalized=True)
-        spec = interpolation.spectrum(exact)
-        if spec.kappa > 1e5:
+        a = interpolation.assemble(ds, kernels.gaussian(sigma=sigma), normalized=True).data
+        eig = np.linalg.eigvalsh(a)
+        if not eig[0] > 0 or eig[-1] / eig[0] > 1e5:
             continue
+        a_inv = np.linalg.inv(a)
         for gram in coherent.grams_by_order(ds, sigma, range(3, 40)):
-            delta_a = gram.data - exact.data
-            gamma = float(interpolation.spectral_norm(np.linalg.solve(exact.data, delta_a)))
+            delta_a = gram.data - a
+            gamma = float(interpolation.spectral_norm(a_inv @ delta_a))
             if gamma < 0.5:
-                return ds, exact, spec, gram, delta_a, gamma
+                return ds, a, eig, a_inv, delta_a, gamma
     raise RuntimeError("could not draw a perturbation instance with gamma < 0.5")
 
 
 def _suite_perturbation(seed: int) -> list:
+    """Per case, the chain from dA to the coefficient state, the inverse bound
+    ||(A+dA)^-1 - A^-1|| <= ||dA|| ||A^-1||^2 / (1 - gamma), and Weyl's bound: every
+    sorted eigenvalue moves by at most ||dA||_2 (spectral norms).  A and A+dA are
+    each decomposed once, by one inverse and one eigvalsh."""
     rows = []
     rng = np.random.default_rng(seed)
     for case in range(50):
-        ds, exact, spec, gram, delta_a, gamma = _perturbation_instance(rng)
+        ds, a, eig, a_inv, delta_a, gamma = _perturbation_instance(rng)
+        a_pert = a + delta_a
+        pert_inv = np.linalg.inv(a_pert)
+        lam_max = float(eig[-1])
+        kappa = lam_max / float(eig[0])
         eps_a = float(np.linalg.norm(delta_a, "fro"))
         y = ds.values / ds.m
-        c_exact = np.linalg.solve(exact.data, y)
-        c_pert = np.linalg.solve(gram.data, y)
+        c_exact, c_pert = a_inv @ y, pert_inv @ y
         u = c_exact / np.linalg.norm(c_exact)
         v = c_pert / np.linalg.norm(c_pert)
         measured = float(np.linalg.norm(u - v))
-        bound = 2.0 * eps_a * spec.kappa**2 / ((1.0 - gamma) * spec.lambda_max)
+        bound = 2.0 * eps_a * kappa**2 / ((1.0 - gamma) * lam_max)
         rows.append((f"case={case} chain", f"m={ds.m} d={ds.d} gamma={gamma:.3e}",
                      measured, bound, measured <= bound))
-        pert = interpolation.perturbation_check(exact.data, delta_a)
-        rows.append((f"case={case} inverse",
-                     "skipped" if pert.inverse_skipped else "contraction ok",
-                     pert.inverse_measured, pert.inverse_bound, pert.inverse_ok))
-        rows.append((f"case={case} eigenvalue-shift", "spectral-norm bound",
-                     pert.eig_shift_measured, pert.eig_shift_bound, pert.eig_shift_ok))
+        e_norm = float(interpolation.spectral_norm(delta_a))
+        bound = float(e_norm * interpolation.spectral_norm(a_inv) ** 2 / (1.0 - gamma))
+        measured = float(interpolation.spectral_norm(pert_inv - a_inv))
+        rows.append((f"case={case} inverse", "contraction ok", measured, bound,
+                     measured <= bound * (1.0 + 1e-12)))
+        shift = float(np.max(np.abs(np.linalg.eigvalsh(a_pert) - eig)))
+        rows.append((f"case={case} eigenvalue-shift", "spectral-norm bound", shift, e_norm,
+                     shift <= e_norm * (1.0 + 1e-12) + 1e-15))
     return rows
 
 

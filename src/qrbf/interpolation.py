@@ -155,15 +155,15 @@ TARGETS = {"franke": _franke, "cosines": _cosines, "constant": _constant}
 
 
 def _box_array(box, d: int, name: str = "box") -> np.ndarray:
-    """The (d, 2) bounds of box: one [lo, hi] for every dimension, or d rows [lo, hi]; anything
-    else is refused under name, with the shape it needs."""
+    """The (d, 2) finite bounds of box: one [lo, hi] for every dimension, or d rows [lo, hi];
+    anything else is refused under name, with the shape it needs."""
     try:
         arr = np.asarray(box, dtype=float)
     except (TypeError, ValueError):  # text, or rows of unequal length
         arr = np.empty(0)
     if arr.shape == (2,):
         arr = np.tile(arr, (d, 1))
-    if arr.shape != (d, 2) or np.any(arr[:, 0] > arr[:, 1]):
+    if arr.shape != (d, 2) or not np.all(np.isfinite(arr)) or np.any(arr[:, 0] > arr[:, 1]):
         raise ValueError(f"{name} must be [lo, hi] or {d} rows [lo, hi], lo <= hi, got {box!r}")
     return arr
 
@@ -618,59 +618,3 @@ def exact_system(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> 
             f"kappa {spec.kappa:.3e}); {width} or dataset.m"
         ) from exc
     return system
-
-
-@dataclass
-class PerturbationReport:
-    """Measured perturbation effects against their a-priori bounds.
-
-    Inverse side: || (A+E)^-1 - A^-1 || <= ||E|| ||A^-1||^2 / (1 - r)
-    with r = ||A^-1 E|| < 1 (spectral norms); skipped when r >= 1.
-    Eigenvalue side: every sorted eigenvalue moves by at most ||E||_2.
-    """
-
-    inverse_bound: float
-    inverse_measured: float
-    inverse_ok: bool
-    inverse_skipped: bool
-    eig_shift_bound: float
-    eig_shift_measured: float
-    eig_shift_ok: bool
-
-
-def perturbation_check(A, E) -> PerturbationReport:
-    A = _as_dense(A)
-    E = np.asarray(E, dtype=float)
-    if A.shape != E.shape or A.shape[0] != A.shape[1]:
-        raise ValueError("A and E must be square matrices of the same shape")
-    try:
-        A_inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("A must be nonsingular") from exc
-
-    r = float(spectral_norm(A_inv @ E))
-    e_norm = spectral_norm(E)
-    if r < 1.0:
-        bound = float(e_norm * spectral_norm(A_inv) ** 2 / (1.0 - r))
-        measured = float(spectral_norm(np.linalg.inv(A + E) - A_inv))
-        inv_ok = measured <= bound * (1.0 + 1e-12)
-        skipped = False
-    else:
-        bound = math.inf
-        measured = math.nan
-        inv_ok = True
-        skipped = True
-
-    shift_bound = float(e_norm)
-    wA = np.linalg.eigvalsh(A)
-    wAE = np.linalg.eigvalsh(A + E)
-    shift = float(np.max(np.abs(wAE - wA)))
-    return PerturbationReport(
-        inverse_bound=bound,
-        inverse_measured=measured,
-        inverse_ok=inv_ok,
-        inverse_skipped=skipped,
-        eig_shift_bound=shift_bound,
-        eig_shift_measured=shift,
-        eig_shift_ok=shift <= shift_bound * (1.0 + 1e-12) + 1e-15,
-    )

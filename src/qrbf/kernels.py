@@ -108,11 +108,11 @@ class Kernel:
     def __post_init__(self):
         if self.family in GLOBAL_FAMILIES:
             if self.family == "gaussian":
-                if self.sigma is None or not self.sigma > 0:
-                    raise ValueError("gaussian kernel needs sigma > 0")
-            else:
-                if self.eta is None or not self.eta > 0:
-                    raise ValueError(f"{self.family} kernel needs eta > 0")
+                if self.sigma is None or not 0 < self.sigma < math.inf:
+                    raise ValueError("gaussian kernel needs a finite sigma > 0")
+            elif self.eta is None or not 0 < self.eta < math.inf:
+                # an infinite eta puts inf * 0 = nan on the diagonal
+                raise ValueError(f"{self.family} kernel needs a finite eta > 0")
             if not math.isinf(self.alpha):
                 raise ValueError("global kernels have unbounded support")
         elif self.family in COMPACT_FAMILIES:
@@ -176,8 +176,8 @@ def gaussian(sigma: float | None = None, eta: float | None = None) -> Kernel:
     if (sigma is None) == (eta is None):
         raise ValueError("give exactly one of sigma, eta")
     if sigma is None:
-        if not eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < eta < math.inf:  # an infinite eta would give sigma 0
+            raise ValueError("eta must be positive and finite")
         sigma = math.sqrt(1.0 / (2.0 * eta * eta))
     else:
         if not sigma > 0:

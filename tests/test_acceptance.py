@@ -190,27 +190,12 @@ def test_criterion_06_quantized_inversion():
 
 
 def test_criterion_07_perturbation_chain():
-    """Coefficient-state shift bounded by 2 eps_A kappa^2 / ((1-gamma) lambda_max)."""
-    rng = np.random.default_rng(7)
-    ok = True
-    worst_ratio = 0.0
-    for _ in range(50):
-        ds, exact, spec, gram, delta_a, gamma = harness._perturbation_instance(rng)
-        eps_a = float(np.linalg.norm(delta_a, "fro"))
-        y = ds.values / ds.m
-        c_exact = np.linalg.solve(exact.data, y)
-        c_pert = np.linalg.solve(gram.data, y)
-        u = c_exact / np.linalg.norm(c_exact)
-        v = c_pert / np.linalg.norm(c_pert)
-        measured = float(np.linalg.norm(u - v))
-        bound = 2.0 * eps_a * spec.kappa**2 / ((1.0 - gamma) * spec.lambda_max)
-        if measured > bound:
-            ok = False
-        if bound > 0:
-            worst_ratio = max(worst_ratio, measured / bound)
-        pert = interp.perturbation_check(exact.data, delta_a)
-        if pert.inverse_skipped or not (pert.inverse_ok and pert.eig_shift_ok):
-            ok = False
+    """Coefficient-state shift bounded by 2 eps_A kappa^2 / ((1-gamma) lambda_max), with the
+    inverse and eigenvalue-shift bounds, over the perturbation suite's seed-7 instances."""
+    rows = harness.verify_bounds("perturbation", seed=7).rows
+    chain = [row for row in rows if row["case"].endswith(" chain")]
+    ok = len(chain) == 50 and all(row["passed"] for row in rows)
+    worst_ratio = max(row["measured"] / row["bound"] for row in chain if row["bound"] > 0)
     assert _report(7, "perturbation chain", ok,
                    f"50 instances, worst measured/bound {worst_ratio:.3e}")
 

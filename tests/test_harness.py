@@ -1,5 +1,6 @@
 """Tests for data generation, budgets, pipelines, suites, and determinism."""
 
+import collections
 import copy
 import csv
 import dataclasses
@@ -48,6 +49,20 @@ def test_resolve_seed_env_and_explicit(monkeypatch):
     monkeypatch.setenv("QRBF_SEED", "13")
     assert config.resolve_seed(None) == 13
     assert config.resolve_seed(7) == 7  # explicit wins over the environment
+
+
+@pytest.mark.parametrize("seed", [True, False, 2.0, "3"], ids=repr)
+def test_an_explicit_seed_must_be_an_integer_as_given(seed, monkeypatch):
+    """QRBF_SEED text is parsed, an explicit seed is not: True would run as seed 1 under
+    another config hash, and 2.0 as seed 2."""
+    monkeypatch.setenv("QRBF_SEED", "3")
+    assert config.resolve_seed(None) == 3
+    want = f"seed {seed!r} is not a non-negative integer; set seed (--seed) or QRBF_SEED"
+    with pytest.raises(ValueError) as info:
+        config.resolve_seed(seed)
+    assert str(info.value) == want
+    assert _config_refusal(harness.verify_bounds, "gram", seed=seed) == want
+    assert config.resolve_seed(np.int64(2)) == 2
 
 
 def test_config_hash_stable_and_order_free():
@@ -271,6 +286,15 @@ def test_a_dataset_file_leaves_the_box_unread(tmp_path):
     for box in ("a", [1.0], [[0.0, 1.0], [0.0]], [1.0, 0.0]):
         with pytest.raises(ValueError, match=r"^box must be \[lo, hi\] or 3 rows \[lo, hi\]"):
             harness.gen_data(8, 3, box, seed=0)
+
+
+@pytest.mark.parametrize("box", [[0.0, math.inf], [math.nan, 1.0], [-math.inf, 0.0],
+                                 [[0.0, 1.0], [0.0, math.nan]]], ids=repr)
+def test_a_box_bound_that_is_not_finite_is_refused(box):
+    """NumPy's uniform would refuse an infinite range in its own words, and a nan
+    bound would draw nan sites."""
+    with pytest.raises(ValueError, match=r"^box must be \[lo, hi\] or 2 rows \[lo, hi\]"):
+        harness.gen_data(8, 2, box, seed=0)
 
 
 def test_classical_pipeline_interpolates_training_data(tmp_path):
@@ -1088,7 +1112,8 @@ def test_verify_bounds_rows_are_deterministic():
 
 
 def _per_order_perturbation_instance(rng):
-    """The order search with one full gram_coherent build per order, each from its own tables."""
+    """The order search with one full gram_coherent build per order, each from its own
+    tables, and gamma from the one inverse of A."""
     from qrbf import coherent, kernels
 
     for _ in range(50):
@@ -1097,15 +1122,14 @@ def _per_order_perturbation_instance(rng):
         sigma = float(rng.uniform(0.3, 0.8))
         ds = harness.gen_data(m, d, [0.0, 1.0], int(rng.integers(2**31)), "franke")
         exact = interp.assemble(ds, kernels.gaussian(sigma=sigma), normalized=True)
-        spec = interp.spectrum(exact)
-        if spec.kappa > 1e5:
+        if interp.spectrum(exact).kappa > 1e5:
             continue
+        a_inv = np.linalg.inv(exact.data)
         for order in range(3, 40):
-            gram = coherent.gram_coherent(ds, sigma, order)
-            delta_a = gram.data - exact.data
-            gamma = float(interp.spectral_norm(np.linalg.solve(exact.data, delta_a)))
+            delta_a = coherent.gram_coherent(ds, sigma, order).data - exact.data
+            gamma = float(interp.spectral_norm(a_inv @ delta_a))
             if gamma < 0.5:
-                return ds, exact, spec, gram, delta_a, gamma
+                return ds, exact.data, np.linalg.eigvalsh(exact.data), a_inv, delta_a, gamma
     raise RuntimeError("could not draw a perturbation instance with gamma < 0.5")
 
 
@@ -1137,6 +1161,31 @@ def test_order_searches_from_one_log_table_equal_the_per_order_builds(monkeypatc
     monkeypatch.setitem(harness._SUITE_RUNNERS, "truncation", _per_order_truncation_suite)
     for suite, body in got.items():
         assert body == _suite_body(suite, seed), suite
+
+
+def test_perturbation_suite_decomposes_each_matrix_once(monkeypatch):
+    """One inverse and one eigvalsh of A and of A + dA in each case, and no LU solve: gamma,
+    the coefficient states and the inverse bound all read the one inverse of each matrix."""
+    calls = collections.defaultdict(list)
+
+    def spy(name):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, **kwargs):
+            calls[name].append(np.asarray(a).tobytes())
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    for name in ("solve", "inv", "eigvalsh"):
+        spy(name)
+    cases = len(harness._suite_perturbation(0)) // 3
+    assert cases == 50 and calls["solve"] == []
+    assert len(calls["inv"]) == 2 * cases
+    # the datasets redrawn for their kappa take an eigvalsh and no inverse
+    for name in ("inv", "eigvalsh"):
+        assert len(set(calls[name])) == len(calls[name]), f"a matrix took two {name} calls"
+    assert set(calls["inv"]) <= set(calls["eigvalsh"])
 
 
 def _per_pair_roundtrip_row(seed: int) -> tuple:
@@ -1218,6 +1267,13 @@ _FAILURE_CONTRACT = [
      "config", "seed -1 is not a non-negative integer", "set seed"),
     ("bad QRBF_SEED", config.PIPELINES, {"seed": None},
      "config", "seed 'abc' is not a non-negative integer", "QRBF_SEED"),
+    # a bool or a float seed would run as the integer it equals, under another config hash
+    ("bool seed", config.PIPELINES, {"seed": True},
+     "config", "seed True is not a non-negative integer", "set seed"),
+    ("float seed", config.PIPELINES, {"seed": 2.0},
+     "config", "seed 2.0 is not a non-negative integer", "set seed"),
+    ("text seed", ("classical",), {"seed": "3"},
+     "config", "seed '3' is not a non-negative integer", "set seed"),
     ("unknown pipeline", ("noqueue",), {},
      "config", "unknown pipeline 'noqueue'", "choose from"),
     ("kernel key the family does not read", config.PIPELINES,
@@ -1313,6 +1369,18 @@ _FAILURE_CONTRACT = [
      "config", "must be [lo, hi] or 2 rows [lo, hi], lo <= hi, got [1]", "'dataset.box'"),
     ("box of the wrong dimension", config.PIPELINES, {"dataset": {"d": 3, "box": [[0, 1], [0, 1]]}},
      "config", "must be [lo, hi] or 3 rows [lo, hi], lo <= hi", "'dataset.box'"),
+    ("infinite box", config.PIPELINES, {"dataset": {"box": [0, math.inf]}},
+     "config", "must be [lo, hi] or 2 rows [lo, hi], lo <= hi, got [0, inf]", "'dataset.box'"),
+    ("nan box", config.PIPELINES, {"dataset": {"box": [math.nan, 1]}},
+     "config", "must be [lo, hi] or 2 rows [lo, hi], lo <= hi, got [nan, 1]", "'dataset.box'"),
+    # an infinite eta puts inf * 0 = nan on the diagonal, which the solve would meet first
+    ("infinite matern eta", ("classical",), {"kernel": {"family": "matern-c2", "eta": math.inf}},
+     "kernel", "matern-c2 kernel needs a finite eta > 0", "eta"),
+    ("infinite inverse-multiquadric eta", ("classical",),
+     {"kernel": {"family": "inverse-multiquadric", "eta": math.inf}},
+     "kernel", "inverse-multiquadric kernel needs a finite eta > 0", "eta"),
+    ("infinite gaussian sigma", ("classical", "quantum-global"), {"kernel": {"sigma": math.inf}},
+     "kernel", "gaussian kernel needs a finite sigma > 0", "sigma"),
 ]
 _CONTRACT_FILES = {
     "non-finite dataset": ("dataset", "x1,x2,y\n0.1,0.2,0.3\n0.5,0.6,nan\n"),

@@ -219,6 +219,7 @@ def test_sparse_and_dense_assembly_agree_exactly():
     de = _dense_matrix(ds, kern)
     assert sp.is_sparse
     assert np.array_equal(sp.toarray(), de)
+    assert interp.spectrum(sp) == interp.spectrum(de)
     # sparsity counts the fullest row
     assert sp.sparsity == int(np.max(np.count_nonzero(de, axis=1)))
 
@@ -311,42 +312,6 @@ def test_normalized_gaussian_lambda_max_guard():
         mat = interp.assemble(ds, kernels.gaussian(sigma=0.6), normalized=True)
         spec = interp.spectrum(mat)
         assert spec.lambda_max <= 1.0 + 1e-12
-
-
-def test_perturbation_check_bounds_hold():
-    rng = np.random.default_rng(47)
-    for trial in range(10):
-        r = np.random.default_rng(300 + trial)
-        q, _ = np.linalg.qr(r.standard_normal((6, 6)))
-        A = q @ np.diag(r.uniform(0.5, 2.0, 6)) @ q.T
-        A = 0.5 * (A + A.T)
-        E = 1e-6 * r.standard_normal((6, 6))
-        E = 0.5 * (E + E.T)
-        rep = interp.perturbation_check(A, E)
-        assert not rep.inverse_skipped
-        assert rep.inverse_ok and rep.eig_shift_ok
-        assert rep.inverse_measured <= rep.inverse_bound
-        assert rep.eig_shift_measured <= rep.eig_shift_bound * (1 + 1e-12)
-
-
-def test_perturbation_check_skips_when_not_contractive():
-    A = np.eye(2)
-    E = 2.0 * np.eye(2)  # r = ||A^-1 E|| = 2 >= 1
-    rep = interp.perturbation_check(A, E)
-    assert rep.inverse_skipped
-    assert rep.eig_shift_ok
-
-
-def test_perturbation_check_accepts_sparse_matrix():
-    rng = np.random.default_rng(53)
-    ds = _random_dataset(rng, 10, 2)
-    kern = kernels.wendland(3, 2, alpha=0.7)
-    sp = interp.assemble(ds, kern)
-    de = _dense_matrix(ds, kern)
-    assert sp.is_sparse
-    E = 1e-6 * np.eye(ds.m)
-    assert interp.perturbation_check(sp, E) == interp.perturbation_check(de, E)
-    assert interp.spectrum(sp) == interp.spectrum(de)
 
 
 def test_solve_rejects_indefinite_matrix():

@@ -159,6 +159,21 @@ def test_a_kernel_value_of_the_wrong_type_is_refused_by_its_path(cfg, key, shown
         assert str(info.value) == f"config key 'kernel.{key}' must be {shown}"
 
 
+@pytest.mark.parametrize("shape", [math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("family", kernels.GLOBAL_FAMILIES)
+def test_a_global_kernel_shape_that_is_not_finite_is_refused(family, shape):
+    """An infinite eta would put inf * 0 = nan on the matrix diagonal, and an infinite
+    sigma a matrix of ones."""
+    key = "sigma" if family == "gaussian" else "eta"
+    with pytest.raises(ValueError, match=f"^{family} kernel needs a finite {key} > 0$"):
+        kernels.Kernel(family, **{key: shape})
+    with pytest.raises(ValueError, match=key):  # the gaussian's constructor words its own
+        config.from_config({"family": family, key: shape})
+    if family == "gaussian":  # an infinite eta would give sigma 0
+        with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+            kernels.gaussian(eta=shape)
+
+
 def test_wendland_does_not_truncate_its_profile():
     with pytest.raises(ValueError, match=r"unsupported wendland profile \(d=3.9, k=2\)"):
         kernels.wendland(3.9, 2, alpha=0.7)
