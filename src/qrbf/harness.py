@@ -16,7 +16,6 @@ import contextlib
 import copy
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -202,16 +201,17 @@ def _query_rows(queries, seed: int, chash: str, columns: dict) -> tuple[list, li
     """One {seed, config_hash, x1..xd, **columns} row per query, and the query CSV's fields.
 
     Each column is an array with one entry per query; rows hold builtin
-    values.  Every row is built by one dict(zip(keys, values)) over a
-    single zip of the seed, the hash, the coordinates and the columns, so
-    its keys come in that order.  The fields name the columns of every
-    pipeline.
+    values.  Every row is a copy of one template whose keys come in that
+    order, with seed and config_hash already set, and each coordinate and
+    column is then filled in by one loop over the rows.  The fields name
+    the columns of every pipeline.
     """
     coords = [f"x{i + 1}" for i in range(queries.shape[1])]
-    keys = ("seed", "config_hash", *coords, *columns)
-    values = zip(itertools.repeat(seed), itertools.repeat(chash), *queries.T.tolist(),
-                 *(col.tolist() for col in columns.values()))
-    rows = [dict(zip(keys, row)) for row in values]
+    template = {"seed": seed, "config_hash": chash, **dict.fromkeys((*coords, *columns))}
+    rows = [template.copy() for _ in range(len(queries))]
+    for key, col in zip((*coords, *columns), (*queries.T, *columns.values())):
+        for row, value in zip(rows, col.tolist()):
+            row[key] = value
     return rows, ["seed", "config_hash", *coords, *_QUERY_BASE_FIELDS]
 
 

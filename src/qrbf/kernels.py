@@ -172,18 +172,34 @@ class Kernel:
 
 
 def gaussian(sigma: float | None = None, eta: float | None = None) -> Kernel:
-    """Gaussian kernel, parameterized by width sigma or shape eta (one required)."""
+    """Gaussian kernel, parameterized by width sigma or shape eta (one required).
+
+    Each shape is sqrt(1 / (2 x^2)) of the other, and the profile divides by
+    2 sigma^2.  A finite value for which either conversion leaves the
+    positive finite floats is refused under the key it was given as.
+    """
     if (sigma is None) == (eta is None):
         raise ValueError("give exactly one of sigma, eta")
     if sigma is None:
         if not 0 < eta < math.inf:  # an infinite eta would give sigma 0
             raise ValueError("eta must be positive and finite")
-        sigma = math.sqrt(1.0 / (2.0 * eta * eta))
+        key, value, other, sigma = "eta", eta, "sigma", _other_shape(eta)
     else:
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        eta = math.sqrt(1.0 / (2.0 * sigma * sigma))
+        key, value, other, eta = "sigma", sigma, "eta", _other_shape(sigma)
+    # an infinite sigma gives eta 0, which the Kernel refuses as not a finite sigma
+    if value < math.inf and not (0 < eta < math.inf and 0 < sigma < math.inf
+                                 and 2.0 * sigma * sigma < math.inf):
+        raise ValueError(f"{key}={value!r} is out of range: its conversion to {other} = "
+                         f"sqrt(1/(2 {key}^2)) or to 2 sigma^2 leaves the float range")
     return Kernel("gaussian", eta=eta, sigma=sigma)
+
+
+def _other_shape(x: float) -> float:
+    """sqrt(1 / (2 x^2)), either gaussian shape from the other; inf where 2 x^2 underflows."""
+    two_sq = 2.0 * x * x
+    return math.sqrt(1.0 / two_sq) if two_sq > 0 else math.inf
 
 
 def inverse_multiquadric(eta: float) -> Kernel:

@@ -35,7 +35,8 @@ the interpolant f(x) = ||c|| * ||Phi(x)|| * <c|Phi(x)> is
 `sample_successes`.  The swap test only determines the magnitude
 |<c|Phi(x)>|, so the readout's f_quantum is the sampled magnitude with
 the sign of the exact overlap, and f_quantum_analytic uses the exact
-signed overlap itself.
+signed overlap itself.  The swap probability of a real basis row is taken
+in real arithmetic, with no complex copy of the row.
 """
 
 from __future__ import annotations
@@ -392,15 +393,24 @@ def swap_test(u, v):
 
     v is one state or a stack of states along its last axis; u and every
     row of v must be unit norm.  Each row is reduced on its own, so a row's
-    probability does not depend on the rows stacked with it.
+    probability does not depend on the rows stacked with it.  A complex v
+    is reduced in complex arithmetic.  A real v, such as a basis row, is
+    reduced in real arithmetic with no complex copy: <u|v> = re + i im with
+    re = sum Re(u) v and im = -sum Im(u) v, the latter taken only when u
+    has a nonzero imaginary part; the two paths agree to a few ulp.
     """
     ua = np.asarray(u, dtype=complex).ravel()
-    va = np.asarray(v, dtype=complex)
+    va = np.asarray(v)
+    va = va.astype(complex if np.iscomplexobj(va) else float, copy=False)
     if va.shape[-1:] != ua.shape:
         raise ValueError("states must have equal dimension")
     if abs(np.linalg.norm(ua) - 1.0) > 1e-10:
         raise ValueError("u is not unit norm")
     if np.any(np.abs(np.linalg.norm(va, axis=-1) - 1.0) > 1e-10):
         raise ValueError("v is not unit norm")
-    return 0.5 + 0.5 * np.abs(np.add.reduce(ua.conj() * va, axis=-1)) ** 2
+    if np.iscomplexobj(va):
+        return 0.5 + 0.5 * np.abs(np.add.reduce(ua.conj() * va, axis=-1)) ** 2
+    re = np.add.reduce(ua.real * va, axis=-1)
+    im = -np.add.reduce(ua.imag * va, axis=-1) if np.any(ua.imag) else 0.0
+    return 0.5 + 0.5 * (re * re + im * im)
 

@@ -662,6 +662,18 @@ def test_query_rows_match_the_per_row_reference_key_for_key(d, n):
     assert fields == ["seed", "config_hash", *coords, *harness._QUERY_BASE_FIELDS]
 
 
+def test_query_rows_are_distinct_dicts():
+    """Every row is its own copy of the template: setting one row's value leaves the others."""
+    queries = np.random.default_rng(3).uniform(size=(4, 2))
+    columns = {"f_classical": np.arange(4.0), "abs_err": np.ones(4)}
+    rows, _ = harness._query_rows(queries, 9, "abc123", columns)
+    built = copy.deepcopy(rows)
+    rows[1]["f_classical"] = -7.0
+    assert len({id(row) for row in rows}) == len(rows)
+    assert rows[:1] + rows[2:] == built[:1] + built[2:]
+    assert rows[1] == {**built[1], "f_classical": -7.0}
+
+
 @pytest.mark.parametrize("cfg", _READOUT_CONFIGS, ids=_READOUT_IDS)
 def test_query_row_keys_come_in_query_field_order(cfg):
     result = harness.run_pipeline(cfg)
@@ -1381,6 +1393,15 @@ _FAILURE_CONTRACT = [
      "kernel", "inverse-multiquadric kernel needs a finite eta > 0", "eta"),
     ("infinite gaussian sigma", ("classical", "quantum-global"), {"kernel": {"sigma": math.inf}},
      "kernel", "gaussian kernel needs a finite sigma > 0", "sigma"),
+    # each shape's conversion to the other, or to the profile's 2 sigma^2, leaves the floats
+    ("tiny gaussian sigma", ("classical", "quantum-global"), {"kernel": {"sigma": 1e-200}},
+     "kernel", "conversion to eta = sqrt(1/(2 sigma^2)) or to 2 sigma^2", "sigma=1e-200"),
+    ("huge gaussian sigma", ("classical", "quantum-global"), {"kernel": {"sigma": 1e200}},
+     "kernel", "conversion to eta = sqrt(1/(2 sigma^2)) or to 2 sigma^2", "sigma=1e+200"),
+    ("tiny gaussian eta", ("classical", "quantum-global"), {"kernel": {"eta": 1e-200}},
+     "kernel", "conversion to sigma = sqrt(1/(2 eta^2)) or to 2 sigma^2", "eta=1e-200"),
+    ("huge gaussian eta", ("classical", "quantum-global"), {"kernel": {"eta": 1e200}},
+     "kernel", "conversion to sigma = sqrt(1/(2 eta^2)) or to 2 sigma^2", "eta=1e+200"),
 ]
 _CONTRACT_FILES = {
     "non-finite dataset": ("dataset", "x1,x2,y\n0.1,0.2,0.3\n0.5,0.6,nan\n"),

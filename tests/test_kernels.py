@@ -174,6 +174,34 @@ def test_a_global_kernel_shape_that_is_not_finite_is_refused(family, shape):
             kernels.gaussian(eta=shape)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sigma", 1e-200),  # 2 sigma^2 underflows to 0
+    ("sigma", 1e-160),  # 2 sigma^2 is subnormal, eta would be inf
+    ("sigma", 1e200),  # 2 sigma^2 overflows, eta would be 0
+    ("eta", 1e-200),
+    ("eta", 7e-155),  # sigma is finite, 2 sigma^2 is not
+    ("eta", 1e200),
+], ids=repr)
+def test_a_gaussian_shape_whose_conversion_leaves_the_floats_is_refused_by_its_key(key, value):
+    other = "eta" if key == "sigma" else "sigma"
+    with pytest.raises(ValueError) as info:
+        kernels.gaussian(**{key: value})
+    assert str(info.value) == (f"{key}={value!r} is out of range: its conversion to {other} = "
+                               f"sqrt(1/(2 {key}^2)) or to 2 sigma^2 leaves the float range")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma", 0.4), ("sigma", 1e-154), ("sigma", 1e153),
+    ("eta", 2.0), ("eta", 8e-155), ("eta", 9e153),
+], ids=repr)
+def test_an_accepted_gaussian_shape_keeps_its_closed_form_conversion(key, value):
+    kern = kernels.gaussian(**{key: value})
+    other = kern.sigma if key == "eta" else kern.eta
+    assert getattr(kern, key) == value
+    assert other == math.sqrt(1.0 / (2.0 * value * value))
+    assert kern.phi0 == 1.0 and kern.eval(1.0) >= 0.0
+
+
 def test_wendland_does_not_truncate_its_profile():
     with pytest.raises(ValueError, match=r"unsupported wendland profile \(d=3.9, k=2\)"):
         kernels.wendland(3.9, 2, alpha=0.7)

@@ -545,6 +545,29 @@ def test_swap_test_rows_equal_single_calls_and_each_row_is_checked():
         qinvert.swap_test(u, v)
 
 
+@pytest.mark.parametrize("complex_u", [False, True], ids=["real u", "complex u"])
+@pytest.mark.parametrize("m", [2, 8, 64, 513])
+def test_swap_test_of_real_rows_matches_their_complex_copy(m, complex_u):
+    """A real stack is reduced in real arithmetic; its sums block differently from the
+    complex ones, so the two agree to a few ulp rather than bit for bit."""
+    rng = np.random.default_rng(m)
+    u = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_u else 0j)
+    u /= np.linalg.norm(u)
+    v = rng.standard_normal((40, m))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    real, cplx = qinvert.swap_test(u, v), qinvert.swap_test(u, v.astype(complex))
+    assert real.dtype == cplx.dtype == np.float64
+    assert np.all(np.abs(real - cplx) <= 4 * np.spacing(np.maximum(real, cplx)))
+
+
+def test_swap_test_refuses_a_non_unit_real_row_as_its_complex_copy():
+    u = np.array([1.0, 0.0, 0.0])
+    v = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.1]])
+    for rows in (v, v.astype(complex)):
+        with pytest.raises(ValueError, match="^v is not unit norm$"):
+            qinvert.swap_test(u, rows)
+
+
 def test_sample_successes_draws_like_a_scalar_loop_and_checks_every_entry():
     p = np.array([0.5, 0.9, 0.0, 1.0, 0.62])
     got = qinvert.sample_successes(p, 1000, np.random.default_rng(4))
