@@ -424,6 +424,7 @@ def _run_global(cfg, dataset, kernel, queries, seed):
         order = coherent.min_order(coherent.max_ratio(encoded.sites, kernel.sigma), budgets.delta)
     with _stage("gram construction"):
         gram = coherent.gram_coherent(encoded, kernel.sigma, order)
+        # ||E||_F for E = G - A, taken once: the budget check and gamma_b both read it
         eps_A_measured = float(np.linalg.norm(gram.data - exact.data, "fro"))
         # no truncation order meets a budget below the float64 resolution of ||A||_F
         eps_A_floor = float(np.finfo(float).eps) * float(np.linalg.norm(exact.data, "fro"))
@@ -443,7 +444,14 @@ def _run_global(cfg, dataset, kernel, queries, seed):
 
     with _stage("inversion"):
         inv_cfg, clamped = _inversion_config(cfg, budgets, spec)
-        report = qinvert.invert(interpolation.LinearSystem(gram, system.y), inv_cfg)
+        # the ideal map with no floor reads only solves and the extremes, which the Gram
+        # takes from A's factor and spectrum when close enough (gamma_b < 1/2); a floor
+        # or the clock reads G's eigenbasis, and its fidelity check G's own factor
+        if inv_cfg.mode == "ideal" and inv_cfg.spectral_floor is None:
+            gram_system = system.perturbed(gram, eps_A_measured)
+        else:
+            gram_system = interpolation.LinearSystem(gram, system.y)
+        report = qinvert.invert(gram_system, inv_cfg)
 
     with _stage("readout"):
         readings = _basis_readings(dataset, kernel, queries, coeffs, report.state_out)
@@ -474,10 +482,13 @@ def _run_global(cfg, dataset, kernel, queries, seed):
         "truncation_order": order,
         "gram_frobenius_error": eps_A_measured,
         "gram_frobenius_budget": budgets.eps_A,
+        # bounds ||A^-1 E||_2; below 1/2 the ideal no-floor inversion solves on A's factor
+        "gram_gamma_bound": eps_A_measured / spec.lambda_min,
         "gram_within_budget": gram_within,
         "budget_unreachable": budgets.eps_A < eps_A_floor,
         "inversion_mode": report.mode,
-        # on the Cholesky path this is 1 by construction; fidelity_vs_exact_solution is not
+        # with no floor this reads the inversion's own solve, so it is 1 by construction;
+        # fidelity_vs_exact_solution is not
         "fidelity_vs_classical": report.fidelity_vs_classical,
         "fidelity_within_budget": fidelity_within,
         "deviation_from_ideal": report.deviation_from_ideal,

@@ -6,7 +6,9 @@ ancilla rotated to amplitude C/lambda_j on each eigencomponent, and
 post-selects the ancilla on 1.  The surviving state is proportional to
 A^{-1} y, the post-selection probability p determines the normalization
 factor F = sqrt(p), and the solution norm follows as ||c|| = F ||y|| / C.
-Each decomposition of A is read from the system, which takes it at most once.
+Each decomposition of A is read from the system, which takes it at most once;
+a system from `LinearSystem.perturbed` reads its factor and extremes from a
+nearby matrix's system instead, and this module does not tell the two apart.
 
 Two fidelity levels are provided.  `invert_ideal` applies the exact
 map lambda -> C/lambda.  With no spectral floor that map is C A^{-1}

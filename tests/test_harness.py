@@ -1497,9 +1497,9 @@ def test_ideal_global_run_factorizes_each_matrix_once(factor_calls):
     cfg = _global_cfg(64, 0.1)
     cfg["inversion"] = {"mode": "ideal"}
     harness.run_pipeline(cfg)
-    # the exact system: one assembly, one spectrum, one Cholesky solve; the
-    # Gram: its eigenvalues and one Cholesky factor, no eigenbasis
-    assert factor_calls == {"assemble": 1, "eigvalsh": 2, "cho_factor": 2}
+    # the exact system: one assembly, one spectrum, one Cholesky factor; the
+    # Gram solves on that factor and takes its extremes by Weyl from that spectrum
+    assert factor_calls == {"assemble": 1, "eigvalsh": 1, "cho_factor": 1}
 
 
 @pytest.mark.parametrize("m", [interp.LANCZOS_MIN_M - 1, interp.LANCZOS_MIN_M])
@@ -1509,9 +1509,9 @@ def test_ideal_runs_take_extremes_by_lanczos_from_the_crossover_on(m, factor_cal
     cfg = _global_cfg(m, 0.05)
     cfg["inversion"] = {"mode": "ideal"}
     harness.run_pipeline(cfg)
-    # the exact system and the Gram: one Cholesky and one spectrum each
-    spectra = {"eigvalsh": 2} if m < interp.LANCZOS_MIN_M else {"eigsh": 4}
-    assert factor_calls == {"assemble": 1, "cho_factor": 2, **spectra}
+    # one Cholesky and one spectrum, of the exact system: the Gram reuses both
+    spectra = {"eigvalsh": 1} if m < interp.LANCZOS_MIN_M else {"eigsh": 2}
+    assert factor_calls == {"assemble": 1, "cho_factor": 1, **spectra}
     factor_calls.clear()
     harness.run_pipeline({
         "pipeline": "quantum-compact",
@@ -1522,6 +1522,62 @@ def test_ideal_runs_take_extremes_by_lanczos_from_the_crossover_on(m, factor_cal
     })
     spectra = {"eigvalsh": 1} if m < interp.LANCZOS_MIN_M else {"eigsh": 2}
     assert factor_calls == {"assemble": 1, "splu": 1, **spectra}
+
+
+def test_a_gram_far_from_the_exact_matrix_takes_its_own_cholesky(factor_calls, monkeypatch):
+    """Where gamma_b = ||G - A||_F / lambda_min(A) >= 1/2 the refinement on A's factor
+    need not converge: the Gram system factors G itself, and its report is that of
+    qinvert.invert(LinearSystem(G, y)) bit for bit."""
+    from qrbf import coherent, qinvert
+
+    cfg = _global_cfg(64, 0.1)
+    lam = harness.run_pipeline(copy.deepcopy(cfg)).summary["lambda_min"]
+    gram_coherent = coherent.gram_coherent
+
+    def planted(*args, **kwargs):
+        # E = lambda_min(A) I: ||E||_F = 8 lambda_min(A), and G stays positive definite
+        gram = gram_coherent(*args, **kwargs)
+        return dataclasses.replace(gram, data=gram.data + lam * np.eye(gram.m))
+
+    caught = []
+    invert = qinvert.invert
+
+    def spy(system, config):
+        caught.append((system, config, invert(system, config)))
+        return caught[-1][2]
+
+    monkeypatch.setattr(coherent, "gram_coherent", planted)
+    monkeypatch.setattr(qinvert, "invert", spy)
+    factor_calls.clear()
+    s = harness.run_pipeline(cfg).summary
+    assert s["gram_gamma_bound"] >= 0.5
+    assert factor_calls == {"assemble": 1, "eigvalsh": 2, "cho_factor": 2}
+    [(system, config, report)] = caught
+    assert type(system) is interp.LinearSystem
+    assert report.to_dict() == invert(interp.LinearSystem(system.matrix, system.y),
+                                      config).to_dict()
+
+
+@pytest.mark.parametrize("inversion", [
+    {"mode": "ideal", "spectral_floor": 1e-6},
+    {"mode": "quantized"},
+    {"mode": "ideal"},
+], ids=["floor", "quantized", "ideal"])
+def test_only_the_ideal_map_without_a_floor_solves_the_gram_on_the_exact_factor(
+        inversion, monkeypatch, tmp_path):
+    """A floor or the clock reads G's eigenbasis, and its classical check G's own
+    factor: those runs write the bytes of a run whose Gram system factors G itself.
+    The ideal map with no floor solves on A's factor, and its bytes move."""
+    cfg = {**_global_cfg(64, 0.1), "inversion": inversion}
+    harness.run_pipeline(copy.deepcopy(cfg), out_dir=str(tmp_path / "refined"))
+    monkeypatch.setattr(interp.LinearSystem, "perturbed",
+                        lambda self, matrix, e_norm: interp.LinearSystem(matrix, self.y))
+    harness.run_pipeline(copy.deepcopy(cfg), out_dir=str(tmp_path / "factored"))
+    same = [
+        (tmp_path / "refined" / name).read_bytes() == (tmp_path / "factored" / name).read_bytes()
+        for name in ("summary.json", "solve_report.json")
+    ]
+    assert same == ([False, False] if inversion == {"mode": "ideal"} else [True, True])
 
 
 def test_exact_ideal_compact_run_inverts_its_exact_system(factor_calls, monkeypatch):

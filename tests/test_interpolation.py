@@ -520,6 +520,81 @@ def test_exact_csr_symmetry_reads_the_stored_pattern():
     assert interp._exactly_symmetric(b)
 
 
+@pytest.mark.parametrize("m", [1, 16, 64, 65, 200, 513])
+def test_tiled_symmetry_check_reads_as_the_full_comparison(m):
+    """The dense check compares tile by tile, and returns what (a == a.T).all() does:
+    on a symmetric matrix, with one asymmetric entry in each tile position (at a random
+    place and at the tile's last row and column, the ragged edge of a last tile), and
+    with a NaN on or off the diagonal."""
+    def full(a):
+        return bool((a == a.T).all())
+
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    a = a + a.T
+    assert interp._exactly_symmetric(a) and full(a)
+    planted = []
+    t = interp._SYMMETRY_TILE
+    for bi in range(0, m, t):
+        for bj in range(0, m, t):
+            ends = min(bi + t, m), min(bj + t, m)
+            at_random = int(rng.integers(bi, ends[0])), int(rng.integers(bj, ends[1]))
+            planted += [at for at in (at_random, (ends[0] - 1, ends[1] - 1)) if at[0] != at[1]]
+    for i, j in planted:
+        b = a.copy()
+        b[i, j] = np.nextafter(b[i, j], np.inf)
+        assert not interp._exactly_symmetric(b) and not full(b)
+    k = int(rng.integers(m))
+    for i, j in ((k, k), (0, m - 1)):
+        b = a.copy()
+        b[i, j] = b[j, i] = np.nan
+        assert interp._exactly_symmetric(b) is full(b) is False
+
+
+def test_perturbed_system_solves_on_the_base_factor_with_weyl_extremes(factor_calls):
+    """G = A + E with gamma_b = ||E||_F / lambda_min(A) < 1/2 takes no factor or spectrum
+    of its own: one refinement step on A's Cholesky, which takes the solve's error from
+    about gamma_b to gamma_b^2, and the Weyl interval of A's extremes widened by ||E||_F."""
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    A = q @ np.diag(np.geomspace(1e-3, 1.0, 12)) @ q.T
+    A = 0.5 * (A + A.T)
+    y = rng.standard_normal(12)
+    base = interp.LinearSystem(A, y)
+    lam = base.spectrum.lambda_min
+    E = rng.standard_normal((12, 12))
+    E = (E + E.T) * (0.02 * lam / np.linalg.norm(E + E.T, "fro"))
+    G = A + E
+    e = float(np.linalg.norm(G - A, "fro"))
+    near = base.perturbed(G, e)
+    assert isinstance(near, interp.PerturbedSystem)
+    assert near.factor.base is base.factor and near.factor.matrix is G
+    spec = near.spectrum
+    assert (spec.lambda_min, spec.lambda_max) == (lam - e, base.spectrum.lambda_max + e)
+    assert spec.kappa == spec.lambda_max / spec.lambda_min
+    assert factor_calls == {"cho_factor": 1, "eigvalsh": 1}  # A's, and nothing of G
+    w = np.linalg.eigvalsh(G)
+    assert spec.lambda_min <= w[0] and w[-1] <= spec.lambda_max
+    x = interp.factor_solve(near.factor, y)
+    exact = np.linalg.solve(G, y)
+    unrefined = interp.factor_solve(base.factor, y)
+    # the refined error is gamma^2 / (1 - gamma) relative, gamma = ||A^-1 E||_2 <= gamma_b
+    bound = 2 * (e / lam) ** 2 * np.linalg.norm(exact)
+    assert np.linalg.norm(x - exact) <= bound < np.linalg.norm(unrefined - exact)
+    # from gamma_b = 1/2 on, the refinement need not converge: G is factored itself
+    assert isinstance(base.perturbed(G, np.nextafter(0.5 * lam, 0.0)), interp.PerturbedSystem)
+    far = base.perturbed(G, 0.5 * lam)
+    assert type(far) is interp.LinearSystem
+    factor_calls.clear()
+    far.factor
+    assert factor_calls == {"cho_factor": 1}
+    # the refinement multiplies by G, so G's symmetry is still checked
+    skew = G.copy()
+    skew[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not symmetric"):
+        base.perturbed(skew, e).factor
+
+
 def test_linear_system_factor_fails_plainly_without_a_spectrum(factor_calls):
     system = interp.LinearSystem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
     with pytest.raises(interp.NotPositiveDefiniteError, match="Cholesky failed"):
