@@ -276,14 +276,21 @@ class _PairTerms:
 
     @functools.cached_property
     def exponent(self) -> np.ndarray:
+        """-||a_i - a_j||^2 / 2, the one (m, m) array this allocates.
+
+        The first coordinate's differences are squared in it; each later
+        coordinate's are formed, squared and added one row block at a time
+        (interpolation.row_blocks), so every entry sums its coordinates in
+        order, as on the whole matrix.
+        """
         first, *rest = self.ratios.T
         total = np.subtract.outer(first, first)
         total *= total
-        diff = np.empty_like(total) if rest else None
         for a in rest:
-            np.subtract.outer(a, a, out=diff)
-            diff *= diff
-            total += diff
+            for rows in interpolation.row_blocks(len(a), len(a)):
+                diff = np.subtract.outer(a[rows], a)
+                diff *= diff
+                total[rows] += diff
         total *= -0.5
         return total
 
@@ -345,8 +352,9 @@ def _closed_form(terms: _PairTerms, order: int, last: bool) -> np.ndarray:
                 flip[block] ^= negative
     # the exponent's diagonal is 0, so it now holds sum_c ln Q(N, a_ic^2)
     row_log = -0.5 * log_gram.diagonal()
-    if row_log.any():
-        log_gram += np.add.outer(row_log, row_log)
+    if row_log.any():  # added one row block at a time, with no (m, m) temporary
+        for rows in interpolation.row_blocks(m, m):
+            log_gram[rows] += np.add.outer(row_log[rows], row_log)
     gram = np.exp(log_gram, out=log_gram)
     if flip is not None:
         np.negative(gram, out=gram, where=flip)

@@ -215,11 +215,6 @@ def _query_rows(queries, seed: int, chash: str, columns: dict) -> tuple[list, li
     return rows, ["seed", "config_hash", *coords, *_QUERY_BASE_FIELDS]
 
 
-# query x site cells per block of the batched readout, so the block
-# temporaries stay small at any number of queries
-_READOUT_BLOCK_CELLS = 2**14
-
-
 @dataclass
 class _BasisReadings:
     """Readout inputs of every query point x, one array entry per query.
@@ -240,7 +235,7 @@ class _BasisReadings:
 
 
 def _basis_readings(dataset, kernel, queries, coeffs, state) -> _BasisReadings:
-    """Basis rows, norms and overlaps of all queries, _READOUT_BLOCK_CELLS cells at a time.
+    """Basis rows, norms and overlaps of all queries, interpolation.BLOCK_CELLS cells at a time.
 
     Every row is reduced on its own (np.add.reduce along the sites, not a
     BLAS product), so no value depends on the block size or on the other
@@ -252,9 +247,7 @@ def _basis_readings(dataset, kernel, queries, coeffs, state) -> _BasisReadings:
     out = _BasisReadings(*np.zeros((5, n)))
     out.swap_p[:] = np.nan
     c_hat = None if state is None else coeffs.c / coeffs.norm
-    step = max(1, _READOUT_BLOCK_CELLS // dataset.m)
-    for start in range(0, n, step):
-        block = slice(start, start + step)
+    for block in interpolation.row_blocks(n, dataset.m):
         phi = interpolation.basis_matrix(dataset, kernel, queries[block])
         sq = np.add.reduce(phi * phi, axis=-1)
         out.f_classical[block] = np.add.reduce(phi * coeffs.c, axis=-1)

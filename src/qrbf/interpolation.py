@@ -40,13 +40,16 @@ def pair_distance(a, b):
     np.float64.
 
     The squared differences are summed coordinate by coordinate, in
-    order, on arrays of the broadcast shape without the last axis; for
-    the pair matrix of 512 sites in 2-D that is about seven times faster
-    than reducing the (m, m, d) difference array over its short last
-    axis.  For d <= 7 the sum has the bits of
-    np.add.reduce(diff * diff, axis=-1), which adds fewer than 8 terms
-    in order; from 8 terms on NumPy sums pairwise and the two differ in
-    the last bits.
+    order, into the array this returns, which has the broadcast shape
+    without the last axis: the first coordinate's difference is made and
+    squared there, each later one is formed and squared in one buffer of
+    that shape and added, and the root is taken in place, so a call
+    allocates two arrays of the result's size.  For the pair matrix of
+    512 sites in 2-D that is about seven times faster than reducing the
+    (m, m, d) difference array over its short last axis.  For d <= 7 the
+    sum has the bits of np.add.reduce(diff * diff, axis=-1), which adds
+    fewer than 8 terms in order; from 8 terms on NumPy sums pairwise and
+    the two differ in the last bits.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -55,12 +58,15 @@ def pair_distance(a, b):
     # coordinate axis first: a[c] is coordinate c of every point, a scalar for one point
     a = a.transpose(-1, *range(a.ndim - 1))
     b = b.transpose(-1, *range(b.ndim - 1))
-    diff = a[0] - b[0]
-    total = diff * diff
+    total = a[0] - b[0]
+    total *= total
+    # two points sum in np.float64 scalars, which have no storage to write into
+    buffer = np.empty_like(total) if total.ndim and len(a) > 1 else None
     for c in range(1, len(a)):
-        diff = a[c] - b[c]
-        total += diff * diff
-    return np.sqrt(total)
+        diff = np.subtract(a[c], b[c], out=buffer)
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total) if total.ndim else np.sqrt(total)
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -185,8 +191,9 @@ def gen_data(m: int, d: int, box, seed: int, target_fn: str = "franke") -> DataS
         sites = np.vstack([sites, draw])
     else:
         raise RuntimeError(f"could not draw {m} distinct sites in box {box!r}")
-    # unique_rows() sorted the rows; shuffle deterministically so ordering is not biased
-    rng.shuffle(sites)
+    # unique_rows() sorted the rows; shuffle deterministically so ordering is not biased.
+    # The draws, rows and generator state of rng.shuffle(sites), without its row loop
+    sites = sites[rng.permutation(m)]
     return DataSet(sites=sites, values=TARGETS[target_fn](sites))
 
 
@@ -302,21 +309,41 @@ def support_pairs(sites, alpha: float):
     return cKDTree(sites).query_pairs(alpha, output_type="ndarray").T
 
 
+# Cells (rows x columns) of each row block the dense m x m builds and the
+# batched readout work in: their temporaries stay in cache at any m, and
+# only the result takes m x m memory
+BLOCK_CELLS = 2**14
+
+
+def row_blocks(m: int, columns: int) -> list:
+    """Slices of consecutive rows of an (m, columns) array, BLOCK_CELLS cells or one row each."""
+    step = max(1, BLOCK_CELLS // columns)
+    return [slice(start, start + step) for start in range(0, m, step)]
+
+
 def assemble(dataset: DataSet, kernel: Kernel, normalized: bool = False) -> InterpMatrix:
     """Assemble the interpolation matrix for a dataset and kernel.
 
     Compact kernels are stored as CSR with only the pairs inside the
-    support radius (support_pairs); global kernels are dense.
+    support radius (support_pairs); global kernels are dense.  The dense
+    matrix is allocated once and filled by row blocks (row_blocks): each
+    block's distances and kernel values are block-sized temporaries,
+    scaled by 1/m (normalized) or 1 into the result.  Every entry takes
+    the operations it took on the whole matrix, so the bits do not
+    depend on the blocks.
     """
     sites = dataset.sites
     if kernel.is_compact:
         i, j = support_pairs(sites, kernel.alpha)
         vals = kernel.eval(pair_distance(sites[i], sites[j]))
         return symmetric_csr(dataset.m, i, j, vals, kernel.phi0, normalized)
-    # bound until the scaled copy exists: freeing dist earlier doubled an m=512 run's page faults
-    dist = pair_distance(sites[:, None, :], sites[None, :, :])
-    scale = 1.0 / dataset.m if normalized else 1.0
-    return InterpMatrix(data=kernel.eval(dist) * scale, normalized=normalized, sparsity=dataset.m)
+    m = dataset.m
+    scale = 1.0 / m if normalized else 1.0
+    data = np.empty((m, m))
+    for rows in row_blocks(m, m):
+        phi = kernel.eval(pair_distance(sites[rows, None, :], sites[None, :, :]))
+        np.multiply(phi, scale, out=data[rows])
+    return InterpMatrix(data=data, normalized=normalized, sparsity=m)
 
 
 @dataclass
@@ -507,7 +534,7 @@ def spectrum(matrix, factor=None) -> Spectrum:
 
 
 # Side of the square tiles `_exactly_symmetric` compares a dense matrix in
-_SYMMETRY_TILE = 64
+_SYMMETRY_TILE = 128
 
 
 def _exactly_symmetric(data) -> bool:
@@ -527,8 +554,8 @@ def _exactly_symmetric(data) -> bool:
             for name in ("indptr", "indices", "data")
         )
     # tile by tile, each upper tile against its transposed lower mirror: the whole
-    # data.T is a strided read, a 64 x 64 tile pair stays in cache (m=2048 on a
-    # 2-vCPU Xeon: 40 -> 10 ms; m=512: 0.87 -> 0.61 ms)
+    # data.T is a strided read, a 128 x 128 tile pair stays in cache (m=2048 on a
+    # 2-vCPU Xeon: 40 ms whole, 6.3-10 ms in 64-tiles, 5.4-7.9 ms in 128-tiles)
     m, t = len(data), _SYMMETRY_TILE
     if m <= t:
         return bool((data == data.T).all())

@@ -139,6 +139,13 @@ class Kernel:
         """Evaluate the profile at radial argument r (scalar or array).
 
         Negative arguments are rejected: radii are distances.
+
+        A global profile is one chain of ufuncs: the first makes a new
+        array, the result, and the rest write into it (matern-c2 and -c4
+        keep one or two more of r's shape).  Each takes the operands of
+        the written formula in its order, so the values have the bits of
+        the out-of-place expression, exp(-(r * r) / (2 sigma^2)) and so
+        on, without its temporaries.  r itself is never written.
         """
         arr = np.asarray(r, dtype=float)
         if np.any(arr < 0.0):
@@ -149,17 +156,34 @@ class Kernel:
             arr = arr.reshape(1)
         fam = self.family
         if fam == "gaussian":
-            out = np.exp(-(arr * arr) / (2.0 * self.sigma**2))
+            out = arr * arr
+            np.negative(out, out=out)
+            out /= 2.0 * self.sigma**2
+            np.exp(out, out=out)
         elif fam == "inverse-multiquadric":
-            out = 1.0 / np.sqrt(1.0 + (self.eta * arr) ** 2)
+            out = self.eta * arr
+            out **= 2
+            np.add(1.0, out, out=out)
+            np.sqrt(out, out=out)
+            np.divide(1.0, out, out=out)
         elif fam == "matern-c0":
-            out = np.exp(-self.eta * arr)
+            out = -self.eta * arr
+            np.exp(out, out=out)
         elif fam == "matern-c2":
             u = self.eta * arr
-            out = np.exp(-u) * (1.0 + u)
+            out = np.negative(u)
+            np.exp(out, out=out)
+            np.add(1.0, u, out=u)
+            out *= u
         elif fam == "matern-c4":
             u = self.eta * arr
-            out = np.exp(-u) * (3.0 + 3.0 * u + u * u)
+            out = np.negative(u)
+            np.exp(out, out=out)
+            poly = 3.0 * u
+            np.add(3.0, poly, out=poly)
+            u *= u
+            poly += u
+            out *= poly
         else:
             u = arr / self.alpha
             ell, coeffs = _WENDLAND_TABLE[(self.d, self.k)]

@@ -634,7 +634,7 @@ _READOUT_IDS = ["global", "compact", "classical"]
 def test_query_rows_do_not_depend_on_the_readout_block(monkeypatch, cfg):
     whole = harness.run_pipeline(cfg)
     for cells in (1, 3 * 40 + 1):  # one query per block; blocks of 3 with a ragged tail
-        monkeypatch.setattr(harness, "_READOUT_BLOCK_CELLS", cells)
+        monkeypatch.setattr(interp, "BLOCK_CELLS", cells)
         blocked = harness.run_pipeline(cfg)
         assert blocked.query_rows == whole.query_rows
         assert blocked.summary == whole.summary

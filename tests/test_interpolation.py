@@ -97,9 +97,51 @@ def test_pair_distance_is_within_4_ulp_of_pairwise_numpy_reduce(d):
         assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
 
 
+def _out_of_place_distance(a, b):
+    """pair_distance as a new array per operation: the sum the in-place one must reproduce."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a = a.transpose(-1, *range(a.ndim - 1))
+    b = b.transpose(-1, *range(b.ndim - 1))
+    diff = a[0] - b[0]
+    total = diff * diff
+    for c in range(1, len(a)):
+        diff = a[c] - b[c]
+        total += diff * diff
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_pair_distance_has_the_bits_of_the_out_of_place_sum(d):
+    """Point pairs, pair arrays and broadcast blocks, with pairwise NumPy sums or not."""
+    for a, b, shape in _distance_calls(d):
+        got = interp.pair_distance(a, b)
+        want = _out_of_place_distance(a, b)
+        assert type(got) is type(want) and np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_pair_distance_refuses_points_of_different_dimensions():
     with pytest.raises(ValueError, match="share a dimension"):
         interp.pair_distance(np.zeros((3, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("m, d", [(1, 1), (2, 3), (17, 2), (512, 2), (300, 5)])
+def test_indexing_by_a_permutation_shuffles_rows_as_the_generator_does(m, d):
+    """gen_data's sites[rng.permutation(m)] makes Generator.shuffle's draws: the same
+    rows, bit for bit, and the same generator state after."""
+    for seed in range(6):
+        sites = interp.unique_rows(np.random.default_rng(100 + seed).uniform(size=(m, d)))
+        shuffled, by_shuffle = sites.copy(), np.random.default_rng(seed)
+        by_shuffle.shuffle(shuffled)
+        by_index = np.random.default_rng(seed)
+        indexed = sites[by_index.permutation(m)]
+        assert indexed.tobytes() == shuffled.tobytes()
+        assert by_index.bit_generator.state == by_shuffle.bit_generator.state
+        rng = np.random.default_rng(seed)
+        want = interp.unique_rows(rng.uniform([-1.0] * d, [2.0] * d, size=(m, d)))
+        rng.shuffle(want)
+        assert interp.gen_data(m, d, [-1.0, 2.0], seed).sites.tobytes() == want.tobytes()
 
 
 def test_dataset_validation():
@@ -520,7 +562,7 @@ def test_exact_csr_symmetry_reads_the_stored_pattern():
     assert interp._exactly_symmetric(b)
 
 
-@pytest.mark.parametrize("m", [1, 16, 64, 65, 200, 513])
+@pytest.mark.parametrize("m", [1, 16, 64, 65, 127, 128, 129, 200, 257, 513])
 def test_tiled_symmetry_check_reads_as_the_full_comparison(m):
     """The dense check compares tile by tile, and returns what (a == a.T).all() does:
     on a symmetric matrix, with one asymmetric entry in each tile position (at a random

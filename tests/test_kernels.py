@@ -110,6 +110,40 @@ def test_scalar_and_array_eval_bit_identical():
             assert got == want, f"{kern.family}: scalar {got!r} != array {want!r}"
 
 
+# each global profile as one new array per operation, the expressions the in-place
+# chains of Kernel.eval must reproduce bit for bit
+_OUT_OF_PLACE = {
+    "gaussian": lambda k, r: np.exp(-(r * r) / (2.0 * k.sigma**2)),
+    "inverse-multiquadric": lambda k, r: 1.0 / np.sqrt(1.0 + (k.eta * r) ** 2),
+    "matern-c0": lambda k, r: np.exp(-k.eta * r),
+    "matern-c2": lambda k, r: (lambda u: np.exp(-u) * (1.0 + u))(k.eta * r),
+    "matern-c4": lambda k, r: (lambda u: np.exp(-u) * (3.0 + 3.0 * u + u * u))(k.eta * r),
+}
+
+
+@pytest.mark.parametrize("family", kernels.GLOBAL_FAMILIES)
+def test_global_profiles_have_the_bits_of_the_out_of_place_expressions(family):
+    """Radii 0, subnormal, where the profile or (eta r)^2 underflows, and large enough
+    that (eta r)^2 overflows; scalar, 1-D and (n, m) arguments; r is left unwritten."""
+    special = np.array([0.0, 5e-324, 1e-310, 2.2e-308, 1e-200, 1e-160, 1.0, 40.0,
+                        800.0, 1e4, 1e150, 1e200, 1e300, 1.7e308])
+    rng = np.random.default_rng(3)
+    radii = np.concatenate([special, rng.uniform(0.0, 3.0, 100), rng.exponential(300.0, 106)])
+    for shape in (0.05, 1.0, 13.0):
+        kern = (kernels.gaussian(sigma=shape) if family == "gaussian"
+                else config.from_config({"family": family, "eta": shape}))
+        for r in (radii, radii.reshape(11, 20), *special[:8]):
+            kept = np.array(r, copy=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = kern.eval(r)
+                want = _OUT_OF_PLACE[family](kern, np.asarray(r).reshape(np.shape(r) or (1,)))
+            if np.ndim(r) == 0:
+                assert type(got) is float and want.shape == (1,)
+                want = float(want[0])
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (family, shape)
+            assert np.asarray(r).tobytes() == kept.tobytes()
+
+
 def test_negative_radius_rejected():
     k = kernels.gaussian(sigma=1.0)
     with pytest.raises(ValueError):
